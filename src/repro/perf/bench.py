@@ -758,7 +758,7 @@ def _scenario_section(quick: bool) -> Dict[str, Dict[str, float]]:
         return time.process_time() - start, result
 
     # Both arms share one prebuilt workload, exactly like the hand-wired
-    # experiment modules (and the compiler's own per-process cache) --
+    # experiment modules (and ``make_workload``'s per-process memo) --
     # the ratio then measures notation cost, not sampler construction.
     workload = make_websearch()
 

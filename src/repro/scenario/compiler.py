@@ -47,6 +47,7 @@ from repro.scenario.spec import (
     TierSpec,
     WorkloadSpec,
 )
+from repro.workloads.suite import make_workload
 
 #: Simulated hours of a compiled diurnal day.
 DAY_HOURS = 24
@@ -179,13 +180,6 @@ class ScenarioResult:
 
 
 @lru_cache(maxsize=None)
-def _cached_benchmark_workload(name: str):
-    from repro.workloads.suite import make_workload
-
-    return make_workload(name)
-
-
-@lru_cache(maxsize=None)
 def _cached_dag_workload(dag):
     return make_dag_workload(dag)
 
@@ -203,12 +197,13 @@ def _build_workload(spec: WorkloadSpec):
 
     Workloads and remote-memory models are stateless across runs (the
     hand-wired experiments share one instance across their healthy and
-    faulted runs), so the compiler memoizes construction -- sampler and
-    trace tables are expensive next to a short run -- keyed on the
-    frozen spec.
+    faulted runs), so construction -- sampler and trace tables are
+    expensive next to a short run -- is memoized: benchmarks by
+    :func:`repro.workloads.suite.make_workload` itself, DAG workloads
+    and remote-memory models here, keyed on the frozen spec.
     """
     if spec.benchmark is not None:
-        return _cached_benchmark_workload(spec.benchmark)
+        return make_workload(spec.benchmark)
     assert spec.dag is not None
     return _cached_dag_workload(spec.dag)
 
@@ -216,8 +211,6 @@ def _build_workload(spec: WorkloadSpec):
 def _workload_factory(spec: WorkloadSpec):
     """Zero-arg picklable factory (the sharded engine's contract)."""
     if spec.benchmark is not None:
-        from repro.workloads.suite import make_workload
-
         return partial(make_workload, spec.benchmark)
     return partial(make_dag_workload, spec.dag)
 

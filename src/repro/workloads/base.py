@@ -142,7 +142,11 @@ class WorkloadProfile:
 
 
 class Workload:
-    """A benchmark: profile plus a seeded request sampler."""
+    """A benchmark: profile plus a seeded request sampler.
+
+    :func:`repro.workloads.suite.make_workload` shares one instance per
+    benchmark across the process, so callers treat workloads as read-only.
+    """
 
     def __init__(
         self,

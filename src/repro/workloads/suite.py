@@ -7,6 +7,7 @@ matching the five rows of Figure 2(c).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, List
 
 from repro.workloads.base import Workload
@@ -30,8 +31,13 @@ def benchmark_names() -> List[str]:
     return list(BENCHMARK_SUITE)
 
 
+@lru_cache(maxsize=None)
 def make_workload(name: str) -> Workload:
-    """Instantiate a benchmark by name."""
+    """The named benchmark, built and calibrated once per process.
+
+    Every caller shares the instance and must treat it as read-only;
+    ``BENCHMARK_SUITE[name]()`` builds a private copy.
+    """
     try:
         factory = BENCHMARK_SUITE[name]
     except KeyError as exc:

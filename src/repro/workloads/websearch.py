@@ -118,22 +118,6 @@ class _QueryModel:
 #: Kinderman-Monahan constant from CPython's ``random.normalvariate``.
 _NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0)
 
-#: Process-wide posting-weight table ``1.0 / ((rank + 1) ** 0.35)`` for
-#: the fast sampler: the weight is a pure function of the rank, so the
-#: float pow is paid once per process instead of per keyword draw.  The
-#: table entries are computed with exactly the expression used by
-#: :meth:`_QueryModel.__call__`, hence bitwise-identical.
-_PW_TABLE: List[float] = []
-
-
-def _posting_weights(n: int) -> List[float]:
-    if len(_PW_TABLE) < n:
-        _PW_TABLE.extend(
-            1.0 / ((rank + 1) ** 0.35) for rank in range(len(_PW_TABLE), n)
-        )
-    return _PW_TABLE
-
-
 def _fast_demand_sampler(
     model: _QueryModel, factors: List[float]
 ) -> Callable[[random.Random], tuple]:
@@ -150,7 +134,9 @@ def _fast_demand_sampler(
     cdf = model._zipf._cdf
     top_rank = model._zipf.n - 1
     cached_terms = model._cached_terms
-    pw_table = _posting_weights(model._zipf.n)
+    # Posting weights by rank, paid once per build instead of per keyword
+    # draw; the expression of :meth:`_QueryModel.__call__`, so bitwise-equal.
+    pw_table = [1.0 / ((rank + 1) ** 0.35) for rank in range(top_rank + 1)]
     # Jump table over the uniform draw: bucket j brackets the bisect of
     # any u in [j/B, (j+1)/B), shrinking the search from the full 100k
     # CDF to a handful of entries.  The bounded bisect_left returns the

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.analysis import evaluate_designs
 from repro.core.designs import baseline_design, n2_design
+from repro.workloads import _calibrate, websearch
+from repro.workloads.suite import benchmark_names, make_workload
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +54,28 @@ class TestEvaluateDesigns:
                 [baseline_design("desk")], ["webmail"], baseline="srvr1",
                 method="analytic",
             )
+
+    def test_each_benchmark_calibrates_once_per_process(self, monkeypatch):
+        """Scoring many designs on the same benchmarks runs each
+        benchmark's calibration probe once, not once per grid cell."""
+        calls = []
+        probe = _calibrate.calibration_factors
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return probe(*args, **kwargs)
+
+        # websearch imports the probe by name; the others reach it
+        # through ``calibrated_sampler``.
+        monkeypatch.setattr(_calibrate, "calibration_factors", counting)
+        monkeypatch.setattr(websearch, "calibration_factors", counting)
+        make_workload.cache_clear()
+        evaluate_designs(
+            [baseline_design("srvr1"), baseline_design("desk"),
+             baseline_design("emb1")],
+            benchmark_names(),
+            baseline="srvr1",
+            method="analytic",
+            jobs=1,
+        )
+        assert len(calls) == len(benchmark_names()) == 5

@@ -94,6 +94,23 @@ class TestSuite:
         cpus = {r.demand.cpu_ms_ref for r in requests}
         assert len(cpus) > 1
 
+    @pytest.mark.parametrize("name", list(BENCHMARK_SUITE))
+    def test_memoized_workload_draws_like_a_fresh_build(self, name):
+        """``make_workload`` hands every caller one shared instance, and
+        that instance samples bit-for-bit like a privately built one."""
+        import random
+
+        shared = make_workload(name)
+        assert make_workload(name) is shared
+        fresh = BENCHMARK_SUITE[name]()
+        shared_rng, fresh_rng = random.Random(3), random.Random(3)
+        assert ([shared.sample(shared_rng).demand for _ in range(200)]
+                == [fresh.sample(fresh_rng).demand for _ in range(200)])
+        if name == "websearch":
+            shared_rng, fresh_rng = random.Random(3), random.Random(3)
+            assert ([shared.fast_demand(shared_rng) for _ in range(200)]
+                    == [fresh.fast_demand(fresh_rng) for _ in range(200)])
+
     def test_estimate_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):
             make_workload("websearch").estimate_mean_demand(samples=0)
