@@ -11,20 +11,27 @@ Measurement uses a completion-count protocol: the first
 ``measure_requests`` completions define the measurement window, and
 throughput is completions divided by window duration.  Response times of
 requests completing inside the window feed the QoS tracker.
+
+:meth:`ServerSimulator.run` is one flat event loop over packed
+``(time, seq|kind, request)`` heap tuples.  CPU cores and memory channels
+are busy-count plus FIFO-queue stations that grant in the order of
+:class:`~repro.simulator.resources.Resource`; the one-server disk and NIC
+are Lindley recurrences advanced at each memory completion, so one
+request-complete event stands for both of their stages.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional, Protocol
+from heapq import heapify, heappop, heappush
+from math import log
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.obs.span import SpanKind
 from repro.obs.tracer import record_stage, record_stage_parts
-from repro.perf.variates import exponential_sampler
 from repro.platforms.platform import Platform
-from repro.simulator.engine import Simulation
-from repro.simulator.resources import Resource
 from repro.workloads.base import ResourceDemand, Workload
 from repro.workloads.qos import QosTracker
 
@@ -137,6 +144,27 @@ def mean_service_demand_ms(
     return total / samples
 
 
+# Event kinds, in the low two bits of each heap entry's key.
+_ISSUE = 0
+_CPU = 1
+_MEM = 2
+_DONE = 3
+
+#: Stations in the order ``SimResult.utilization`` reports them.
+_STATIONS = ("cpu", "mem", "disk", "nic")
+
+# One request's state is a plain list:
+#
+#   [start, cpu_slice_ms, mem_ms, disk_ms, net_ms, slices_left, trace,
+#    0      1             2       3        4       5            6
+#    disk_grant, disk_busy_before, nic_grant, nic_busy_before]
+#    7           8                 9          10
+#
+# ``trace`` is None unless the request is traced, then
+# ``[Trace, cursor_ms, disk_parts, slices]``.  Slots 7-10 are set when the
+# request enters the disk and NIC, at its memory completion.
+
+
 class ServerSimulator:
     """Simulates one server of ``platform`` running ``workload``."""
 
@@ -181,227 +209,293 @@ class ServerSimulator:
         return self._population
 
     def run(self) -> SimResult:
-        """Execute the closed-loop simulation and return measurements."""
-        sim = Simulation()
-        rng = random.Random(self._config.seed)
-        # Stream-identical fast path for rng.expovariate (same values,
-        # same generator state, no per-draw method dispatch).
-        sample_exp = exponential_sampler(rng)
+        """Execute the closed-loop simulation and return measurements.
+
+        The same draws in the same order, the same event order and the
+        same floats as an event-at-a-time engine with one
+        :class:`~repro.simulator.resources.Resource` per station, which
+        the tests keep as the reference.
+        """
         platform = self._platform
         profile = self._profile
         tracer = self._tracer
         metrics = self._metrics
-        # Request sequence number: the tracer's sampling key.  Only
-        # maintained when tracing -- the untraced path is untouched.
-        rid = [0]
-
-        cpu = Resource(sim, "cpu", platform.cpu.total_cores)
-        mem = Resource(sim, "mem", platform.memory.channels)
-        disk = Resource(sim, "disk", 1)
-        nic = Resource(sim, "nic", 1)
-
+        disk_model = self._disk_model
+        rng = random.Random(self._config.seed)
+        _random = rng.random
+        _log = log
+        draw = self._workload.fast_demand
+        (cpu_factor, mem_divisor, read_latency, write_latency, disk_rate,
+         nic_overhead, nic_rate) = platform.service_constants(
+            profile.cache_sensitivity,
+            profile.inorder_ipc_factor,
+            profile.stall_fraction,
+        )
+        slowdown = self._memory_slowdown
+        cores = platform.cpu.total_cores
+        channels = platform.memory.channels
+        # This platform's own disk is the formula above; any other model
+        # is asked per request, and traced requests always ask it for the
+        # typed breakdown (the same draws as the total).
+        inline_disk = (
+            type(disk_model) is PlatformDiskModel
+            and disk_model._platform is platform
+        )
+        disk_service_ms = disk_model.service_ms
+        disk_components = getattr(disk_model, "service_components", None)
+        thinks = profile.think_time_ms > 0
+        think_rate = 1.0 / profile.think_time_ms if thinks else 0.0
         warmup = self._config.warmup_requests
-        measure = self._config.measure_requests
-        state = _MeasureState(warmup=warmup, target=measure)
-        qos = QosTracker(profile.qos) if profile.qos else None
-        responses: list = []
-        busy_at_start: Dict[str, float] = {r.name: 0.0 for r in (cpu, mem, disk, nic)}
+        target = warmup + self._config.measure_requests
 
-        def client_loop() -> None:
-            if state.done:
-                return
-            think = (
-                sample_exp(1.0 / profile.think_time_ms)
-                if profile.think_time_ms > 0
-                else 0.0
-            )
-            sim.schedule(think, issue_request)
-
-        def issue_request() -> None:
-            if state.done:
-                return
-            request = self._workload.sample(rng)
-            demand = request.demand
-            start = sim.now
-            if tracer is not None:
-                trace = tracer.begin(rid[0], start)
-                rid[0] += 1
-            else:
-                trace = None
-
-            cpu_ms = (
-                platform.cpu_time_ms(
-                    demand.cpu_ms_ref,
-                    profile.cache_sensitivity,
-                    profile.inorder_ipc_factor,
-                    profile.stall_fraction,
-                )
-                * self._memory_slowdown
-            )
-            mem_ms = platform.memory_channel_time_ms(demand.mem_ms_ref)
-            # The typed breakdown and the plain total consume identical
-            # RNG draws (service_ms delegates to service_components), so
-            # asking for components only on traced requests changes
-            # nothing downstream.
-            disk_parts = None
-            if trace is not None:
-                parts_fn = getattr(self._disk_model, "service_components", None)
-                if parts_fn is not None:
-                    disk_parts = parts_fn(demand, rng)
-                    disk_ms = sum(part[2] for part in disk_parts)
-                else:
-                    disk_ms = self._disk_model.service_ms(demand, rng)
-            else:
-                disk_ms = self._disk_model.service_ms(demand, rng)
-            net_ms = platform.net_time_ms(demand.net_bytes)
-            # Service-start times are recovered retroactively at each
-            # stage-completion callback (service is contiguous on these
-            # FCFS resources), so tracing adds no events to the heap.
-            cursor = [start] if trace is not None else None
-            root = trace.root if trace is not None else None
-
-            def after_net() -> None:
-                if trace is not None:
-                    record_stage(
-                        trace, root, cursor[0], sim.now, SpanKind.NET, net_ms
-                    )
-                    trace.close(sim.now)
-                _complete(start)
-
-            def after_disk() -> None:
-                if trace is not None:
-                    if disk_parts is not None:
-                        record_stage_parts(
-                            trace, root, cursor[0], sim.now, disk_parts, disk_ms
-                        )
-                    else:
-                        record_stage(
-                            trace, root, cursor[0], sim.now, SpanKind.DISK,
-                            disk_ms,
-                        )
-                    cursor[0] = sim.now
-                nic.acquire(net_ms, after_net)
-
-            def after_mem() -> None:
-                if trace is not None:
-                    record_stage(
-                        trace, root, cursor[0], sim.now, SpanKind.MEM, mem_ms
-                    )
-                    cursor[0] = sim.now
-                disk.acquire(disk_ms, after_disk)
-
-            # Fork/join: requests with software parallelism split their
-            # CPU work into concurrent slices across cores (total work
-            # unchanged; latency shrinks when cores are free).
-            slices = max(1, min(platform.cpu.total_cores, demand.cpu_parallelism))
-
-            def after_cpu() -> None:
-                if trace is not None:
-                    # With one slice the contiguous-service interval is
-                    # exact; sliced requests report the last slice's
-                    # share and annotate the fan-out.
-                    span = record_stage(
-                        trace, root, cursor[0], sim.now, SpanKind.CPU,
-                        cpu_ms / slices,
-                    )
-                    if slices > 1:
-                        span.annotate(slices=slices)
-                    cursor[0] = sim.now
-                mem.acquire(mem_ms, after_mem)
-
-            if slices == 1:
-                cpu.acquire(cpu_ms, after_cpu)
-            else:
-                join = {"remaining": slices}
-
-                def after_slice() -> None:
-                    join["remaining"] -= 1
-                    if join["remaining"] == 0:
-                        after_cpu()
-
-                for _ in range(slices):
-                    cpu.acquire(cpu_ms / slices, after_slice)
-
-        def _complete(start_ms: float) -> None:
-            state.completions += 1
-            if state.completions == warmup:
-                state.window_start = sim.now
-                for resource in (cpu, mem, disk, nic):
-                    busy_at_start[resource.name] = resource.stats.busy_time_ms
-            elif state.completions > warmup and not state.done:
-                response = sim.now - start_ms
-                responses.append(response)
-                if qos is not None:
-                    qos.record(response)
-                if metrics is not None:
-                    metrics.counter("server.requests").inc()
-                    metrics.histogram("server.response_ms").record(response)
-                if state.completions >= warmup + measure:
-                    state.done = True
-                    state.window_end = sim.now
-                    sim.stop()
-                    return
-            client_loop()
-
+        # Heap entries are (time, key, request): ``key`` is the push
+        # sequence number (in steps of 4) plus the event kind, so equal
+        # times pop in push order, the FIFO tie-break.
+        heap: list = []
+        seq = 0
+        now = 0.0
         for _ in range(self._population):
-            client_loop()
-        sim.run()
+            think = -_log(1.0 - _random()) / think_rate if thinks else 0.0
+            seq += 4
+            heap.append((now + think, seq + _ISSUE, None))
+        heapify(heap)
 
-        if not state.done:
+        cpu_busy = mem_busy = 0
+        cpu_queue: deque = deque()
+        mem_queue: deque = deque()
+        # Busy time is booked at each grant, as Resource books it; the
+        # disk and NIC carries are their last departures.
+        cpu_time = mem_time = disk_time = nic_time = 0.0
+        disk_free = nic_free = 0.0
+        completions = 0
+        window_start = 0.0
+        busy_at_start: Tuple[float, ...] = (0.0, 0.0, 0.0, 0.0)
+        responses: List[float] = []
+        record_response = responses.append
+        rid = 0
+        trace = None
+        done = False
+        pop = heappop
+        push = heappush
+        while heap:
+            now, key, rec = pop(heap)
+            kind = key & 3
+            if kind == _CPU:
+                if cpu_queue:
+                    # The next waiter is granted before this slice's
+                    # completion is handled (Resource.finish's order).
+                    waiter = cpu_queue.popleft()
+                    service = waiter[1]
+                    cpu_time += service
+                    seq += 4
+                    push(heap, (now + service, seq + _CPU, waiter))
+                else:
+                    cpu_busy -= 1
+                left = rec[5] - 1
+                rec[5] = left
+                if left:
+                    continue
+                traced = rec[6]
+                if traced is not None:
+                    span = record_stage(
+                        traced[0], traced[0].root, traced[1], now,
+                        SpanKind.CPU, rec[1],
+                    )
+                    if traced[3] > 1:
+                        span.annotate(slices=traced[3])
+                    traced[1] = now
+                service = rec[2]
+                if service < 0.0:
+                    raise ValueError("service time must be >= 0")
+                if mem_busy < channels:
+                    mem_busy += 1
+                    mem_time += service
+                    seq += 4
+                    push(heap, (now + service, seq + _MEM, rec))
+                else:
+                    mem_queue.append(rec)
+            elif kind == _MEM:
+                if mem_queue:
+                    waiter = mem_queue.popleft()
+                    service = waiter[2]
+                    mem_time += service
+                    seq += 4
+                    push(heap, (now + service, seq + _MEM, waiter))
+                else:
+                    mem_busy -= 1
+                traced = rec[6]
+                if traced is not None:
+                    record_stage(
+                        traced[0], traced[0].root, traced[1], now,
+                        SpanKind.MEM, rec[2],
+                    )
+                    traced[1] = now
+                disk_ms = rec[3]
+                net_ms = rec[4]
+                if disk_ms < 0.0 or net_ms < 0.0:
+                    raise ValueError("service time must be >= 0")
+                # One-server FIFO stations: a request is granted at its
+                # entry or at the previous departure, whichever is later,
+                # and no later entrant overtakes it (a Lindley step).
+                grant = now if now > disk_free else disk_free
+                rec[7] = grant
+                rec[8] = disk_time
+                disk_time += disk_ms
+                disk_free = grant + disk_ms
+                grant = disk_free if disk_free > nic_free else nic_free
+                rec[9] = grant
+                rec[10] = nic_time
+                nic_time += net_ms
+                nic_free = grant + net_ms
+                seq += 4
+                push(heap, (nic_free, seq + _DONE, rec))
+            elif kind == _DONE:
+                traced = rec[6]
+                if traced is not None:
+                    _trace_disk(traced, rec)
+                    record_stage(
+                        traced[0], traced[0].root, traced[1], now,
+                        SpanKind.NET, rec[4],
+                    )
+                    traced[0].close(now)
+                completions += 1
+                if completions == warmup:
+                    window_start = now
+                    busy_at_start = (
+                        cpu_time, mem_time,
+                        *_granted(heap, now, disk_time, nic_time),
+                    )
+                elif completions > warmup:
+                    response = now - rec[0]
+                    record_response(response)
+                    if metrics is not None:
+                        metrics.counter("server.requests").inc()
+                        metrics.histogram("server.response_ms").record(response)
+                    if completions >= target:
+                        done = True
+                        break
+                think = -_log(1.0 - _random()) / think_rate if thinks else 0.0
+                seq += 4
+                push(heap, (now + think, seq + _ISSUE, None))
+            else:
+                c, m, ios, dbytes, nbytes, write, par, _ = draw(rng)
+                if (c < 0.0 or m < 0.0 or ios < 0.0 or dbytes < 0.0
+                        or nbytes < 0.0 or par < 1):
+                    # The constructor raises the component's ValueError.
+                    ResourceDemand(c, m, ios, dbytes, nbytes, write, par)
+                if tracer is not None:
+                    trace = tracer.begin(rid, now)
+                    rid += 1
+                parts = None
+                if trace is None and inline_disk:
+                    disk_ms = (
+                        ios * (write_latency if write else read_latency)
+                        + dbytes / disk_rate
+                    )
+                else:
+                    demand = ResourceDemand(c, m, ios, dbytes, nbytes, write, par)
+                    if trace is not None and disk_components is not None:
+                        parts = disk_components(demand, rng)
+                        disk_ms = sum(part[2] for part in parts)
+                    else:
+                        disk_ms = disk_service_ms(demand, rng)
+                slices = par if par < cores else cores
+                cpu_ms = c * cpu_factor * slowdown
+                service = cpu_ms if slices == 1 else cpu_ms / slices
+                if service < 0.0:
+                    raise ValueError("service time must be >= 0")
+                rec = [
+                    now, service, m / mem_divisor, disk_ms,
+                    nic_overhead + nbytes / nic_rate, slices,
+                    None if trace is None else [trace, now, parts, slices],
+                    0.0, 0.0, 0.0, 0.0,
+                ]
+                for _ in range(slices):
+                    if cpu_busy < cores:
+                        cpu_busy += 1
+                        cpu_time += service
+                        seq += 4
+                        push(heap, (now + service, seq + _CPU, rec))
+                    else:
+                        cpu_queue.append(rec)
+
+        if not done:
             raise RuntimeError(
                 "simulation drained its event queue before the measurement "
                 "window completed; increase population or request counts"
             )
-
+        busy_at_end = (cpu_time, mem_time, *_granted(heap, now, disk_time, nic_time))
         if tracer is not None:
-            tracer.finalize(sim.now)
+            # In-flight requests whose disk departure came before the stop
+            # had their disk stage recorded by then.
+            for _, key, pending in heap:
+                if (key & 3 == _DONE and pending[6] is not None
+                        and pending[7] + pending[3] < now):
+                    _trace_disk(pending[6], pending)
+            tracer.finalize(now)
 
-        window = max(state.window_end - state.window_start, 1e-9)
+        window = max(now - window_start, 1e-9)
         throughput = len(responses) / (window / 1000.0)
         mean_response = sum(responses) / len(responses)
+        qos = QosTracker(profile.qos) if profile.qos else None
+        if qos is not None:
+            for response in responses:
+                qos.record(response)
         percentile = qos.percentile_ms() if qos and qos.count else mean_response
         qos_met = qos.satisfied() if qos else True
-
+        utilization = {
+            name: min(1.0, (end - start) / (servers * window))
+            for name, servers, start, end in zip(
+                _STATIONS, (cores, channels, 1, 1), busy_at_start, busy_at_end
+            )
+        }
         if metrics is not None:
             metrics.gauge("server.throughput_rps").set(throughput)
-            for resource in (cpu, mem, disk, nic):
-                utilization = min(
-                    1.0,
-                    (resource.stats.busy_time_ms - busy_at_start[resource.name])
-                    / (resource.servers * window),
-                )
-                metrics.gauge(
-                    "server.utilization", resource=resource.name
-                ).set(utilization)
-
+            for name, value in utilization.items():
+                metrics.gauge("server.utilization", resource=name).set(value)
         return SimResult(
             throughput_rps=throughput,
             mean_response_ms=mean_response,
             qos_percentile_ms=percentile,
             qos_met=qos_met,
-            utilization={
-                r.name: min(
-                    1.0,
-                    (r.stats.busy_time_ms - busy_at_start[r.name])
-                    / (r.servers * window),
-                )
-                for r in (cpu, mem, disk, nic)
-            },
+            utilization=utilization,
             population=self._population,
             measured_requests=len(responses),
         )
 
 
-class _MeasureState:
-    """Mutable counters shared by the simulation callbacks (slotted)."""
+def _granted(
+    heap: list, now: float, disk_time: float, nic_time: float
+) -> Tuple[float, float]:
+    """Disk and NIC busy time granted by ``now``.
 
-    __slots__ = ("warmup", "target", "completions", "window_start",
-                 "window_end", "done")
+    The Lindley stations book each request's service when it enters, at
+    its memory completion, possibly ahead of its grant.  A request still
+    in flight whose grant lies after ``now`` is taken back out by reading
+    the running sum as it stood before it: sums grow in grant order, so
+    the least such value is the prefix granted by ``now``.  A grant *at*
+    ``now`` counts -- ``now`` is a NIC departure, and ``Resource`` grants
+    the next waiter before the departing request's callback runs.
+    """
+    for _, key, rec in heap:
+        if key & 3 == _DONE:
+            if rec[7] > now and rec[8] < disk_time:
+                disk_time = rec[8]
+            if rec[9] > now and rec[10] < nic_time:
+                nic_time = rec[10]
+    return disk_time, nic_time
 
-    def __init__(self, warmup: int, target: int):
-        self.warmup = warmup
-        self.target = target
-        self.completions = 0
-        self.window_start = 0.0
-        self.window_end = 0.0
-        self.done = False
+
+def _trace_disk(traced: list, rec: list) -> None:
+    """Record a traced request's disk stage, which ends at its departure."""
+    trace = traced[0]
+    departure = rec[7] + rec[3]
+    if traced[2] is not None:
+        record_stage_parts(
+            trace, trace.root, traced[1], departure, traced[2], rec[3]
+        )
+    else:
+        record_stage(
+            trace, trace.root, traced[1], departure, SpanKind.DISK, rec[3]
+        )
+    traced[1] = departure

@@ -141,8 +141,22 @@ class WorkloadProfile:
     max_population: Optional[int] = None
 
 
+#: A tuple demand draw: ``draw(rng)`` returns one request as
+#: ``(cpu_ms_ref, mem_ms_ref, disk_ios, disk_bytes, net_bytes, disk_write,
+#: cpu_parallelism, kind)`` -- the :class:`ResourceDemand` fields in
+#: declaration order, then the :class:`Request` kind.
+DemandDraw = Callable[[random.Random], tuple]
+
+
 class Workload:
-    """A benchmark: profile plus a seeded request sampler.
+    """A benchmark: profile plus a seeded request generator.
+
+    The generator is a tuple ``draw`` (:data:`DemandDraw`; every suite
+    benchmark) or a ``sampler`` returning :class:`Request` objects
+    (derived variants, scenario DAGs).  Either way the workload offers
+    both faces, consuming the same random draws: :meth:`sample` builds a
+    ``Request`` from the draw, and :attr:`fast_demand` flattens a sampled
+    ``Request`` into the tuple.
 
     :func:`repro.workloads.suite.make_workload` shares one instance per
     benchmark across the process, so callers treat workloads as read-only.
@@ -151,21 +165,19 @@ class Workload:
     def __init__(
         self,
         profile: WorkloadProfile,
-        sampler: Callable[[random.Random], Request],
+        sampler: Optional[Callable[[random.Random], Request]] = None,
+        draw: Optional[DemandDraw] = None,
     ):
+        if (sampler is None) == (draw is None):
+            raise ValueError("a workload takes exactly one of sampler and draw")
         self.profile = profile
-        self._sampler = sampler
-        #: Optional fast demand path for the vectorized serving-tier
-        #: engine (:mod:`repro.perf.cluster_kernels`): a callable
-        #: ``fast_demand(rng) -> (cpu_ms_ref, mem_ms_ref, disk_ios,
-        #: disk_bytes, net_bytes, disk_write, cpu_parallelism)`` that
-        #: consumes *exactly* the same draws from ``rng``, in the same
-        #: order, and returns *bitwise* the same component values as
-        #: ``sample(rng).demand`` -- skipping the Request/ResourceDemand
-        #: object construction that dominates sampling cost on the
-        #: cluster hot path.  ``None`` means no fast path; consumers
-        #: must fall back to :meth:`sample`.
-        self.fast_demand: Optional[Callable[[random.Random], tuple]] = None
+        self._sampler = sampler if sampler is not None else _sampler_over(draw)
+        #: The tuple demand path the simulation kernels read instead of
+        #: :meth:`sample`: the same draws from ``rng``, in the same
+        #: order, bitwise the same values, with no object construction.
+        self.fast_demand: DemandDraw = (
+            draw if draw is not None else _draw_over(sampler)
+        )
 
     @property
     def name(self) -> str:
@@ -203,6 +215,30 @@ class Workload:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Workload({self.profile.name!r})"
+
+
+def _sampler_over(draw: DemandDraw) -> Callable[[random.Random], Request]:
+    """The :class:`Request` sampler of a tuple draw."""
+
+    def sample(rng: random.Random) -> Request:
+        d = draw(rng)
+        return Request(ResourceDemand(*d[:7]), d[7])
+
+    return sample
+
+
+def _draw_over(sampler: Callable[[random.Random], Request]) -> DemandDraw:
+    """The tuple draw of a :class:`Request` sampler."""
+
+    def draw(rng: random.Random) -> tuple:
+        request = sampler(rng)
+        d = request.demand
+        return (
+            d.cpu_ms_ref, d.mem_ms_ref, d.disk_ios, d.disk_bytes,
+            d.net_bytes, d.disk_write, d.cpu_parallelism, request.kind,
+        )
+
+    return draw
 
 
 # Imported late to avoid a cycle (qos has no dependencies on base).

@@ -1,9 +1,95 @@
 """Tests for workload abstractions and the calibration invariant."""
 
+import random
+
 import pytest
 
+from repro.workloads import mapreduce, webmail, websearch, ytube
+from repro.workloads._calibrate import UNIT_FACTORS, calibration_factors
 from repro.workloads.base import PopulationPolicy, Request, ResourceDemand
 from repro.workloads.suite import BENCHMARK_SUITE, benchmark_names, make_workload
+from tests.workloads import (
+    reference_calibrate,
+    reference_mapreduce,
+    reference_webmail,
+    reference_websearch,
+    reference_ytube,
+)
+
+#: Each benchmark's reference build: the Request-building sampler and
+#: calibration probe the tuple draws replaced.
+REFERENCE_BUILDS = {
+    "websearch": reference_websearch.make_websearch,
+    "webmail": reference_webmail.make_webmail,
+    "ytube": reference_ytube.make_ytube,
+    "mapred-wc": reference_mapreduce.make_mapred_wc,
+    "mapred-wr": reference_mapreduce.make_mapred_wr,
+}
+
+#: Each benchmark's (structural draw, reference structural sampler,
+#: calibrated mean).
+STRUCTURAL_MODELS = {
+    "websearch": (
+        lambda: websearch._QueryModel().draw(UNIT_FACTORS),
+        reference_websearch._QueryModel,
+        websearch.MEAN_DEMAND,
+    ),
+    "webmail": (
+        lambda: webmail._SessionModel().draw(UNIT_FACTORS),
+        reference_webmail._SessionModel,
+        webmail.MEAN_DEMAND,
+    ),
+    "ytube": (
+        lambda: ytube._StreamModel().draw(UNIT_FACTORS),
+        reference_ytube._StreamModel,
+        ytube.MEAN_DEMAND,
+    ),
+    "mapred-wc": (
+        lambda: mapreduce._TaskModel(False, 4.0).draw(UNIT_FACTORS),
+        lambda: reference_mapreduce._TaskModel(False, 4.0),
+        mapreduce.WC_MEAN_DEMAND,
+    ),
+    "mapred-wr": (
+        lambda: mapreduce._TaskModel(True, 4.0).draw(UNIT_FACTORS),
+        lambda: reference_mapreduce._TaskModel(True, 4.0),
+        mapreduce.WR_MEAN_DEMAND,
+    ),
+}
+
+
+class TestFastDemandPath:
+    """Every benchmark's tuple draw replicates its reference ``Request``
+    sampler bitwise (``tests/workloads/reference_*.py``).
+
+    The simulation kernels read ``fast_demand`` instead of ``sample``;
+    their results are unchanged only if both give the reference's values
+    and kind AND consume the same draws (the RNG state must match
+    afterwards, so every later draw agrees too).
+    """
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_values_and_rng_state_match_reference(self, name):
+        workload = make_workload(name)
+        reference = REFERENCE_BUILDS[name]()
+        for seed in range(20):
+            ref_rng, fast_rng, sample_rng = (random.Random(seed) for _ in range(3))
+            for _ in range(50):
+                expected = reference.sample(ref_rng)
+                d = expected.demand
+                assert workload.fast_demand(fast_rng) == (
+                    d.cpu_ms_ref, d.mem_ms_ref, d.disk_ios, d.disk_bytes,
+                    d.net_bytes, d.disk_write, d.cpu_parallelism, expected.kind,
+                )
+                assert workload.sample(sample_rng) == expected
+                assert fast_rng.getstate() == ref_rng.getstate()
+                assert sample_rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_calibration_factors_match_reference_probe(self, name):
+        draw, reference_model, target = STRUCTURAL_MODELS[name]
+        assert calibration_factors(draw(), target) == (
+            reference_calibrate.calibration_factors(reference_model(), target)
+        )
 
 
 class TestResourceDemand:

@@ -67,33 +67,3 @@ class TestWebsearch:
         assert p.think_time_ms > 0
         assert p.qos is not None
 
-
-class TestFastDemandPath:
-    """The tuple fast path must be a bitwise replica of ``sample``.
-
-    The cohort cluster engine substitutes ``fast_demand`` for
-    ``sample(rng).demand``; digest equality with the scalar engine rests
-    on it returning identical component values AND consuming identical
-    draws (the RNG state must match afterwards so every later draw in
-    the simulation agrees too).  Covers the inlined Kinderman-Monahan
-    rejection loops, the Zipf jump table, and the posting-weight table.
-    """
-
-    def test_values_and_rng_state_match_sample(self, workload):
-        assert workload.fast_demand is not None
-        for seed in range(20):
-            slow_rng = random.Random(seed)
-            fast_rng = random.Random(seed)
-            for _ in range(50):
-                d = workload.sample(slow_rng).demand
-                fast = workload.fast_demand(fast_rng)
-                assert fast == (
-                    d.cpu_ms_ref,
-                    d.mem_ms_ref,
-                    d.disk_ios,
-                    d.disk_bytes,
-                    d.net_bytes,
-                    d.disk_write,
-                    d.cpu_parallelism,
-                )
-                assert slow_rng.getstate() == fast_rng.getstate()
