@@ -51,15 +51,4 @@ def make_dag_workload(dag: RequestDagSpec) -> Workload:
         qos=QosSpec(limit_ms=dag.qos_limit_ms, percentile=dag.qos_percentile),
         think_time_ms=dag.think_time_ms,
     )
-    workload = Workload(profile, lambda rng: request)
-    fast = (
-        demand.cpu_ms_ref,
-        demand.mem_ms_ref,
-        demand.disk_ios,
-        demand.disk_bytes,
-        demand.net_bytes,
-        demand.disk_write,
-        demand.cpu_parallelism,
-    )
-    workload.fast_demand = lambda rng: fast
-    return workload
+    return Workload(profile, lambda rng: request)
