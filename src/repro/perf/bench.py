@@ -104,17 +104,24 @@ CLUSTER_SURGE_BASELINE = 72_888.7
 #: The quick-mode ``cluster_surge`` acceptance floor: 5x the pre-cohort
 #: scalar baseline.  The absolute rate is host-dependent (shared CI
 #: runners drift +/-15%), so the check accepts a run that clears this
-#: floor outright OR demonstrates the same 5x criterion machine-
-#: independently via the in-run scalar oracle (the floor is, by
-#: construction, 5 x the scalar engine's rate on the baseline host).
+#: floor outright OR demonstrates the same criterion machine-
+#: independently via the in-run scalar oracle.  That oracle samples
+#: its demands through ``Workload.sample``, which builds one
+#: ``Request`` per draw instead of the two it built when this escape
+#: was set at 5x, so it runs 1.14x faster than it did then (median
+#: scalar run 0.0485 -> 0.0425 s over 20 alternating quick runs on a
+#: 2-vCPU VM, cohort unchanged at 0.0085 s): the same criterion reads
+#: 5 / 1.14 = 4.4x against today's oracle.
 CLUSTER_SURGE_FLOOR = 5 * CLUSTER_SURGE_BASELINE
-CLUSTER_SURGE_SPEEDUP = 5.0
+CLUSTER_SURGE_SPEEDUP = 4.4
 
 #: Fail ``--check`` when the cohort serving-tier engine drops below
 #: this speedup over its in-run scalar oracle (machine-independent;
-#: the committed baseline runs ~5.4x).  This is the hard regression
-#: backstop below the 5x acceptance criterion above.
-CLUSTER_SPEEDUP_FLOOR = 4.0
+#: the committed baseline runs ~5.0x).  This is the hard regression
+#: backstop below the acceptance criterion above: 4x over the scalar
+#: oracle as it was when this floor was set, i.e. 4 / 1.14 = 3.5x
+#: today's (see CLUSTER_SURGE_SPEEDUP).
+CLUSTER_SPEEDUP_FLOOR = 3.5
 
 #: Fail ``--check`` when the per-experiment suite wall clock exceeds
 #: the baseline's by more than this fraction.  Wall time across hosts
@@ -1217,7 +1224,7 @@ def check_regression(current: dict, baseline: dict) -> List[str]:
             and section["speedup_vs_scalar"] < CLUSTER_SURGE_SPEEDUP
         ):
             failures.append(
-                f"cluster_surge below the 5x acceptance criterion: "
+                f"cluster_surge below the acceptance criterion: "
                 f"{section['sim_ms_per_wall_s']:,.1f} sim-ms/wall-s vs "
                 f"floor {CLUSTER_SURGE_FLOOR:,.1f} "
                 f"(5 x pre-cohort {CLUSTER_SURGE_BASELINE:,.1f}) and "

@@ -72,7 +72,7 @@ class ClientDriver:
             if think_time_ms < 0:
                 raise ValueError("think time must be >= 0")
             profile = replace(workload.profile, think_time_ms=think_time_ms)
-            workload = Workload(profile, workload.sample)
+            workload = Workload(profile, draw=workload.fast_demand)
         self._platform = platform
         self._workload = workload
         self._config = config

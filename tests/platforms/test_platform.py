@@ -1,11 +1,14 @@
 """Tests of the platform performance-scaling model."""
 
+import random
+
 import pytest
 
 from repro.platforms.catalog import PLATFORMS, platform, platform_names
 from repro.platforms.memory import MemoryConfig, MemoryTechnology
 from repro.platforms.nic import GIGABIT, TEN_GIGABIT
 from repro.platforms.storage import LAPTOP_DISK
+from repro.workloads.suite import benchmark_names, make_workload
 
 
 class TestCatalog:
@@ -85,6 +88,45 @@ class TestCpuTime:
             platform("desk").cpu_time_ms(1.0, 0.0, stall_fraction=1.0)
         with pytest.raises(ValueError):
             platform("desk").cpu_time_ms(1.0, 0.0, stall_fraction=-0.1)
+
+
+class TestServiceConstants:
+    """The hoisted factors the simulation kernels read reproduce the
+    per-request service-time methods bitwise."""
+
+    @pytest.mark.parametrize("workload_name", benchmark_names())
+    @pytest.mark.parametrize("name", platform_names())
+    def test_constants_reproduce_service_times(self, name, workload_name):
+        p = platform(name)
+        workload = make_workload(workload_name)
+        profile = workload.profile
+        k = p.service_constants(
+            profile.cache_sensitivity,
+            profile.inorder_ipc_factor,
+            profile.stall_fraction,
+        )
+        rng = random.Random(11)
+        for _ in range(200):
+            c, m, ios, dbytes, nbytes, _, _, _ = workload.fast_demand(rng)
+            assert c * k.cpu_factor == p.cpu_time_ms(
+                c,
+                profile.cache_sensitivity,
+                profile.inorder_ipc_factor,
+                profile.stall_fraction,
+            )
+            assert m / k.mem_divisor == p.memory_channel_time_ms(m)
+            for write in (False, True):
+                latency = k.disk_write_latency_ms if write else k.disk_read_latency_ms
+                assert ios * latency + dbytes / k.disk_bytes_per_ms == (
+                    p.disk_time_ms(ios, dbytes, write=write)
+                )
+            assert k.nic_overhead_ms + nbytes / k.nic_bytes_per_ms == (
+                p.net_time_ms(nbytes)
+            )
+
+    def test_stall_fraction_bounds(self):
+        with pytest.raises(ValueError):
+            platform("desk").service_constants(0.0, stall_fraction=1.0)
 
 
 class TestOtherResources:
