@@ -393,7 +393,6 @@ class ClusterSimulator:
         failslow_detection: Optional[DetectionPolicy] = None,
         redundancy: Optional[RedundancyConfig] = None,
         maintenance: Optional[MaintenancePlan] = None,
-        engine: str = "scalar",
     ):
         """``remote_memory`` attaches a shared memory blade: every request
         pays its expected remote-miss traffic on one blade-controller link
@@ -479,18 +478,16 @@ class ClusterSimulator:
         new dispatches or hedges, and the gray-failure detector (when
         present) drops it from the fleet median for the duration.
 
-        ``engine`` selects the run implementation: ``"scalar"`` (the
-        default) is the per-request callback path; ``"cohort"`` routes
-        eligible open-loop configurations through the vectorized
-        request-lifecycle kernels of
-        :mod:`repro.perf.cluster_kernels`, which produce a bitwise
-        identical :class:`ClusterResult` (``stream_digest()`` equality
-        is a test invariant).  Configurations the kernels do not model
-        (closed-loop mode, tracing, remote memory, faults, redundancy,
-        maintenance drains, non-default disk models) fall back to the
-        scalar path automatically; after :meth:`run`, ``engine_used``
-        names the path taken and ``fallback_reason`` says why a cohort
-        request fell back (``None`` otherwise)."""
+        The configuration alone picks the engine :meth:`run` uses:
+        eligible open-loop configurations run the cohort
+        request-lifecycle kernels of :mod:`repro.perf.cluster_kernels`,
+        which produce a bitwise identical :class:`ClusterResult`
+        (``stream_digest()`` equality is a test invariant); those the
+        kernels do not model (closed-loop mode, tracing, remote memory,
+        faults, redundancy, maintenance drains, non-default disk models)
+        run the scalar per-request callback path.  After :meth:`run`,
+        ``engine_used`` names the path taken and ``fallback_reason``
+        says why the cohort path was ineligible (``None`` otherwise)."""
         if servers <= 0 or clients_per_server <= 0:
             raise ValueError("servers and clients_per_server must be positive")
         if enclosure_size <= 0:
@@ -575,37 +572,13 @@ class ClusterSimulator:
                 )
         self._redundancy = redundancy
         self._maintenance = maintenance
-        if engine not in ("scalar", "cohort"):
-            raise ValueError(f"unknown engine {engine!r}")
-        self._engine = engine
         #: Set by :meth:`run`: which engine actually ran.
         self.engine_used: Optional[str] = None
-        #: Set by :meth:`run` when ``engine="cohort"`` fell back.
+        #: Set by :meth:`run` when the cohort engine was ineligible.
         self.fallback_reason: Optional[str] = None
         if failslow is not None:
             # Validate server indices up front (table() re-checks).
             failslow.table(servers)
-
-    @classmethod
-    def sharded(cls, platform, workload_factory, servers, *args, **kwargs):
-        """Build the cell-partitioned variant of this simulator.
-
-        Returns a :class:`repro.perf.sharded.ShardedClusterSimulator`
-        (imported lazily -- the perf layer imports this module), which
-        partitions the cluster along enclosure/FailureDomain boundaries
-        into cells simulated independently -- in worker processes when
-        its ``run(shards=N)`` is given ``N > 1`` -- with per-cell
-        telemetry folded back losslessly.  Takes a picklable
-        ``workload_factory`` (a module-level callable returning the
-        workload) instead of a workload instance, plus the arguments of
-        :class:`ShardedClusterSimulator`; features that couple cells
-        (``remote_memory``, stochastic ``faults``) are rejected there.
-        """
-        from repro.perf.sharded import ShardedClusterSimulator
-
-        return ShardedClusterSimulator(
-            platform, workload_factory, servers, *args, **kwargs
-        )
 
     def _pick(
         self, servers: List[_Server], rr_state: Dict[str, int],
@@ -626,30 +599,27 @@ class ClusterSimulator:
         return [s for s in servers if s.up and not s.draining]
 
     def run(self) -> ClusterResult:
-        """Run the simulation on the configured engine.
+        """Run the simulation on the engine the configuration selects.
 
-        ``engine="cohort"`` routes through the vectorized request
-        lifecycle kernels when the configuration is eligible (open loop,
-        no tracing/faults/remote memory/maintenance, default disk
-        model), falling back to the scalar path -- with
-        ``fallback_reason`` set -- otherwise.  Both paths produce the
-        same ``ClusterResult.stream_digest()``.
+        Eligible configurations (open loop, no tracing/faults/remote
+        memory/maintenance, default disk model) run the vectorized
+        request-lifecycle kernels; every other one runs the scalar path
+        with ``fallback_reason`` set.  Both paths produce the same
+        ``ClusterResult.stream_digest()``.
         """
-        if self._engine == "cohort":
-            from repro.perf.cluster_kernels import cohort_supported, run_cohort
+        from repro.perf.cluster_kernels import cohort_supported, run_cohort
 
-            ok, reason = cohort_supported(self)
-            if ok:
-                self.engine_used = "cohort"
-                self.fallback_reason = None
-                return run_cohort(self)
-            self.fallback_reason = reason
-        else:
-            self.fallback_reason = None
-        self.engine_used = "scalar"
+        ok, reason = cohort_supported(self)
+        if ok:
+            self.engine_used, self.fallback_reason = "cohort", None
+            return run_cohort(self)
+        self.engine_used, self.fallback_reason = "scalar", reason
         return self._run_scalar()
 
     def _run_scalar(self) -> ClusterResult:
+        """The scalar per-request callback engine: the fallback for
+        configurations the cohort kernels do not model, and the
+        reference tests and ``repro-bench`` compare cohort runs with."""
         sim = Simulation()
         rng = random.Random(self._seed)
         # Stream-identical fast path for rng.expovariate: same values from

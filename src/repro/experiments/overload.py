@@ -164,13 +164,11 @@ def run(
             "naive": ClusterSimulator(
                 retry=NAIVE_RETRY,
                 overload=OverloadPolicy.unprotected(),
-                engine="cohort",
                 **common,
             ),
             "protected": ClusterSimulator(
                 retry=PROTECTED_RETRY,
                 overload=OverloadPolicy(queue_cap=queue_cap),
-                engine="cohort",
                 **common,
             ),
         }

@@ -12,11 +12,11 @@ result:
   sampling for the DES hot paths;
 - :mod:`repro.perf.kernels` -- single-pass miss-ratio-curve kernels
   (Mattson stack distances, vectorized) for the memory and flash trace
-  simulators, plus the Lindley-recurrence queueing cohort kernels the
-  sharded engine drains windows through;
-- :mod:`repro.perf.sharded` -- the sharded parallel DES: rack cells
-  simulated independently in conservative time windows, vectorized
-  event cohorts, and a calibrated M/M/1(/K) analytic fast path;
+  simulators;
+- :mod:`repro.perf.cluster_kernels` -- the cohort request-lifecycle
+  engine behind :meth:`repro.cluster.balancer.ClusterSimulator.run`;
+- :mod:`repro.perf.sharded` -- enclosure-scoped serving tiers: one
+  balancer per cell, cells run independently and fold back in order;
 - :mod:`repro.perf.bench` -- the tracked benchmark harness behind
   ``repro-bench`` and ``BENCH_results.json``.
 """
@@ -27,11 +27,8 @@ from repro.perf.kernels import (
     FlashHitCurve,
     MissCounts,
     MissRatioCurve,
-    cohort_departures,
-    cohort_departures_capped,
     flash_hit_curve,
     flash_replay,
-    fresh_queue_carry,
     miss_ratio_curve,
     stack_distances,
 )
@@ -45,12 +42,7 @@ from repro.perf.parallel import (
     run_experiments,
     set_intra_jobs,
 )
-from repro.perf.variates import (
-    ExponentialBlock,
-    exponential_block,
-    exponential_fill,
-    exponential_sampler,
-)
+from repro.perf.variates import exponential_sampler
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -65,19 +57,9 @@ __all__ = [
     "pmap_iter",
     "run_experiments",
     "set_intra_jobs",
-    "ExponentialBlock",
-    "exponential_block",
-    "exponential_fill",
     "exponential_sampler",
-    "HYBRID_TOLERANCE",
-    "RackScenario",
-    "RackResult",
     "ShardedClusterResult",
     "ShardedClusterSimulator",
-    "run_rack",
-    "cohort_departures",
-    "cohort_departures_capped",
-    "fresh_queue_carry",
     "FlashCounts",
     "FlashHitCurve",
     "MissCounts",
@@ -88,18 +70,10 @@ __all__ = [
     "stack_distances",
 ]
 
-#: Lazy exports (PEP 562): :mod:`repro.perf.sharded` pulls in the
-#: simulator and workload layers, which themselves import this package
-#: for the kernels -- resolving these names on first access instead of
-#: at import time keeps the package import acyclic.
-_SHARDED_EXPORTS = (
-    "HYBRID_TOLERANCE",
-    "RackScenario",
-    "RackResult",
-    "ShardedClusterResult",
-    "ShardedClusterSimulator",
-    "run_rack",
-)
+#: Lazy exports (PEP 562): the cell simulator is resolved on first
+#: access, so ``import repro.perf`` -- which the cluster and simulator
+#: layers do for the variates and kernels -- never loads it.
+_SHARDED_EXPORTS = ("ShardedClusterResult", "ShardedClusterSimulator")
 
 
 def __getattr__(name):

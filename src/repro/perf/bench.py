@@ -4,38 +4,32 @@ Times the layers the perf work targets and writes one JSON document so
 the repository's performance trajectory is tracked across PRs:
 
 - **engine** -- events/sec through :class:`repro.simulator.engine.Simulation`
-  on three microbenchmarks: *ping* (pure schedule/dispatch), *timer churn*
-  (the balancer's pattern: every request schedules a completion plus a
-  timeout that almost never fires -- the headline metric, since dead
-  timers are what the lazy-cancellation engine reclaims), and *batch*
-  (bulk initial loading via ``schedule_batch``).  Each is also run
-  against ``_LegacySimulation``, an in-harness replica of the pre-PR
-  event loop, so the speedup column stays measurable long after the old
-  engine is gone.
+  on two microbenchmarks: *ping* (pure schedule/dispatch) and *timer
+  churn* (the balancer's pattern: every request schedules a completion
+  plus a timeout that almost never fires, which the lazy-cancellation
+  engine reclaims).  Reported, not gated: absolute rates are
+  host-dependent.
 - **alloc** -- bytes per hot request record (slotted classes vs the dict
   records they replaced), via ``tracemalloc``.
 - **cluster** -- wall-clock of the open-loop surge path (the overload
-  experiment's inner loop) at reduced scale.
+  experiment's inner loop) at reduced scale, on the cohort engine and
+  on the scalar reference engine: the headline is the in-run
+  ``cluster_surge`` speedup of one over the other.
 - **kernels** -- the single-pass miss-ratio-curve kernels
   (:mod:`repro.perf.kernels`) against their scalar oracles: *mrc_sweep*
   (one stack-distance pass answering a 16-point miss-ratio curve vs 16
   scalar LRU replays) and *flash_replay* (one flash hit curve answering
   a 12-device flash-sizing curve vs 12 ``FlashCache`` replays).  Both
   assert bit-identical counters before timing is reported.
-- **sharded_engine** -- the sharded/vectorized rack engine
-  (:mod:`repro.perf.sharded`) against its in-run scalar oracle:
-  events/sec through the cohort kernels, speedup over event-at-a-time,
-  a bitwise digest match, and the hybrid fast path's p50/p99 error.
 - **e2e** (``--e2e``) -- cold vs warm-cache wall-clock of the full
   experiment sweep through :func:`repro.perf.parallel.run_experiments`.
 
-``--check BASELINE`` compares the headline engine metric -- and, when
-the baseline carries them, the kernel and sharded-engine speedups, the
-``schedule_batch`` parity floor, and the sharded correctness invariants
-(digest match, hybrid tolerance) -- against a committed baseline and
-fails on >30% regression.  Every gate uses a *speedup over an in-run
-scalar/legacy reference* -- a machine-independent ratio -- rather than
-absolute rates, so CI hosts of different speeds share one baseline.
+``--check BASELINE`` compares the headline cohort-vs-scalar speedup and
+its digest match -- and, when the baseline carries them, the kernel
+speedups, the overhead budgets, and the suite wall clock -- against a
+committed baseline.  Every speedup gate is a *ratio over an in-run
+scalar reference* -- machine-independent -- rather than an absolute
+rate, so CI hosts of different speeds share one baseline.
 """
 
 from __future__ import annotations
@@ -47,12 +41,11 @@ import platform as platform_mod
 import sys
 import time
 import tracemalloc
-from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.simulator.engine import Simulation
 
-#: Fail ``--check`` when the headline speedup drops below
+#: Fail ``--check`` when a trace-kernel speedup drops below
 #: ``baseline * (1 - REGRESSION_TOLERANCE)``.
 REGRESSION_TOLERANCE = 0.30
 
@@ -82,19 +75,6 @@ REBUILD_OVERHEAD_LIMIT = 1.05
 #: noise next to the run itself).
 SCENARIO_COMPILE_OVERHEAD_LIMIT = 1.05
 
-#: Fail ``--check`` when ``schedule_batch`` falls below parity with the
-#: per-entry legacy loop (in-run ratio, machine-independent).  Guards
-#: the mixed-load staging heuristic: bulk loads must never be slower
-#: than not batching at all.  Slightly under 1.0 to absorb timer noise
-#: at --quick iteration counts.
-ENGINE_BATCH_PARITY_FLOOR = 0.9
-
-#: Fail ``--check`` when the vectorized cohort engine drops below this
-#: speedup over its in-run scalar oracle (the sharded_engine section's
-#: acceptance floor; the committed full-scale baseline runs well above
-#: it).
-SHARDED_SPEEDUP_FLOOR = 3.0
-
 #: The scalar engine's committed quick-mode ``cluster_surge`` rate
 #: (simulated-ms per wall-second, single cold run on the baseline host)
 #: from before the cohort engine landed -- the denominator of the
@@ -115,12 +95,13 @@ CLUSTER_SURGE_BASELINE = 72_888.7
 CLUSTER_SURGE_FLOOR = 5 * CLUSTER_SURGE_BASELINE
 CLUSTER_SURGE_SPEEDUP = 4.4
 
-#: Fail ``--check`` when the cohort serving-tier engine drops below
-#: this speedup over its in-run scalar oracle (machine-independent;
-#: the committed baseline runs ~5.0x).  This is the hard regression
-#: backstop below the acceptance criterion above: 4x over the scalar
-#: oracle as it was when this floor was set, i.e. 4 / 1.14 = 3.5x
-#: today's (see CLUSTER_SURGE_SPEEDUP).
+#: Fail ``--check`` when the headline -- the cohort serving-tier
+#: engine's speedup over its in-run scalar oracle (machine-independent;
+#: the committed baseline runs ~5.0x) -- drops below this.  This is the
+#: hard regression backstop below the acceptance criterion above: 4x
+#: over the scalar oracle as it was when this floor was set, i.e.
+#: 4 / 1.14 = 3.5x today's (see CLUSTER_SURGE_SPEEDUP), which is also
+#: 0.7x the committed baseline's ratio.
 CLUSTER_SPEEDUP_FLOOR = 3.5
 
 #: Fail ``--check`` when the per-experiment suite wall clock exceeds
@@ -133,62 +114,14 @@ CLUSTER_SPEEDUP_FLOOR = 3.5
 SUITE_WALL_TOLERANCE = 2.0
 
 #: The headline metric's path into the results document.
-HEADLINE = ("engine_churn", "events_per_sec")
+HEADLINE = ("cluster_surge", "speedup_vs_scalar")
 
 DEFAULT_OUTPUT = "BENCH_results.json"
 
 
-class _LegacySimulation:
-    """Replica of the pre-PR event loop (the speedup reference).
-
-    Kept verbatim from the seed's ``simulator/engine.py``: tuple heap
-    entries, attribute lookups in the loop, no cancellation -- so dead
-    timers ride the heap until they fire.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
-        self._now = 0.0
-        self._seq = 0
-        self._stopped = False
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def schedule(self, delay_ms: float, callback: Callable[[], None]) -> None:
-        if delay_ms < 0:
-            raise ValueError(f"cannot schedule in the past (delay {delay_ms})")
-        self._seq += 1
-        heappush(self._heap, (self._now + delay_ms, self._seq, callback))
-
-    def schedule_timer(self, delay_ms: float, callback: Callable[[], None]) -> int:
-        # The legacy engine had no timers; scheduling is the closest
-        # equivalent and the returned handle is a no-op to cancel.
-        self.schedule(delay_ms, callback)
-        return 0
-
-    def cancel(self, timer: int) -> None:
-        """No cancellation support: the dead entry stays queued."""
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def run(self, until_ms: Optional[float] = None) -> None:
-        self._stopped = False
-        while self._heap and not self._stopped:
-            time_ms, _, callback = self._heap[0]
-            if until_ms is not None and time_ms > until_ms:
-                self._now = until_ms
-                return
-            heappop(self._heap)
-            self._now = time_ms
-            callback()
-
-
-def _bench_ping(sim_factory, events: int) -> float:
+def _bench_ping(events: int) -> float:
     """Events/sec for a self-rescheduling chain (pure dispatch cost)."""
-    sim = sim_factory()
+    sim = Simulation()
     remaining = [events]
 
     def tick() -> None:
@@ -203,17 +136,15 @@ def _bench_ping(sim_factory, events: int) -> float:
     return events / elapsed
 
 
-def _bench_timer_churn(sim_factory, requests: int) -> float:
-    """Events/sec for the balancer's request pattern (headline).
+def _bench_timer_churn(requests: int) -> float:
+    """Events/sec for the balancer's request pattern.
 
     Each request: one arrival, one completion at +1 ms, one timeout
-    timer at +1000 ms that is cancelled on completion.  On the legacy
-    engine the dead timeouts accumulate -- tens of thousands of entries
-    dragged through every push/pop -- which is precisely the overhead
-    lazy cancellation removes.  Throughput counts the three *logical*
-    events per request, so both engines are scored on the same work.
+    timer at +1000 ms that is cancelled on completion -- the dead
+    timeouts are what lazy cancellation reclaims.  Throughput counts
+    the three *logical* events per request.
     """
-    sim = sim_factory()
+    sim = Simulation()
     state = [0]
 
     def arrive() -> None:
@@ -238,66 +169,24 @@ def _bench_timer_churn(sim_factory, requests: int) -> float:
     return (3 * requests) / elapsed
 
 
-def _bench_batch(sim_factory, events: int) -> float:
-    """Events/sec for bulk-loading ``events`` entries into an empty heap.
-
-    Only the scheduling phase is timed: the drain that follows is the
-    same work for either loading strategy (the resulting heaps hold the
-    same entries), so timing it too just buries the load-path signal in
-    drain noise — at --quick scales the gated parity ratio became a
-    coin flip.  Delays are scattered (a Weyl sequence), matching the
-    realistic case -- an initial client population with random think
-    times -- where per-entry ``heappush`` pays its full log cost and
-    the single ``heapify`` of ``schedule_batch`` is linear.
-    """
-    sim = sim_factory()
-    sink = [0]
-
-    def consume() -> None:
-        sink[0] += 1
-
-    pairs = [
-        (float((i * 2654435761) % 1_000_000) / 1000.0, consume)
-        for i in range(events)
-    ]
-    start = time.perf_counter()
-    if hasattr(sim, "schedule_batch"):
-        sim.schedule_batch(pairs)
-    else:
-        for delay, callback in pairs:
-            sim.schedule(delay, callback)
-    elapsed = time.perf_counter() - start
-    sim.run()
-    assert sink[0] == events
-    return events / elapsed
-
-
 def _best_of(fn: Callable[[], float], repeats: int) -> float:
     return max(fn() for _ in range(max(1, repeats)))
 
 
 def _engine_section(quick: bool) -> Dict[str, Dict[str, float]]:
-    # Best-of-3 even in quick mode: a single ~30ms timing makes the
-    # gated speedup ratios noise-dominated, and the extra repeats cost
-    # well under a second at quick-mode scales.
+    # Best-of-3 even in quick mode: a single ~30ms timing is
+    # noise-dominated, and the extra repeats cost well under a second
+    # at quick-mode scales.
     repeats = 3
     ping_n = 20_000 if quick else 200_000
     churn_n = 8_000 if quick else 60_000
-    batch_n = 20_000 if quick else 200_000
-    section = {}
-    for name, bench, scale in (
-        ("engine_ping", _bench_ping, ping_n),
-        ("engine_churn", _bench_timer_churn, churn_n),
-        ("engine_batch", _bench_batch, batch_n),
-    ):
-        new_rate = _best_of(lambda: bench(Simulation, scale), repeats)
-        old_rate = _best_of(lambda: bench(_LegacySimulation, scale), repeats)
-        section[name] = {
-            "events_per_sec": round(new_rate, 1),
-            "legacy_events_per_sec": round(old_rate, 1),
-            "speedup_vs_legacy": round(new_rate / old_rate, 3),
-        }
-    return section
+    return {
+        name: {"events_per_sec": round(_best_of(lambda: bench(scale), repeats), 1)}
+        for name, bench, scale in (
+            ("engine_ping", _bench_ping, ping_n),
+            ("engine_churn", _bench_timer_churn, churn_n),
+        )
+    }
 
 
 def _alloc_section() -> Dict[str, Dict[str, float]]:
@@ -369,7 +258,9 @@ def _cluster_config(quick: bool) -> dict:
 def _cluster_section(quick: bool) -> Dict[str, Dict[str, float]]:
     """Cohort vs scalar wall-clock of the open-loop surge path.
 
-    Construction (platform catalog, workload sampler tables, simulator
+    The cohort side is :meth:`ClusterSimulator.run`, which selects the
+    cohort engine for this configuration; the scalar reference calls
+    ``_run_scalar()`` directly.  Construction (platform catalog, workload sampler tables, simulator
     wiring) happens outside the timed region; each engine is timed
     best-of-3 over fresh simulators (a ClusterSimulator run is
     single-shot) after one untimed warm-up run, and the two engines'
@@ -388,22 +279,20 @@ def _cluster_section(quick: bool) -> Dict[str, Dict[str, float]]:
     platform = platform_by_name("srvr1")
     workload = make_websearch()
 
-    def build(engine: str) -> ClusterSimulator:
-        return ClusterSimulator(platform, workload, engine=engine, **config)
-
-    def timed(engine: str):
-        build(engine).run()  # warm-up run, untimed
+    def timed(run: Callable[[ClusterSimulator], object]):
+        run(ClusterSimulator(platform, workload, **config))  # warm-up, untimed
         best = math.inf
         result = None
         for _ in range(3):
-            simulator = build(engine)  # setup excluded from timed region
+            # Setup excluded from the timed region.
+            simulator = ClusterSimulator(platform, workload, **config)
             start = time.perf_counter()
-            result = simulator.run()
+            result = run(simulator)
             best = min(best, time.perf_counter() - start)
         return best, result
 
-    cohort_s, cohort_result = timed("cohort")
-    scalar_s, scalar_result = timed("scalar")
+    cohort_s, cohort_result = timed(ClusterSimulator.run)
+    scalar_s, scalar_result = timed(ClusterSimulator._run_scalar)
     return {
         "cluster_surge": {
             "wall_s": round(cohort_s, 4),
@@ -784,7 +673,6 @@ def _scenario_section(quick: bool) -> Dict[str, Dict[str, float]]:
                 surge_start_ms=0.0, surge_end_ms=0.0),
             warmup_ms=500.0,
             measure_ms=measure_ms,
-            engine="cohort",
         )
         result = simulator.run()
         return time.process_time() - start, result
@@ -960,67 +848,6 @@ def _kernels_section(quick: bool) -> Dict[str, Dict[str, float]]:
     }
 
 
-def _sharded_section(quick: bool) -> Dict[str, Dict[str, float]]:
-    """The sharded/vectorized rack engine against its scalar oracle.
-
-    One rack scenario runs three ways on identical variate arrays: the
-    event-at-a-time scalar oracle, the vectorized cohort engine (the
-    timed headline -- ``events_per_sec`` counts the logical DES events
-    the cohorts replace: arrival, completion, and deadline-timer
-    resolution per admitted request, one per drop), and the calibrated
-    hybrid.  Bit-stability is asserted in-run (``digest_match``) and the
-    hybrid's p50/p99 must land within :data:`~repro.perf.sharded.
-    HYBRID_TOLERANCE` of the cohort run, so a reported speedup can never
-    come from a wrong answer.
-    """
-    from repro.perf.sharded import HYBRID_TOLERANCE, RackScenario, run_rack
-
-    repeats = 1 if quick else 3
-    scenario = RackScenario(
-        servers_per_cell=8,
-        cells=2 if quick else 4,
-        rate_rps=2000.0,
-        service_ms=0.4,
-        duration_ms=2000.0 if quick else 4000.0,
-        window_ms=200.0,
-        deadline_ms=8.0,
-        seed=2,
-    )
-
-    def timed(mode: str) -> Tuple[float, object]:
-        best = math.inf
-        result = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = run_rack(scenario, mode=mode)
-            elapsed = time.perf_counter() - start
-            best = min(best, elapsed)
-        return best, result
-
-    scalar_s, scalar = timed("scalar")
-    cohort_s, cohort = timed("cohort")
-    hybrid_s, hybrid = timed("hybrid")
-    p50_err = abs(hybrid.p50_ms - cohort.p50_ms) / cohort.p50_ms
-    p99_err = abs(hybrid.p99_ms - cohort.p99_ms) / cohort.p99_ms
-    return {
-        "sharded_engine": {
-            "events": cohort.events,
-            "events_per_sec": round(cohort.events / cohort_s, 1),
-            "scalar_events_per_sec": round(scalar.events / scalar_s, 1),
-            "speedup_vs_scalar": round(scalar_s / cohort_s, 3),
-            "digest_match": scalar.digest == cohort.digest,
-            "hybrid_events_per_sec": round(hybrid.events / hybrid_s, 1),
-            "hybrid_p50_err": round(p50_err, 4),
-            "hybrid_p99_err": round(p99_err, 4),
-            "hybrid_within_tolerance": max(p50_err, p99_err)
-            <= HYBRID_TOLERANCE,
-            "calibration_error": round(hybrid.calibration_error, 4),
-            "windows_analytic": hybrid.windows_analytic,
-            "windows_vector": hybrid.windows_vector,
-        }
-    }
-
-
 def _e2e_section(jobs: int) -> Dict[str, Dict[str, float]]:
     """Cold vs warm-cache wall-clock of the full experiment sweep."""
     import tempfile
@@ -1065,7 +892,6 @@ def run_benchmarks(
     results.update(_rebuild_section(quick))
     results.update(_scenario_section(quick))
     results.update(_kernels_section(quick))
-    results.update(_sharded_section(quick))
     if suite:
         results.update(_suite_wall_section(jobs))
     if e2e:
@@ -1077,8 +903,7 @@ def run_benchmarks(
         "machine": platform_mod.machine(),
         "headline": {
             "metric": "/".join(HEADLINE),
-            "events_per_sec": results[HEADLINE[0]][HEADLINE[1]],
-            "speedup_vs_legacy": results[HEADLINE[0]]["speedup_vs_legacy"],
+            HEADLINE[1]: results[HEADLINE[0]][HEADLINE[1]],
         },
         "results": results,
     }
@@ -1087,19 +912,10 @@ def run_benchmarks(
 def check_regression(current: dict, baseline: dict) -> List[str]:
     """Regression messages comparing ``current`` against ``baseline``.
 
-    Gates on the headline *speedup over the in-run legacy replica* (a
-    machine-independent ratio); absolute events/sec is reported but not
-    gated, since CI hosts vary in raw speed.
+    Gates on in-run ratios (machine-independent); absolute rates are
+    reported but not gated, since CI hosts vary in raw speed.
     """
     failures = []
-    current_ratio = current["headline"]["speedup_vs_legacy"]
-    baseline_ratio = baseline["headline"]["speedup_vs_legacy"]
-    floor = baseline_ratio * (1.0 - REGRESSION_TOLERANCE)
-    if current_ratio < floor:
-        failures.append(
-            f"engine headline speedup regressed: {current_ratio:.2f}x vs "
-            f"baseline {baseline_ratio:.2f}x (floor {floor:.2f}x)"
-        )
     # The trace-kernel speedups are in-run ratios against the scalar
     # oracles, so they gate the same machine-independent way.  Only
     # gated once the baseline has entries (older baselines pass).
@@ -1156,81 +972,36 @@ def check_regression(current: dict, baseline: dict) -> List[str]:
                 f"vs limit {SCENARIO_COMPILE_OVERHEAD_LIMIT:.2f}x of direct "
                 "construction"
             )
-    # Bulk loading must stay at (near) parity with the per-entry legacy
-    # loop: the staged-batch heuristic exists precisely because a naive
-    # heapify-always schedule_batch was *slower* than not batching.
-    if baseline.get("results", {}).get("engine_batch") is not None:
-        ratio = current["results"]["engine_batch"]["speedup_vs_legacy"]
-        if ratio < ENGINE_BATCH_PARITY_FLOOR:
-            failures.append(
-                f"schedule_batch below parity with per-entry scheduling: "
-                f"{ratio:.2f}x vs floor {ENGINE_BATCH_PARITY_FLOOR:.2f}x"
-            )
-    # The sharded engine gates on three in-run, machine-independent
-    # invariants: the cohort engine must stay >= SHARDED_SPEEDUP_FLOOR
-    # over its scalar oracle (and within REGRESSION_TOLERANCE of the
-    # baseline's ratio), the scalar-vs-cohort digests must match
-    # bitwise, and the hybrid fast path must stay within its calibrated
-    # tolerance of the full DES.
-    if baseline.get("results", {}).get("sharded_engine") is not None:
-        section = current["results"]["sharded_engine"]
-        base_ratio = baseline["results"]["sharded_engine"]["speedup_vs_scalar"]
-        sharded_floor = max(
-            SHARDED_SPEEDUP_FLOOR, base_ratio * (1.0 - REGRESSION_TOLERANCE)
+    # The headline cohort serving-tier engine gates three ways: the
+    # scalar-vs-cohort digests must match bitwise, the in-run speedup
+    # (machine-independent) must stay above CLUSTER_SPEEDUP_FLOOR, and
+    # in quick mode the absolute rate must clear the 5x acceptance
+    # floor over the pre-cohort scalar baseline.
+    section = current["results"]["cluster_surge"]
+    if not section["digest_match"]:
+        failures.append(
+            "cluster_surge digest mismatch: the cohort engine no "
+            "longer reproduces the scalar engine bitwise"
         )
-        if section["speedup_vs_scalar"] < sharded_floor:
-            failures.append(
-                f"sharded cohort speedup regressed: "
-                f"{section['speedup_vs_scalar']:.2f}x vs baseline "
-                f"{base_ratio:.2f}x (floor {sharded_floor:.2f}x)"
-            )
-        if not section["digest_match"]:
-            failures.append(
-                "sharded engine digest mismatch: the vectorized cohort run "
-                "no longer reproduces the scalar oracle bitwise"
-            )
-        if not section["hybrid_within_tolerance"]:
-            failures.append(
-                "hybrid fast path outside calibrated tolerance: p50 err "
-                f"{section['hybrid_p50_err']:.3f}, p99 err "
-                f"{section['hybrid_p99_err']:.3f}"
-            )
-    # The cohort serving-tier engine gates three ways once the baseline
-    # carries the cohort fields: the scalar-vs-cohort digests must match
-    # bitwise, the in-run speedup (machine-independent) must stay above
-    # CLUSTER_SPEEDUP_FLOOR, and in quick mode the absolute rate must
-    # clear the 5x acceptance floor over the pre-cohort scalar baseline.
+    if section["speedup_vs_scalar"] < CLUSTER_SPEEDUP_FLOOR:
+        failures.append(
+            f"cohort cluster speedup too low: "
+            f"{section['speedup_vs_scalar']:.2f}x vs floor "
+            f"{CLUSTER_SPEEDUP_FLOOR:.1f}x over the in-run scalar engine"
+        )
     if (
-        baseline.get("results", {})
-        .get("cluster_surge", {})
-        .get("speedup_vs_scalar")
-        is not None
+        current.get("quick")
+        and section["sim_ms_per_wall_s"] < CLUSTER_SURGE_FLOOR
+        and section["speedup_vs_scalar"] < CLUSTER_SURGE_SPEEDUP
     ):
-        section = current["results"]["cluster_surge"]
-        if not section["digest_match"]:
-            failures.append(
-                "cluster_surge digest mismatch: the cohort engine no "
-                "longer reproduces the scalar engine bitwise"
-            )
-        if section["speedup_vs_scalar"] < CLUSTER_SPEEDUP_FLOOR:
-            failures.append(
-                f"cohort cluster speedup too low: "
-                f"{section['speedup_vs_scalar']:.2f}x vs floor "
-                f"{CLUSTER_SPEEDUP_FLOOR:.1f}x over the in-run scalar engine"
-            )
-        if (
-            current.get("quick")
-            and section["sim_ms_per_wall_s"] < CLUSTER_SURGE_FLOOR
-            and section["speedup_vs_scalar"] < CLUSTER_SURGE_SPEEDUP
-        ):
-            failures.append(
-                f"cluster_surge below the acceptance criterion: "
-                f"{section['sim_ms_per_wall_s']:,.1f} sim-ms/wall-s vs "
-                f"floor {CLUSTER_SURGE_FLOOR:,.1f} "
-                f"(5 x pre-cohort {CLUSTER_SURGE_BASELINE:,.1f}) and "
-                f"in-run speedup {section['speedup_vs_scalar']:.2f}x < "
-                f"{CLUSTER_SURGE_SPEEDUP:.1f}x"
-            )
+        failures.append(
+            f"cluster_surge below the acceptance criterion: "
+            f"{section['sim_ms_per_wall_s']:,.1f} sim-ms/wall-s vs "
+            f"floor {CLUSTER_SURGE_FLOOR:,.1f} "
+            f"(5 x pre-cohort {CLUSTER_SURGE_BASELINE:,.1f}) and "
+            f"in-run speedup {section['speedup_vs_scalar']:.2f}x < "
+            f"{CLUSTER_SURGE_SPEEDUP:.1f}x"
+        )
     # The suite wall clock gates loosely (wall time is host-dependent):
     # only when both documents carry the row, and only against gross
     # (> 2x per experiment) slowdowns.
@@ -1266,7 +1037,6 @@ def _write_profile(path: str, top: int = 20) -> None:
     simulator = ClusterSimulator(
         platform_by_name("srvr1"),
         make_websearch(),
-        engine="cohort",
         **_cluster_config(quick=True),
     )
     profile = cProfile.Profile()
@@ -1317,8 +1087,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--check", metavar="BASELINE",
-        help="fail (exit 1) if the headline engine metric regressed >30%% "
-        "versus this committed baseline JSON",
+        help="fail (exit 1) if any gated metric regressed versus this "
+        "committed baseline JSON",
     )
     args = parser.parse_args(argv)
 
@@ -1347,9 +1117,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if failures:
             return 1
         print(
-            "regression check passed: headline speedup "
-            f"{document['headline']['speedup_vs_legacy']:.2f}x vs baseline "
-            f"{baseline['headline']['speedup_vs_legacy']:.2f}x"
+            "regression check passed: headline cohort speedup "
+            f"{document['headline'][HEADLINE[1]]:.2f}x vs baseline "
+            f"{baseline['headline'][HEADLINE[1]]:.2f}x"
         )
     return 0
 

@@ -5,8 +5,8 @@ request attempt as a chain of per-stage Python closures threaded through
 four :class:`~repro.simulator.resources.Resource` objects -- a dozen
 closure allocations and as many dynamic dispatches per attempt.  On the
 open-loop surge benchmark that loop, not the model, is the cost: the
-``cluster_surge`` bench sustained ~70k simulated-ms per wall-second while
-the rack engine (PR 8) moved millions of events per second.
+``cluster_surge`` bench sustained ~70k simulated-ms per wall-second on
+it.
 
 :func:`run_cohort` replaces the callback web with one flat event loop over
 plain tuples ``(time, key, a, b)`` (``key`` packs the push sequence
@@ -55,16 +55,15 @@ hard test invariant (``tests/cluster/test_cohort_engine.py``).
 
 Two deliberate deviations from a naive "vectorize everything" plan, both
 forced by the stream-identity contract: inter-arrival variates cannot be
-bulk-drawn with :func:`repro.perf.variates.exponential_block` because
-the arrival draws *interleave* with workload/admission draws on the
-shared generator (and the numpy log mapping differs in the last ulp),
-so arrivals use the inlined :func:`~repro.perf.variates
-.exponential_sampler` form instead -- same values, same stream, one
-C-level ``random()`` per draw.  Likewise the CPU and memory stations
-stay event-driven: the CPU gate (deadline shedding, admission EWMA)
-makes grant decisions that feed back into the shared stream, and a
-multi-channel memory station's completion order can overtake its entry
-order, so neither is a Lindley recurrence.
+bulk-drawn ahead of time because the arrival draws *interleave* with
+workload/admission draws on the shared generator (and a numpy log
+mapping differs from ``math.log`` in the last ulp), so arrivals use the
+inlined :func:`~repro.perf.variates.exponential_sampler` form instead
+-- same values, same stream, one C-level ``random()`` per draw.
+Likewise the CPU and memory stations stay event-driven: the CPU gate
+(deadline shedding, admission EWMA) makes grant decisions that feed back
+into the shared stream, and a multi-channel memory station's completion
+order can overtake its entry order, so neither is a Lindley recurrence.
 
 Latency recording is batched: detector histograms buffer per-server
 attempt latencies and flush through

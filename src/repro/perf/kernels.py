@@ -495,139 +495,14 @@ def flash_replay(
     return _flash_replay_scalar(object_ids, is_write, capacity)
 
 
-# ---------------------------------------------------------------------------
-# Queueing cohort kernels (sharded DES engine)
-# ---------------------------------------------------------------------------
-#
-# One FCFS single-server queue, processed a *window* of arrivals at a
-# time.  The Lindley/departure recursion is evaluated in (T, M) form:
-#
-#     T_k = T_{k-1} + S_k                (cumulative service)
-#     M_k = max(M_{k-1}, A_k - T_{k-1})  (worst queue-start slack)
-#     D_k = T_k + M_k                    (departure time)
-#
-# which is algebraically the textbook D_k = max(A_k, D_{k-1}) + S_k but,
-# unlike it, maps onto ``np.add.accumulate``/``np.maximum.accumulate``
-# with BITWISE-identical float results to the scalar left-fold (both
-# accumulates are strict left folds, float max is exact, and the final
-# ``T + M`` is the same single add either way).  The scalar oracle in
-# :mod:`repro.perf.sharded` runs the same (T, M) updates event-at-a-time,
-# so scalar-vs-vectorized equality is exact, not approximate.
-
-#: Carry state of one server's queue between windows: (cumulative
-#: service T, max slack M, admitted-departure times still in the future).
-QueueCarry = Tuple[float, float, np.ndarray]
-
-
-def fresh_queue_carry() -> QueueCarry:
-    """Carry for a server that has never served a request."""
-    return (0.0, -np.inf, np.empty(0, dtype=np.float64))
-
-
-def cohort_departures(
-    arrivals: np.ndarray,
-    services: np.ndarray,
-    carry: QueueCarry,
-) -> Tuple[np.ndarray, QueueCarry]:
-    """Departure times of one window of FCFS arrivals (no queue cap).
-
-    ``arrivals`` must be nondecreasing; ``services`` holds the matching
-    service demands (same variate array the scalar oracle consumes, see
-    :func:`repro.perf.variates.exponential_fill`).  Returns the
-    departure-time array and the carry for the next window.
-    """
-    carry_t, carry_m, prior = carry
-    if len(arrivals) == 0:
-        return np.empty(0, dtype=np.float64), carry
-    # Seed the accumulate with the carry so the fold is ((T + S_0) + S_1)
-    # ... exactly as the scalar oracle adds them -- adding the carry to a
-    # pre-computed cumsum would associate differently and drift an ulp.
-    seeded = np.empty(len(services) + 1, dtype=np.float64)
-    seeded[0] = carry_t
-    seeded[1:] = services
-    running = np.add.accumulate(seeded)
-    total = running[1:]
-    prev_total = running[:-1]
-    slack = np.maximum.accumulate(np.maximum(arrivals - prev_total, carry_m))
-    departures = total + slack
-    pending = departures[departures > arrivals[-1]]
-    return departures, (float(total[-1]), float(slack[-1]), pending)
-
-
-def cohort_departures_capped(
-    arrivals: np.ndarray,
-    services: np.ndarray,
-    capacity: int,
-    carry: QueueCarry,
-    max_drops: int = 128,
-):
-    """Departures for a window of arrivals at an M/M/1/K-style server.
-
-    ``capacity`` bounds the number in system (queued + in service) seen
-    by an arriving request; an arrival finding ``capacity`` in system is
-    dropped (no service consumed), matching the bounded-queue discipline
-    of :class:`repro.simulator.openloop.OpenLoopSimulator`.  A departure
-    at exactly the arrival instant counts as already gone (``side=
-    'right'``) -- the convention the scalar oracle shares.
-
-    The admitted set is found by fixed point: compute departures as if
-    all were admitted, drop the *earliest* arrival that finds the system
-    full, recompute.  Dynamics before the first violation are unchanged
-    by later drops, so each iteration's earliest violator is exact; the
-    loop therefore reproduces the sequential drop decision bit-for-bit.
-    Returns ``None`` after ``max_drops`` iterations (scalar fallback
-    signal -- a window that lossy is a transient and should not be on
-    the vectorized path anyway).
-
-    The carry's pending-departure array answers "how many old jobs are
-    still in system at A_k"; it is pruned at each window boundary, so
-    it stays small.  Returns ``(departures (NaN where dropped),
-    admitted mask, next_carry)``.
-    """
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    carry_t, carry_m, prior = carry
-    n = len(arrivals)
-    if n == 0:
-        return np.empty(0, dtype=np.float64), np.empty(0, dtype=bool), carry
-    admitted = np.ones(n, dtype=bool)
-    prior_in_system = len(prior) - np.searchsorted(prior, arrivals, side="right")
-    drops = 0
-    while True:
-        arr = arrivals[admitted]
-        dep, (t_end, m_end, _) = cohort_departures(
-            arr, services[admitted], (carry_t, carry_m, prior)
-        )
-        gone_window = np.searchsorted(dep, arr, side="right")
-        in_system = prior_in_system[admitted] + np.arange(len(arr)) - gone_window
-        violations = np.nonzero(in_system >= capacity)[0]
-        if len(violations) == 0:
-            departures = np.full(n, np.nan)
-            departures[admitted] = dep
-            if len(arr) == 0:
-                return departures, admitted, carry
-            pending = np.concatenate([prior, dep])
-            pending = np.sort(pending[pending > arrivals[-1]])
-            return departures, admitted, (t_end, m_end, pending)
-        drops += 1
-        if drops > max_drops:
-            return None
-        original = np.nonzero(admitted)[0][violations[0]]
-        admitted[original] = False
-
-
 __all__ = [
     "FIRST_TOUCH",
     "FlashCounts",
     "FlashHitCurve",
     "MissCounts",
     "MissRatioCurve",
-    "QueueCarry",
-    "cohort_departures",
-    "cohort_departures_capped",
     "flash_hit_curve",
     "flash_replay",
-    "fresh_queue_carry",
     "miss_ratio_curve",
     "prev_greater_counts",
     "previous_occurrences",

@@ -1,113 +1,42 @@
-"""Sharded parallel DES with vectorized event cohorts and a calibrated
-analytic fast path.
+"""Cell-partitioned serving tiers: one balancer per enclosure group.
 
-The paper's ensemble-scale claims (sections 3.5-3.6) need whole-rack
-simulations; the ROADMAP's raw-speed north star is a parallel &
-vectorized engine at >=5M events/sec.  This module supplies both layers:
+:class:`ShardedClusterSimulator` models the modular-datacenter layout in
+which every rack (enclosure group) fronts its own load balancer.  The
+cluster is partitioned along its ``FailureDomain``/enclosure boundaries
+into *cells* that share no simulated resources, so each cell is an
+independent :class:`~repro.cluster.balancer.ClusterSimulator` run on its
+own clock.  The decomposition is FIXED by the scenario (cell count and
+per-cell seeds never depend on the worker count): ``shards=N`` only
+chooses how many OS processes the cells are spread over, which is why
+sharded runs are bit-stable with respect to shard count -- the per-cell
+results are identical streams folded in cell order, digest-asserted
+serial vs ``shards=N`` in tests.
 
-**Shard decomposition.**  A cluster is partitioned along its
-``FailureDomain``/rack boundaries into *cells* -- one cell per enclosure
-group -- that share no simulated resources, so each cell is an
-independent DES advanced on its own clock.  Crucially, the decomposition
-is FIXED by the scenario (cell count and per-cell seeds never depend on
-the worker count): ``shards=N`` only chooses how many OS processes the
-cells are spread over, which is why sharded runs are bit-stable with
-respect to shard count -- the per-cell results are identical streams
-folded in cell order, digest-asserted serial vs ``--shards N`` in tests,
-CI, and ``repro-bench``.  Synchronization happens only at the balancer
-boundary: offered load is split across cells when the run starts and
-per-cell telemetry folds back through
-:func:`repro.perf.parallel.merge_telemetry` when it ends; within a cell,
-time advances in conservative windows (no event in window ``w`` can
-observe state later than ``w``'s end, because cells are closed systems).
+Synchronization happens only at the balancer boundary: offered load is
+split across cells when the run starts and per-cell telemetry folds
+back through :func:`repro.perf.parallel.merge_telemetry` when it ends.
+Each cell runs whichever serving-tier engine its configuration selects
+(:meth:`ClusterSimulator.run`: cohort when eligible, scalar otherwise),
+so cells inherit the cohort-vs-scalar bit-identity of the monolithic
+simulator.  EXT-10-style surge and EXT-12-style fail-slow scenarios
+shard with scripted faults remapped into cell-local indices, and
+per-cell payloads stream through :func:`repro.perf.parallel.pmap_iter`
+so RSS stays bounded at any shard count.
 
-**Vectorized event cohorts.**  Inside a cell, the rack engine drains
-same-timestamp/same-kind event batches -- a window's arrivals, its
-service completions, its deadline-timer pops -- through the numpy
-queueing kernels of :mod:`repro.perf.kernels` scheduled as cohorts on a
-:class:`repro.simulator.engine.CohortSimulation`, instead of per-event
-Python dispatch.  Variates are generated once per cell with the
-stream-identical samplers of :mod:`repro.perf.variates` and shared by
-every execution mode, so the vectorized engine is BITWISE identical to
-the event-at-a-time oracle (``mode="scalar"``), not statistically close:
-the Lindley recursion is evaluated in the (T, M) form both sides, the
-drop discipline under ``queue_cap`` is the same fixed point, and
-responses are assembled in the same per-server arrival order.
-
-**Calibrated hybrid fast path.**  ``mode="hybrid"`` classifies each
-conservative window: steady-state windows (no surge, no active
-fail-slow drift, small backlog, utilization under
-:data:`STEADY_RHO_MAX`) are routed through the DES-validated M/M/1(/K)
-closed forms of :mod:`repro.simulator.queueing` -- a deterministic
-quantile-ladder sample stands in for the window's responses -- and the
-engine drops into event-at-a-time mode only around transients.  The
-first steady window of every cell is a *calibration window*: it runs
-both ways, the relative error of the analytic mean against the full-DES
-mean is recorded (telemetry gauges ``sharded.calibration.*``), and the
-DES numbers win.  The documented accuracy envelope is
-:data:`HYBRID_TOLERANCE` on p50/p99 against full DES; forcing full DES
-is just ``mode="cohort"`` (vectorized) or ``mode="scalar"``.
-
-:class:`ShardedClusterSimulator` applies the same decomposition to the
-full-fidelity :class:`repro.cluster.balancer.ClusterSimulator` --
-EXT-10-style surge and EXT-12-style fail-slow scenarios shard along
-enclosure boundaries with scripted faults remapped into cell-local
-indices -- streaming per-cell payloads through
-:func:`repro.perf.parallel.pmap_iter` so RSS stays bounded at any shard
-count.
+:func:`derive_seed` is the decomposition key: a splitmix64 mix of the
+scenario seed and the cell (or rack/segment) index, shared with the
+scenario compiler's per-rack and per-segment seeds.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
-import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.perf.kernels import (
-    cohort_departures,
-    cohort_departures_capped,
-)
 from repro.perf.parallel import default_jobs, merge_telemetry, pmap_iter
-from repro.perf.variates import exponential_block
-from repro.simulator.engine import CohortSimulation, Simulation
-from repro.simulator.queueing import (
-    mm1k_blocking_probability,
-    mm1k_mean_wait,
-)
-from repro.simulator.telemetry import LatencyHistogram
-
-#: Documented accuracy envelope of the hybrid fast path: relative error
-#: of hybrid p50/p99 against full DES on scenarios whose steady windows
-#: dominate.  Asserted in ``tests/perf/test_sharded.py`` and the
-#: ``sharded_engine`` bench section; recorded as the telemetry gauge
-#: ``sharded.calibration.tolerance`` on every hybrid run.
-HYBRID_TOLERANCE = 0.15
-
-#: A window whose utilization is at or above this is never analytic --
-#: the exponential-sojourn forms degrade near saturation and transients
-#: drain slowly.
-STEADY_RHO_MAX = 0.9
-
-#: Maximum per-server backlog (jobs still in system at the window
-#: boundary) for the next window to qualify as steady.
-STEADY_BACKLOG_MAX = 8
-
-#: Sojourns pooled (across a cell's servers and successive steady
-#: windows) before the calibration error is scored.  Sojourn samples
-#: autocorrelate within busy periods, so a single window's mean is far
-#: noisier than its raw count suggests; calibration keeps running the
-#: DES kernels until this many samples have accumulated.  A cell whose
-#: scored error still exceeds :data:`HYBRID_TOLERANCE` declines the
-#: analytic path outright and stays on the DES kernels.
-CALIBRATION_MIN_SAMPLES = 6_000
 
 _MASK64 = (1 << 64) - 1
-
-_MODES = ("scalar", "cohort", "hybrid")
 
 
 def _splitmix64(value: int) -> int:
@@ -124,695 +53,6 @@ def derive_seed(seed: int, *parts: int) -> int:
     for part in parts:
         value = _splitmix64(value ^ _splitmix64(part & _MASK64))
     return value
-
-
-# ---------------------------------------------------------------------------
-# Rack-cell scenario (the raw-speed engine repro-bench gates)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RackScenario:
-    """One rack of identical M/M/1-style serving queues, cell-sharded.
-
-    Each cell models one enclosure (``servers_per_cell`` servers, the
-    :class:`~repro.cluster.balancer` ``FailureDomain`` unit); cells are
-    independent, so the scenario shards perfectly.  ``rate_rps`` is the
-    *per-server* offered rate; ``surge`` is EXT-10 shaped (multiplier,
-    start_ms, end_ms) applied to every server, ``failslow`` is EXT-12
-    shaped (cell, server, service multiplier, start_ms, end_ms) applied
-    to one server's service times.  ``queue_cap`` bounds the number in
-    system per server (M/M/1/K drop discipline); ``deadline_ms`` arms a
-    per-request deadline timer (the timer-churn event pattern).
-    """
-
-    servers_per_cell: int = 8
-    cells: int = 4
-    rate_rps: float = 1500.0
-    service_ms: float = 0.4
-    duration_ms: float = 2000.0
-    window_ms: float = 100.0
-    deadline_ms: float = 8.0
-    seed: int = 1
-    surge: Optional[Tuple[float, float, float]] = None
-    failslow: Optional[Tuple[int, int, float, float, float]] = None
-    queue_cap: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.servers_per_cell < 1 or self.cells < 1:
-            raise ValueError("need at least one server and one cell")
-        if self.rate_rps <= 0 or self.service_ms <= 0:
-            raise ValueError("rate and service time must be positive")
-        if self.duration_ms <= 0 or self.window_ms <= 0:
-            raise ValueError("duration and window must be positive")
-        if self.window_ms > self.duration_ms:
-            raise ValueError("window must not exceed the duration")
-        if self.deadline_ms <= 0:
-            raise ValueError("deadline must be positive")
-        if self.queue_cap is not None and self.queue_cap < 1:
-            raise ValueError("queue_cap must be positive (or None)")
-        if self.surge is not None:
-            mult, start, end = self.surge
-            if mult < 1.0 or start < 0 or end < start:
-                raise ValueError("surge must be (mult>=1, start, end>=start)")
-        if self.failslow is not None:
-            cell, server, mult, start, end = self.failslow
-            if not (0 <= cell < self.cells):
-                raise ValueError("failslow cell out of range")
-            if not (0 <= server < self.servers_per_cell):
-                raise ValueError("failslow server out of range")
-            if mult < 1.0 or start < 0 or end < start:
-                raise ValueError("failslow must be (mult>=1, start, end>=start)")
-
-    @classmethod
-    def from_platform(cls, platform, workload, utilization: float = 0.6, **kwargs):
-        """Derive ``service_ms``/``rate_rps`` from a real platform and
-        workload via :func:`repro.simulator.server_sim.mean_service_demand_ms`,
-        targeting the given per-server utilization."""
-        from repro.simulator.server_sim import mean_service_demand_ms
-
-        if not 0 < utilization < 1:
-            raise ValueError("utilization must be in (0, 1)")
-        service_ms = mean_service_demand_ms(platform, workload)
-        rate_rps = utilization / service_ms * 1000.0
-        return cls(service_ms=service_ms, rate_rps=rate_rps, **kwargs)
-
-    def rate_per_ms(self, now_ms: float) -> float:
-        """Per-server offered rate at ``now_ms`` (surge applied)."""
-        rate = self.rate_rps / 1000.0
-        if self.surge is not None:
-            mult, start, end = self.surge
-            if start <= now_ms < end:
-                rate *= mult
-        return rate
-
-    def surge_active(self, start_ms: float, end_ms: float) -> bool:
-        if self.surge is None:
-            return False
-        _, s_start, s_end = self.surge
-        return s_start < end_ms and start_ms < s_end
-
-    def failslow_active(self, cell: int, start_ms: float, end_ms: float) -> bool:
-        if self.failslow is None or self.failslow[0] != cell:
-            return False
-        _, _, _, f_start, f_end = self.failslow
-        return f_start < end_ms and start_ms < f_end
-
-
-@dataclass
-class CellOutcome:
-    """Raw per-cell output, identical across execution modes (except
-    hybrid, whose analytic windows synthesize responses)."""
-
-    cell: int
-    responses: List[np.ndarray]
-    drops: List[int]
-    violations: int
-    windows_vector: int = 0
-    windows_scalar: int = 0
-    windows_analytic: int = 0
-    calibration_error: float = 0.0
-
-    @property
-    def admitted(self) -> int:
-        return sum(len(r) for r in self.responses)
-
-    @property
-    def events(self) -> int:
-        # Three logical events per admitted request (arrival, service
-        # completion, deadline-timer resolution), one per drop.
-        return 3 * self.admitted + sum(self.drops)
-
-    def digest(self) -> str:
-        """SHA-256 over the behavioural payload, in canonical (server,
-        arrival) order -- the equality sharded-vs-serial asserts."""
-        hasher = hashlib.sha256()
-        hasher.update(str(self.cell).encode())
-        for server, resp in enumerate(self.responses):
-            hasher.update(str((server, len(resp), self.drops[server])).encode())
-            hasher.update(np.ascontiguousarray(resp, dtype=np.float64).tobytes())
-        hasher.update(str(self.violations).encode())
-        return hasher.hexdigest()
-
-
-def _rate_segments(scenario: RackScenario) -> List[Tuple[float, float]]:
-    """``(end_ms, rate_per_ms)`` pieces covering ``[0, duration)`` --
-    the piecewise-constant offered rate with the surge window applied."""
-    duration = scenario.duration_ms
-    base = scenario.rate_rps / 1000.0
-    if scenario.surge is None:
-        return [(duration, base)]
-    mult, start, end = scenario.surge
-    segments: List[Tuple[float, float]] = []
-    cursor = 0.0
-    for boundary, rate in (
-        (min(start, duration), base),
-        (min(end, duration), base * mult),
-        (duration, base),
-    ):
-        if boundary > cursor:
-            segments.append((boundary, rate))
-            cursor = boundary
-    return segments
-
-
-def _cell_inputs(
-    scenario: RackScenario, cell: int
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Arrival times and unit-exponential service draws for one cell.
-
-    Generated once, per the shared-variate contract of
-    :mod:`repro.perf.variates`: every execution mode of this cell
-    consumes exactly these arrays, so cross-mode equality never depends
-    on how the draws were produced.  Seeds derive from (scenario seed,
-    cell, server, stream) only -- never the shard count.
-
-    Arrival generation walks the piecewise-constant rate segments in
-    blocks: inter-arrivals are drawn in bulk (:func:`exponential_block`)
-    and accumulated with a carry-seeded ``np.add.accumulate`` -- the
-    exact left fold a scalar ``t += delta`` loop performs -- then cut at
-    the segment boundary.  A draw that crosses the boundary keeps the
-    rate it started under, identical to per-draw rate lookup; the
-    block's unused tail draws are discarded (each server has a dedicated
-    generator, so over-drawing is deterministic and affects nothing
-    else).
-    """
-    arrivals: List[np.ndarray] = []
-    units: List[np.ndarray] = []
-    duration = scenario.duration_ms
-    segments = _rate_segments(scenario)
-    for server in range(scenario.servers_per_cell):
-        rng_arr = random.Random(derive_seed(scenario.seed, cell, server, 0))
-        chunks: List[np.ndarray] = []
-        count = 0
-        now = 0.0
-        for seg_end, rate in segments:
-            while now < seg_end:
-                expect = (seg_end - now) * rate
-                block = int(expect + 6.0 * math.sqrt(expect + 1.0)) + 16
-                deltas = exponential_block(rng_arr, block, rate)
-                seeded = np.empty(block + 1, dtype=np.float64)
-                seeded[0] = now
-                seeded[1:] = deltas
-                cum = np.add.accumulate(seeded)[1:]
-                inside = int(np.searchsorted(cum, seg_end, side="left"))
-                if inside:
-                    chunks.append(cum[:inside])
-                    count += inside
-                if inside == block:
-                    # No boundary crossing in this block: keep drawing.
-                    now = float(cum[-1])
-                    continue
-                # First draw at or past the boundary: it keeps this
-                # segment's rate but belongs to the next segment(s).
-                now = float(cum[inside])
-                if now < duration:
-                    chunks.append(cum[inside : inside + 1])
-                    count += 1
-        arr = (
-            np.concatenate(chunks)
-            if chunks
-            else np.empty(0, dtype=np.float64)
-        )
-        rng_srv = random.Random(derive_seed(scenario.seed, cell, server, 1))
-        unit = exponential_block(rng_srv, count, 1.0)
-        arrivals.append(arr)
-        units.append(unit)
-    return arrivals, units
-
-
-def _service_multiplier(
-    scenario: RackScenario, cell: int, server: int, arrival_ms: float
-) -> float:
-    if scenario.failslow is None:
-        return 1.0
-    f_cell, f_server, mult, start, end = scenario.failslow
-    if f_cell == cell and f_server == server and start <= arrival_ms < end:
-        return mult
-    return 1.0
-
-
-def _service_multipliers(
-    scenario: RackScenario, cell: int, server: int, arrivals: np.ndarray
-) -> Optional[np.ndarray]:
-    """Vectorized :func:`_service_multiplier` (None = all ones)."""
-    if scenario.failslow is None:
-        return None
-    f_cell, f_server, mult, start, end = scenario.failslow
-    if f_cell != cell or f_server != server:
-        return None
-    return np.where((arrivals >= start) & (arrivals < end), mult, 1.0)
-
-
-def _run_cell_scalar(scenario: RackScenario, cell: int) -> CellOutcome:
-    """Event-at-a-time oracle: a full DES over individually scheduled
-    arrival, completion, and deadline-timer events.
-
-    State updates use the identical (T, M) Lindley form and drop
-    discipline as the cohort kernels, on the identical variate arrays,
-    so the vectorized engine must reproduce this cell bit-for-bit.
-    """
-    arrivals, units = _cell_inputs(scenario, cell)
-    sim = Simulation()
-    n_servers = scenario.servers_per_cell
-    service_ms = scenario.service_ms
-    deadline = scenario.deadline_ms
-    cap = scenario.queue_cap
-    responses: List[List[float]] = [[] for _ in range(n_servers)]
-    drops = [0] * n_servers
-    violations = [0]
-    t_cum = [0.0] * n_servers
-    m_max = [-math.inf] * n_servers
-    pendings: List[List[float]] = [[] for _ in range(n_servers)]
-    index = [0] * n_servers
-
-    def _noop() -> None:
-        return None
-
-    def make_arrival(server: int):
-        arr = arrivals[server]
-        unit = units[server]
-        pend = pendings[server]
-        resp = responses[server]
-
-        def on_arrival() -> None:
-            k = index[server]
-            index[server] = k + 1
-            arrival = arr[k]
-            if k + 1 < len(arr):
-                sim.schedule_at(arr[k + 1], on_arrival)
-            while pend and pend[0] <= arrival:
-                del pend[0]
-            if cap is not None and len(pend) >= cap:
-                drops[server] += 1
-                return
-            mult = _service_multiplier(scenario, cell, server, arrival)
-            service = (unit[k] * service_ms) * mult
-            t_prev = t_cum[server]
-            total = t_prev + service
-            t_cum[server] = total
-            slack = arrival - t_prev
-            if slack > m_max[server]:
-                m_max[server] = slack
-            depart = total + m_max[server]
-            pend.append(depart)
-            response = depart - arrival
-            timer = sim.schedule_timer(
-                max(0.0, arrival + deadline - sim.now), _noop
-            )
-
-            def on_complete() -> None:
-                resp.append(response)
-                if response <= deadline:
-                    sim.cancel(timer)
-                else:
-                    violations[0] += 1
-
-            sim.schedule_at(depart, on_complete)
-
-        return on_arrival
-
-    for server in range(n_servers):
-        if len(arrivals[server]):
-            sim.schedule_at(arrivals[server][0], make_arrival(server))
-    sim.run()
-    return CellOutcome(
-        cell=cell,
-        responses=[np.asarray(r, dtype=np.float64) for r in responses],
-        drops=drops,
-        violations=violations[0],
-        windows_scalar=int(math.ceil(scenario.duration_ms / scenario.window_ms)),
-    )
-
-
-class _ServerState:
-    """Per-server queue state shared by the windowed modes."""
-
-    __slots__ = ("t_cum", "m_max", "pending", "chunks", "drops", "violations")
-
-    def __init__(self) -> None:
-        self.t_cum = 0.0
-        self.m_max = -math.inf
-        self.pending = np.empty(0, dtype=np.float64)
-        self.chunks: List[np.ndarray] = []
-        self.drops = 0
-        self.violations = 0
-
-    def carry(self):
-        return (self.t_cum, self.m_max, self.pending)
-
-    def set_carry(self, carry) -> None:
-        self.t_cum, self.m_max, self.pending = carry
-
-    def reset(self) -> None:
-        self.t_cum = 0.0
-        self.m_max = -math.inf
-        self.pending = np.empty(0, dtype=np.float64)
-
-    def backlog(self, boundary_ms: float) -> int:
-        return int(np.count_nonzero(self.pending > boundary_ms))
-
-
-def _window_scalar(
-    state: _ServerState,
-    arrivals: np.ndarray,
-    units: np.ndarray,
-    multipliers: Optional[np.ndarray],
-    service_ms: float,
-    cap: Optional[int],
-) -> np.ndarray:
-    """Event-at-a-time processing of one window (hybrid transient mode
-    and the fallback for drop-heavy capped windows): same updates as
-    the oracle, expressed over the window slice."""
-    pend: List[float] = list(state.pending)
-    out: List[float] = []
-    t_cum = state.t_cum
-    m_max = state.m_max
-    for k in range(len(arrivals)):
-        arrival = arrivals[k]
-        while pend and pend[0] <= arrival:
-            del pend[0]
-        if cap is not None and len(pend) >= cap:
-            state.drops += 1
-            continue
-        mult = 1.0 if multipliers is None else multipliers[k]
-        service = (units[k] * service_ms) * mult
-        t_prev = t_cum
-        t_cum = t_prev + service
-        slack = arrival - t_prev
-        if slack > m_max:
-            m_max = slack
-        depart = t_cum + m_max
-        pend.append(depart)
-        out.append(depart - arrival)
-    state.t_cum = t_cum
-    state.m_max = m_max
-    state.pending = np.asarray(pend, dtype=np.float64)
-    return np.asarray(out, dtype=np.float64)
-
-
-def _window_vector(
-    state: _ServerState,
-    arrivals: np.ndarray,
-    units: np.ndarray,
-    multipliers: Optional[np.ndarray],
-    service_ms: float,
-    cap: Optional[int],
-) -> np.ndarray:
-    """Cohort-kernel processing of one window; bit-identical to
-    :func:`_window_scalar` (falls back to it when the capped kernel
-    reports a drop storm)."""
-    services = units * service_ms
-    if multipliers is not None:
-        services = services * multipliers
-    if cap is None:
-        departures, carry = cohort_departures(arrivals, services, state.carry())
-        state.set_carry(carry)
-        return departures - arrivals
-    outcome = cohort_departures_capped(arrivals, services, cap, state.carry())
-    if outcome is None:
-        return _window_scalar(state, arrivals, units, multipliers, service_ms, cap)
-    departures, admitted, carry = outcome
-    state.set_carry(carry)
-    state.drops += int(len(arrivals) - np.count_nonzero(admitted))
-    return departures[admitted] - arrivals[admitted]
-
-
-def _analytic_window(
-    state: _ServerState,
-    count: int,
-    rate_per_ms: float,
-    service_ms: float,
-    cap: Optional[int],
-) -> Tuple[np.ndarray, int]:
-    """Closed-form stand-in for a steady window: a deterministic
-    quantile-ladder sample of the M/M/1(/K) sojourn distribution with
-    the window's actual arrival count.  Returns (synthetic responses,
-    analytic drops); resets the queue carry (steady windows are treated
-    as regeneration points -- the calibrated approximation)."""
-    rho = rate_per_ms * service_ms
-    analytic_drops = 0
-    if cap is not None:
-        p_block = mm1k_blocking_probability(rho, cap)
-        analytic_drops = int(count * p_block + 0.5)
-        mean_sojourn = mm1k_mean_wait(service_ms, rho, cap) + service_ms
-        count -= analytic_drops
-    else:
-        mean_sojourn = service_ms / (1.0 - rho)
-    state.reset()
-    state.drops += analytic_drops
-    if count <= 0:
-        return np.empty(0, dtype=np.float64), analytic_drops
-    quantiles = (np.arange(count) + 0.5) / count
-    return -mean_sojourn * np.log1p(-quantiles), analytic_drops
-
-
-def _run_cell_windowed(
-    scenario: RackScenario, cell: int, hybrid: bool
-) -> CellOutcome:
-    """Conservative-window cell engine: vectorized event cohorts, with
-    the calibrated analytic fast path when ``hybrid``.
-
-    The cell's timeline is cut into windows of ``window_ms``; at each
-    boundary an *arrivals* cohort (one payload per server, merged into a
-    single dispatch by :class:`CohortSimulation`) drains the window
-    through the queueing kernels, then schedules the *service
-    completions* cohort (response recording) which schedules the *timer
-    pops* cohort (deadline accounting) -- three same-timestamp cohorts
-    replacing ``3 * n`` per-event Python callbacks.
-    """
-    arrivals, units = _cell_inputs(scenario, cell)
-    service_ms = scenario.service_ms
-    cap = scenario.queue_cap
-    deadline = scenario.deadline_ms
-    n_servers = scenario.servers_per_cell
-    n_windows = int(math.ceil(scenario.duration_ms / scenario.window_ms))
-    edges = np.minimum(
-        (np.arange(n_windows + 1)) * scenario.window_ms, scenario.duration_ms
-    )
-    bounds = [np.searchsorted(arrivals[s], edges) for s in range(n_servers)]
-    states = [_ServerState() for _ in range(n_servers)]
-    outcome = CellOutcome(
-        cell=cell, responses=[], drops=[0] * n_servers, violations=0
-    )
-    base_rate = scenario.rate_rps / 1000.0
-    rho_base = base_rate * service_ms
-    calibrated = [False]
-    analytic_ok = [True]
-    calib_sum = [0.0, 0.0]  # pooled (sum of sojourns, count) across servers
-
-    sim = CohortSimulation()
-
-    def classify(window: int, start_ms: float, end_ms: float) -> bool:
-        """True when every server of this window may go analytic."""
-        if not hybrid:
-            return False
-        if window == 0:
-            # The first window starts from an empty system: it is the
-            # warmup transient by construction, never steady state.
-            return False
-        if scenario.surge_active(start_ms, end_ms):
-            return False
-        if scenario.failslow_active(cell, start_ms, end_ms):
-            return False
-        if rho_base >= STEADY_RHO_MAX:
-            return False
-        return all(
-            state.backlog(start_ms) <= STEADY_BACKLOG_MAX for state in states
-        )
-
-    def handle(kind: str, payloads: List[object]) -> None:
-        if kind == "arrivals":
-            for payload in payloads:
-                server, window = payload
-                lo, hi = bounds[server][window], bounds[server][window + 1]
-                arr = arrivals[server][lo:hi]
-                unit = units[server][lo:hi]
-                mult = _service_multipliers(scenario, cell, server, arr)
-                state = states[server]
-                steady = classify(window, edges[window], edges[window + 1])
-                if steady and calibrated[0] and analytic_ok[0]:
-                    resp, _ = _analytic_window(
-                        state, len(arr), base_rate, service_ms, cap
-                    )
-                    if server == 0:
-                        outcome.windows_analytic += 1
-                else:
-                    resp = _window_vector(
-                        state, arr, unit, mult, service_ms, cap
-                    )
-                    if steady and not calibrated[0]:
-                        # Calibration windows: every server still runs
-                        # the DES kernels while sojourns pool across
-                        # the whole cell and successive steady windows
-                        # (a single window's mean is too noisy --
-                        # sojourns autocorrelate within busy periods).
-                        # Once enough samples accumulate, the pooled
-                        # mean is scored against the closed form and
-                        # later steady windows go analytic.
-                        calib_sum[0] += float(resp.sum())
-                        calib_sum[1] += float(len(resp))
-                        if (
-                            server == n_servers - 1
-                            and calib_sum[1] >= CALIBRATION_MIN_SAMPLES
-                        ):
-                            if cap is not None:
-                                analytic_mean = (
-                                    mm1k_mean_wait(service_ms, rho_base, cap)
-                                    + service_ms
-                                )
-                            else:
-                                analytic_mean = service_ms / (1.0 - rho_base)
-                            if calib_sum[0] > 0:
-                                des_mean = calib_sum[0] / calib_sum[1]
-                                outcome.calibration_error = abs(
-                                    analytic_mean - des_mean
-                                ) / des_mean
-                            # A cell whose closed form disagrees with
-                            # its own DES beyond the tolerance never
-                            # goes analytic: the fast path is an
-                            # optimization, not an obligation.
-                            analytic_ok[0] = (
-                                outcome.calibration_error <= HYBRID_TOLERANCE
-                            )
-                            calibrated[0] = True
-                    if server == 0:
-                        outcome.windows_vector += 1
-                sim.schedule_cohort(0.0, "completions", (server, resp))
-        elif kind == "completions":
-            for payload in payloads:
-                server, resp = payload
-                states[server].chunks.append(resp)
-                pops = int(np.count_nonzero(resp > deadline))
-                sim.schedule_cohort(0.0, "timer_pops", pops)
-        else:  # timer_pops
-            outcome.violations += sum(payloads)
-
-    sim.set_cohort_handler(handle)
-    for window in range(n_windows):
-        for server in range(n_servers):
-            sim.schedule_cohort(float(edges[window + 1]), "arrivals", (server, window))
-    sim.run()
-
-    for server, state in enumerate(states):
-        if state.chunks:
-            outcome.responses.append(np.concatenate(state.chunks))
-        else:
-            outcome.responses.append(np.empty(0, dtype=np.float64))
-        outcome.drops[server] = state.drops
-    return outcome
-
-
-def _run_rack_cell(task: Tuple[RackScenario, int, str]) -> CellOutcome:
-    """Module-level cell worker (picklable for :func:`pmap_iter`)."""
-    scenario, cell, mode = task
-    if mode == "scalar":
-        return _run_cell_scalar(scenario, cell)
-    return _run_cell_windowed(scenario, cell, hybrid=(mode == "hybrid"))
-
-
-@dataclass
-class RackResult:
-    """Folded outcome of one sharded rack run."""
-
-    mode: str
-    cells: int
-    shards: int
-    requests: int
-    admitted: int
-    drops: int
-    violations: int
-    events: int
-    mean_ms: float
-    p50_ms: float
-    p99_ms: float
-    windows_vector: int
-    windows_scalar: int
-    windows_analytic: int
-    calibration_error: float
-    digest: str
-    histogram: LatencyHistogram = field(repr=False)
-
-
-def run_rack(
-    scenario: RackScenario,
-    mode: str = "cohort",
-    shards: int = 1,
-    metrics=None,
-) -> RackResult:
-    """Run every cell of ``scenario`` under ``mode`` across ``shards``
-    worker processes and fold the results in cell order.
-
-    ``shards`` only partitions work (``shards=0`` means one per core);
-    the payload digest is identical for every value -- the bit-stability
-    contract.  Per-cell latency histograms fold losslessly through
-    :func:`merge_telemetry`, streamed via :func:`pmap_iter` so at most a
-    constant number of cell payloads is ever in flight.  With a
-    ``metrics`` registry, the window classifier's decisions and the
-    hybrid calibration error/tolerance are recorded as telemetry.
-    """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if shards == 0:
-        shards = default_jobs()
-    if shards < 1:
-        raise ValueError("shards must be >= 1 (or 0 for one per core)")
-    tasks = [(scenario, cell, mode) for cell in range(scenario.cells)]
-    hasher = hashlib.sha256()
-    histogram: Optional[LatencyHistogram] = None
-    requests = admitted = drops = violations = events = 0
-    windows = [0, 0, 0]
-    calibration = 0.0
-    for outcome in pmap_iter(_run_rack_cell, tasks, jobs=min(shards, len(tasks))):
-        hasher.update(outcome.digest().encode())
-        cell_hist = LatencyHistogram()
-        for resp in outcome.responses:
-            cell_hist.record_many(resp)
-        histogram = merge_telemetry([histogram, cell_hist])
-        admitted += outcome.admitted
-        drops += sum(outcome.drops)
-        violations += outcome.violations
-        events += outcome.events
-        windows[0] += outcome.windows_vector
-        windows[1] += outcome.windows_scalar
-        windows[2] += outcome.windows_analytic
-        calibration = max(calibration, outcome.calibration_error)
-    requests = admitted + drops
-    assert histogram is not None
-    result = RackResult(
-        mode=mode,
-        cells=scenario.cells,
-        shards=shards,
-        requests=requests,
-        admitted=admitted,
-        drops=drops,
-        violations=violations,
-        events=events,
-        mean_ms=histogram.mean_ms,
-        p50_ms=histogram.percentile_ms(0.50, default=0.0),
-        p99_ms=histogram.percentile_ms(0.99, default=0.0),
-        windows_vector=windows[0],
-        windows_scalar=windows[1],
-        windows_analytic=windows[2],
-        calibration_error=calibration,
-        digest=hasher.hexdigest(),
-        histogram=histogram,
-    )
-    if metrics is not None:
-        metrics.counter("sharded.requests").inc(requests)
-        metrics.counter("sharded.drops").inc(drops)
-        metrics.counter("sharded.windows.vector").inc(windows[0])
-        metrics.counter("sharded.windows.scalar").inc(windows[1])
-        metrics.counter("sharded.windows.analytic").inc(windows[2])
-        metrics.gauge("sharded.calibration.error").set(calibration)
-        metrics.gauge("sharded.calibration.tolerance").set(HYBRID_TOLERANCE)
-        metrics.histogram("sharded.response_ms").merge(histogram)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Full-fidelity sharded ClusterSimulator
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -1097,110 +337,3 @@ class ShardedClusterSimulator:
             ),
             metrics=merged,
         )
-
-
-# ---------------------------------------------------------------------------
-# Smoke CLI (CI sharded-smoke job)
-# ---------------------------------------------------------------------------
-
-
-def _smoke_scenarios() -> Iterable[Tuple[str, RackScenario]]:
-    yield (
-        "surge",
-        RackScenario(
-            servers_per_cell=4,
-            cells=4,
-            rate_rps=900.0,
-            service_ms=0.5,
-            duration_ms=600.0,
-            window_ms=60.0,
-            deadline_ms=6.0,
-            surge=(3.0, 200.0, 320.0),
-            queue_cap=64,
-            seed=11,
-        ),
-    )
-    yield (
-        "failslow",
-        RackScenario(
-            servers_per_cell=4,
-            cells=4,
-            rate_rps=900.0,
-            service_ms=0.5,
-            duration_ms=600.0,
-            window_ms=60.0,
-            deadline_ms=6.0,
-            failslow=(1, 2, 6.0, 150.0, 400.0),
-            seed=13,
-        ),
-    )
-
-
-def _smoke(shard_counts: Sequence[int] = (1, 2, 4)) -> int:
-    """Digest-invariance + hybrid-accuracy smoke used by CI."""
-    failures = 0
-    for name, scenario in _smoke_scenarios():
-        oracle = run_rack(scenario, mode="scalar", shards=1)
-        digests = {1: run_rack(scenario, mode="cohort", shards=1).digest}
-        for shards in shard_counts[1:]:
-            digests[shards] = run_rack(scenario, mode="cohort", shards=shards).digest
-        values = set(digests.values())
-        exact = values == {oracle.digest}
-        status = "ok" if exact else "FAIL"
-        if not exact:
-            failures += 1
-        print(
-            f"sharded-smoke [{name}] scalar-vs-cohort digests over shards "
-            f"{tuple(digests)}: {status}"
-        )
-    steady = RackScenario(
-        servers_per_cell=8,
-        cells=2,
-        rate_rps=1200.0,
-        service_ms=0.5,
-        duration_ms=4000.0,
-        window_ms=200.0,
-        deadline_ms=8.0,
-        seed=7,
-    )
-    full = run_rack(steady, mode="cohort")
-    hybrid = run_rack(steady, mode="hybrid")
-    p50_err = abs(hybrid.p50_ms - full.p50_ms) / full.p50_ms
-    p99_err = abs(hybrid.p99_ms - full.p99_ms) / full.p99_ms
-    within = (
-        max(p50_err, p99_err) <= HYBRID_TOLERANCE
-        and hybrid.windows_analytic > 0
-    )
-    if not within:
-        failures += 1
-    print(
-        f"sharded-smoke [hybrid] p50 err {p50_err:.3f}, p99 err {p99_err:.3f} "
-        f"(tolerance {HYBRID_TOLERANCE}, analytic windows "
-        f"{hybrid.windows_analytic}/{hybrid.windows_analytic + hybrid.windows_vector}): "
-        f"{'ok' if within else 'FAIL'}"
-    )
-    return failures
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Sharded DES smoke checks (digest invariance + hybrid accuracy)"
-    )
-    parser.add_argument(
-        "--smoke", action="store_true", help="run the CI smoke suite"
-    )
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("nothing to do: pass --smoke")
-    failures = _smoke()
-    if failures:
-        print(f"sharded-smoke: {failures} check(s) FAILED")
-        return 1
-    print("sharded-smoke: all checks passed")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

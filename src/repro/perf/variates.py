@@ -2,43 +2,20 @@
 
 ``random.Random.expovariate`` is a pure-Python method, so every arrival,
 think-time, and service draw pays a Python call plus attribute lookups on
-top of the one C-level ``random()`` call it actually needs.  Two
-replacements, both bit-identical to ``expovariate`` for the same
-underlying uniform stream:
-
-- :func:`exponential_sampler` -- a closure over a *shared* generator's
-  bound ``random()``.  Consumes exactly one uniform per draw at the call
-  site, so it can replace ``rng.expovariate`` in code that interleaves
-  draws with other consumers of the same generator without perturbing
-  the stream (results stay identical to the naive code).
-- :class:`ExponentialBlock` -- block-drawn unit-exponential variates
-  from a *dedicated* generator.  Refilling amortizes the Python-level
-  work over ``block_size`` draws; scaling by the current rate at the
-  call site keeps time-varying arrival processes (surge schedules)
-  exact, because ``-log(1 - u) / rate`` equals ``expovariate(rate)``
-  draw for draw.  Use it only for a stream with a single consumer (an
-  open-loop arrival process), where consumption order trivially matches
-  draw order.
-- :func:`exponential_fill` -- a whole window of variates in one call,
-  for the sharded/vectorized engines (:mod:`repro.perf.sharded`): both
-  the cohort kernels and the scalar oracle consume the *same* array, so
-  scalar-vs-vectorized bit-equality does not depend on ``numpy.log``
-  matching ``math.log`` (it does not, in the last ulp).
-- :func:`exponential_block` -- the bulk-generation variant of
-  :func:`exponential_fill`: same uniform stream (one ``random()`` per
-  variate, in draw order), but the log mapping runs vectorized in
-  numpy.  Values may differ from the sequential sampler in the last
-  ulps, so it is only for streams whose *every* consumer reads the
-  returned array (the sharded engines' shared-variate contract).
+top of the one C-level ``random()`` call it actually needs.
+:func:`exponential_sampler` is a closure over a *shared* generator's
+bound ``random()``, bit-identical to ``expovariate`` for the same
+underlying uniform stream.  It consumes exactly one uniform per draw at
+the call site, so it can replace ``rng.expovariate`` in code that
+interleaves draws with other consumers of the same generator without
+perturbing the stream (results stay identical to the naive code).
 """
 
 from __future__ import annotations
 
 import random
 from math import log
-from typing import Callable, List
-
-import numpy as np
+from typing import Callable
 
 
 def exponential_sampler(rng: random.Random) -> Callable[[float], float]:
@@ -56,77 +33,3 @@ def exponential_sampler(rng: random.Random) -> Callable[[float], float]:
         return -_log(1.0 - _random()) / lambd
 
     return sample
-
-
-def exponential_fill(rng: random.Random, count: int, lambd: float) -> List[float]:
-    """``count`` exponential variates, bit-identical to ``count``
-    sequential :func:`exponential_sampler` draws from the same stream.
-
-    The whole point is that vectorized cohort kernels and the scalar
-    event-at-a-time oracle can share ONE variate array: generation stays
-    on the Python side (``math.log``, which is NOT bit-identical to
-    ``numpy.log`` in the last ulp), so whichever engine consumes the
-    array sees exactly the values ``rng.expovariate(lambd)`` would have
-    produced, in draw order.  Wrap the result in ``numpy.asarray`` for
-    kernel use -- float64 round-trips exactly.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    _random = rng.random
-    _log = log
-    return [-_log(1.0 - _random()) / lambd for _ in range(count)]
-
-
-def exponential_block(rng: random.Random, count: int, lambd: float) -> np.ndarray:
-    """``count`` exponential variates with the log mapping vectorized.
-
-    Consumes exactly the same uniforms, in the same order, as
-    :func:`exponential_fill` -- but maps them through ``numpy.log1p``
-    in one shot instead of ``math.log`` per draw, which roughly halves
-    generation cost on the sharded hot path.  The trade: values can
-    differ from the sequential sampler in the last ulps, so this is
-    safe only where the returned array itself is the reference stream
-    (every engine mode reads this array, nothing re-derives the draws).
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    _random = rng.random
-    uniforms = np.asarray([_random() for _ in range(count)], dtype=np.float64)
-    return -np.log1p(-uniforms) / lambd
-
-
-class ExponentialBlock:
-    """Block-drawn unit-exponential variates from a dedicated stream.
-
-    ``next_scaled(rate)`` returns the next variate divided by ``rate``,
-    which equals what ``rng.expovariate(rate)`` would have returned at
-    the same point of the stream -- block drawing only changes *when*
-    the uniforms are consumed, not their order, so a single-consumer
-    arrival process keeps its exact per-seed trajectory.
-    """
-
-    __slots__ = ("_rng", "_block", "_index", "_block_size")
-
-    def __init__(self, rng: random.Random, block_size: int = 512):
-        if block_size < 1:
-            raise ValueError("block_size must be positive")
-        self._rng = rng
-        self._block_size = block_size
-        self._block: list = []
-        self._index = 0
-
-    def _refill(self) -> None:
-        _random = self._rng.random
-        self._block = [-log(1.0 - _random()) for _ in range(self._block_size)]
-        self._index = 0
-
-    def next_scaled(self, rate: float) -> float:
-        """Next inter-arrival delay for instantaneous ``rate`` (per ms)."""
-        index = self._index
-        block = self._block
-        if index >= len(block):
-            self._refill()
-            index = 0
-            block = self._block
-        self._index = index + 1
-        return block[index] / rate

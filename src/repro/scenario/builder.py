@@ -58,7 +58,6 @@ class ScenarioBuilder:
         self._name = name
         self._description = ""
         self._seed = 1
-        self._engine = "auto"
         self._racks = 1
         self._tiers: List[TierSpec] = []
         self._benchmark: Optional[str] = None
@@ -80,13 +79,6 @@ class ScenarioBuilder:
 
     def seed(self, seed: int) -> "ScenarioBuilder":
         self._seed = seed
-        return self
-
-    def engine(self, engine: str) -> "ScenarioBuilder":
-        """Request an engine: ``auto`` (default), ``cohort``, ``scalar``,
-        or ``sharded``.  ``auto`` tries cohort and falls back to scalar
-        with the reason surfaced; sharded is never auto-selected."""
-        self._engine = engine
         return self
 
     # -- topology ----------------------------------------------------------
@@ -274,7 +266,6 @@ class ScenarioBuilder:
             name=self._name,
             description=self._description,
             seed=self._seed,
-            engine=self._engine,
             topology=TopologySpec(
                 tiers=tuple(self._tiers), racks=self._racks),
             workload=WorkloadSpec(benchmark=self._benchmark, dag=dag),

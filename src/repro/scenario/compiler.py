@@ -9,14 +9,14 @@ compile time.  Execution fans the plans across worker processes with
 :func:`repro.perf.parallel.pmap`; results are merged in plan order, so
 a ``--jobs 4`` run is bit-identical to a serial one.
 
-Engine selection (fastest eligible first):
+The configuration alone picks each run's engine:
 
-- ``balancer_scope: "enclosure"`` tiers run the **sharded** engine --
-  an explicit choice, never an automatic one, because per-cell
-  balancing is semantically its own (modular-DC) system;
-- cluster-scoped tiers request the **cohort** engine (vectorized,
-  bitwise stream-identical to scalar); the balancer itself falls back
-  to **scalar** when the configuration is ineligible and records why
+- ``balancer_scope: "enclosure"`` tiers run the **sharded** engine,
+  because per-cell balancing is semantically its own (modular-DC)
+  system;
+- every other tier runs the **cohort** engine (vectorized, bitwise
+  stream-identical to scalar) when the balancer's ``cohort_supported``
+  check allows it, and **scalar** otherwise; the balancer records why
   (``fallback_reason``), which every run record surfaces.
 
 The kwargs handed to :class:`ClusterSimulator` mirror the hand-wired
@@ -82,7 +82,6 @@ class RunPlan:
     workload: WorkloadSpec
     overlay: OverlaySpec
     seed: int
-    engine: str  # requested: "cohort" | "scalar" | "sharded"
     rack: int = 0
     segment: Optional[str] = None
     region_blend: Optional[str] = None
@@ -383,12 +382,6 @@ def compile_scenario(scenario: Scenario, quick: bool = False):
     plans: List[RunPlan] = []
     multi_rack = scenario.topology.racks > 1
     for tier in scenario.topology.tiers:
-        if tier.balancer_scope == "enclosure":
-            requested = "sharded"
-        elif scenario.engine in ("auto", "cohort"):
-            requested = "cohort"
-        else:
-            requested = "scalar"
         segments = _segments(scenario, tier, quick)
         multi_segment = len(segments) > 1
         for overlay in scenario.overlays:
@@ -412,7 +405,6 @@ def compile_scenario(scenario: Scenario, quick: bool = False):
                         workload=scenario.workload,
                         overlay=overlay,
                         seed=seed,
-                        engine=requested,
                         rack=rack,
                         segment=label,
                         closed=closed,
@@ -450,7 +442,6 @@ def _build_cluster_simulator(plan: RunPlan):
         seed=plan.seed,
         disk_model_factory=factory,
         remote_memory=remote,
-        engine="cohort" if plan.engine == "cohort" else "scalar",
     )
     if tier.dispatch is not None:
         kwargs["dispatch"] = registry.DISPATCH[tier.dispatch]
@@ -614,10 +605,8 @@ def _build_sharded_simulator(plan: RunPlan):
 
 def probe_engine(plan: RunPlan) -> Tuple[str, Optional[str]]:
     """Which engine a plan would run on, without running it."""
-    if plan.engine == "sharded":
+    if plan.tier.balancer_scope == "enclosure":
         return "sharded", None
-    if plan.engine == "scalar":
-        return "scalar", None
     from repro.perf.cluster_kernels import cohort_supported
 
     sim, _, _ = _build_cluster_simulator(plan)
@@ -629,7 +618,7 @@ def probe_engine(plan: RunPlan) -> Tuple[str, Optional[str]]:
 
 def _execute_run(plan: RunPlan) -> RunRecord:
     """Run one plan (module-level so ``pmap`` can pickle it)."""
-    if plan.engine == "sharded":
+    if plan.tier.balancer_scope == "enclosure":
         sim = _build_sharded_simulator(plan)
         result = sim.run(shards=1)
         return RunRecord(

@@ -217,10 +217,10 @@ class TierSpec:
     Exactly one of ``platform`` (raw catalog platform) or ``design``
     (priced design: any platform name as a baseline design, or the
     unified ``N1``/``N2``) names the hardware.  ``balancer_scope``
-    selects the balancing domain: ``"cluster"`` (one balancer, the
-    monolithic DES/cohort engines) or ``"enclosure"`` (per-enclosure
-    cells, the sharded engine -- a semantically different modular-DC
-    system, never auto-selected).
+    selects the balancing domain, and with it the engine: ``"cluster"``
+    (one balancer: the cohort engine when eligible, scalar otherwise)
+    or ``"enclosure"`` (per-enclosure cells, the sharded engine -- a
+    semantically different modular-DC system).
     """
 
     name: str
@@ -290,6 +290,11 @@ class TierSpec:
                     join_path(path, "remote_memory"),
                     "enclosure-scoped balancing cannot partition a shared "
                     "memory blade (one link serves the whole cluster)"))
+            if self.flash is not None:
+                issues.append(ValidationIssue(
+                    join_path(path, "flash"),
+                    "enclosure-scoped cells run the platform disk; a flash "
+                    "configuration needs a cluster-scoped balancer"))
         elif self.cells is not None:
             issues.append(ValidationIssue(
                 join_path(path, "cells"),
@@ -734,7 +739,6 @@ class Scenario:
     traffic: TrafficSpec = field(default_factory=TrafficSpec)
     overlays: Tuple[OverlaySpec, ...] = (OverlaySpec(),)
     seed: int = 1
-    engine: str = "auto"
     description: str = ""
 
     def validate(self) -> Issues:
@@ -746,10 +750,6 @@ class Scenario:
                  "scenario name must be a non-empty string")
         _require(issues, "seed", _is_int(self.seed),
                  f"must be an integer, got {self.seed!r}")
-        _require(issues, "engine",
-                 self.engine in ("auto", "cohort", "scalar", "sharded"),
-                 f"must be one of auto/cohort/scalar/sharded, "
-                 f"got {self.engine!r}")
         self.topology.validate_into("topology", issues)
         self.workload.validate_into("workload", issues)
         self.traffic.validate_into("traffic", issues)
@@ -818,14 +818,6 @@ class Scenario:
                     f"overlays[{j}].overload.queue_cap",
                     "'auto' sizing needs open-loop traffic (it is derived "
                     "from the analytic capacity); give an integer"))
-        if self.engine == "sharded":
-            for i, tier in enumerate(self.topology.tiers):
-                if tier.balancer_scope != "enclosure":
-                    issues.append(ValidationIssue(
-                        "engine",
-                        f"engine 'sharded' requires every tier to use "
-                        f"balancer_scope 'enclosure' "
-                        f"(topology.tiers[{i}] is cluster-scoped)"))
 
     def check(self) -> "Scenario":
         """Validate; raise one aggregated error if anything is wrong."""

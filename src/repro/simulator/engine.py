@@ -18,23 +18,11 @@ DES-backed experiments (``PERF.md`` in ``docs/performance.md``):
   request path that schedules a timeout per attempt (the cluster
   balancer) does not drag thousands of dead timers through every heap
   operation;
-- :meth:`schedule_batch` bulk-loads events with a single ``heapify``
-  when the queue is empty (initial client populations, benchmarks), and
-  under *mixed* load -- a live heap plus a large incoming batch -- it
-  appends and re-heapifies in one O(n + k) pass instead of k pushes,
-  which is what restored ``engine_batch`` parity with the legacy engine
-  (k pushes cost O(k log n) with a far larger constant per push);
 - the dispatch loop unpacks each entry once (``time, seq, cb = pop()``)
   instead of indexing it three times, and checks ``stop()`` *after* the
   callback: ``run()`` resets ``_stopped`` on entry and only a callback
   can set it, so the pre-callback check was a branch that could never
   fire on the first iteration and paid per event forever after.
-
-:class:`CohortSimulation` extends the loop with *event cohorts*:
-same-timestamp, same-kind event batches (arrivals, timer pops, service
-completions) scheduled as one heap entry carrying an opaque payload and
-drained through a single handler call, so vectorized kernels
-(:mod:`repro.perf.kernels`) replace per-event Python dispatch.
 
 Tiny *negative* delays produced by float round-off (an absolute target
 computed as ``t - now`` landing one ulp in the past) are clamped to zero
@@ -44,7 +32,7 @@ instead of raising; genuinely past targets still raise ``ValueError``.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 Callback = Callable[[], None]
 
@@ -116,39 +104,6 @@ class Simulation:
             heapify(heap)
             cancelled.clear()
 
-    def schedule_batch(self, events: Iterable[Tuple[float, Callback]]) -> None:
-        """Schedule many ``(delay_ms, callback)`` pairs at once.
-
-        FIFO tie-breaking follows iteration order, exactly as repeated
-        :meth:`schedule` calls would.  The batch is staged into a plain
-        list first; it is then merged with a single ``heapify`` whenever
-        that is the cheaper move -- always for an empty queue, and under
-        mixed load whenever the batch is not tiny relative to the live
-        heap (``heapify`` is O(n + k) with a small constant, k pushes
-        are O(k log n) with a large one).  Only a genuinely small batch
-        against a big heap falls back to individual pushes.
-        """
-        heap = self._heap
-        now = self._now
-        seq = self._seq
-        staged: List[Tuple[float, int, Callback]] = []
-        append = staged.append
-        for delay_ms, callback in events:
-            if delay_ms < 0.0:
-                delay_ms = self._clamped(delay_ms)
-            seq += 1
-            append((now + delay_ms, seq, callback))
-        self._seq = seq
-        if not staged:
-            return
-        if len(staged) * 8 >= len(heap):
-            heap.extend(staged)
-            heapify(heap)
-        else:
-            push = heappush
-            for entry in staged:
-                push(heap, entry)
-
     def stop(self) -> None:
         """Stop the event loop after the current callback returns."""
         self._stopped = True
@@ -194,90 +149,3 @@ class Simulation:
     def pending_events(self) -> int:
         """Queued entries, including cancelled timers not yet reclaimed."""
         return len(self._heap)
-
-
-#: Cohort handler: ``(kind, payloads)`` where ``payloads`` lists every
-#: same-time, same-kind payload drained together (schedule order).
-CohortHandler = Callable[[str, List[object]], None]
-
-
-class CohortSimulation(Simulation):
-    """A :class:`Simulation` that can drain *event cohorts*.
-
-    A cohort is a batch of same-kind work -- an arrival wave, a block of
-    timer pops, a window's service completions -- scheduled as ONE heap
-    entry ``(time, seq, kind, payload)`` and dispatched through a single
-    handler call instead of per-event Python callbacks.  Consecutive
-    cohort entries at the *same timestamp with the same kind* are merged
-    into one handler invocation, so a shard that schedules per-server
-    sub-batches at a window boundary still pays one dispatch.
-
-    Cohort entries interleave safely with ordinary events: ``seq`` is
-    unique, so tuple comparison never reaches the kind/payload slots,
-    and ordering between a cohort and a plain event follows the usual
-    (time, seq) FIFO rule.  Everything else -- :meth:`cancel`,
-    :meth:`schedule_batch`, ``until_ms`` semantics -- is inherited.
-    """
-
-    __slots__ = ("_handler",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._handler: Optional[CohortHandler] = None
-
-    def set_cohort_handler(self, handler: CohortHandler) -> None:
-        """Install the single dispatch target for all cohort kinds."""
-        self._handler = handler
-
-    def schedule_cohort(
-        self, delay_ms: float, kind: str, payload: object, _push=heappush
-    ) -> int:
-        """Schedule a cohort of ``kind`` after ``delay_ms``; returns a
-        handle usable with :meth:`cancel` like any timer."""
-        if delay_ms < 0.0:
-            delay_ms = self._clamped(delay_ms)
-        self._seq = seq = self._seq + 1
-        _push(self._heap, (self._now + delay_ms, seq, kind, payload))
-        return seq
-
-    def run(self, until_ms: Optional[float] = None) -> None:
-        """Cohort-aware dispatch loop (see :meth:`Simulation.run`)."""
-        self._stopped = False
-        heap = self._heap
-        pop = heappop
-        cancelled = self._cancelled
-        while heap:
-            time = heap[0][0]
-            if until_ms is not None and time > until_ms:
-                self._now = until_ms
-                return
-            entry = pop(heap)
-            seq = entry[1]
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            self._now = time
-            if len(entry) == 4:
-                kind = entry[2]
-                payloads = [entry[3]]
-                while heap:
-                    head = heap[0]
-                    if head[0] != time or len(head) != 4 or head[2] != kind:
-                        break
-                    pop(heap)
-                    hseq = head[1]
-                    if cancelled and hseq in cancelled:
-                        cancelled.discard(hseq)
-                        continue
-                    payloads.append(head[3])
-                handler = self._handler
-                if handler is None:
-                    raise RuntimeError(
-                        "cohort scheduled without a handler: call "
-                        "set_cohort_handler() before run()"
-                    )
-                handler(kind, payloads)
-            else:
-                entry[2]()
-            if self._stopped:
-                return

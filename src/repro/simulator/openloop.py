@@ -73,9 +73,7 @@ class OpenLoopSimulator:
 
         The M/M/1 (or, with ``queue_cap``, M/M/1/K) closed form evaluated
         at this simulator's offered load and measured mean service
-        demand -- the same mapping the calibrated hybrid fast path
-        (:mod:`repro.perf.sharded`) uses to skip event-stepping steady
-        windows.  ``tests/simulator/test_queueing.py`` validates these
+        demand.  ``tests/simulator/test_queueing.py`` validates these
         forms against the DES; this hook exposes the per-instance
         prediction so callers can compare a run against its own theory.
         """

@@ -136,9 +136,9 @@ def mm1_sojourn_percentile_ms(service_ms: float, rho: float, quantile: float) ->
 
     The stationary response time (wait + service) of an M/M/1 FCFS
     queue is exponential with rate ``mu (1 - rho)``, so every quantile
-    has a closed form: ``-mean_sojourn * ln(1 - q)``.  This is what the
-    hybrid fast path (:mod:`repro.perf.sharded`) uses to synthesize
-    p50/p99 for steady-state windows it never event-steps.
+    has a closed form: ``-mean_sojourn * ln(1 - q)``.
+    :meth:`repro.simulator.openloop.OpenLoopSimulator.analytic_sojourn_ms`
+    uses it as a run's own theoretical prediction.
     """
     if service_ms <= 0:
         raise ValueError("service time must be positive")
@@ -156,11 +156,11 @@ def mm1k_sojourn_percentile_ms(
 
     The admitted-work sojourn of a finite queue is a phase mixture (an
     Erlang ladder weighted by the truncated queue-length distribution),
-    not exponential; matching its *mean* with an exponential tail is the
-    documented approximation the hybrid path calibrates against full DES
-    (the calibration window records the residual error in telemetry).
-    For ``capacity`` large enough that blocking vanishes it converges to
-    the exact :func:`mm1_sojourn_percentile_ms`.
+    not exponential; matching its *mean* with an exponential tail is a
+    documented approximation, validated against the DES in
+    ``tests/simulator/test_queueing.py``.  For ``capacity`` large enough
+    that blocking vanishes it converges to the exact
+    :func:`mm1_sojourn_percentile_ms`.
     """
     _check_mm1k(service_ms, rho, capacity)
     if not 0.0 <= quantile < 1.0:

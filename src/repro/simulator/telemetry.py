@@ -104,10 +104,10 @@ class LatencyHistogram:
     def record_many(self, values_ms) -> None:
         """Record a whole array of latencies in one vectorized pass.
 
-        The cohort engines (:mod:`repro.perf.sharded`) produce a
-        window's responses as a numpy array; bucketing them one
-        ``record`` call at a time would hand back much of the kernel
-        speedup.  Bucket indices are computed with ``numpy.log`` --
+        The cohort cluster engine (:mod:`repro.perf.cluster_kernels`)
+        buffers response latencies and flushes them in one array;
+        bucketing them one ``record`` call at a time would hand back
+        much of the kernel speedup.  Bucket indices are computed with ``numpy.log`` --
         identical to :meth:`record` except for values landing exactly
         on a bucket edge (measure-zero for continuous latencies); the
         count/max accumulators are exact, and the running sum is

@@ -1,10 +1,12 @@
 """Cohort engine: digest equality, fallback routing, batched recording.
 
-The vectorized serving-tier engine (``engine="cohort"``) must be
-*invisible* except for wall-clock time: every supported configuration
-produces a :meth:`ClusterResult.stream_digest` identical to the scalar
-event loop's, and every unsupported configuration routes to the scalar
-path with an explanatory ``fallback_reason`` rather than diverging.
+The vectorized serving-tier engine that :meth:`ClusterSimulator.run`
+selects for eligible configurations must be *invisible* except for
+wall-clock time: every supported configuration produces a
+:meth:`ClusterResult.stream_digest` identical to the scalar event
+loop's (``_run_scalar()``, the reference), and every unsupported
+configuration routes to the scalar path with an explanatory
+``fallback_reason`` rather than diverging.
 """
 
 import pytest
@@ -37,7 +39,7 @@ def _surge(measure_ms=1500.0, base_rate_rps=120.0):
     )
 
 
-def _simulator(engine, **kwargs):
+def _simulator(**kwargs):
     defaults = dict(
         servers=3,
         clients_per_server=1,
@@ -47,16 +49,15 @@ def _simulator(engine, **kwargs):
         measure_ms=1500.0,
     )
     defaults.update(kwargs)
-    return ClusterSimulator(
-        platform("srvr1"), make_websearch(), engine=engine, **defaults
-    )
+    return ClusterSimulator(platform("srvr1"), make_websearch(), **defaults)
 
 
 def _run_pair(**kwargs):
-    """Run scalar and cohort on the same config; return (sim, result) pairs."""
-    scalar = _simulator("scalar", **kwargs)
-    cohort = _simulator("cohort", **kwargs)
-    return (scalar, scalar.run()), (cohort, cohort.run())
+    """Run the scalar reference and ``run()`` on the same config;
+    return (sim, result) pairs."""
+    scalar = _simulator(**kwargs)
+    cohort = _simulator(**kwargs)
+    return (scalar, scalar._run_scalar()), (cohort, cohort.run())
 
 
 #: Open-loop configurations the cohort engine must reproduce bit-exactly.
@@ -126,25 +127,29 @@ class TestDigestEquality:
             retry=RetryPolicy(timeout_ms=400.0, max_retries=1),
             overload=OverloadPolicy(),
         )
-        scalar = _simulator("scalar", metrics=m_scalar, **kwargs)
-        cohort = _simulator("cohort", metrics=m_cohort, **kwargs)
-        rs, rc = scalar.run(), cohort.run()
+        scalar = _simulator(metrics=m_scalar, **kwargs)
+        cohort = _simulator(metrics=m_cohort, **kwargs)
+        rs, rc = scalar._run_scalar(), cohort.run()
         assert cohort.engine_used == "cohort", cohort.fallback_reason
         assert rs.stream_digest() == rc.stream_digest()
         assert m_scalar.snapshot() == m_cohort.snapshot()
 
     def test_engine_used_reported_on_scalar_runs(self):
-        sim = _simulator("scalar", retry=None, measure_ms=400.0)
+        sim = _simulator(
+            retry=None, measure_ms=400.0,
+            tracer=Tracer(sample_rate=1.0, seed=17),
+        )
+        assert sim.engine_used is None and sim.fallback_reason is None
         sim.run()
         assert sim.engine_used == "scalar"
-        assert sim.fallback_reason is None
+        assert sim.fallback_reason == "tracer attached"
 
 
 class TestFallbackRouting:
     """Unsupported features run scalar, with the reason recorded."""
 
     def _assert_falls_back(self, reason_fragment, **kwargs):
-        sim = _simulator("cohort", **kwargs)
+        sim = _simulator(**kwargs)
         ok, reason = cohort_supported(sim)
         assert not ok
         result = sim.run()
@@ -171,7 +176,7 @@ class TestFallbackRouting:
     def test_remote_memory(self):
         # cohort_supported only inspects the attribute, so a sentinel is
         # enough to prove routing without paying for a trace simulation.
-        sim = _simulator("cohort", measure_ms=400.0)
+        sim = _simulator(measure_ms=400.0)
         sim._remote_memory = object()
         ok, reason = cohort_supported(sim)
         assert not ok and "remote memory" in reason
@@ -195,7 +200,7 @@ class TestFallbackRouting:
         # The constructor requires remote_memory alongside redundancy,
         # and the remote-memory check fires first; probe the redundancy
         # branch directly so its reason string stays covered.
-        sim = _simulator("cohort", measure_ms=400.0)
+        sim = _simulator(measure_ms=400.0)
         sim._redundancy = RedundancyConfig(
             policy=RedundancyPolicy.replicated(2),
             blades=3,
@@ -221,19 +226,6 @@ class TestFallbackRouting:
             disk_model_factory=lambda: config.make_disk_model("websearch"),
             measure_ms=400.0,
         )
-
-    def test_explicit_scalar_never_reports_fallback(self):
-        sim = _simulator(
-            "scalar", tracer=Tracer(sample_rate=1.0, seed=17),
-            measure_ms=400.0,
-        )
-        sim.run()
-        assert sim.engine_used == "scalar"
-        assert sim.fallback_reason is None
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            _simulator("vector")
 
 
 class TestClampPhaseDelay:

@@ -20,7 +20,6 @@ class TestHarness:
         assert {
             "engine_ping",
             "engine_churn",
-            "engine_batch",
             "alloc_request_state",
             "alloc_attempt",
             "cluster_surge",
@@ -31,15 +30,12 @@ class TestHarness:
 
     def test_headline_present_and_positive(self, document):
         headline = document["headline"]
-        assert headline["metric"] == "engine_churn/events_per_sec"
-        assert headline["events_per_sec"] > 0
-        assert headline["speedup_vs_legacy"] > 0
-
-    def test_engine_beats_legacy_on_timer_churn(self, document):
-        # The acceptance criterion proper (>= 1.5x) is measured in full
-        # mode; quick mode just guards against outright regressions.
-        churn = document["results"]["engine_churn"]
-        assert churn["speedup_vs_legacy"] > 1.0
+        assert headline["metric"] == "cluster_surge/speedup_vs_scalar"
+        assert headline["speedup_vs_scalar"] > 0
+        assert headline["speedup_vs_scalar"] == (
+            document["results"]["cluster_surge"]["speedup_vs_scalar"]
+        )
+        assert document["results"]["cluster_surge"]["digest_match"] == 1.0
 
     def test_slots_shrink_hot_records(self, document):
         for record in ("alloc_request_state", "alloc_attempt"):
@@ -61,13 +57,10 @@ def pinned(document):
     logic and not whether one timed quick run cleared the live floors
     (CI's ``repro-bench --check`` jobs gate those)."""
     pinned = copy.deepcopy(document)
-    pinned["headline"]["speedup_vs_legacy"] = 2.0
     results = pinned["results"]
-    results["engine_churn"]["speedup_vs_legacy"] = 2.0
-    results["engine_batch"]["speedup_vs_legacy"] = 1.0
     results["cluster_surge"]["speedup_vs_scalar"] = 2 * bench.CLUSTER_SURGE_SPEEDUP
     results["cluster_surge"]["sim_ms_per_wall_s"] = 2 * bench.CLUSTER_SURGE_FLOOR
-    results["sharded_engine"]["speedup_vs_scalar"] = 2 * bench.SHARDED_SPEEDUP_FLOOR
+    pinned["headline"]["speedup_vs_scalar"] = 2 * bench.CLUSTER_SURGE_SPEEDUP
     for key in ("mrc_sweep", "flash_replay"):
         results[key]["speedup_vs_scalar"] = 10.0
     for key in ("trace_overhead", "failslow_detect", "rebuild_overhead",
@@ -80,27 +73,45 @@ class TestRegressionGate:
     def test_passes_against_self(self, pinned):
         assert bench.check_regression(pinned, pinned) == []
 
+    @staticmethod
+    def _with_cluster_speedup(document, factor):
+        changed = copy.deepcopy(document)
+        section = changed["results"]["cluster_surge"]
+        section["speedup_vs_scalar"] *= factor
+        changed["headline"]["speedup_vs_scalar"] = section["speedup_vs_scalar"]
+        return changed
+
     def test_flags_large_slowdown(self, pinned):
-        slowed = copy.deepcopy(pinned)
-        slowed["headline"]["speedup_vs_legacy"] = (
-            pinned["headline"]["speedup_vs_legacy"] * (1 - bench.REGRESSION_TOLERANCE) * 0.9
-        )
+        slowed = self._with_cluster_speedup(pinned, 0.25)
         failures = bench.check_regression(slowed, pinned)
-        assert failures and "regressed" in failures[0]
+        assert failures and "cohort cluster speedup too low" in failures[0]
 
     def test_tolerates_small_noise(self, pinned):
-        noisy = copy.deepcopy(pinned)
-        noisy["headline"]["speedup_vs_legacy"] = (
-            pinned["headline"]["speedup_vs_legacy"] * 0.9
-        )
+        noisy = self._with_cluster_speedup(pinned, 0.9)
         assert bench.check_regression(noisy, pinned) == []
 
     def test_improvement_never_fails(self, pinned):
-        faster = copy.deepcopy(pinned)
-        faster["headline"]["speedup_vs_legacy"] = (
-            pinned["headline"]["speedup_vs_legacy"] * 2.0
-        )
+        faster = self._with_cluster_speedup(pinned, 2.0)
         assert bench.check_regression(faster, pinned) == []
+
+    def test_flags_cluster_speedup_below_floor(self, pinned):
+        # The floor is absolute: just under it fails, just over passes
+        # (with the absolute rate clearing the acceptance floor).
+        current = copy.deepcopy(pinned)
+        section = current["results"]["cluster_surge"]
+        section["speedup_vs_scalar"] = bench.CLUSTER_SPEEDUP_FLOOR - 0.01
+        failures = bench.check_regression(current, pinned)
+        assert len(failures) == 1
+        assert "cohort cluster speedup too low" in failures[0]
+        section["speedup_vs_scalar"] = bench.CLUSTER_SPEEDUP_FLOOR + 0.01
+        assert bench.check_regression(current, pinned) == []
+
+    def test_flags_cluster_digest_mismatch(self, pinned):
+        current = copy.deepcopy(pinned)
+        current["results"]["cluster_surge"]["digest_match"] = 0.0
+        failures = bench.check_regression(current, pinned)
+        assert len(failures) == 1
+        assert "cluster_surge digest mismatch" in failures[0]
 
     @pytest.mark.parametrize("key", ("mrc_sweep", "flash_replay"))
     def test_flags_kernel_regression(self, pinned, key):

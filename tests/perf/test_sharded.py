@@ -1,10 +1,8 @@
-"""Sharded engine: shard-count invariance, vectorization bit-equality,
-and the calibrated hybrid fast path's accuracy envelope.
+"""Sharded serving tiers: shard-count invariance and the engine rule.
 
 The invariance scenarios mirror the repository's overload (EXT-10,
 surge through a capped queue) and fail-slow (EXT-12, one gray server)
-experiment shapes at reduced scale, on both layers: the rack-scenario
-engine (scalar oracle vs vectorized cohorts) and the cell-partitioned
+experiment shapes at reduced scale on the cell-partitioned
 ``ShardedClusterSimulator`` (full balancer per cell).
 """
 
@@ -13,13 +11,8 @@ import pytest
 from repro.cluster.balancer import ClusterSimulator
 from repro.cluster.overload import OverloadPolicy, SurgeSchedule
 from repro.faults.failslow import FailSlowPlan
-from repro.perf.sharded import (
-    HYBRID_TOLERANCE,
-    RackScenario,
-    ShardedClusterSimulator,
-    derive_seed,
-    run_rack,
-)
+from repro.perf import cluster_kernels
+from repro.perf.sharded import ShardedClusterSimulator, derive_seed
 from repro.platforms.catalog import platform
 from repro.workloads.suite import make_workload
 
@@ -27,32 +20,6 @@ from repro.workloads.suite import make_workload
 def _make_webmail():
     """Module-level workload factory (must be picklable for workers)."""
     return make_workload("webmail")
-
-
-SURGE = RackScenario(
-    servers_per_cell=4,
-    cells=4,
-    rate_rps=900.0,
-    service_ms=0.5,
-    duration_ms=500.0,
-    window_ms=50.0,
-    deadline_ms=6.0,
-    surge=(3.0, 150.0, 300.0),
-    queue_cap=64,
-    seed=11,
-)
-
-FAILSLOW = RackScenario(
-    servers_per_cell=4,
-    cells=4,
-    rate_rps=900.0,
-    service_ms=0.5,
-    duration_ms=500.0,
-    window_ms=50.0,
-    deadline_ms=6.0,
-    failslow=(1, 2, 6.0, 100.0, 350.0),
-    seed=13,
-)
 
 
 class TestDeriveSeed:
@@ -66,35 +33,9 @@ class TestDeriveSeed:
         assert len(seeds) == 32
 
 
-class TestScalarVectorEquality:
-    """The vectorized cohort engine must reproduce the event-at-a-time
-    oracle bitwise -- same responses, drops, and deadline violations."""
-
-    @pytest.mark.parametrize("scenario", [SURGE, FAILSLOW], ids=["surge", "failslow"])
-    def test_digest_matches_oracle(self, scenario):
-        oracle = run_rack(scenario, mode="scalar")
-        cohort = run_rack(scenario, mode="cohort")
-        assert cohort.digest == oracle.digest
-        assert cohort.requests == oracle.requests
-        assert cohort.drops == oracle.drops
-        assert cohort.violations == oracle.violations
-
-    def test_event_accounting(self):
-        result = run_rack(SURGE, mode="cohort")
-        assert result.events == 3 * result.admitted + result.drops
-
-
 class TestShardCountInvariance:
     """``shards`` picks worker processes, never the decomposition:
     digests must be identical for 1, 2, and 4 shards."""
-
-    @pytest.mark.parametrize("scenario", [SURGE, FAILSLOW], ids=["surge", "failslow"])
-    def test_rack_digest_invariant(self, scenario):
-        digests = {
-            shards: run_rack(scenario, mode="cohort", shards=shards).digest
-            for shards in (1, 2, 4)
-        }
-        assert len(set(digests.values())) == 1
 
     def test_cluster_digest_invariant_surge(self):
         sim = _cluster_sim(arrivals=SurgeSchedule(
@@ -123,7 +64,7 @@ class TestShardCountInvariance:
 
 
 def _cluster_sim(**kwargs):
-    return ClusterSimulator.sharded(
+    return ShardedClusterSimulator(
         platform("desk"),
         _make_webmail,
         servers=8,
@@ -140,6 +81,48 @@ def _cluster_sim(**kwargs):
         ),
         **kwargs,
     )
+
+
+#: Cell configurations the cohort engine serves: steady, surge behind
+#: the overload stack, and one fail-slow server.
+CELL_CONFIGS = {
+    "steady": dict(),
+    "surge": dict(
+        arrivals=SurgeSchedule(
+            base_rate_rps=600.0,
+            surge_multiplier=3.0,
+            surge_start_ms=800.0,
+            surge_end_ms=1600.0,
+        ),
+        overload=OverloadPolicy(queue_cap=32),
+    ),
+    "failslow": dict(
+        failslow=FailSlowPlan.single_slow_node(server=2, factor=5.0),
+    ),
+}
+
+
+class TestCellEngineRule:
+    """Cells pick their engine the way a monolithic run does -- cohort
+    when eligible -- and the result is bitwise the scalar engine's."""
+
+    @pytest.mark.parametrize("name", sorted(CELL_CONFIGS))
+    def test_cells_match_scalar_bitwise(self, name, monkeypatch):
+        cohort_runs = []
+        run_cohort = cluster_kernels.run_cohort
+
+        def counting_run_cohort(csim):
+            cohort_runs.append(csim)
+            return run_cohort(csim)
+
+        monkeypatch.setattr(cluster_kernels, "run_cohort", counting_run_cohort)
+        default = _cluster_sim(**CELL_CONFIGS[name]).run().digest()
+        assert len(cohort_runs) == 2  # one per cell
+
+        monkeypatch.setattr(ClusterSimulator, "run", ClusterSimulator._run_scalar)
+        scalar = _cluster_sim(**CELL_CONFIGS[name]).run().digest()
+        assert len(cohort_runs) == 2
+        assert default == scalar
 
 
 class TestShardedClusterValidation:
@@ -163,72 +146,3 @@ class TestShardedClusterValidation:
                 platform("desk"), _make_webmail, servers=8,
                 enclosure_size=4, cells=3,
             )
-
-
-class TestHybridFastPath:
-    def test_hybrid_within_tolerance_of_full_des(self):
-        steady = RackScenario(
-            servers_per_cell=8,
-            cells=2,
-            rate_rps=1200.0,
-            service_ms=0.5,
-            duration_ms=4000.0,
-            window_ms=200.0,
-            deadline_ms=8.0,
-            seed=7,
-        )
-        full = run_rack(steady, mode="cohort")
-        hybrid = run_rack(steady, mode="hybrid")
-        assert hybrid.windows_analytic > 0
-        assert hybrid.p50_ms == pytest.approx(full.p50_ms, rel=HYBRID_TOLERANCE)
-        assert hybrid.p99_ms == pytest.approx(full.p99_ms, rel=HYBRID_TOLERANCE)
-        assert 0.0 <= hybrid.calibration_error <= HYBRID_TOLERANCE
-
-    def test_transients_never_go_analytic(self):
-        """Surge and fail-slow windows must stay on the DES kernels."""
-        for scenario in (SURGE, FAILSLOW):
-            hybrid = run_rack(scenario, mode="hybrid")
-            full = run_rack(scenario, mode="cohort")
-            # Too short to calibrate: hybrid degenerates to full DES.
-            assert hybrid.windows_analytic == 0
-            assert hybrid.digest == full.digest
-
-    def test_metrics_record_classifier_and_tolerance(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        steady = RackScenario(
-            servers_per_cell=8,
-            cells=1,
-            rate_rps=1200.0,
-            service_ms=0.5,
-            duration_ms=3000.0,
-            window_ms=200.0,
-            deadline_ms=8.0,
-            seed=7,
-        )
-        metrics = MetricsRegistry()
-        result = run_rack(steady, mode="hybrid", metrics=metrics)
-        assert metrics.value("sharded.requests") == result.requests
-        assert (
-            metrics.value("sharded.windows.vector")
-            + metrics.value("sharded.windows.analytic")
-            + metrics.value("sharded.windows.scalar")
-            == result.windows_vector
-            + result.windows_analytic
-            + result.windows_scalar
-        )
-        assert metrics.value("sharded.calibration.tolerance") == HYBRID_TOLERANCE
-        assert metrics.value("sharded.calibration.error") == result.calibration_error
-        assert metrics.histogram("sharded.response_ms").count == result.admitted
-
-
-class TestRackTelemetryFold:
-    def test_histogram_tracks_exact_responses(self):
-        """The folded histogram must carry every admitted response and
-        agree with the exact mean within log-bucket resolution."""
-        result = run_rack(SURGE, mode="cohort")
-        assert result.histogram.count == result.admitted
-        assert result.p99_ms >= result.p50_ms > 0.0
-        assert result.mean_ms == pytest.approx(
-            result.histogram.mean_ms, rel=1e-12
-        )

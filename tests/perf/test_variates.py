@@ -1,16 +1,8 @@
-"""The fast samplers must be bit-identical to ``random.expovariate``."""
+"""The fast sampler must be bit-identical to ``random.expovariate``."""
 
 import random
 
-import numpy as np
-import pytest
-
-from repro.perf.variates import (
-    ExponentialBlock,
-    exponential_block,
-    exponential_fill,
-    exponential_sampler,
-)
+from repro.perf.variates import exponential_sampler
 
 
 class TestExponentialSampler:
@@ -32,61 +24,3 @@ class TestExponentialSampler:
             assert sample(2.0) == reference.expovariate(2.0)
             assert shared.random() == reference.random()
             assert shared.randrange(10) == reference.randrange(10)
-
-
-class TestExponentialBlock:
-    def test_matches_expovariate_draw_for_draw(self):
-        reference = random.Random(9)
-        block = ExponentialBlock(random.Random(9), block_size=16)
-        rates = [0.5, 1.0, 2.0, 10.0] * 20
-        for rate in rates:
-            assert block.next_scaled(rate) == pytest.approx(
-                reference.expovariate(rate), rel=1e-12
-            )
-
-    def test_block_size_validated(self):
-        with pytest.raises(ValueError):
-            ExponentialBlock(random.Random(1), block_size=0)
-
-    def test_refill_crosses_block_boundary(self):
-        block = ExponentialBlock(random.Random(3), block_size=4)
-        draws = [block.next_scaled(1.0) for _ in range(10)]
-        assert len(draws) == 10
-        assert all(d > 0 for d in draws)
-
-
-class TestExponentialFill:
-    def test_bit_identical_to_sequential_sampler(self):
-        filled = exponential_fill(random.Random(21), 500, 2.5)
-        sample = exponential_sampler(random.Random(21))
-        assert filled == [sample(2.5) for _ in range(500)]
-
-    def test_roundtrips_through_float64(self):
-        filled = exponential_fill(random.Random(4), 100, 1.0)
-        assert np.asarray(filled, dtype=np.float64).tolist() == filled
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            exponential_fill(random.Random(1), -1, 1.0)
-
-
-class TestExponentialBlockFill:
-    def test_consumes_same_uniform_stream_as_fill(self):
-        # Same uniforms, same order: after generating, both generators
-        # sit at the same stream position...
-        rng_a, rng_b = random.Random(33), random.Random(33)
-        block = exponential_block(rng_a, 400, 1.5)
-        filled = exponential_fill(rng_b, 400, 1.5)
-        assert rng_a.random() == rng_b.random()
-        # ...and values agree to ulp-level (numpy log vs math.log).
-        assert np.allclose(block, np.asarray(filled), rtol=1e-12, atol=0.0)
-
-    def test_returns_float64_array(self):
-        block = exponential_block(random.Random(5), 16, 1.0)
-        assert isinstance(block, np.ndarray)
-        assert block.dtype == np.float64
-        assert (block > 0).all()
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            exponential_block(random.Random(1), -2, 1.0)

@@ -6,6 +6,7 @@ from repro.scenario import (
     ClosedLoopSpec,
     DiurnalSpec,
     FaultsSpec,
+    FlashSpec,
     OpenLoopSpec,
     OverlaySpec,
     RedundancySpec,
@@ -91,7 +92,7 @@ class TestAggregation:
                 surge=SurgeSpec(start_ms=30_000.0, end_ms=40_000.0),
             )),
             overlays=(OverlaySpec(name="x", faults=FaultsSpec("chaos")),),
-            engine="warp",
+            seed="one",
         )
         with pytest.raises(ScenarioValidationError) as excinfo:
             scenario.check()
@@ -103,7 +104,7 @@ class TestAggregation:
             "workload.benchmark",
             "traffic.open_loop.surge.end_ms",
             "overlays[0].faults.profile",
-            "engine",
+            "seed",
         } <= paths
         rendered = str(excinfo.value)
         assert "scenario failed validation" in rendered
@@ -148,9 +149,18 @@ class TestCrossValidation:
             )))
         assert any("regions" in path for path in _issues(scenario))
 
-    def test_sharded_engine_needs_enclosure_tiers(self):
-        scenario = _valid_scenario(engine="sharded")
-        assert any("engine" in path for path in _issues(scenario))
+    def test_enclosure_scope_rejects_flash(self):
+        # Enclosure cells run the platform disk, so a flash tier there
+        # would be sized for flash but served without it.
+        tier = TierSpec(name="web", design="N2", servers=4, enclosure_size=2,
+                        balancer_scope="enclosure", flash=FlashSpec())
+        issues = _issues(_valid_scenario(topology=TopologySpec(tiers=(tier,))))
+        assert "topology.tiers[0].flash" in issues
+        assert "cluster-scoped" in issues["topology.tiers[0].flash"]
+        cluster = _valid_scenario(topology=TopologySpec(tiers=(
+            TierSpec(name="web", design="N2", servers=4, enclosure_size=2,
+                     flash=FlashSpec()),)))
+        assert _issues(cluster) == {}
 
     def test_flash_crowd_hour_bounds(self):
         scenario = _valid_scenario(traffic=TrafficSpec(

@@ -116,8 +116,8 @@ def mean_service_demand_ms(
     Monte-Carlo estimate over ``samples`` workload draws of the same
     cpu+mem+disk+net composition :class:`ServerSimulator` charges each
     request -- i.e. the service rate ``mu`` the queueing closed forms
-    and the sharded rack model (:mod:`repro.perf.sharded`) need, derived
-    from the *same* demand distributions the DES runs, not re-modeled.
+    need, derived from the *same* demand distributions the DES runs,
+    not re-modeled.
     Uses a dedicated RNG, so it never perturbs a simulation stream.
     """
     if samples < 1:

@@ -145,127 +145,3 @@ class TestTimers:
             sim.cancel(timer)
         sim.run()
         assert order == list(range(20))
-
-
-class TestScheduleBatch:
-    def test_batch_matches_repeated_schedule(self):
-        batched, looped = Simulation(), Simulation()
-        got_a, got_b = [], []
-        pairs = [(3.0, lambda: got_a.append("late")),
-                 (1.0, lambda: got_a.append("early")),
-                 (3.0, lambda: got_a.append("late2"))]
-        batched.schedule_batch(pairs)
-        looped.schedule(3.0, lambda: got_b.append("late"))
-        looped.schedule(1.0, lambda: got_b.append("early"))
-        looped.schedule(3.0, lambda: got_b.append("late2"))
-        batched.run()
-        looped.run()
-        assert got_a == got_b == ["early", "late", "late2"]
-
-    def test_batch_into_nonempty_heap(self):
-        sim = Simulation()
-        order = []
-        sim.schedule(2.0, lambda: order.append("pre"))
-        sim.schedule_batch([(1.0, lambda: order.append("batch1")),
-                            (3.0, lambda: order.append("batch3"))])
-        sim.run()
-        assert order == ["batch1", "pre", "batch3"]
-
-    def test_batch_negative_delay_rejected(self):
-        sim = Simulation()
-        with pytest.raises(ValueError):
-            sim.schedule_batch([(-1.0, lambda: None)])
-
-    def test_small_batch_into_large_heap_preserves_order(self):
-        """The staged-batch heuristic: a small batch landing in a big
-        heap must push per-entry (no whole-heap heapify) and still
-        interleave correctly with existing events."""
-        sim = Simulation()
-        order = []
-        for i in range(200):
-            sim.schedule(float(2 * i + 1), lambda i=i: order.append(("pre", i)))
-        sim.schedule_batch([
-            (100.5, lambda: order.append(("batch", 0))),
-            (0.5, lambda: order.append(("batch", 1))),
-        ])
-        sim.run()
-        assert len(order) == 202
-        assert order[0] == ("batch", 1)
-        assert order.index(("batch", 0)) == 51  # after pre 0..49 (odd times 1..99)
-
-    def test_large_batch_heapifies_and_matches_serial(self):
-        batched, looped = Simulation(), Simulation()
-        got_a, got_b = [], []
-        delays = [float((i * 37) % 100) for i in range(500)]
-        batched.schedule_batch(
-            [(d, lambda d=d: got_a.append(d)) for d in delays]
-        )
-        for d in delays:
-            looped.schedule(d, lambda d=d: got_b.append(d))
-        batched.run()
-        looped.run()
-        assert got_a == got_b == sorted(delays)
-
-
-class TestCohortSimulation:
-    def test_same_time_same_kind_events_merge_into_one_dispatch(self):
-        from repro.simulator.engine import CohortSimulation
-
-        sim = CohortSimulation()
-        calls = []
-        sim.set_cohort_handler(lambda kind, payloads: calls.append((kind, list(payloads))))
-        for payload in ("a", "b", "c"):
-            sim.schedule_cohort(5.0, "arrivals", payload)
-        sim.schedule_cohort(5.0, "completions", "z")
-        sim.run()
-        assert calls == [("arrivals", ["a", "b", "c"]), ("completions", ["z"])]
-
-    def test_different_times_stay_separate(self):
-        from repro.simulator.engine import CohortSimulation
-
-        sim = CohortSimulation()
-        calls = []
-        sim.set_cohort_handler(lambda kind, payloads: calls.append((sim.now, kind, len(payloads))))
-        sim.schedule_cohort(1.0, "tick", None)
-        sim.schedule_cohort(2.0, "tick", None)
-        sim.schedule_cohort(2.0, "tick", None)
-        sim.run()
-        assert calls == [(1.0, "tick", 1), (2.0, "tick", 2)]
-
-    def test_handler_may_schedule_followup_cohorts(self):
-        from repro.simulator.engine import CohortSimulation
-
-        sim = CohortSimulation()
-        seen = []
-
-        def handle(kind, payloads):
-            seen.append((kind, len(payloads)))
-            if kind == "arrivals":
-                sim.schedule_cohort(0.0, "completions", sum(payloads))
-
-        sim.set_cohort_handler(handle)
-        sim.schedule_cohort(1.0, "arrivals", 2)
-        sim.schedule_cohort(1.0, "arrivals", 3)
-        sim.run()
-        assert seen == [("arrivals", 2), ("completions", 1)]
-
-    def test_cancel_removes_cohort_entry(self):
-        from repro.simulator.engine import CohortSimulation
-
-        sim = CohortSimulation()
-        calls = []
-        sim.set_cohort_handler(lambda kind, payloads: calls.append(kind))
-        keep = sim.schedule_cohort(1.0, "keep", None)
-        drop = sim.schedule_cohort(1.0, "drop", None)
-        assert keep != drop
-        sim.cancel(drop)
-        sim.run()
-        assert calls == ["keep"]
-
-    def test_requires_handler(self):
-        from repro.simulator.engine import CohortSimulation
-
-        sim = CohortSimulation()
-        sim.schedule_cohort(1.0, "tick", None)
-        with pytest.raises(RuntimeError, match="handler"):
-            sim.run()
