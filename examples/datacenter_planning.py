@@ -28,7 +28,7 @@ def plan(design, bench: str = "websearch"):
     perf = measure_performance(
         design.platform,
         workload,
-        disk_model=design.disk_model_for(bench),
+        disk_spec=design.disk_model_for(bench),
         memory_slowdown=design.memory_slowdown,
     )
     servers = math.ceil(TARGET_RPS / perf.throughput_rps)

@@ -75,7 +75,7 @@ def main() -> None:
         remote_memory=make_remote_memory_model(
             BENCH, local_fraction=0.25, trace_length=100_000
         ),
-        disk_model_factory=lambda: config.make_disk_model(BENCH),
+        disk_model_factory=config.disk_spec(BENCH).build,
         faults=STRESS_FAULT_PROFILE,
         fault_seed=7,
         retry=RETRY_POLICY,

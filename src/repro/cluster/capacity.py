@@ -20,7 +20,7 @@ def per_server_capacity_rps(
     workload,
     *,
     remote_memory=None,
-    disk_model=None,
+    disk_spec=None,
     servers: int = 1,
 ) -> float:
     """Analytic steady-state capacity of one server, in requests/s."""
@@ -36,7 +36,7 @@ def per_server_capacity_rps(
         )
         slowdown = 1.0 + remote_memory.trap_cpu_ms(mean) / cpu_ms
     capacity = measure_performance(
-        platform, workload, disk_model=disk_model,
+        platform, workload, disk_spec=disk_spec,
         memory_slowdown=slowdown, method="analytic",
     ).throughput_rps
     if remote_memory is not None:

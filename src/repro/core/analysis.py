@@ -31,7 +31,7 @@ def _measure_one(task: Tuple[Design, str, str, SimConfig]) -> float:
         design.platform,
         workload,
         config=config,
-        disk_model=design.disk_model_for(bench),
+        disk_spec=design.disk_model_for(bench),
         memory_slowdown=design.memory_slowdown_for(bench),
         method=method,
     )

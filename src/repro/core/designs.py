@@ -8,7 +8,7 @@ A design bundles everything needed to evaluate Perf/TCO-$:
 - an optional *memory-provisioning scheme* (section 3.4) with its assumed
   slowdown, and
 - an optional *disk configuration* (section 3.5) with its simulator disk
-  model.
+  spec.
 
 The two unified designs:
 
@@ -37,6 +37,7 @@ from repro.costmodel.power import PowerModel
 from repro.costmodel.rack import RackConfig, STANDARD_RACK
 from repro.costmodel.tco import TcoBreakdown, TcoModel
 from repro.flashcache.analysis import DiskConfiguration, disk_configuration
+from repro.flashcache.models import DiskSpec
 from repro.memsim.provisioning import (
     ASSUMED_SLOWDOWN,
     DYNAMIC_PROVISIONING,
@@ -76,8 +77,8 @@ class BaselineDesign:
         """Per-benchmark slowdown multiplier (baselines never page)."""
         return 1.0
 
-    def disk_model_for(self, workload_name: str):
-        """Simulator disk model override (None = platform default)."""
+    def disk_model_for(self, workload_name: str) -> Optional[DiskSpec]:
+        """Simulator disk spec override (None = platform default)."""
         return None
 
     def tco_breakdown(self) -> TcoBreakdown:
@@ -131,10 +132,11 @@ class UnifiedDesign:
             benchmark, self.memory_scheme.local_fraction
         )
 
-    def disk_model_for(self, workload_name: str):
+    def disk_model_for(self, workload_name: str) -> Optional[DiskSpec]:
+        """Simulator disk spec override (None = platform default)."""
         if self.disk_config is None:
             return None
-        return self.disk_config.make_disk_model(workload_name)
+        return self.disk_config.disk_spec(workload_name)
 
     def bill(self) -> ServerBill:
         """Base bill with packaging, memory, and disk deltas applied."""

@@ -184,8 +184,7 @@ def _simulate(
         )
     factory = None
     if setup.uses_flash:
-        config = disk_configuration("remote-laptop+flash")
-        factory = lambda: config.make_disk_model(_WORKLOAD)  # noqa: E731
+        factory = disk_configuration("remote-laptop+flash").disk_spec(_WORKLOAD).build
 
     common = dict(
         platform=plat,

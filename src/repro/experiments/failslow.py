@@ -156,8 +156,7 @@ def run_failslow_config(config: FailSlowRunConfig) -> dict:
         )
     factory = None
     if setup.uses_flash:
-        disk_config = disk_configuration("remote-laptop+flash")
-        factory = lambda: disk_config.make_disk_model(_WORKLOAD)  # noqa: E731
+        factory = disk_configuration("remote-laptop+flash").disk_spec(_WORKLOAD).build
 
     plan = None
     if config.scenario != "healthy":

@@ -49,7 +49,7 @@ def slowdown_table(
 
     Exact-LRU entries are read off each workload's memoized miss-ratio
     curve (one trace pass answers every fraction); the Random policy has
-    no stack property and keeps the scalar bracketing replay.
+    no stack property and replays the trace once per fraction.
     """
     names = list(workloads) if workloads is not None else list(WORKLOAD_TRACES)
     out: Dict[str, Dict[str, float]] = {}

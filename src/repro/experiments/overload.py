@@ -126,19 +126,16 @@ def run(
     for setup in _setups():
         plat = setup.design.platform
         remote = None
-        factory = None
-        disk_model = None
+        disk_spec = None
         if setup.uses_remote_memory:
             remote = make_remote_memory_model(
                 _WORKLOAD, local_fraction=0.25, trace_length=_TRACE_LENGTH
             )
         if setup.uses_flash:
-            config = disk_configuration("remote-laptop+flash")
-            factory = lambda: config.make_disk_model(_WORKLOAD)  # noqa: E731
-            disk_model = config.make_disk_model(_WORKLOAD)
+            disk_spec = disk_configuration("remote-laptop+flash").disk_spec(_WORKLOAD)
         capacity = per_server_capacity_rps(
             plat, workload,
-            remote_memory=remote, disk_model=disk_model, servers=servers,
+            remote_memory=remote, disk_spec=disk_spec, servers=servers,
         )
         base_rate = open_loop_rate_rps(load_fraction, capacity, servers)
         schedule = SurgeSchedule(
@@ -153,7 +150,7 @@ def run(
             servers=servers,
             clients_per_server=1,  # ignored in open-loop mode
             seed=seed,
-            disk_model_factory=factory,
+            disk_model_factory=disk_spec.build if disk_spec else None,
             remote_memory=remote,
             arrivals=schedule,
             warmup_ms=warmup_ms,

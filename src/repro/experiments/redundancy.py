@@ -157,7 +157,7 @@ def run_redundancy_config(config: RedundancyRunConfig) -> dict:
     remote = make_remote_memory_model(
         _WORKLOAD, local_fraction=LOCAL_FRACTION, trace_length=_TRACE_LENGTH
     )
-    disk_config = disk_configuration("remote-laptop+flash")
+    disk_spec = disk_configuration("remote-laptop+flash").disk_spec(_WORKLOAD)
 
     redundancy = None
     maintenance = None
@@ -188,7 +188,7 @@ def run_redundancy_config(config: RedundancyRunConfig) -> dict:
         seed=config.seed,
         warmup_requests=config.warmup,
         measure_requests=config.measure,
-        disk_model_factory=lambda: disk_config.make_disk_model(_WORKLOAD),
+        disk_model_factory=disk_spec.build,
         remote_memory=remote,
         retry=RETRY,
         redundancy=redundancy,

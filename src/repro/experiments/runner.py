@@ -83,33 +83,34 @@ _EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 #: Experiments that accept a ``method`` keyword (DES vs analytic).
 _METHOD_AWARE = {"figure2", "table3", "figure5", "sensitivity", "ablation", "future"}
 
-#: Relative single-run cost of each experiment (measured wall-clock
-#: seconds, default scale) -- a *scheduling hint only*, never touching
-#: results: ``--jobs N`` submits cache misses longest-first (LPT), so a
-#: long experiment starts immediately instead of landing on a nearly
-#: drained pool and stretching the sweep by its full duration.  Stale
-#: entries cost nothing but scheduling efficiency; unlisted experiments
-#: default to a middling weight.
+#: Relative single-run cost of each experiment: wall-clock seconds of
+#: one serial run of the experiment alone in a fresh interpreter, on a
+#: 2-vCPU x86 VM -- a *scheduling hint only*, never touching results:
+#: ``--jobs N`` submits cache misses longest-first (LPT), so a long
+#: experiment starts immediately instead of landing on a nearly drained
+#: pool and stretching the sweep by its full duration.  Stale entries
+#: cost nothing but scheduling efficiency; unlisted experiments default
+#: to a middling weight.
 _COST_HINTS: Dict[str, float] = {
-    "validation": 19.9,
-    "figure5": 13.3,
-    "figure2": 11.2,
-    "ablation": 10.7,
-    "table3": 8.8,
-    "failslow": 8.6,
-    "overload": 8.3,
-    "future": 8.2,
-    "redundancy": 5.0,
-    "figure4": 4.7,
-    "sensitivity": 3.1,
-    "contention": 2.7,
-    "trace_attribution": 2.3,
-    "power": 2.3,
-    "scaleout": 1.7,
-    "availability": 1.7,
-    "heterogeneous": 1.4,
-    "latency": 1.4,
-    "table1": 0.9,
+    "validation": 5.6,
+    "failslow": 4.2,
+    "figure4": 3.9,
+    "sensitivity": 3.8,
+    "redundancy": 3.1,
+    "table3": 2.8,
+    "ablation": 2.7,
+    "figure5": 2.5,
+    "contention": 2.3,
+    "overload": 2.1,
+    "future": 2.1,
+    "heterogeneous": 1.9,
+    "figure2": 1.9,
+    "trace_attribution": 1.7,
+    "scaleout": 1.5,
+    "power": 1.3,
+    "latency": 1.1,
+    "availability": 1.0,
+    "table1": 0.3,
     "figure1": 0.1,
     "table2": 0.1,
     "figure3": 0.1,

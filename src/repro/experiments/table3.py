@@ -92,7 +92,7 @@ def configuration_efficiencies(
                 plat,
                 workload,
                 config=config,
-                disk_model=disk_config.make_disk_model(bench),
+                disk_spec=disk_config.disk_spec(bench),
                 method=method,
             )
             per_bench[bench] = result.score

@@ -98,8 +98,7 @@ def run_traced_design(config: TraceRunConfig) -> dict:
         )
     factory = None
     if setup.uses_flash:
-        disk_config = disk_configuration("remote-laptop+flash")
-        factory = lambda: disk_config.make_disk_model(_WORKLOAD)  # noqa: E731
+        factory = disk_configuration("remote-laptop+flash").disk_spec(_WORKLOAD).build
 
     tracer = Tracer(sample_rate=config.sample_rate, seed=config.trace_seed)
     metrics = MetricsRegistry()

@@ -11,7 +11,7 @@ flash holds the page; only flash misses travel to the remote disk.
   lookup, LRU eviction, write-endurance (wear) tracking.
 - :mod:`~repro.flashcache.models` -- :class:`DiskModel` strategies for the
   server simulator: local disk, remote SAN disk, and remote disk behind a
-  flash cache.
+  flash cache; :class:`DiskSpec` names one as a frozen value.
 - :mod:`~repro.flashcache.analysis` -- the Table 3(b) evaluation:
   performance and cost efficiencies of each disk configuration on emb1.
 """
@@ -19,6 +19,7 @@ flash holds the page; only flash misses travel to the remote disk.
 from repro.flashcache.cache import FlashCache, FlashCacheStats
 from repro.flashcache.models import (
     FLASH_OBJECT_PARAMS,
+    DiskSpec,
     FlashCachedDiskModel,
     LocalDiskModel,
     RemoteSanDiskModel,
@@ -35,6 +36,7 @@ __all__ = [
     "FlashCacheStats",
     "FLASH_OBJECT_PARAMS",
     "FlashObjectParams",
+    "DiskSpec",
     "FlashCachedDiskModel",
     "LocalDiskModel",
     "RemoteSanDiskModel",

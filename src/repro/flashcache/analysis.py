@@ -11,22 +11,23 @@ remote-laptop+flash    SAN laptop disk + 1GB flash $94          2.5 W
 remote-laptop2+flash   SAN laptop-2 disk + flash   $54          2.5 W
 =====================  ==========================  ===========  ========
 
-Each configuration supplies a factory for its simulator
-:class:`DiskModel` (flash caches keep state per simulation run, so the
-factory builds a fresh model per run) and the cost/power deltas applied
-to the server bill.
+Each configuration names its devices, hands out a frozen
+:class:`~repro.flashcache.models.DiskSpec` per benchmark (flash caches
+keep state per simulation run, so callers ``build()`` a fresh model from
+the spec for each run), and gives the cost/power deltas applied to the
+server bill.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict, List, Optional
 
 from repro.costmodel.components import ComponentSpec
 from repro.flashcache.models import (
-    FlashCachedDiskModel,
-    LocalDiskModel,
-    RemoteSanDiskModel,
+    DEFAULT_STRIPE_WIDTH,
+    DiskSpec,
+    flash_object_params,
 )
 from repro.platforms.storage import (
     DESKTOP_DISK,
@@ -39,36 +40,37 @@ from repro.platforms.storage import (
 
 @dataclass(frozen=True)
 class DiskConfiguration:
-    """One row of Table 3(b): devices, costs, and a disk-model factory."""
+    """One row of Table 3(b): devices and costs."""
 
     name: str
     description: str
     disk_cost_usd: float
     disk_power_w: float
-    #: Builds a fresh DiskModel for one simulation run of ``workload``.
-    model_factory: Callable[[str], object]
+    #: The disk itself: local, or on the SAN when ``stripe_width`` is set.
+    device: StorageDevice
+    stripe_width: Optional[int] = None
+    #: Flash cache in front of the disk, if any.
+    flash_device: Optional[StorageDevice] = None
 
     def disk_component(self) -> ComponentSpec:
         """The server bill's disk component under this configuration."""
         return ComponentSpec(cost_usd=self.disk_cost_usd, power_w=self.disk_power_w)
 
-    def make_disk_model(self, workload_name: str):
-        """Instantiate the simulator disk model for one benchmark run."""
-        return self.model_factory(workload_name)
+    def disk_spec(self, workload_name: str) -> DiskSpec:
+        """The simulator disk model of one benchmark, as a frozen spec.
 
-
-def _local(device: StorageDevice) -> Callable[[str], object]:
-    return lambda workload: LocalDiskModel(device)
-
-
-def _remote(device: StorageDevice) -> Callable[[str], object]:
-    return lambda workload: RemoteSanDiskModel(device)
-
-
-def _remote_flash(device: StorageDevice) -> Callable[[str], object]:
-    return lambda workload: FlashCachedDiskModel(
-        RemoteSanDiskModel(device), workload, flash_device=FLASH_1GB
-    )
+        A flash-cached configuration raises ``KeyError`` for a workload
+        without flash object params.
+        """
+        return DiskSpec(
+            device=self.device,
+            stripe_width=self.stripe_width,
+            flash_device=self.flash_device,
+            flash_params=(
+                None if self.flash_device is None
+                else flash_object_params(workload_name)
+            ),
+        )
 
 
 #: Table 3(b) configurations in paper order (baseline first).
@@ -78,28 +80,33 @@ DISK_CONFIGURATIONS: List[DiskConfiguration] = [
         description="local desktop-class disk (the paper's normalization)",
         disk_cost_usd=DESKTOP_DISK.price_usd,
         disk_power_w=DESKTOP_DISK.power_w,
-        model_factory=_local(DESKTOP_DISK),
+        device=DESKTOP_DISK,
     ),
     DiskConfiguration(
         name="remote-laptop",
         description="low-power laptop disk on a SAN",
         disk_cost_usd=LAPTOP_DISK.price_usd,
         disk_power_w=LAPTOP_DISK.power_w,
-        model_factory=_remote(LAPTOP_DISK),
+        device=LAPTOP_DISK,
+        stripe_width=DEFAULT_STRIPE_WIDTH,
     ),
     DiskConfiguration(
         name="remote-laptop+flash",
         description="SAN laptop disk with a 1 GB flash disk cache",
         disk_cost_usd=LAPTOP_DISK.price_usd + FLASH_1GB.price_usd,
         disk_power_w=LAPTOP_DISK.power_w + FLASH_1GB.power_w,
-        model_factory=_remote_flash(LAPTOP_DISK),
+        device=LAPTOP_DISK,
+        stripe_width=DEFAULT_STRIPE_WIDTH,
+        flash_device=FLASH_1GB,
     ),
     DiskConfiguration(
         name="remote-laptop2+flash",
         description="cheaper laptop-2 disk ($40) with a 1 GB flash cache",
         disk_cost_usd=LAPTOP2_DISK.price_usd + FLASH_1GB.price_usd,
         disk_power_w=LAPTOP2_DISK.power_w + FLASH_1GB.power_w,
-        model_factory=_remote_flash(LAPTOP2_DISK),
+        device=LAPTOP2_DISK,
+        stripe_width=DEFAULT_STRIPE_WIDTH,
+        flash_device=FLASH_1GB,
     ),
 ]
 
@@ -148,5 +155,5 @@ def flash_only_configuration(
         description="flash array replacing the disk entirely",
         disk_cost_usd=device.price_usd,
         disk_power_w=device.power_w,
-        model_factory=_local(device),
+        device=device,
     )

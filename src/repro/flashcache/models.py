@@ -12,6 +12,11 @@ Three strategies implement the simulator's :class:`DiskModel` protocol:
   object id drawn from the workload's dataset; hits are served at flash
   speed, misses go to the backing disk and populate the flash.
 
+A :class:`DiskSpec` names one of these compositions as a frozen value:
+models carry state (a flash cache warms up, fails and recovers), so
+callers share, hash and pickle the spec and ``build()`` a fresh model
+wherever one simulation needs it.
+
 Reads benefit from the cache; writes are written through (they pay the
 backing disk and add flash wear without avoiding disk traffic), matching
 the FlashCache design the paper adopts.
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 #: One timed piece of a disk service: (span kind, label, service ms).
 #: Kinds are span vocabulary ("disk" / "flash") so the tracer can type
@@ -134,6 +139,16 @@ FLASH_OBJECT_PARAMS: Dict[str, FlashObjectParams] = {
 }
 
 
+def flash_object_params(workload_name: str) -> FlashObjectParams:
+    """The object model of a named workload's disk traffic."""
+    try:
+        return FLASH_OBJECT_PARAMS[workload_name]
+    except KeyError as exc:
+        raise KeyError(
+            f"no flash object params for workload {workload_name!r}"
+        ) from exc
+
+
 class FlashCachedDiskModel:
     """A flash cache in front of a backing disk model.
 
@@ -146,17 +161,13 @@ class FlashCachedDiskModel:
     def __init__(
         self,
         backing,  # LocalDiskModel | RemoteSanDiskModel
-        workload_name: str,
+        workload: Union[str, FlashObjectParams],
         flash_device: StorageDevice = FLASH_1GB,
-        params: FlashObjectParams | None = None,
     ):
-        if params is None:
-            try:
-                params = FLASH_OBJECT_PARAMS[workload_name]
-            except KeyError as exc:
-                raise KeyError(
-                    f"no flash object params for workload {workload_name!r}"
-                ) from exc
+        # A workload name, or the object model itself.
+        params = (
+            flash_object_params(workload) if isinstance(workload, str) else workload
+        )
         self.backing = backing
         self.params = params
         self._flash_device = flash_device
@@ -234,3 +245,35 @@ class FlashCachedDiskModel:
         scale = max(demand.disk_bytes / max(self.params.object_bytes, 1.0), 0.1)
         flash = self.cache.read_service_ms() * scale
         return hit_rate * flash + (1.0 - hit_rate) * backing
+
+
+@dataclass(frozen=True)
+class DiskSpec:
+    """A frozen, hashable, picklable description of one disk model.
+
+    The backing ``device`` is a local disk, or a SAN disk striped across
+    ``stripe_width`` spindles when that is set; a ``flash_device`` with
+    the workload's ``flash_params`` puts a flash cache in front of it.
+    Equal specs build models that behave identically from a cold start,
+    so a spec can key a memo where a live model cannot.
+    """
+
+    device: StorageDevice
+    #: SAN spindles engaged per request; None for a local disk.
+    stripe_width: Optional[int] = None
+    flash_device: Optional[StorageDevice] = None
+    flash_params: Optional[FlashObjectParams] = None
+
+    def __post_init__(self) -> None:
+        if (self.flash_device is None) != (self.flash_params is None):
+            raise ValueError("a flash cache needs both its device and its params")
+
+    def build(self):
+        """A fresh model (cold flash cache) for one simulation."""
+        if self.stripe_width is None:
+            backing = LocalDiskModel(self.device)
+        else:
+            backing = RemoteSanDiskModel(self.device, self.stripe_width)
+        if self.flash_device is None:
+            return backing
+        return FlashCachedDiskModel(backing, self.flash_params, self.flash_device)

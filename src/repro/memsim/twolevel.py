@@ -19,12 +19,20 @@ is the fraction of extra execution time.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Sequence
 
+import numpy as np
+
 from repro.memsim.replacement import make_policy
-from repro.memsim.trace import PageTraceSpec, WORKLOAD_TRACES, cached_trace
+from repro.memsim.trace import (
+    PageTraceSpec,
+    WORKLOAD_TRACES,
+    cached_trace,
+    trace_chunks,
+)
 from repro.perf.kernels import MissRatioCurve, miss_ratio_curve
 
 #: Remote page-transfer latencies (paper section 3.4).
@@ -85,10 +93,11 @@ class TwoLevelMemorySimulator:
         """Simulate the trace; warmup (first footprint-fill pass) excluded.
 
         ``engine`` selects the implementation: ``"auto"`` (default) uses
-        the single-pass stack-distance kernel for exact-LRU runs and the
-        scalar replay otherwise; ``"kernel"`` demands the kernel (errors
-        for non-LRU policies); ``"scalar"`` forces the oracle loop.  The
-        two are bit-identical for LRU (``tests/perf/test_kernels.py``).
+        the single-pass stack-distance kernel for exact-LRU runs and a
+        flat replay loop for Random; ``"kernel"`` demands the kernel
+        (errors for non-LRU policies); ``"scalar"`` forces the
+        per-access policy replay, the oracle both are bit-identical to
+        (``tests/perf/test_kernels.py``).
         """
         if engine not in ("auto", "kernel", "scalar"):
             raise ValueError(f"unknown engine {engine!r}")
@@ -110,10 +119,66 @@ class TwoLevelMemorySimulator:
             raise ValueError(
                 f"kernel engine requires exact LRU, not {self.policy_name!r}"
             )
+        if self.policy_name == "random" and engine == "auto":
+            return self._run_random(length)
         return self._run_scalar(length)
 
+    def _run_random(self, length: int) -> MissStats:
+        """Random replacement as one flat loop over the trace chunks.
+
+        Replays :class:`~repro.memsim.replacement.RandomPolicy` exactly:
+        a victim slot is drawn with ``getrandbits`` the way
+        ``randrange(capacity)`` draws it, from the same seeded stream.
+        Compulsory first touches are counted once, off the whole trace,
+        instead of tracking a seen-set per access.
+        """
+        spec, capacity = self.spec, self.local_capacity
+        warmup = min(spec.footprint_pages, length // 2)
+        getrandbits = random.Random(self.seed).getrandbits
+        bits = capacity.bit_length()
+        slots: list = []
+        index: dict = {}
+        misses = misses_at_window = resident_at_window = 0
+        start = 0
+        # The first chunk is the warmup pass, so the window opens on a
+        # chunk boundary.
+        for chunk in trace_chunks(spec, length, self.seed, chunk=max(1, warmup)):
+            if start == warmup:
+                misses_at_window, resident_at_window = misses, len(slots)
+            start += len(chunk)
+            for page in chunk.tolist():
+                if page in index:
+                    continue
+                misses += 1
+                if len(slots) < capacity:
+                    index[page] = len(slots)
+                    slots.append(page)
+                    continue
+                slot = getrandbits(bits)
+                while slot >= capacity:
+                    slot = getrandbits(bits)
+                del index[slots[slot]]
+                slots[slot] = page
+                index[page] = slot
+        # A page first touched in the window is touched in the whole
+        # trace but not in the warmup prefix.
+        trace = cached_trace(spec, length, seed=self.seed)
+        touched = np.zeros(int(trace.max()) + 1, dtype=bool)
+        touched[trace[:warmup]] = True
+        warm_pages = int(np.count_nonzero(touched))
+        touched[trace[warmup:]] = True
+        first_touches = int(np.count_nonzero(touched)) - warm_pages
+        window_misses = misses - misses_at_window
+        # Every miss fills a free slot or evicts a victim to the blade.
+        return MissStats(
+            accesses=length - warmup,
+            misses=window_misses - first_touches,
+            local_capacity_pages=capacity,
+            writebacks=window_misses - (len(slots) - resident_at_window),
+        )
+
     def _run_scalar(self, length: int) -> MissStats:
-        """Reference per-access replay (the oracle; also the Random path)."""
+        """Reference per-access policy replay (the oracle)."""
         trace = cached_trace(self.spec, length, seed=self.seed)
         policy = make_policy(self.policy_name, self.local_capacity, seed=self.seed)
 

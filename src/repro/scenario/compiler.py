@@ -223,10 +223,9 @@ def _tier_platform(tier: TierSpec):
 
 
 def _tier_models(tier: TierSpec, spec: WorkloadSpec):
-    """(remote_memory_model, disk_model_factory, capacity_disk_model)."""
+    """(remote_memory_model, disk_spec) of a tier serving ``spec``."""
     remote = None
-    factory = None
-    disk_model = None
+    disk_spec = None
     if tier.remote_memory is not None:
         remote = _cached_remote_memory(
             spec.benchmark,
@@ -236,11 +235,10 @@ def _tier_models(tier: TierSpec, spec: WorkloadSpec):
     if tier.flash is not None:
         from repro.flashcache.analysis import disk_configuration
 
-        config = disk_configuration(tier.flash.configuration)
-        benchmark = spec.benchmark
-        factory = lambda: config.make_disk_model(benchmark)  # noqa: E731
-        disk_model = config.make_disk_model(benchmark)
-    return remote, factory, disk_model
+        disk_spec = disk_configuration(tier.flash.configuration).disk_spec(
+            spec.benchmark
+        )
+    return remote, disk_spec
 
 
 def tier_capacity_rps(tier: TierSpec, workload_spec: WorkloadSpec) -> float:
@@ -248,10 +246,10 @@ def tier_capacity_rps(tier: TierSpec, workload_spec: WorkloadSpec) -> float:
     ``utilization`` and ``queue_cap="auto"`` rules are derived from)."""
     workload = _build_workload(workload_spec)
     platform = _tier_platform(tier)
-    remote, _, disk_model = _tier_models(tier, workload_spec)
+    remote, disk_spec = _tier_models(tier, workload_spec)
     return per_server_capacity_rps(
         platform, workload,
-        remote_memory=remote, disk_model=disk_model, servers=tier.servers,
+        remote_memory=remote, disk_spec=disk_spec, servers=tier.servers,
     )
 
 
@@ -433,14 +431,14 @@ def _build_cluster_simulator(plan: RunPlan):
     tier = plan.tier
     workload = _build_workload(plan.workload)
     platform = _tier_platform(tier)
-    remote, factory, _ = _tier_models(tier, plan.workload)
+    remote, disk_spec = _tier_models(tier, plan.workload)
     kwargs = dict(
         platform=platform,
         workload=workload,
         servers=tier.servers,
         clients_per_server=tier.clients_per_server,
         seed=plan.seed,
-        disk_model_factory=factory,
+        disk_model_factory=disk_spec.build if disk_spec else None,
         remote_memory=remote,
     )
     if tier.dispatch is not None:

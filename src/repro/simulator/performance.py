@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
+from repro.flashcache.models import DiskSpec
 from repro.platforms.catalog import platform as _platform
 from repro.platforms.platform import Platform
 from repro.simulator.analytic import AnalyticServerModel
-from repro.simulator.server_sim import DiskModel, ServerSimulator, SimConfig
-from repro.simulator.sweep import QosSweep
+from repro.simulator.server_sim import ServerSimulator, SimConfig
+from repro.simulator.sweep import _PERF_MEMO, QosSweep
 from repro.workloads.base import MetricKind, Workload
 from repro.workloads.suite import make_workload
 
@@ -51,7 +52,7 @@ def measure_performance(
     platform: Platform,
     workload: Workload,
     config: SimConfig = SimConfig(),
-    disk_model: Optional[DiskModel] = None,
+    disk_spec: Optional[DiskSpec] = None,
     memory_slowdown: float = 1.0,
     method: str = "sim",
 ) -> PerformanceResult:
@@ -59,21 +60,40 @@ def measure_performance(
 
     ``method='sim'`` runs the DES (with the adaptive QoS driver for
     interactive benchmarks); ``method='analytic'`` uses the MVA model
-    (no QoS constraint -- useful for fast exploration).
+    (no QoS constraint -- useful for fast exploration).  ``disk_spec``
+    replaces the platform's own disk: one model is built from it per
+    call and serves the whole sweep.
+
+    Scores are memoized process-wide on (platform, workload profile,
+    ``config``, ``disk_spec``, ``memory_slowdown``, ``method``), so a
+    repeated call returns the first call's result without simulating
+    (:func:`repro.simulator.sweep.clear_sweep_memo` resets it).
     """
-    profile = workload.profile
     if method not in ("sim", "analytic"):
         raise ValueError(f"unknown method {method!r}")
+    key = (platform, workload.profile, config, disk_spec, memory_slowdown, method)
+    result = _PERF_MEMO.get(key)
+    if result is None:
+        disk_model = disk_spec.build() if disk_spec is not None else None
+        result = _PERF_MEMO[key] = _score(
+            platform, workload, config, disk_model, memory_slowdown, method
+        )
+    return result
 
+
+def _score(
+    platform: Platform,
+    workload: Workload,
+    config: SimConfig,
+    disk_model,
+    memory_slowdown: float,
+    method: str,
+) -> PerformanceResult:
+    profile = workload.profile
     if method == "analytic":
         disk_service = None
         if disk_model is not None:
-            mean_service = getattr(disk_model, "mean_service_ms", None)
-            if mean_service is None:
-                raise ValueError(
-                    "analytic method needs a disk model with mean_service_ms"
-                )
-            disk_service = mean_service(workload.mean_demand())
+            disk_service = disk_model.mean_service_ms(workload.mean_demand())
         model = AnalyticServerModel(
             platform,
             workload,

@@ -33,15 +33,24 @@ _MIN_GAIN = 0.02
 #: Hard cap on client population explored by the driver.
 _MAX_POPULATION = 4096
 
-#: Cross-instance memo of simulated operating points.  The experiments
-#: re-sweep the same (platform, workload) pairs -- table2, figure2,
-#: table3, figure5, and validation all re-evaluate srvr1 -- and every
-#: operating point is a pure function of (platform, workload profile,
-#: population, measurement config, memory slowdown), so re-running the
-#: DES for a key already simulated in this process reproduces the same
-#: ``SimResult`` bit for bit.  Runs with a custom disk model (stateful:
-#: flash caches fail and recover) or unhashable parameters bypass the
-#: memo.  Values must be treated as read-only, which every caller does.
+#: Whole scores of :func:`repro.simulator.performance.measure_performance`,
+#: keyed on (platform, workload profile, measurement config, disk spec,
+#: memory slowdown, method).  A score is a pure function of that key:
+#: each sweep builds its disk model fresh from the frozen spec, and one
+#: model serves every population of the sweep (a flash cache stays warm
+#: from run to run), so the memo holds whole sweeps, never single runs.
+_PERF_MEMO: Dict[tuple, object] = {}
+
+#: Cross-instance memo of simulated operating points for sweeps run
+#: outside :func:`~repro.simulator.performance.measure_performance`
+#: (whose repeats hit ``_PERF_MEMO`` first): ``power_accounting``
+#: re-sweeps points the figures already scored.  Every operating point
+#: on the platform disk is a pure function of (platform, workload
+#: profile, population, measurement config, memory slowdown), so a hit
+#: reproduces the same ``SimResult`` bit for bit.  Sweeps with a live
+#: disk model (stateful: flash caches warm up, fail and recover) or
+#: unhashable parameters bypass it.  Values must be treated as
+#: read-only, which every caller does.
 _SIM_MEMO: Dict[tuple, SimResult] = {}
 
 #: Analytic warm-start estimates, memoized per (platform, profile).
@@ -49,7 +58,8 @@ _ESTIMATE_MEMO: Dict[tuple, int] = {}
 
 
 def clear_sweep_memo() -> None:
-    """Drop all memoized sweep results (for tests and benchmarks)."""
+    """Drop all memoized scores and sweep results (for tests and benchmarks)."""
+    _PERF_MEMO.clear()
     _SIM_MEMO.clear()
     _ESTIMATE_MEMO.clear()
 

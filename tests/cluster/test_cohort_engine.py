@@ -220,10 +220,10 @@ class TestFallbackRouting:
         )
 
     def test_flash_disk_model(self):
-        config = disk_configuration("remote-laptop+flash")
+        spec = disk_configuration("remote-laptop+flash").disk_spec("websearch")
         self._assert_falls_back(
             "disk model",
-            disk_model_factory=lambda: config.make_disk_model("websearch"),
+            disk_model_factory=spec.build,
             measure_ms=400.0,
         )
 

@@ -163,11 +163,11 @@ class TestCorrelatedBladeFailure:
 
 class TestFlashCacheBypass:
     def test_cache_down_falls_back_to_raw_disk(self):
-        config = disk_configuration("remote-laptop+flash")
+        spec = disk_configuration("remote-laptop+flash").disk_spec("websearch")
         result = _cluster(
             platform=platform("emb1"),
             workload=make_workload("websearch"),
-            disk_model_factory=lambda: config.make_disk_model("websearch"),
+            disk_model_factory=spec.build,
             faults=FLASH_FAULTS,
             fault_seed=3,
         ).run()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.analysis import evaluate_designs
 from repro.core.designs import baseline_design, n2_design
+from repro.simulator.sweep import clear_sweep_memo
 from repro.workloads import _calibrate
 from repro.workloads.suite import benchmark_names, make_workload
 
@@ -47,6 +48,21 @@ class TestEvaluateDesigns:
         text = evaluation.render(["Perf/TCO-$"])
         assert "Perf/TCO-$" in text
         assert "mapred-wc" in text
+
+    def test_disk_configured_design_fans_out_like_serial(self):
+        """N2 carries a flash-cached SAN disk spec; its grid cells cross
+        the process boundary and score exactly as in the serial loop."""
+        designs = [baseline_design("srvr1"), n2_design()]
+        benches = ["webmail", "mapred-wc"]
+        clear_sweep_memo()
+        fanned = evaluate_designs(
+            designs, benches, baseline="srvr1", method="analytic", jobs=2
+        )
+        clear_sweep_memo()
+        serial = evaluate_designs(
+            designs, benches, baseline="srvr1", method="analytic", jobs=1
+        )
+        assert fanned.metrics == serial.metrics
 
     def test_missing_baseline_rejected(self):
         with pytest.raises(ValueError):

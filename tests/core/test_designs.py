@@ -71,9 +71,9 @@ class TestN2Design:
         disk = n2.bill().components[Component.DISK]
         assert disk.cost_usd == pytest.approx(80 + 14)
         assert disk.power_w == pytest.approx(2.5)
-        model = n2.disk_model_for("ytube")
-        assert model is not None
-        assert hasattr(model, "cache")
+        spec = n2.disk_model_for("ytube")
+        assert spec is not None
+        assert hasattr(spec.build(), "cache")
 
     def test_n2_cheaper_and_cooler_than_emb1(self):
         n2 = n2_design()

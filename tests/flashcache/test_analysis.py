@@ -7,6 +7,7 @@ from repro.flashcache.analysis import (
     disk_configuration,
 )
 from repro.flashcache.models import (
+    DiskSpec,
     FlashCachedDiskModel,
     LocalDiskModel,
     RemoteSanDiskModel,
@@ -44,19 +45,28 @@ class TestDiskConfigurations:
 
     def test_model_factories_build_correct_types(self):
         assert isinstance(
-            disk_configuration("baseline").make_disk_model("ytube"), LocalDiskModel
+            disk_configuration("baseline").disk_spec("ytube").build(), LocalDiskModel
         )
         assert isinstance(
-            disk_configuration("remote-laptop").make_disk_model("ytube"),
+            disk_configuration("remote-laptop").disk_spec("ytube").build(),
             RemoteSanDiskModel,
         )
-        flash_model = disk_configuration("remote-laptop+flash").make_disk_model("ytube")
+        flash_model = disk_configuration("remote-laptop+flash").disk_spec("ytube").build()
         assert isinstance(flash_model, FlashCachedDiskModel)
 
+    def test_flash_spec_needs_flash_object_params(self):
+        with pytest.raises(KeyError, match="no flash object params"):
+            disk_configuration("remote-laptop+flash").disk_spec("bogus")
+        assert disk_configuration("remote-laptop").disk_spec("bogus").flash_params is None
+
+    def test_flash_spec_needs_device_and_params(self):
+        with pytest.raises(ValueError, match="flash cache"):
+            DiskSpec(LAPTOP_DISK, stripe_width=2, flash_device=FLASH_1GB)
+
     def test_factories_build_fresh_state_per_run(self):
-        config = disk_configuration("remote-laptop+flash")
-        a = config.make_disk_model("websearch")
-        b = config.make_disk_model("websearch")
+        spec = disk_configuration("remote-laptop+flash").disk_spec("websearch")
+        a = spec.build()
+        b = spec.build()
         assert a is not b
         assert a.cache is not b.cache
 

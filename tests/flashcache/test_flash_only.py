@@ -22,9 +22,9 @@ class TestFlashOnlyConfiguration:
         assert config.disk_power_w == pytest.approx(2.0)
 
     def test_flash_storage_is_much_faster_than_disks(self):
-        flash = flash_only_configuration().make_disk_model("websearch")
-        laptop = disk_configuration("remote-laptop").make_disk_model("websearch")
-        desktop = disk_configuration("baseline").make_disk_model("websearch")
+        flash = flash_only_configuration().disk_spec("websearch").build()
+        laptop = disk_configuration("remote-laptop").disk_spec("websearch").build()
+        desktop = disk_configuration("baseline").disk_spec("websearch").build()
         rng = random.Random(1)
         t_flash = flash.service_ms(_READ, rng)
         assert t_flash < desktop.service_ms(_READ, rng) / 2

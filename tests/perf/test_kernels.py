@@ -7,6 +7,8 @@ on random traces and on every real workload trace the experiments use.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.flashcache.cache import FlashCache
 from repro.memsim.replacement import LruPolicy
@@ -145,7 +147,7 @@ class TestMissRatioCurve:
             sim = TwoLevelMemorySimulator(spec, fraction, policy="lru")
             assert sweep[fraction] == sim.run(TRACE_LENGTH, engine="scalar")
 
-    def test_random_policy_keeps_scalar_path(self):
+    def test_kernel_engine_refuses_random(self):
         """Random replacement has no stack property; the kernel engine
         must refuse it rather than silently approximate."""
         sim = TwoLevelMemorySimulator(
@@ -153,7 +155,6 @@ class TestMissRatioCurve:
         )
         with pytest.raises(ValueError, match="exact LRU"):
             sim.run(10_000, engine="kernel")
-        assert sim.run(10_000) == sim.run(10_000, engine="scalar")
 
     def test_unknown_engine_rejected(self):
         sim = TwoLevelMemorySimulator(WORKLOAD_TRACES["webmail"], 0.25)
@@ -189,6 +190,38 @@ class TestMissRatioCurve:
             assert counts.misses == misses
             assert counts.evictions == policy.evictions
             assert counts.writebacks == policy.evictions - evictions_at_window
+
+
+class TestRandomReplay:
+    """The flat Random loop against the per-access ``RandomPolicy``
+    replay (``engine="scalar"``).  The loop draws victims with
+    ``getrandbits`` the way ``randrange`` does, so these run on every
+    CPython the test matrix covers."""
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOAD_TRACES))
+    @pytest.mark.parametrize("fraction", (0.25, 0.125))
+    def test_figure4_cells_match_policy_replay(self, workload, fraction):
+        sim = TwoLevelMemorySimulator(
+            WORKLOAD_TRACES[workload], fraction, policy="random"
+        )
+        assert sim.run(TRACE_LENGTH) == sim.run(TRACE_LENGTH, engine="scalar")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        workload=st.sampled_from(sorted(WORKLOAD_TRACES)),
+        fraction=st.floats(min_value=1e-5, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        length=st.integers(min_value=1, max_value=16_000),
+    )
+    def test_matches_policy_replay_below_the_footprint(
+        self, workload, fraction, seed, length
+    ):
+        """Traces shorter than twice the footprint move the warmup edge
+        to ``length // 2``; capacities go down to a single page."""
+        sim = TwoLevelMemorySimulator(
+            WORKLOAD_TRACES[workload], fraction, policy="random", seed=seed
+        )
+        assert sim.run(length) == sim.run(length, engine="scalar")
 
 
 class TestFlashKernels:

@@ -108,22 +108,22 @@ class TestExt10Overload:
         setup = {s.name: s for s in _setups()}[design]
         workload = make_workload("websearch")
         plat = setup.design.platform
-        remote = factory = disk_model = None
+        remote = disk_spec = None
         if setup.uses_remote_memory:
             remote = make_remote_memory_model(
                 "websearch", local_fraction=0.25,
                 trace_length=_TRACE_LENGTH)
         if setup.uses_flash:
-            config = disk_configuration("remote-laptop+flash")
-            factory = lambda: config.make_disk_model("websearch")  # noqa: E731
-            disk_model = config.make_disk_model("websearch")
+            disk_spec = disk_configuration("remote-laptop+flash").disk_spec(
+                "websearch")
         capacity = per_server_capacity_rps(
-            plat, workload, remote_memory=remote, disk_model=disk_model,
+            plat, workload, remote_memory=remote, disk_spec=disk_spec,
             servers=4)
         base_rate = open_loop_rate_rps(0.6, capacity, 4)
         common = dict(
             platform=plat, workload=workload, servers=4,
-            clients_per_server=1, seed=3, disk_model_factory=factory,
+            clients_per_server=1, seed=3,
+            disk_model_factory=disk_spec.build if disk_spec else None,
             remote_memory=remote,
             arrivals=SurgeSchedule(
                 base_rate_rps=base_rate, surge_multiplier=5.0,

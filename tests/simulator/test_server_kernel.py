@@ -27,7 +27,10 @@ ENGINES = pytest.mark.parametrize(
 CONFIG = SimConfig(warmup_requests=40, measure_requests=160, seed=7)
 #: The platform's own disk, then every Table 3(b) model, built per run
 #: (a flash cache carries state).
-DISKS = (None,) + tuple(config.make_disk_model for config in DISK_CONFIGURATIONS)
+DISKS = (None,) + tuple(
+    lambda name, config=config: config.disk_spec(name).build()
+    for config in DISK_CONFIGURATIONS
+)
 
 
 def saturating_population(plat, workload) -> int:
@@ -85,7 +88,8 @@ class TestTracedRuns:
 
     def test_flash_cache_components(self):
         """Traced requests take the flash model's ``service_components``."""
-        disk = disk_configuration("remote-laptop+flash").make_disk_model
+        spec = disk_configuration("remote-laptop+flash").disk_spec("websearch")
+        disk = lambda name: spec.build()  # noqa: E731
         workload = make_workload("websearch")
         kernel, tracer = traced(
             ServerSimulator, platform("emb1"), workload, disk, population=24
