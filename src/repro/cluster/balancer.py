@@ -263,9 +263,9 @@ class _RequestState:
     """Per-request record on the balancer's hot path.
 
     One is allocated per issued request (tens of thousands per run), so
-    it is a slotted plain class rather than a dict: ~3x smaller and
-    allocation-cheaper, which the alloc microbenchmark in
-    :mod:`repro.perf.bench` tracks.
+    it is a slotted plain class rather than a dict: smaller and
+    allocation-cheaper (``tests/perf/test_slots.py`` keeps it
+    dict-free).
     """
 
     __slots__ = (
@@ -619,7 +619,8 @@ class ClusterSimulator:
     def _run_scalar(self) -> ClusterResult:
         """The scalar per-request callback engine: the fallback for
         configurations the cohort kernels do not model, and the
-        reference tests and ``repro-bench`` compare cohort runs with."""
+        reference that tests and the cohort speedup budget in
+        ``benchmarks/test_budgets.py`` compare cohort runs with."""
         sim = Simulation()
         rng = random.Random(self._seed)
         # Stream-identical fast path for rng.expovariate: same values from

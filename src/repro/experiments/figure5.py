@@ -49,7 +49,7 @@ def equal_performance_comparison(evaluation: DesignEvaluation) -> Dict[str, Dict
     (per benchmark, harmonic-mean aggregated) and compare fleet power,
     fleet TCO, fleet floor space, and rack count against the srvr1 fleet.
     """
-    perf = evaluation.table("Perf")
+    perf_table = evaluation.table("Perf")
     out: Dict[str, Dict[str, float]] = {}
     base_metrics = next(iter(evaluation.metrics.values()))["srvr1"]
     designs = {d: None for d in evaluation.designs if d != "srvr1"}
@@ -61,7 +61,7 @@ def equal_performance_comparison(evaluation: DesignEvaluation) -> Dict[str, Dict
         if design is None:
             continue
         servers_needed = harmonic_mean(
-            [1.0 / perf.value(bench, name) for bench in perf.benchmarks]
+            [1.0 / perf_table.value(bench, name) for bench in perf_table.benchmarks]
         )
         # Per-server cost/power of the design (same for all benchmarks).
         metrics = next(iter(evaluation.metrics.values()))[name]

@@ -59,8 +59,8 @@ balancer:
 
 The detector never touches an RNG either: with a healthy fleet (no
 transitions, adaptive timeouts off) a detection-enabled run is
-byte-identical to a detection-free run -- asserted in tests and inside
-``repro-bench``'s ``failslow_detect`` gate.
+byte-identical to a detection-free run -- asserted in tests and by the
+detection cost budget in ``benchmarks/test_budgets.py``.
 """
 
 from __future__ import annotations

@@ -78,28 +78,6 @@ class FlashCache:
             self._objects.move_to_end(object_id)
             self._record_write()
 
-    def replay(self, object_ids, is_write=None) -> FlashCacheStats:
-        """Replay an access stream through the cache, one op at a time.
-
-        Reads follow the model's discipline (``lookup``, install on a
-        miss); writes are write-through updates.  ``is_write=None``
-        treats the whole stream as reads.  This is the scalar oracle the
-        vectorized kernels (``repro.perf.kernels.flash_hit_curve`` /
-        ``flash_replay``) are tested against, and returns the live
-        ``stats`` object for convenience.
-        """
-        if is_write is None:
-            is_write = [False] * len(object_ids)
-        if len(object_ids) != len(is_write):
-            raise ValueError("object_ids and is_write must have equal length")
-        for object_id, write in zip(object_ids, is_write):
-            object_id = int(object_id)
-            if write:
-                self.write_update(object_id)
-            elif not self.lookup(object_id):
-                self.insert(object_id)
-        return self.stats
-
     def export_metrics(self, metrics, **labels) -> None:
         """One-shot dump of the cache's counters into a labeled registry.
 

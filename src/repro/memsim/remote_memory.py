@@ -21,6 +21,7 @@ Per request:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.memsim.trace import WORKLOAD_TRACES
 from repro.memsim.twolevel import (
@@ -138,6 +139,7 @@ class RemoteMemoryModel:
         return self.degraded_time_ms(demand) * lost_fraction
 
 
+@lru_cache(maxsize=None)
 def make_remote_memory_model(
     workload_name: str,
     local_fraction: float = 0.25,
@@ -145,11 +147,13 @@ def make_remote_memory_model(
     policy: str = "random",
     trace_length: int | None = None,
 ) -> RemoteMemoryModel:
-    """Build a model with the miss rate measured by the trace simulator.
+    """A model with the miss rate measured by the trace simulator, built
+    once per process for each distinct set of arguments.
 
     ``policy="lru"`` reads the rate off the workload's memoized
     single-pass miss-ratio curve (``repro.perf.kernels``); the default
-    random policy keeps the scalar bracketing replay.
+    random policy replays the trace once.  The model is frozen, so every
+    caller can share it.
     """
     try:
         spec = WORKLOAD_TRACES[workload_name]

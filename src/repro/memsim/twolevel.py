@@ -83,30 +83,32 @@ class TwoLevelMemorySimulator:
                  policy: str = "random", seed: int = 0):
         if not 0 < local_fraction <= 1:
             raise ValueError("local fraction must be in (0, 1]")
+        # run() picks its replay by policy, so a name it does not know
+        # must fail here rather than fall through to Random.
+        if policy not in ("lru", "random"):
+            raise ValueError(
+                f"unknown replacement policy {policy!r}; known: 'lru', 'random'"
+            )
         self.spec = spec
         self.local_fraction = local_fraction
         self.policy_name = policy
         self.seed = seed
         self.local_capacity = max(1, int(spec.footprint_pages * local_fraction))
 
-    def run(self, trace_length: int | None = None, engine: str = "auto") -> MissStats:
+    def run(self, trace_length: int | None = None) -> MissStats:
         """Simulate the trace; warmup (first footprint-fill pass) excluded.
 
-        ``engine`` selects the implementation: ``"auto"`` (default) uses
-        the single-pass stack-distance kernel for exact-LRU runs and a
-        flat replay loop for Random; ``"kernel"`` demands the kernel
-        (errors for non-LRU policies); ``"scalar"`` forces the
-        per-access policy replay, the oracle both are bit-identical to
+        Exact LRU reads the memoized single-pass stack-distance curve;
+        Random runs one flat replay loop.  Both are bit-identical to the
+        per-access policy replay of :meth:`_run_scalar`, their oracle
         (``tests/perf/test_kernels.py``).
         """
-        if engine not in ("auto", "kernel", "scalar"):
-            raise ValueError(f"unknown engine {engine!r}")
         length = (
             trace_length
             if trace_length is not None
             else self.spec.footprint_pages * _TRACE_PASSES
         )
-        if self.policy_name == "lru" and engine != "scalar":
+        if self.policy_name == "lru":
             counts = lru_miss_curve(self.spec, length, self.seed).counts(
                 self.local_capacity
             )
@@ -115,13 +117,7 @@ class TwoLevelMemorySimulator:
                 local_capacity_pages=self.local_capacity,
                 writebacks=counts.writebacks,
             )
-        if engine == "kernel":
-            raise ValueError(
-                f"kernel engine requires exact LRU, not {self.policy_name!r}"
-            )
-        if self.policy_name == "random" and engine == "auto":
-            return self._run_random(length)
-        return self._run_scalar(length)
+        return self._run_random(length)
 
     def _run_random(self, length: int) -> MissStats:
         """Random replacement as one flat loop over the trace chunks.

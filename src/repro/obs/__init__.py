@@ -7,10 +7,10 @@ critical-path tail-latency attribution
 (span JSONL and Chrome trace-event JSON, see :mod:`repro.obs.export`).
 
 The simulators accept an optional ``tracer``/``metrics`` pair; passing
-neither leaves behaviour and performance unchanged (the ``trace_overhead``
-benchmark in ``repro-bench`` gates this).  Tracing never consumes RNG
-state, so traced and untraced runs of the same seed produce identical
-simulation results.
+neither leaves behaviour and performance unchanged (the zero-sampling
+tracer budget in ``benchmarks/test_budgets.py`` checks this).  Tracing
+never consumes RNG state, so traced and untraced runs of the same seed
+produce identical simulation results.
 """
 
 from repro.obs.critical_path import (

@@ -14,8 +14,8 @@ Two properties matter for the reproduction pipeline:
 - **bounded overhead** -- with ``sample_rate=0.0`` the per-request cost
   is one attribute load and one comparison, and the instrumented hot
   paths guard every further touch behind ``trace is not None``, so the
-  zero-sampling path stays within the ``trace_overhead`` benchmark's
-  budget (see ``repro-bench``).
+  zero-sampling path stays within its 1.05x cost budget (see
+  ``benchmarks/test_budgets.py``).
 """
 
 from __future__ import annotations

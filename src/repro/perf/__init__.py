@@ -11,24 +11,21 @@ result:
 - :mod:`repro.perf.variates` -- stream-identical fast exponential
   sampling for the DES hot paths;
 - :mod:`repro.perf.kernels` -- single-pass miss-ratio-curve kernels
-  (Mattson stack distances, vectorized) for the memory and flash trace
-  simulators;
+  (Mattson stack distances, vectorized) for the memory trace simulator;
 - :mod:`repro.perf.cluster_kernels` -- the cohort request-lifecycle
   engine behind :meth:`repro.cluster.balancer.ClusterSimulator.run`;
 - :mod:`repro.perf.sharded` -- enclosure-scoped serving tiers: one
-  balancer per cell, cells run independently and fold back in order;
-- :mod:`repro.perf.bench` -- the tracked benchmark harness behind
-  ``repro-bench`` and ``BENCH_results.json``.
+  balancer per cell, cells run independently and fold back in order.
+
+The package holds no benchmark code: ``bench/run.py`` measures the
+package end to end, and ``benchmarks/test_budgets.py`` holds the
+in-run cost budgets of the kernels and the hot-path layers.
 """
 
 from repro.perf.cache import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, ResultCache, code_fingerprint
 from repro.perf.kernels import (
-    FlashCounts,
-    FlashHitCurve,
     MissCounts,
     MissRatioCurve,
-    flash_hit_curve,
-    flash_replay,
     miss_ratio_curve,
     stack_distances,
 )
@@ -60,12 +57,8 @@ __all__ = [
     "exponential_sampler",
     "ShardedClusterResult",
     "ShardedClusterSimulator",
-    "FlashCounts",
-    "FlashHitCurve",
     "MissCounts",
     "MissRatioCurve",
-    "flash_hit_curve",
-    "flash_replay",
     "miss_ratio_curve",
     "stack_distances",
 ]

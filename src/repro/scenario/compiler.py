@@ -38,6 +38,7 @@ from repro.cluster.capacity import (
     surge_queue_cap,
 )
 from repro.cluster.diurnal import DiurnalLoadModel
+from repro.memsim.remote_memory import make_remote_memory_model
 from repro.scenario import registry
 from repro.scenario.dag import make_dag_workload
 from repro.scenario.spec import (
@@ -183,14 +184,6 @@ def _cached_dag_workload(dag):
     return make_dag_workload(dag)
 
 
-@lru_cache(maxsize=None)
-def _cached_remote_memory(benchmark, local_fraction, trace_length):
-    from repro.memsim.remote_memory import make_remote_memory_model
-
-    return make_remote_memory_model(
-        benchmark, local_fraction=local_fraction, trace_length=trace_length)
-
-
 def _build_workload(spec: WorkloadSpec):
     """The spec's workload, built once per process.
 
@@ -198,8 +191,9 @@ def _build_workload(spec: WorkloadSpec):
     hand-wired experiments share one instance across their healthy and
     faulted runs), so construction -- sampler and trace tables are
     expensive next to a short run -- is memoized: benchmarks by
-    :func:`repro.workloads.suite.make_workload` itself, DAG workloads
-    and remote-memory models here, keyed on the frozen spec.
+    :func:`repro.workloads.suite.make_workload` itself, remote-memory
+    models by :func:`repro.memsim.remote_memory.make_remote_memory_model`
+    itself, and DAG workloads here, keyed on the frozen spec.
     """
     if spec.benchmark is not None:
         return make_workload(spec.benchmark)
@@ -227,10 +221,10 @@ def _tier_models(tier: TierSpec, spec: WorkloadSpec):
     remote = None
     disk_spec = None
     if tier.remote_memory is not None:
-        remote = _cached_remote_memory(
+        remote = make_remote_memory_model(
             spec.benchmark,
-            tier.remote_memory.local_fraction,
-            tier.remote_memory.trace_length,
+            local_fraction=tier.remote_memory.local_fraction,
+            trace_length=tier.remote_memory.trace_length,
         )
     if tier.flash is not None:
         from repro.flashcache.analysis import disk_configuration

@@ -68,6 +68,20 @@ EQUIVALENT_CONFIGS = {
         retry=RetryPolicy(timeout_ms=400.0, max_retries=1),
         overload=OverloadPolicy(),
     ),
+    # The cohort speedup budget's configuration in
+    # benchmarks/test_budgets.py, spelled out.
+    "cluster-surge": dict(
+        retry=RetryPolicy(timeout_ms=400.0, max_retries=1),
+        overload=OverloadPolicy(),
+        arrivals=SurgeSchedule(
+            base_rate_rps=120.0,
+            surge_multiplier=4.0,
+            surge_start_ms=2000.0,
+            surge_end_ms=3000.0,
+        ),
+        warmup_ms=1000.0,
+        measure_ms=4000.0,
+    ),
     "protected-jitter": dict(
         retry=RetryPolicy(
             timeout_ms=350.0, max_retries=2, backoff_base_ms=15.0, jitter=True

@@ -78,6 +78,15 @@ class TestMakeRemoteMemoryModel:
         with pytest.raises(KeyError):
             make_remote_memory_model("sort")
 
+    def test_equal_calls_share_one_model(self):
+        first = make_remote_memory_model(
+            "webmail", local_fraction=0.25, trace_length=40_000
+        )
+        again = make_remote_memory_model(
+            "webmail", local_fraction=0.25, trace_length=40_000
+        )
+        assert again is first
+
 
 class TestClusterIntegration:
     def test_blade_contention_negligible_at_enclosure_scale(self):

@@ -77,6 +77,10 @@ class TestTwoLevelSimulator:
         with pytest.raises(ValueError):
             TwoLevelMemorySimulator(spec, 1.5)
 
+    def test_unknown_policy_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="'fifo'"):
+            TwoLevelMemorySimulator(WORKLOAD_TRACES["webmail"], 0.25, policy="fifo")
+
 
 class TestPaperFigure4b:
     """Shape of Figure 4(b) at 25% local, random replacement, PCIe 4us."""

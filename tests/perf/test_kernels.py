@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flashcache.cache import FlashCache
 from repro.memsim.replacement import LruPolicy
 from repro.memsim.trace import WORKLOAD_TRACES, cached_trace
 from repro.memsim.twolevel import (
@@ -20,15 +19,11 @@ from repro.memsim.twolevel import (
 )
 from repro.perf.kernels import (
     FIRST_TOUCH,
-    _flash_replay_scalar,
-    flash_hit_curve,
-    flash_replay,
     miss_ratio_curve,
     prev_greater_counts,
     previous_occurrences,
     stack_distances,
 )
-from repro.platforms.storage import FLASH_1GB
 
 #: Shortened trace for the workload-equality sweep (full Figure 4 runs
 #: are exercised in tests/experiments; the kernels are length-agnostic).
@@ -70,21 +65,6 @@ class TestPrimitives:
         )
         assert np.array_equal(prev_greater_counts(values), expected)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_prev_greater_counts_masked(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(1, 300))
-        values = rng.integers(-1, 50, size=n).astype(np.int64)
-        mask = rng.random(n) < 0.6
-        expected = np.array(
-            [
-                sum(1 for j in range(i) if mask[j] and values[j] > values[i])
-                for i in range(n)
-            ],
-            dtype=np.int64,
-        )
-        assert np.array_equal(prev_greater_counts(values, counted=mask), expected)
-
     def test_empty_input(self):
         assert prev_greater_counts(np.array([], dtype=np.int64)).size == 0
 
@@ -118,9 +98,7 @@ class TestMissRatioCurve:
         sim = TwoLevelMemorySimulator(
             WORKLOAD_TRACES[workload], fraction, policy="lru"
         )
-        kernel = sim.run(TRACE_LENGTH)
-        scalar = sim.run(TRACE_LENGTH, engine="scalar")
-        assert kernel == scalar
+        assert sim.run(TRACE_LENGTH) == sim._run_scalar(TRACE_LENGTH)
 
     def test_miss_curve_monotonically_non_increasing(self):
         spec = WORKLOAD_TRACES["webmail"]
@@ -145,21 +123,7 @@ class TestMissRatioCurve:
         sweep = lru_fraction_sweep(spec, fractions, trace_length=TRACE_LENGTH)
         for fraction in fractions:
             sim = TwoLevelMemorySimulator(spec, fraction, policy="lru")
-            assert sweep[fraction] == sim.run(TRACE_LENGTH, engine="scalar")
-
-    def test_kernel_engine_refuses_random(self):
-        """Random replacement has no stack property; the kernel engine
-        must refuse it rather than silently approximate."""
-        sim = TwoLevelMemorySimulator(
-            WORKLOAD_TRACES["webmail"], 0.25, policy="random"
-        )
-        with pytest.raises(ValueError, match="exact LRU"):
-            sim.run(10_000, engine="kernel")
-
-    def test_unknown_engine_rejected(self):
-        sim = TwoLevelMemorySimulator(WORKLOAD_TRACES["webmail"], 0.25)
-        with pytest.raises(ValueError, match="engine"):
-            sim.run(10_000, engine="turbo")
+            assert sweep[fraction] == sim._run_scalar(TRACE_LENGTH)
 
     def test_warmup_validation(self):
         with pytest.raises(ValueError):
@@ -194,7 +158,7 @@ class TestMissRatioCurve:
 
 class TestRandomReplay:
     """The flat Random loop against the per-access ``RandomPolicy``
-    replay (``engine="scalar"``).  The loop draws victims with
+    replay (``_run_scalar``).  The loop draws victims with
     ``getrandbits`` the way ``randrange`` does, so these run on every
     CPython the test matrix covers."""
 
@@ -204,7 +168,7 @@ class TestRandomReplay:
         sim = TwoLevelMemorySimulator(
             WORKLOAD_TRACES[workload], fraction, policy="random"
         )
-        assert sim.run(TRACE_LENGTH) == sim.run(TRACE_LENGTH, engine="scalar")
+        assert sim.run(TRACE_LENGTH) == sim._run_scalar(TRACE_LENGTH)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -221,71 +185,7 @@ class TestRandomReplay:
         sim = TwoLevelMemorySimulator(
             WORKLOAD_TRACES[workload], fraction, policy="random", seed=seed
         )
-        assert sim.run(length) == sim.run(length, engine="scalar")
-
-
-class TestFlashKernels:
-    def _cache(self, capacity_objects):
-        # One object == one "GB" so capacity_objects is exact.
-        import dataclasses
-
-        device = dataclasses.replace(
-            FLASH_1GB, capacity_gb=float(capacity_objects)
-        )
-        return FlashCache(device, object_bytes=float(1 << 30))
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_hit_curve_equals_flashcache_on_read_stream(self, seed):
-        rng = np.random.default_rng(400 + seed)
-        n = int(rng.integers(50, 800))
-        stream = rng.integers(0, int(rng.integers(5, 80)), size=n).astype(np.int64)
-        curve = flash_hit_curve(stream)
-        for capacity in (1, 3, 10, 40):
-            stats = self._cache(capacity).replay(stream)
-            counts = curve.counts(capacity)
-            assert counts.lookups == stats.lookups
-            assert counts.hits == stats.hits
-            assert counts.insertions == stats.insertions
-            assert counts.evictions == stats.evictions
-            assert counts.block_writes == stats.block_writes
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_flash_replay_equals_flashcache_with_writes(self, seed):
-        rng = np.random.default_rng(500 + seed)
-        n = int(rng.integers(50, 500))
-        stream = rng.integers(0, int(rng.integers(5, 60)), size=n).astype(np.int64)
-        writes = rng.random(n) < rng.uniform(0.0, 0.5)
-        for capacity in (2, 7, 25):
-            stats = self._cache(capacity).replay(stream, writes)
-            counts = flash_replay(stream, writes, capacity)
-            assert counts.lookups == stats.lookups
-            assert counts.hits == stats.hits
-            assert counts.insertions == stats.insertions
-            assert counts.evictions == stats.evictions
-            assert counts.block_writes == stats.block_writes
-
-    def test_flash_replay_fallback_is_exact(self):
-        """Force the scalar fallback (max_iterations=0 budget exhausted)
-        and check it matches the fixed-point path."""
-        rng = np.random.default_rng(9)
-        stream = rng.integers(0, 20, size=300).astype(np.int64)
-        writes = rng.random(300) < 0.3
-        fixed_point = flash_replay(stream, writes, 7)
-        fallback = flash_replay(stream, writes, 7, max_iterations=0)
-        assert fixed_point == fallback
-        assert fallback == _flash_replay_scalar(stream, writes, 7)
-
-    def test_flash_replay_validation(self):
-        with pytest.raises(ValueError):
-            flash_replay(np.array([1, 2]), np.array([False]), 4)
-        with pytest.raises(ValueError):
-            flash_replay(np.array([1, 2]), np.array([False, True]), 0)
-
-    def test_empty_stream(self):
-        counts = flash_replay(
-            np.array([], dtype=np.int64), np.array([], dtype=bool), 4
-        )
-        assert counts.lookups == 0 and counts.block_writes == 0
+        assert sim.run(length) == sim._run_scalar(length)
 
 
 class TestTraceMemoization:

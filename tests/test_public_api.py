@@ -47,15 +47,40 @@ def test_top_level_convenience_imports():
     assert callable(repro.harmonic_mean)
 
 
-def test_version_matches_pyproject():
+def _pyproject() -> str:
     import pathlib
+
+    import repro
+
+    return (pathlib.Path(repro.__file__).parents[2] / "pyproject.toml").read_text()
+
+
+def test_version_matches_pyproject():
     import re
 
     import repro
 
-    pyproject = pathlib.Path(repro.__file__).parents[2] / "pyproject.toml"
-    match = re.search(r'^version = "(.+)"$', pyproject.read_text(), re.M)
+    match = re.search(r'^version = "(.+)"$', _pyproject(), re.M)
     assert match and match.group(1) == repro.__version__
+
+
+def test_console_scripts_resolve():
+    """Every ``[project.scripts]`` entry names a callable that imports,
+    so a console script cannot outlive its module."""
+    import re
+
+    section = re.search(
+        r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", _pyproject(), re.M | re.S
+    )
+    assert section
+    lines = [line for line in section.group(1).splitlines() if line.strip()]
+    assert lines
+    for line in lines:
+        entry = re.fullmatch(r'([\w-]+) = "([\w.]+):(\w+)"', line)
+        assert entry, line
+        module, function = entry.group(2), entry.group(3)
+        target = getattr(importlib.import_module(module), function, None)
+        assert callable(target), line
 
 
 class TestEndToEndSmoke:
