@@ -13,9 +13,7 @@ result:
 - :mod:`repro.perf.kernels` -- single-pass miss-ratio-curve kernels
   (Mattson stack distances, vectorized) for the memory trace simulator;
 - :mod:`repro.perf.cluster_kernels` -- the cohort request-lifecycle
-  engine behind :meth:`repro.cluster.balancer.ClusterSimulator.run`;
-- :mod:`repro.perf.sharded` -- enclosure-scoped serving tiers: one
-  balancer per cell, cells run independently and fold back in order.
+  engine behind :meth:`repro.cluster.balancer.ClusterSimulator.run`.
 
 The package holds no benchmark code: ``bench/run.py`` measures the
 package end to end, and ``benchmarks/test_budgets.py`` holds the
@@ -35,7 +33,6 @@ from repro.perf.parallel import (
     intra_jobs,
     merge_telemetry,
     pmap,
-    pmap_iter,
     run_experiments,
     set_intra_jobs,
 )
@@ -51,27 +48,11 @@ __all__ = [
     "intra_jobs",
     "merge_telemetry",
     "pmap",
-    "pmap_iter",
     "run_experiments",
     "set_intra_jobs",
     "exponential_sampler",
-    "ShardedClusterResult",
-    "ShardedClusterSimulator",
     "MissCounts",
     "MissRatioCurve",
     "miss_ratio_curve",
     "stack_distances",
 ]
-
-#: Lazy exports (PEP 562): the cell simulator is resolved on first
-#: access, so ``import repro.perf`` -- which the cluster and simulator
-#: layers do for the variates and kernels -- never loads it.
-_SHARDED_EXPORTS = ("ShardedClusterResult", "ShardedClusterSimulator")
-
-
-def __getattr__(name):
-    if name in _SHARDED_EXPORTS:
-        from repro.perf import sharded
-
-        return getattr(sharded, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -88,7 +88,6 @@ from typing import List, Optional, Tuple
 
 from repro.cluster.overload import (
     AdmissionController,
-    AdmissionVerdict,
     BreakerState,
     CircuitBreaker,
     OverloadReport,
@@ -286,10 +285,6 @@ def run_cohort(csim):
     )
 
     servers = [_Srv(index) for index in range(nservers)]
-    # Build (and keep, for the metrics cache export hook) the same disk
-    # models the scalar path would -- all PlatformDiskModel here, whose
-    # service time is inlined below and which consumes no RNG.
-    disk_models = [csim._disk_model_factory() for _ in range(nservers)]
     rr_next = 0
     report = FaultReport()
 
@@ -1124,9 +1119,6 @@ def run_cohort(csim):
             metrics.gauge(
                 "cluster.completions", server=server.index
             ).set(server.completions)
-            cache = getattr(disk_models[server.index], "cache", None)
-            if cache is not None:  # pragma: no cover - excluded by support
-                cache.export_metrics(metrics, server=server.index)
     attach_report = retry is not None or policy is not None
     return ClusterResult(
         servers=nservers,

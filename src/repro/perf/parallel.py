@@ -124,74 +124,6 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1) -> List[R]:
     return results
 
 
-def pmap_iter(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    jobs: int = 1,
-    window: int = 0,
-) -> Iterable[R]:
-    """Ordered *streaming* :func:`pmap`: yields ``fn(x)`` results in
-    input order as they become consumable, instead of materializing the
-    whole result list.
-
-    :func:`pmap` holds every result until the pool drains -- fine for a
-    handful of experiment payloads, an RSS spike for a sharded cluster
-    run whose per-shard payloads are large and immediately foldable.
-    Here the caller folds each result as it arrives (``merge_telemetry``
-    style) and at most ``window`` submissions are outstanding at once
-    (default ``2 * jobs``), so peak memory is bounded by the fold state
-    plus a constant number of in-flight payloads, not by the shard
-    count.
-
-    Same contracts as :func:`pmap`: input order, serial-inline fallback
-    (``jobs <= 1``, single item, or inside a worker -- the no-nested-
-    pools guard), picklable ``fn``/items, and dead-worker recovery --
-    an item lost to :class:`BrokenProcessPool` is recomputed serially,
-    once, behind a :class:`RuntimeWarning`, preserving yield order.
-    Exceptions raised by ``fn`` propagate as in the serial path.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1 or _IN_WORKER:
-        for item in items:
-            yield fn(item)
-        return
-    if window < 1:
-        window = 2 * jobs
-    with _pool(min(jobs, len(items))) as executor:
-        pending: List[Any] = []
-        submitted = 0
-        broken = False
-        while submitted < len(items) and len(pending) < window:
-            pending.append(executor.submit(fn, items[submitted]))
-            submitted += 1
-        for consumed in range(len(items)):
-            if pending:
-                future = pending.pop(0)
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    result = None
-            else:
-                broken = True
-                result = None
-            if broken and result is None:
-                warnings.warn(
-                    "a process-pool worker died; recomputing shard "
-                    f"{consumed} of {len(items)} serially in the parent",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                result = fn(items[consumed])
-            if submitted < len(items) and not broken:
-                try:
-                    pending.append(executor.submit(fn, items[submitted]))
-                    submitted += 1
-                except (BrokenProcessPool, RuntimeError):
-                    broken = True
-            yield result
-
-
 def _run_named(task: Tuple[str, str, Dict[str, Any]]):
     """Module-level worker: run one experiment by name (picklable)."""
     name, method, overrides = task
@@ -294,10 +226,3 @@ def merge_telemetry(parts: Iterable[Any]) -> Optional[Any]:
             merged.merge(part)
     return merged
 
-
-def chunked(items: Sequence[T], size: int) -> Iterable[List[T]]:
-    """Split ``items`` into consecutive chunks of at most ``size``."""
-    if size < 1:
-        raise ValueError("chunk size must be positive")
-    for start in range(0, len(items), size):
-        yield list(items[start : start + size])

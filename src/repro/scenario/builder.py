@@ -97,8 +97,6 @@ class ScenarioBuilder:
         clients_per_server: int = 1,
         enclosure_size: Optional[int] = None,
         dispatch: Optional[str] = None,
-        balancer_scope: str = "cluster",
-        cells: Optional[int] = None,
         remote_memory: Union[RemoteMemorySpec, bool, None] = None,
         flash: Union[FlashSpec, bool, None] = None,
     ) -> "ScenarioBuilder":
@@ -120,8 +118,6 @@ class ScenarioBuilder:
             clients_per_server=clients_per_server,
             enclosure_size=enclosure_size,
             dispatch=dispatch,
-            balancer_scope=balancer_scope,
-            cells=cells,
             remote_memory=remote_memory,
             flash=flash,
         ))

@@ -1,4 +1,4 @@
-"""Lower a :class:`Scenario` onto the DES/cohort/sharded engines.
+"""Lower a :class:`Scenario` onto the serving-tier engines.
 
 ``compile_scenario`` expands the declarative spec into a flat list of
 picklable :class:`RunPlan` records -- one per (tier x overlay x rack x
@@ -9,15 +9,12 @@ compile time.  Execution fans the plans across worker processes with
 :func:`repro.perf.parallel.pmap`; results are merged in plan order, so
 a ``--jobs 4`` run is bit-identical to a serial one.
 
-The configuration alone picks each run's engine:
-
-- ``balancer_scope: "enclosure"`` tiers run the **sharded** engine,
-  because per-cell balancing is semantically its own (modular-DC)
-  system;
-- every other tier runs the **cohort** engine (vectorized, bitwise
-  stream-identical to scalar) when the balancer's ``cohort_supported``
-  check allows it, and **scalar** otherwise; the balancer records why
-  (``fallback_reason``), which every run record surfaces.
+Every plan lowers onto one :class:`ClusterSimulator`, and the
+configuration alone picks its engine: the **cohort** engine
+(vectorized, bitwise stream-identical to scalar) when the balancer's
+``cohort_supported`` check allows it, and the **scalar** reference
+otherwise; the balancer records why (``fallback_reason``), which every
+run record surfaces.
 
 The kwargs handed to :class:`ClusterSimulator` mirror the hand-wired
 experiment modules exactly -- that is what makes scenario-compiled
@@ -29,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.capacity import (
@@ -38,6 +35,7 @@ from repro.cluster.capacity import (
     surge_queue_cap,
 )
 from repro.cluster.diurnal import DiurnalLoadModel
+from repro.faults.failslow import _MASK64, _splitmix64
 from repro.memsim.remote_memory import make_remote_memory_model
 from repro.scenario import registry
 from repro.scenario.dag import make_dag_workload
@@ -201,13 +199,6 @@ def _build_workload(spec: WorkloadSpec):
     return _cached_dag_workload(spec.dag)
 
 
-def _workload_factory(spec: WorkloadSpec):
-    """Zero-arg picklable factory (the sharded engine's contract)."""
-    if spec.benchmark is not None:
-        return partial(make_workload, spec.benchmark)
-    return partial(make_dag_workload, spec.dag)
-
-
 def _tier_platform(tier: TierSpec):
     if tier.design is not None:
         return registry.design(tier.design).platform
@@ -368,6 +359,15 @@ def _resolve_queue_cap(
     return overload.queue_cap
 
 
+def derive_seed(seed: int, *parts: int) -> int:
+    """Deterministic per-rack/per-segment seed: a splitmix64 chain over
+    the scenario seed and the plan's indices."""
+    value = _splitmix64(seed & _MASK64)
+    for part in parts:
+        value = _splitmix64(value ^ _splitmix64(part & _MASK64))
+    return value
+
+
 def compile_scenario(scenario: Scenario, quick: bool = False):
     """Validate and lower a scenario; returns a :class:`CompiledScenario`."""
     scenario.check()
@@ -386,8 +386,6 @@ def compile_scenario(scenario: Scenario, quick: bool = False):
                     if label is not None:
                         parts.append(label)
                     if multi_rack or multi_segment:
-                        from repro.perf.sharded import derive_seed
-
                         seed = derive_seed(scenario.seed, rack, index)
                     else:
                         seed = scenario.seed
@@ -413,7 +411,7 @@ def compile_scenario(scenario: Scenario, quick: bool = False):
 
 
 def _build_cluster_simulator(plan: RunPlan):
-    """Construct the (monolithic) ClusterSimulator for one plan.
+    """Construct the ClusterSimulator for one plan.
 
     The kwargs mirror the hand-wired experiment modules: optional
     pieces are only passed when the overlay declares them, so a
@@ -524,81 +522,8 @@ def _build_cluster_simulator(plan: RunPlan):
     return ClusterSimulator(**kwargs), tracer, metrics
 
 
-def _build_sharded_simulator(plan: RunPlan):
-    from repro.cluster.overload import OverloadPolicy, SurgeSchedule
-    from repro.cluster.balancer import RetryPolicy
-    from repro.perf.sharded import ShardedClusterSimulator
-
-    tier = plan.tier
-    overlay = plan.overlay
-    kwargs = dict(
-        cells=tier.cells,
-        enclosure_size=tier.enclosure_size,
-        seed=plan.seed,
-    )
-    if tier.dispatch is not None:
-        kwargs["dispatch"] = registry.DISPATCH[tier.dispatch]
-    if plan.closed is not None:
-        kwargs.update(
-            warmup_requests=plan.closed.warmup_requests,
-            measure_requests=plan.closed.measure_requests,
-        )
-    else:
-        arrival = plan.arrival
-        kwargs.update(
-            arrivals=SurgeSchedule(
-                base_rate_rps=arrival.base_rate_rps,
-                surge_multiplier=arrival.surge_multiplier,
-                surge_start_ms=arrival.surge_start_ms,
-                surge_end_ms=arrival.surge_end_ms,
-            ),
-            warmup_ms=arrival.warmup_ms,
-            measure_ms=arrival.measure_ms,
-        )
-    if overlay.retry is not None:
-        retry = overlay.retry
-        kwargs["retry"] = RetryPolicy(
-            timeout_ms=retry.timeout_ms,
-            max_retries=retry.max_retries,
-            backoff_base_ms=retry.backoff_base_ms,
-            backoff_factor=retry.backoff_factor,
-            hedge_after_ms=retry.hedge_after_ms,
-            jitter=retry.jitter,
-        )
-    if overlay.overload is not None:
-        if not overlay.overload.protected:
-            kwargs["overload"] = OverloadPolicy.unprotected()
-        else:
-            kwargs["overload"] = OverloadPolicy(queue_cap=plan.queue_cap)
-    if overlay.failslow is not None:
-        from repro.faults.failslow import (
-            DetectionPolicy,
-            FailSlowPlan,
-            SlowResource,
-        )
-
-        failslow = overlay.failslow
-        kwargs["failslow"] = FailSlowPlan.single_slow_node(
-            server=failslow.server,
-            factor=failslow.factor,
-            resource=SlowResource(failslow.resource),
-            at_ms=failslow.at_ms,
-        )
-        if failslow.detection:
-            kwargs["failslow_detection"] = DetectionPolicy()
-    return ShardedClusterSimulator(
-        _tier_platform(tier),
-        _workload_factory(plan.workload),
-        tier.servers,
-        tier.clients_per_server,
-        **kwargs,
-    )
-
-
 def probe_engine(plan: RunPlan) -> Tuple[str, Optional[str]]:
     """Which engine a plan would run on, without running it."""
-    if plan.tier.balancer_scope == "enclosure":
-        return "sharded", None
     from repro.perf.cluster_kernels import cohort_supported
 
     sim, _, _ = _build_cluster_simulator(plan)
@@ -610,26 +535,6 @@ def probe_engine(plan: RunPlan) -> Tuple[str, Optional[str]]:
 
 def _execute_run(plan: RunPlan) -> RunRecord:
     """Run one plan (module-level so ``pmap`` can pickle it)."""
-    if plan.tier.balancer_scope == "enclosure":
-        sim = _build_sharded_simulator(plan)
-        result = sim.run(shards=1)
-        return RunRecord(
-            run_id=plan.run_id,
-            tier=plan.tier.name,
-            overlay=plan.overlay.name,
-            rack=plan.rack,
-            segment=plan.segment,
-            engine_used="sharded",
-            fallback_reason=None,
-            offered_rps=result.offered_rps,
-            throughput_rps=result.throughput_rps,
-            goodput_rps=result.goodput_rps,
-            per_server_rps=result.throughput_rps / result.servers,
-            p99_ms=result.p99_ms,
-            qos_violation_rate=0.0,
-            digest=result.digest(),
-            result=result,
-        )
     sim, tracer, metrics = _build_cluster_simulator(plan)
     result = sim.run()
     return RunRecord(

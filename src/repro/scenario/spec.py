@@ -7,7 +7,8 @@ loop, or open loop with a flash-crowd surge or a diurnal day), and a
 set of *overlays* -- named arms that layer faults, fail-slow drift,
 redundancy, retry policy, overload protection, and tracing on top of
 the same topology.  The compiler (:mod:`repro.scenario.compiler`)
-lowers a scenario onto the DES/cohort/sharded engines.
+lowers every tier onto one cluster simulator, which runs the cohort
+engine or its scalar reference.
 
 Validation never stops at the first problem: every spec type appends
 :class:`~repro.scenario.errors.ValidationIssue` records with precise
@@ -216,11 +217,9 @@ class TierSpec:
 
     Exactly one of ``platform`` (raw catalog platform) or ``design``
     (priced design: any platform name as a baseline design, or the
-    unified ``N1``/``N2``) names the hardware.  ``balancer_scope``
-    selects the balancing domain, and with it the engine: ``"cluster"``
-    (one balancer: the cohort engine when eligible, scalar otherwise)
-    or ``"enclosure"`` (per-enclosure cells, the sharded engine -- a
-    semantically different modular-DC system).
+    unified ``N1``/``N2``) names the hardware.  ``enclosure_size`` is
+    the fault blast radius: the servers one enclosure fan or PSU fault
+    degrades (default: the whole tier).
     """
 
     name: str
@@ -230,8 +229,6 @@ class TierSpec:
     clients_per_server: int = 1
     enclosure_size: Optional[int] = None
     dispatch: Optional[str] = None
-    balancer_scope: str = "cluster"
-    cells: Optional[int] = None
     remote_memory: Optional[RemoteMemorySpec] = None
     flash: Optional[FlashSpec] = None
 
@@ -270,39 +267,6 @@ class TierSpec:
                      self.dispatch in registry.DISPATCH,
                      f"unknown dispatch {self.dispatch!r} "
                      f"(known: {list(registry.DISPATCH)})")
-        scope_ok = _require(
-            issues, join_path(path, "balancer_scope"),
-            self.balancer_scope in ("cluster", "enclosure"),
-            f"must be 'cluster' or 'enclosure', got {self.balancer_scope!r}")
-        if scope_ok and self.balancer_scope == "enclosure":
-            if self.enclosure_size is None:
-                issues.append(ValidationIssue(
-                    join_path(path, "enclosure_size"),
-                    "required when balancer_scope is 'enclosure'"))
-            elif (_is_int(self.servers) and self.servers >= 1
-                  and self.servers % self.enclosure_size != 0):
-                issues.append(ValidationIssue(
-                    join_path(path, "servers"),
-                    f"{self.servers} servers is not a multiple of "
-                    f"enclosure_size {self.enclosure_size}"))
-            if self.remote_memory is not None:
-                issues.append(ValidationIssue(
-                    join_path(path, "remote_memory"),
-                    "enclosure-scoped balancing cannot partition a shared "
-                    "memory blade (one link serves the whole cluster)"))
-            if self.flash is not None:
-                issues.append(ValidationIssue(
-                    join_path(path, "flash"),
-                    "enclosure-scoped cells run the platform disk; a flash "
-                    "configuration needs a cluster-scoped balancer"))
-        elif self.cells is not None:
-            issues.append(ValidationIssue(
-                join_path(path, "cells"),
-                "only meaningful when balancer_scope is 'enclosure'"))
-        if self.cells is not None:
-            _require(issues, join_path(path, "cells"),
-                     _is_int(self.cells) and self.cells >= 1,
-                     f"must be an integer >= 1, got {self.cells!r}")
         if self.remote_memory is not None:
             self.remote_memory.validate_into(
                 join_path(path, "remote_memory"), issues)
@@ -784,25 +748,6 @@ class Scenario:
                     join_path(tier_path, "flash"),
                     "flash disk configurations need a named benchmark "
                     "workload (the cache model is benchmark-specific)"))
-            if tier.balancer_scope == "enclosure":
-                for j, overlay in enumerate(self.overlays):
-                    if overlay.faults is not None:
-                        issues.append(ValidationIssue(
-                            f"overlays[{j}].faults",
-                            f"stochastic faults cannot be partitioned into "
-                            f"enclosure cells (tier {tier.name!r} uses "
-                            f"balancer_scope 'enclosure')"))
-                    if overlay.tracing is not None:
-                        issues.append(ValidationIssue(
-                            f"overlays[{j}].tracing",
-                            f"tracing is not supported by the sharded "
-                            f"engine (tier {tier.name!r} uses "
-                            f"balancer_scope 'enclosure')"))
-                    if overlay.redundancy is not None:
-                        issues.append(ValidationIssue(
-                            f"overlays[{j}].redundancy",
-                            "redundant remote memory requires a "
-                            "cluster-scoped balancer"))
         for j, overlay in enumerate(self.overlays):
             if overlay.redundancy is not None and not any(
                     t.remote_memory is not None

@@ -68,35 +68,6 @@ class OpenLoopSimulator:
         self._memory_slowdown = memory_slowdown
         self._queue_cap = queue_cap
 
-    def analytic_sojourn_ms(self, quantile: float = 0.5) -> float:
-        """Closed-form sojourn percentile for this station's configuration.
-
-        The M/M/1 (or, with ``queue_cap``, M/M/1/K) closed form evaluated
-        at this simulator's offered load and measured mean service
-        demand.  ``tests/simulator/test_queueing.py`` validates these
-        forms against the DES; this hook exposes the per-instance
-        prediction so callers can compare a run against its own theory.
-        """
-        from repro.simulator.queueing import (
-            mm1_sojourn_percentile_ms,
-            mm1k_sojourn_percentile_ms,
-        )
-        from repro.simulator.server_sim import mean_service_demand_ms
-
-        service_ms = mean_service_demand_ms(
-            self._platform,
-            self._workload,
-            seed=self._config.seed,
-            disk_model=self._disk_model,
-            memory_slowdown=self._memory_slowdown,
-        )
-        rho = self._rate_per_ms * service_ms
-        if self._queue_cap is not None:
-            return mm1k_sojourn_percentile_ms(
-                service_ms, rho, self._queue_cap, quantile
-            )
-        return mm1_sojourn_percentile_ms(service_ms, rho, quantile)
-
     def run(self) -> SimResult:
         """Generate arrivals until the measurement window completes."""
         sim = Simulation()

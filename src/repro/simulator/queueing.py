@@ -131,44 +131,6 @@ def mm1k_mean_wait(service_ms: float, rho: float, capacity: int) -> float:
     return mm1k_mean_number(rho, capacity) / lam_eff - service_ms
 
 
-def mm1_sojourn_percentile_ms(service_ms: float, rho: float, quantile: float) -> float:
-    """Exact M/M/1 FCFS sojourn-time percentile.
-
-    The stationary response time (wait + service) of an M/M/1 FCFS
-    queue is exponential with rate ``mu (1 - rho)``, so every quantile
-    has a closed form: ``-mean_sojourn * ln(1 - q)``.
-    :meth:`repro.simulator.openloop.OpenLoopSimulator.analytic_sojourn_ms`
-    uses it as a run's own theoretical prediction.
-    """
-    if service_ms <= 0:
-        raise ValueError("service time must be positive")
-    _check_utilization(rho)
-    if not 0.0 <= quantile < 1.0:
-        raise ValueError(f"quantile must be in [0, 1), got {quantile}")
-    mean_sojourn = service_ms / (1.0 - rho)
-    return -mean_sojourn * math.log(1.0 - quantile)
-
-
-def mm1k_sojourn_percentile_ms(
-    service_ms: float, rho: float, capacity: int, quantile: float
-) -> float:
-    """M/M/1/K sojourn percentile under an exponential approximation.
-
-    The admitted-work sojourn of a finite queue is a phase mixture (an
-    Erlang ladder weighted by the truncated queue-length distribution),
-    not exponential; matching its *mean* with an exponential tail is a
-    documented approximation, validated against the DES in
-    ``tests/simulator/test_queueing.py``.  For ``capacity`` large enough
-    that blocking vanishes it converges to the exact
-    :func:`mm1_sojourn_percentile_ms`.
-    """
-    _check_mm1k(service_ms, rho, capacity)
-    if not 0.0 <= quantile < 1.0:
-        raise ValueError(f"quantile must be in [0, 1), got {quantile}")
-    mean_sojourn = mm1k_mean_wait(service_ms, rho, capacity) + service_ms
-    return -mean_sojourn * math.log(1.0 - quantile)
-
-
 def interactive_response_law(
     population: int, throughput_per_ms: float, think_ms: float
 ) -> float:

@@ -99,6 +99,12 @@ EQUIVALENT_CONFIGS = {
         overload=OverloadPolicy(),
         dispatch=Dispatch.ROUND_ROBIN,
     ),
+    # No other entry runs a queue cap or fail-slow drift without retries.
+    "capped-no-retry": dict(retry=None, overload=OverloadPolicy(queue_cap=8)),
+    "failslow-no-retry": dict(
+        retry=None,
+        failslow=FailSlowPlan.single_slow_node(server=2, factor=5.0),
+    ),
 }
 
 

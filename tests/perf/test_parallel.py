@@ -5,12 +5,10 @@ import pytest
 import repro.perf.parallel as parallel_module
 from repro.perf.cache import ResultCache
 from repro.perf.parallel import (
-    chunked,
     default_jobs,
     in_worker,
     intra_jobs,
     pmap,
-    pmap_iter,
     run_experiments,
     set_intra_jobs,
 )
@@ -68,49 +66,6 @@ class TestPmapWorkerCrash:
             pmap(_raise_on_three, list(range(6)), jobs=2)
 
 
-class TestPmapIter:
-    def test_serial_path_matches_comprehension(self):
-        assert list(pmap_iter(_square, [3, 1, 2], jobs=1)) == [9, 1, 4]
-
-    def test_parallel_preserves_input_order(self):
-        items = list(range(25))
-        assert list(pmap_iter(_square, items, jobs=4)) == [x * x for x in items]
-
-    def test_streams_lazily_in_serial_mode(self):
-        consumed = []
-
-        def noting(x):
-            consumed.append(x)
-            return x
-
-        gen = pmap_iter(noting, [1, 2, 3], jobs=1)
-        assert next(gen) == 1
-        assert consumed == [1]  # later items not yet computed
-
-    def test_no_nested_pools_guard(self, monkeypatch):
-        """Inside a worker, pmap_iter must never open a sub-pool."""
-        monkeypatch.setattr(parallel_module, "_IN_WORKER", True)
-
-        def forbidden(jobs):
-            raise AssertionError("a worker tried to spawn a nested pool")
-
-        monkeypatch.setattr(parallel_module, "_pool", forbidden)
-        assert list(pmap_iter(_square, [1, 2, 3], jobs=8)) == [1, 4, 9]
-
-    def test_empty_input(self):
-        assert list(pmap_iter(_square, [], jobs=4)) == []
-
-    def test_dead_worker_items_are_recomputed_serially(self):
-        items = list(range(6))
-        with pytest.warns(RuntimeWarning, match="worker died"):
-            results = list(pmap_iter(_die_on_three, items, jobs=2))
-        assert results == [x * x for x in items]
-
-    def test_fn_exceptions_propagate_without_retry(self):
-        with pytest.raises(ValueError, match="three is right out"):
-            list(pmap_iter(_raise_on_three, list(range(6)), jobs=2))
-
-
 class TestIntraJobs:
     def test_set_and_read(self):
         try:
@@ -125,18 +80,6 @@ class TestIntraJobs:
 
     def test_default_jobs_positive(self):
         assert default_jobs() >= 1
-
-
-class TestChunked:
-    def test_even_split(self):
-        assert list(chunked([1, 2, 3, 4], 2)) == [[1, 2], [3, 4]]
-
-    def test_ragged_tail(self):
-        assert list(chunked([1, 2, 3], 2)) == [[1, 2], [3]]
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            list(chunked([1], 0))
 
 
 class TestRunExperiments:

@@ -71,10 +71,11 @@ def test_shipped_spec_matches_library(name):
 
 def test_encoding_omits_defaults():
     data = scenario_to_dict(ext8_availability())
-    # Tier defaults (dispatch, cells, balancer_scope...) never appear.
+    # Tier defaults (platform, dispatch, remote_memory, flash) never
+    # appear: only the fields the builder set are encoded.
     tier = data["topology"]["tiers"][0]
-    assert "dispatch" not in tier
-    assert "balancer_scope" not in tier
+    assert tier == {"name": "srvr1", "design": "srvr1", "servers": 6,
+                    "clients_per_server": 6, "enclosure_size": 1}
     assert "racks" not in data["topology"]
 
 

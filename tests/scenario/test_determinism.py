@@ -6,6 +6,7 @@ from repro.scenario import (
     ScenarioBuilder,
     compile_scenario,
 )
+from repro.scenario.compiler import derive_seed
 
 
 def _small_diurnal():
@@ -56,3 +57,14 @@ def test_scale_reports_modeled_population():
     assert scale["servers_total"] == 8.0
     assert scale["modeled_users"] > 0
     assert scale["modeled_requests_per_day"] > 0
+
+
+class TestDeriveSeed:
+    def test_deterministic(self):
+        assert derive_seed(7, 1, 2, 3) == derive_seed(7, 1, 2, 3)
+
+    def test_distinct_streams(self):
+        seeds = {derive_seed(7, rack, segment, stream)
+                 for rack in range(4) for segment in range(4)
+                 for stream in range(2)}
+        assert len(seeds) == 32

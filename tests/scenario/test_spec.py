@@ -6,7 +6,6 @@ from repro.scenario import (
     ClosedLoopSpec,
     DiurnalSpec,
     FaultsSpec,
-    FlashSpec,
     OpenLoopSpec,
     OverlaySpec,
     RedundancySpec,
@@ -122,6 +121,29 @@ class TestAggregation:
         assert "overlays[0].bogus_key" in paths  # decode problem
         assert "topology.tiers[0].platform" in paths  # semantic problem
 
+    def test_per_enclosure_balancer_fields_are_rejected(self):
+        # A tier is always one balancer: a spec asking for per-enclosure
+        # balancing must fail at the field's path, not run as one tier.
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            scenario_from_dict({
+                "name": "cells",
+                "topology": {"tiers": [{
+                    "name": "web", "design": "N1", "servers": 8,
+                    "enclosure_size": 4,
+                    "balancer_scope": "enclosure", "cells": 2,
+                }]},
+                "workload": {"benchmark": "websearch"},
+                "traffic": {"closed_loop": {}},
+            })
+        issues = {issue.path: issue.message
+                  for issue in excinfo.value.issues}
+        assert set(issues) == {
+            "topology.tiers[0].balancer_scope",
+            "topology.tiers[0].cells",
+        }
+        assert "unknown field for TierSpec" in issues[
+            "topology.tiers[0].balancer_scope"]
+
 
 class TestCrossValidation:
     def test_workload_requires_exactly_one_source(self):
@@ -148,19 +170,6 @@ class TestCrossValidation:
                 regions=(RegionSpec(name="us"),),
             )))
         assert any("regions" in path for path in _issues(scenario))
-
-    def test_enclosure_scope_rejects_flash(self):
-        # Enclosure cells run the platform disk, so a flash tier there
-        # would be sized for flash but served without it.
-        tier = TierSpec(name="web", design="N2", servers=4, enclosure_size=2,
-                        balancer_scope="enclosure", flash=FlashSpec())
-        issues = _issues(_valid_scenario(topology=TopologySpec(tiers=(tier,))))
-        assert "topology.tiers[0].flash" in issues
-        assert "cluster-scoped" in issues["topology.tiers[0].flash"]
-        cluster = _valid_scenario(topology=TopologySpec(tiers=(
-            TierSpec(name="web", design="N2", servers=4, enclosure_size=2,
-                     flash=FlashSpec()),)))
-        assert _issues(cluster) == {}
 
     def test_flash_crowd_hour_bounds(self):
         scenario = _valid_scenario(traffic=TrafficSpec(

@@ -103,47 +103,6 @@ class SimResult:
         )
 
 
-def mean_service_demand_ms(
-    platform: Platform,
-    workload: Workload,
-    samples: int = 2000,
-    seed: int = 1,
-    disk_model: Optional[DiskModel] = None,
-    memory_slowdown: float = 1.0,
-) -> float:
-    """Mean uncontended single-request service time, in ms.
-
-    Monte-Carlo estimate over ``samples`` workload draws of the same
-    cpu+mem+disk+net composition :class:`ServerSimulator` charges each
-    request -- i.e. the service rate ``mu`` the queueing closed forms
-    need, derived from the *same* demand distributions the DES runs,
-    not re-modeled.
-    Uses a dedicated RNG, so it never perturbs a simulation stream.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
-    model = disk_model or PlatformDiskModel(platform)
-    profile = workload.profile
-    total = 0.0
-    for _ in range(samples):
-        demand = workload.sample(rng).demand
-        cpu_ms = (
-            platform.cpu_time_ms(
-                demand.cpu_ms_ref,
-                profile.cache_sensitivity,
-                profile.inorder_ipc_factor,
-                profile.stall_fraction,
-            )
-            * memory_slowdown
-        )
-        mem_ms = platform.memory_channel_time_ms(demand.mem_ms_ref)
-        disk_ms = model.service_ms(demand, rng)
-        net_ms = platform.net_time_ms(demand.net_bytes)
-        total += cpu_ms + mem_ms + disk_ms + net_ms
-    return total / samples
-
-
 class ServerSimulator:
     """Simulates one server of ``platform`` running ``workload``."""
 
