@@ -167,11 +167,6 @@ class AdmissionController:
         )
         self._delay_ewma = 0.0
 
-    @property
-    def delay_ewma_ms(self) -> float:
-        """Smoothed observed queueing delay, ms."""
-        return self._delay_ewma
-
     def observe_delay(self, delay_ms: float) -> None:
         """Feed one observed dispatch-to-service delay into the EWMA."""
         if delay_ms < 0:

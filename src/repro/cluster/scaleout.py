@@ -74,10 +74,6 @@ class ScaleOutModel:
             raise ValueError("per-server throughput must be >= 0")
         return servers * per_server_throughput * self.partition_efficiency(servers)
 
-    def effective_servers(self, servers: int) -> float:
-        """Servers' worth of useful capacity after partitioning losses."""
-        return servers * self.partition_efficiency(servers)
-
     def max_useful_partitions(self, limit: int = 1 << 20) -> int:
         """Partition count beyond which aggregate throughput declines."""
         best_n, best_x = 1, self.cluster_throughput(1, 1.0)

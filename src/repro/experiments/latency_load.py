@@ -15,8 +15,7 @@ from typing import Dict
 from repro.experiments.reporting import ExperimentResult, format_table, percent
 from repro.platforms.catalog import platform
 from repro.simulator.analytic import AnalyticServerModel
-from repro.simulator.openloop import OpenLoopSimulator
-from repro.simulator.server_sim import SimConfig
+from repro.simulator.server_sim import ServerSimulator, SimConfig
 from repro.workloads.suite import make_workload
 
 SYSTEMS = ("srvr1", "desk", "emb1")
@@ -39,7 +38,7 @@ def run(config: SimConfig = SimConfig()) -> ExperimentResult:
         for load in LOAD_POINTS:
             rate = load * saturation
             try:
-                result = OpenLoopSimulator(
+                result = ServerSimulator(
                     plat, workload, arrival_rate_rps=rate, config=config
                 ).run()
             except RuntimeError:
@@ -67,7 +66,7 @@ def run(config: SimConfig = SimConfig()) -> ExperimentResult:
         )
 
     return ExperimentResult(
-        experiment_id="EXT-8",
+        experiment_id="EXT-14",
         title="Latency vs offered load (open loop)",
         paper_reference="section 2.1 (QoS methodology)",
         sections=sections,

@@ -108,8 +108,8 @@ _COST_HINTS: Dict[str, float] = {
     "trace_attribution": 1.7,
     "scaleout": 1.5,
     "power": 1.3,
-    "latency": 1.1,
     "availability": 1.0,
+    "latency": 0.7,
     "table1": 0.3,
     "figure1": 0.1,
     "table2": 0.1,

@@ -545,11 +545,6 @@ class PeerComparisonDetector:
 
     # -- balancer-facing queries --------------------------------------
 
-    @property
-    def any_ejected(self) -> bool:
-        """True while any server is out of rotation."""
-        return self.ejected_count > 0
-
     def health(self, server: int) -> ServerHealth:
         return self._health[server]
 

@@ -96,10 +96,6 @@ class RebuildThrottle:
         self._ewma = 0.0
         self._primed = False
 
-    @property
-    def foreground_ewma_ms(self) -> float:
-        return self._ewma
-
     def observe_foreground(self, latency_ms: float) -> None:
         """Feed one foreground completion latency into the EWMA."""
         if not self._primed:

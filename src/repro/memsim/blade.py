@@ -39,10 +39,6 @@ class BladeAllocation:
     #: Pages currently swapped out to the blade by this server.
     resident: Dict[int, bytes] = field(default_factory=dict)
 
-    @property
-    def used_pages(self) -> int:
-        return len(self.resident)
-
 
 class MemoryBlade:
     """A remote memory pool shared by the servers of one enclosure."""

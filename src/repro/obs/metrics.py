@@ -111,21 +111,6 @@ class MetricsRegistry:
         """The registered instrument, or None."""
         return self._metrics.get((name, _label_key(labels)))
 
-    def find(self, name: str) -> List[Tuple[Dict[str, str], Any]]:
-        """Every ``(labels, instrument)`` registered under ``name``.
-
-        Sorted by label key, so iteration order is deterministic.  This
-        is the label-enumeration query the per-server instruments need
-        ("give me ``cluster.attempt_ms`` for *every* server") that
-        :meth:`get` -- which requires the exact label set -- cannot
-        answer.
-        """
-        return [
-            (dict(labels), self._metrics[(metric_name, labels)])
-            for (metric_name, labels) in sorted(self._metrics)
-            if metric_name == name
-        ]
-
     def value(self, name: str, **labels: Any) -> Optional[float]:
         """Scalar value of a counter/gauge (None if unregistered)."""
         instrument = self.get(name, **labels)

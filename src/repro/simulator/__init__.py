@@ -3,12 +3,15 @@
 This package replaces the paper's COTSon full-system simulation and
 Perl client driver:
 
-- :mod:`~repro.simulator.engine` -- event-driven simulation core.
+- :mod:`~repro.simulator.engine` -- event-driven simulation core, which
+  the scalar cluster engine and the fault layer schedule on.
 - :mod:`~repro.simulator.resources` -- multi-server FCFS resources
-  (CPU cores, memory channels, disk, NIC).
-- :mod:`~repro.simulator.server_sim` -- a closed-loop server simulation:
-  N clients with think time issuing workload requests against platform
-  resources, measuring throughput and tail latency.
+  (CPU cores, memory channels, disk, NIC) on that core.
+- :mod:`~repro.simulator.server_sim` -- the single-server simulation:
+  workload requests against platform resources, measuring throughput
+  and tail latency, either closed loop (N clients with think time) or
+  open loop (Poisson arrivals at a fixed rate, optionally into a
+  bounded queue).
 - :mod:`~repro.simulator.sweep` -- the adaptive client driver: finds the
   highest throughput that still meets the workload's QoS.
 - :mod:`~repro.simulator.analytic` -- approximate mean-value analysis of
@@ -21,7 +24,6 @@ Perl client driver:
 from repro.simulator.engine import Simulation
 from repro.simulator.resources import Resource
 from repro.simulator.server_sim import ServerSimulator, SimConfig, SimResult
-from repro.simulator.openloop import OpenLoopSimulator
 from repro.simulator.telemetry import (
     AvailabilityTracker,
     EntityAvailability,
@@ -47,7 +49,6 @@ __all__ = [
     "ServerSimulator",
     "SimConfig",
     "SimResult",
-    "OpenLoopSimulator",
     "AvailabilityTracker",
     "EntityAvailability",
     "LatencyHistogram",

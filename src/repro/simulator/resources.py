@@ -91,10 +91,6 @@ class Resource:
         self._sim.schedule(service_ms, finish)
 
     @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    @property
     def busy(self) -> int:
         return self._busy
 

@@ -1,9 +1,14 @@
-"""Closed-loop server simulation.
+"""Single-server simulation, closed loop or open loop.
 
-``population`` clients each loop: think (exponential), issue one request,
-wait for its response, repeat.  A request visits the server's resources in
-order -- CPU cores, memory channels, disk, NIC -- with service times
-derived from the request's platform-independent demand through the
+In the closed loop (the default), ``population`` clients each loop:
+think (exponential), issue one request, wait for its response, repeat.
+It answers "what is the peak?" for the paper's client driver.  In the
+open loop (``arrival_rate_rps``), requests arrive in a Poisson stream
+regardless of completions, the regime of a production service below its
+saturation point; it answers "what is the latency at a given load?".
+A request visits the server's resources in order -- CPU cores, memory
+channels, disk, NIC -- with service times derived from the request's
+platform-independent demand through the
 :class:`~repro.platforms.platform.Platform` model.
 
 Measurement uses a completion-count protocol: the first
@@ -11,6 +16,15 @@ Measurement uses a completion-count protocol: the first
 ``measure_requests`` completions define the measurement window, and
 throughput is completions divided by window duration.  Response times of
 requests completing inside the window feed the QoS tracker.
+
+An open loop beyond capacity grows its queue without bound, so the run
+fails loudly.  With ``queue_cap`` the server holds at most that many
+requests (in service plus waiting) and drops the excess arrivals,
+accounted in ``SimResult.dropped_requests``/``drop_rate``: the
+loss-system regime overload protection creates on purpose.  Such a run
+always completes, so it warns instead when more than half the window's
+arrivals were dropped (the latencies then describe only the admitted
+minority).
 
 :meth:`ServerSimulator.run` is one flat event loop over packed
 ``(time, seq|kind, request)`` heap tuples.  CPU cores and memory channels
@@ -23,6 +37,7 @@ request-complete event stands for both of their stages.
 from __future__ import annotations
 
 import random
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -125,7 +140,11 @@ _STATIONS = ("cpu", "mem", "disk", "nic")
 
 
 class ServerSimulator:
-    """Simulates one server of ``platform`` running ``workload``."""
+    """Simulates one server of ``platform`` running ``workload``.
+
+    Closed loop by default; ``arrival_rate_rps`` makes it an open loop
+    (no ``population``), and only then may ``queue_cap`` bound it.
+    """
 
     def __init__(
         self,
@@ -137,7 +156,19 @@ class ServerSimulator:
         memory_slowdown: float = 1.0,
         tracer=None,
         metrics=None,
+        arrival_rate_rps: Optional[float] = None,
+        queue_cap: Optional[int] = None,
     ):
+        if arrival_rate_rps is not None:
+            if population is not None:
+                raise ValueError("an open loop (arrival_rate_rps) has no population")
+            if arrival_rate_rps <= 0:
+                raise ValueError("arrival rate must be positive")
+        if queue_cap is not None:
+            if arrival_rate_rps is None:
+                raise ValueError("queue_cap needs an open loop (arrival_rate_rps)")
+            if queue_cap < 1:
+                raise ValueError("queue_cap must be positive (or None)")
         if population is not None and population <= 0:
             raise ValueError("population must be positive")
         if memory_slowdown < 1.0:
@@ -145,11 +176,18 @@ class ServerSimulator:
         self._platform = platform
         self._workload = workload
         self._profile = workload.profile
-        self._population = (
-            population
-            if population is not None
-            else self._profile.population.population(platform.cpu.total_cores)
+        if arrival_rate_rps is not None:
+            population = 0
+        elif population is None:
+            population = self._profile.population.population(
+                platform.cpu.total_cores
+            )
+        self._population = population
+        #: Open-loop arrivals per millisecond, or None in the closed loop.
+        self._rate_per_ms = (
+            None if arrival_rate_rps is None else arrival_rate_rps / 1000.0
         )
+        self._queue_cap = queue_cap
         self._config = config
         self._disk_model = disk_model or PlatformDiskModel(platform)
         #: Uniform CPU-time multiplier modelling remote-memory paging
@@ -168,12 +206,12 @@ class ServerSimulator:
         return self._population
 
     def run(self) -> SimResult:
-        """Execute the closed-loop simulation and return measurements.
+        """Execute the simulation and return measurements.
 
         The same draws in the same order, the same event order and the
-        same floats as an event-at-a-time engine with one
-        :class:`~repro.simulator.resources.Resource` per station, which
-        the tests keep as the reference.
+        same floats as event-at-a-time engines with one
+        :class:`~repro.simulator.resources.Resource` per station, one
+        per traffic model, which the tests keep as the references.
         """
         platform = self._platform
         profile = self._profile
@@ -206,10 +244,19 @@ class ServerSimulator:
         think_rate = 1.0 / profile.think_time_ms if thinks else 0.0
         warmup = self._config.warmup_requests
         target = warmup + self._config.measure_requests
+        rate = self._rate_per_ms
+        cap = self._queue_cap
+        # Admitted requests in flight past this mean the offered load
+        # exceeds capacity and latencies are meaningless.
+        max_in_flight = max(2000, target // 4)
+        # Open-loop issues are arrivals and traced issues begin a trace:
+        # one test keeps both off the closed loop's untraced path.
+        hooked = rate is not None or tracer is not None
 
         # Heap entries are (time, key, request): ``key`` is the push
         # sequence number (in steps of 4) plus the event kind, so equal
-        # times pop in push order, the FIFO tie-break.
+        # times pop in push order, the FIFO tie-break.  In the open loop
+        # each arrival pushes the next one.
         heap: list = []
         seq = 0
         now = 0.0
@@ -217,6 +264,9 @@ class ServerSimulator:
             think = -_log(1.0 - _random()) / think_rate if thinks else 0.0
             seq += 4
             heap.append((now + think, seq + _ISSUE, None))
+        if rate is not None:
+            seq += 4
+            heap.append((now + -_log(1.0 - _random()) / rate, seq + _ISSUE, None))
         heapify(heap)
 
         cpu_busy = mem_busy = 0
@@ -227,6 +277,7 @@ class ServerSimulator:
         cpu_time = mem_time = disk_time = nic_time = 0.0
         disk_free = nic_free = 0.0
         completions = 0
+        admitted = window_arrivals = window_drops = 0
         window_start = 0.0
         busy_at_start: Tuple[float, ...] = (0.0, 0.0, 0.0, 0.0)
         responses: List[float] = []
@@ -333,18 +384,39 @@ class ServerSimulator:
                     if completions >= target:
                         done = True
                         break
+                if rate is not None:
+                    continue
                 think = -_log(1.0 - _random()) / think_rate if thinks else 0.0
                 seq += 4
                 push(heap, (now + think, seq + _ISSUE, None))
             else:
+                if hooked:
+                    if rate is not None:
+                        measuring = completions >= warmup
+                        if measuring:
+                            window_arrivals += 1
+                        full = cap is not None and admitted - completions >= cap
+                        if not full:
+                            admitted += 1
+                            if admitted - completions > max_in_flight:
+                                break
+                        seq += 4
+                        push(heap, (
+                            now + -_log(1.0 - _random()) / rate, seq + _ISSUE, None,
+                        ))
+                        if full:
+                            # A finite system drops the arrival, not queues it.
+                            if measuring:
+                                window_drops += 1
+                            continue
+                    if tracer is not None:
+                        trace = tracer.begin(rid, now)
+                        rid += 1
                 c, m, ios, dbytes, nbytes, write, par, _ = draw(rng)
                 if (c < 0.0 or m < 0.0 or ios < 0.0 or dbytes < 0.0
                         or nbytes < 0.0 or par < 1):
                     # The constructor raises the component's ValueError.
                     ResourceDemand(c, m, ios, dbytes, nbytes, write, par)
-                if tracer is not None:
-                    trace = tracer.begin(rid, now)
-                    rid += 1
                 parts = None
                 if trace is None and inline_disk:
                     disk_ms = (
@@ -379,6 +451,12 @@ class ServerSimulator:
                         cpu_queue.append(rec)
 
         if not done:
+            if rate is not None:
+                raise RuntimeError(
+                    "the server cannot sustain the offered load of "
+                    f"{rate * 1000:.1f} req/s "
+                    "(in-flight requests grew without bound)"
+                )
             raise RuntimeError(
                 "simulation drained its event queue before the measurement "
                 "window completed; increase population or request counts"
@@ -412,6 +490,16 @@ class ServerSimulator:
             metrics.gauge("server.throughput_rps").set(throughput)
             for name, value in utilization.items():
                 metrics.gauge("server.utilization", resource=name).set(value)
+        drop_rate = window_drops / window_arrivals if window_arrivals else 0.0
+        if drop_rate > 0.5:
+            warnings.warn(
+                f"offered load of {rate * 1000:.1f} req/s is "
+                f"unsustainable: the queue cap of {cap} dropped "
+                f"{drop_rate:.0%} of arrivals; latency figures describe only "
+                "the admitted requests",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         return SimResult(
             throughput_rps=throughput,
             mean_response_ms=mean_response,
@@ -420,6 +508,8 @@ class ServerSimulator:
             utilization=utilization,
             population=self._population,
             measured_requests=len(responses),
+            dropped_requests=window_drops,
+            drop_rate=drop_rate,
         )
 
 

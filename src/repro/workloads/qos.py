@@ -64,10 +64,6 @@ class QosTracker:
         rank = max(0, math.ceil(p * len(ordered)) - 1)
         return ordered[rank]
 
-    def within_limit_count(self) -> int:
-        """Samples meeting the QoS limit (the goodput numerator)."""
-        return sum(1 for s in self._samples if s <= self.spec.limit_ms)
-
     def violation_rate(self) -> float:
         """Fraction of samples exceeding the QoS limit."""
         if not self._samples:

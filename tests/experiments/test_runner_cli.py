@@ -1,9 +1,15 @@
 """Tests of the experiments CLI."""
 
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.runner import _EXPERIMENTS, main
+
+#: The committed ``repro-experiments --all`` rendering.
+ALL_EXPERIMENTS = Path(__file__).resolve().parents[2] / "results" / "all_experiments.txt"
 
 
 class TestCli:
@@ -11,6 +17,11 @@ class TestCli:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out.split()
         assert set(out) == set(_EXPERIMENTS)
+
+    def test_committed_report_has_one_id_per_experiment(self):
+        ids = re.findall(r"^=== (\S+): ", ALL_EXPERIMENTS.read_text(), re.MULTILINE)
+        assert len(ids) == len(_EXPERIMENTS) == 23
+        assert [i for i, count in Counter(ids).items() if count > 1] == []
 
     def test_no_args_shows_help(self, capsys):
         assert main([]) == 2

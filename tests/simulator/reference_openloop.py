@@ -1,4 +1,12 @@
-"""Open-loop (Poisson-arrival) server simulation.
+"""Reference oracle: the event-at-a-time ``OpenLoopSimulator``.
+
+This is ``repro.simulator.openloop`` as it stood before
+``ServerSimulator`` took over open-loop arrivals (every stage a
+``Resource`` hop through closures), kept unchanged so
+``test_server_kernel.py`` can require the kernel to reproduce it
+exactly.  The rest of this docstring is the original module's.
+
+Open-loop (Poisson-arrival) server simulation.
 
 The closed-loop simulator answers "what is the peak?"; this one answers
 "what is the latency at a given load?" -- requests arrive in a Poisson

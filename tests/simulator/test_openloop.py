@@ -1,11 +1,10 @@
-"""Tests of the open-loop simulator, incl. M/D/1 validation."""
+"""Tests of the open-loop server simulation, incl. M/D/1 validation."""
 
 
 import pytest
 
 from repro.platforms.catalog import platform
-from repro.simulator.openloop import OpenLoopSimulator
-from repro.simulator.server_sim import SimConfig
+from repro.simulator.server_sim import ServerSimulator, SimConfig
 from repro.workloads.base import (
     MetricKind,
     PopulationPolicy,
@@ -45,7 +44,7 @@ class TestMD1Validation:
         service = plat.cpu_time_ms(cpu_ref_ms, 0.0, 1.0)  # deterministic
         rate_per_ms = rho / service
         workload = _constant_cpu_workload(cpu_ref_ms)
-        result = OpenLoopSimulator(
+        result = ServerSimulator(
             plat,
             workload,
             arrival_rate_rps=rate_per_ms * 1000.0,
@@ -58,7 +57,7 @@ class TestMD1Validation:
         plat = platform("emb2")
         workload = _constant_cpu_workload(10.0)
         service = plat.cpu_time_ms(10.0, 0.0, 1.0)
-        result = OpenLoopSimulator(
+        result = ServerSimulator(
             plat,
             workload,
             arrival_rate_rps=0.5 / service * 1000.0,
@@ -74,10 +73,10 @@ class TestOpenLoopBehaviour:
 
         workload = make_workload("websearch")
         config = SimConfig(warmup_requests=150, measure_requests=1200, seed=8)
-        low = OpenLoopSimulator(plat, workload, arrival_rate_rps=10.0,
-                                config=config).run()
-        high = OpenLoopSimulator(plat, workload, arrival_rate_rps=30.0,
-                                 config=config).run()
+        low = ServerSimulator(plat, workload, arrival_rate_rps=10.0,
+                              config=config).run()
+        high = ServerSimulator(plat, workload, arrival_rate_rps=30.0,
+                               config=config).run()
         assert high.mean_response_ms > low.mean_response_ms
         assert high.qos_percentile_ms > low.qos_percentile_ms
 
@@ -86,7 +85,7 @@ class TestOpenLoopBehaviour:
         from repro.workloads.suite import make_workload
 
         workload = make_workload("webmail")
-        result = OpenLoopSimulator(
+        result = ServerSimulator(
             plat, workload, arrival_rate_rps=8.0,
             config=SimConfig(warmup_requests=150, measure_requests=1500, seed=9),
         ).run()
@@ -98,7 +97,7 @@ class TestOpenLoopBehaviour:
 
         workload = make_workload("webmail")
         with pytest.raises(RuntimeError, match="cannot sustain"):
-            OpenLoopSimulator(
+            ServerSimulator(
                 plat, workload, arrival_rate_rps=500.0,
                 config=SimConfig(warmup_requests=100, measure_requests=1000, seed=10),
             ).run()
@@ -108,9 +107,9 @@ class TestOpenLoopBehaviour:
         from repro.workloads.suite import make_workload
 
         with pytest.raises(ValueError):
-            OpenLoopSimulator(plat, make_workload("webmail"), arrival_rate_rps=0.0)
+            ServerSimulator(plat, make_workload("webmail"), arrival_rate_rps=0.0)
         with pytest.raises(ValueError):
-            OpenLoopSimulator(
+            ServerSimulator(
                 plat, make_workload("webmail"), arrival_rate_rps=1.0,
                 memory_slowdown=0.9,
             )
@@ -121,7 +120,7 @@ class TestQueueCap:
         plat = platform("desk")
         from repro.workloads.suite import make_workload
 
-        result = OpenLoopSimulator(
+        result = ServerSimulator(
             plat, make_workload("webmail"), arrival_rate_rps=8.0,
             config=SimConfig(warmup_requests=100, measure_requests=800, seed=12),
         ).run()
@@ -137,7 +136,7 @@ class TestQueueCap:
         workload = _constant_cpu_workload(10.0)
         service = plat.cpu_time_ms(10.0, 0.0, 1.0)
         with pytest.warns(RuntimeWarning, match="unsustainable"):
-            result = OpenLoopSimulator(
+            result = ServerSimulator(
                 plat, workload, arrival_rate_rps=4.0 / service * 1000.0,
                 config=SimConfig(warmup_requests=300, measure_requests=3000,
                                  seed=13),
@@ -156,7 +155,7 @@ class TestQueueCap:
 
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
-            result = OpenLoopSimulator(
+            result = ServerSimulator(
                 plat, workload, arrival_rate_rps=0.8 / service * 1000.0,
                 config=SimConfig(warmup_requests=300, measure_requests=3000,
                                  seed=14),
@@ -169,7 +168,7 @@ class TestQueueCap:
         from repro.workloads.suite import make_workload
 
         with pytest.raises(ValueError):
-            OpenLoopSimulator(
+            ServerSimulator(
                 plat, make_workload("webmail"), arrival_rate_rps=1.0,
                 queue_cap=0,
             )

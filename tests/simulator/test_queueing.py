@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.platforms.catalog import platform
-from repro.simulator.openloop import OpenLoopSimulator
 from repro.simulator.queueing import (
     erlang_c,
     interactive_response_law,
@@ -83,7 +82,7 @@ class TestDesAgainstClosedForms:
             )
 
         workload = _cpu_workload(sampler, mean_cpu)
-        result = OpenLoopSimulator(
+        result = ServerSimulator(
             plat, workload, arrival_rate_rps=rho / service * 1000.0,
             config=SimConfig(warmup_requests=3000, measure_requests=25_000, seed=31),
         ).run()
@@ -103,7 +102,7 @@ class TestDesAgainstClosedForms:
             )
 
         workload = _cpu_workload(sampler, mean_cpu)
-        result = OpenLoopSimulator(
+        result = ServerSimulator(
             plat, workload, arrival_rate_rps=offered / service * 1000.0,
             config=SimConfig(warmup_requests=3000, measure_requests=25_000, seed=32),
         ).run()
@@ -191,7 +190,7 @@ class TestDesAgainstMM1K:
             )
 
         workload = _cpu_workload(sampler, mean_cpu)
-        result = OpenLoopSimulator(
+        result = ServerSimulator(
             plat, workload, arrival_rate_rps=rho / service * 1000.0,
             config=SimConfig(warmup_requests=3000, measure_requests=25_000, seed=41),
             queue_cap=capacity,

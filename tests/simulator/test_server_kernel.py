@@ -1,13 +1,16 @@
-"""``ServerSimulator.run`` against the event-at-a-time engine it replaced.
+"""``ServerSimulator.run`` against the event-at-a-time engines it replaced.
 
-``reference_server_sim.py`` is that engine (every stage a ``Resource``
-hop through closures).  The kernel must reproduce its ``SimResult`` on
-every platform, benchmark, population, disk model and memory slowdown,
-its trace digest and metrics snapshot when traced, and its error from
-every per-request check.
+``reference_server_sim.py`` (closed loop) and ``reference_openloop.py``
+(Poisson arrivals) are those engines (every stage a ``Resource`` hop
+through closures).  The kernel must reproduce the closed-loop one's
+``SimResult`` on every platform, benchmark, population, disk model and
+memory slowdown, its trace digest and metrics snapshot when traced, and
+its error from every per-request check; and the open-loop one's
+``SimResult``, overload error and drop warning.
 """
 
 import dataclasses
+import warnings
 
 import pytest
 
@@ -18,7 +21,7 @@ from repro.simulator.analytic import AnalyticServerModel
 from repro.simulator.server_sim import ServerSimulator, SimConfig
 from repro.workloads.base import Workload
 from repro.workloads.suite import benchmark_names, make_workload
-from tests.simulator import reference_server_sim
+from tests.simulator import reference_openloop, reference_server_sim
 
 ENGINES = pytest.mark.parametrize(
     "engine", (ServerSimulator, reference_server_sim.ServerSimulator),
@@ -124,6 +127,105 @@ class TestTracedRuns:
             and not any(span.kind == SpanKind.NET for span in trace.spans)
             for trace in tracer.traces
         )
+
+
+def open_loop(engine, plat, workload, load, disk=None, **kwargs):
+    """Result or overload error, and warnings, of an open-loop run offered
+    ``load`` times the analytic saturation rate."""
+    rate = load * AnalyticServerModel(plat, workload).saturation_rps()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = run(engine, plat, workload, disk, arrival_rate_rps=rate,
+                          config=CONFIG, **kwargs)
+        except RuntimeError as exc:
+            outcome = str(exc)
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_open_loop_matches(plat, workload, load, disk=None, **kwargs):
+    """The kernel's outcome equals the reference's; returns it."""
+    kernel = open_loop(ServerSimulator, plat, workload, load, disk, **kwargs)
+    reference = open_loop(
+        reference_openloop.OpenLoopSimulator, plat, workload, load, disk, **kwargs
+    )
+    assert kernel == reference, (plat.name, workload.name, load, kwargs)
+    return kernel
+
+
+class TestOpenLoop:
+    @pytest.mark.parametrize("bench", benchmark_names())
+    @pytest.mark.parametrize("name", list(PLATFORMS))
+    def test_below_and_above_saturation(self, name, bench):
+        """At 1.3 times saturation the queue grows, but the window ends
+        long before it holds 2,000 requests."""
+        for load in (0.5, 1.3):
+            outcome, _ = assert_open_loop_matches(
+                platform(name), make_workload(bench), load
+            )
+            assert outcome["population"] == 0
+
+    @pytest.mark.parametrize("name", list(PLATFORMS))
+    def test_overload_error(self, name):
+        """Twenty times saturation piles 2,000 requests up within the
+        window: both engines stop with the same error."""
+        outcome, _ = assert_open_loop_matches(
+            platform(name), make_workload("webmail"), 20.0
+        )
+        assert outcome.startswith("the server cannot sustain the offered load")
+
+    def test_queue_caps(self):
+        """Caps of 1, 4 and 32 below and at twice saturation: the drops,
+        and the warning when they pass half the window's arrivals."""
+        outcomes = [
+            assert_open_loop_matches(
+                platform(name), make_workload(bench), load, queue_cap=cap
+            )
+            for cap in (1, 4, 32)
+            for name in ("srvr1", "emb2")
+            for bench in ("websearch", "ytube")
+            for load in (0.5, 2.0)
+        ]
+        assert any(result["dropped_requests"] for result, _ in outcomes)
+        assert any(caught for _, caught in outcomes)
+
+    @pytest.mark.parametrize("bench", benchmark_names())
+    def test_disk_models_and_memory_slowdown(self, bench):
+        workload = make_workload(bench)
+        for name in ("srvr1", "emb1"):
+            plat = platform(name)
+            for disk in DISKS[1:]:
+                assert_open_loop_matches(plat, workload, 0.8, disk)
+            assert_open_loop_matches(plat, workload, 0.8, memory_slowdown=1.3)
+
+    @pytest.mark.parametrize("load,cap", [(0.8, None), (2.0, 4)])
+    def test_traced_equals_untraced(self, load, cap):
+        plat, workload = platform("desk"), make_workload("websearch")
+        rate = load * AnalyticServerModel(plat, workload).saturation_rps()
+        kwargs = dict(arrival_rate_rps=rate, queue_cap=cap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            (result, _, snapshot), tracer = traced(
+                ServerSimulator, plat, workload, **kwargs
+            )
+            assert result == run(
+                ServerSimulator, plat, workload, config=CONFIG, **kwargs
+            )
+        assert len(tracer.completed_traces()) >= (
+            CONFIG.warmup_requests + CONFIG.measure_requests
+        )
+        counters = {m["name"]: m["value"] for m in snapshot if m["type"] == "counter"}
+        assert counters["server.requests"] == result["measured_requests"]
+
+    def test_population_is_closed_loop_only(self, srvr1):
+        with pytest.raises(ValueError, match="no population"):
+            ServerSimulator(
+                srvr1, make_workload("webmail"), population=4, arrival_rate_rps=1.0
+            )
+
+    def test_queue_cap_needs_open_loop(self, srvr1):
+        with pytest.raises(ValueError, match="queue_cap needs an open loop"):
+            ServerSimulator(srvr1, make_workload("webmail"), queue_cap=4)
 
 
 class _NoClients:
