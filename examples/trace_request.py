@@ -20,11 +20,8 @@ with `TRACED = False` and the printed cluster numbers do not change.
 Run:  python examples/trace_request.py
 """
 
-from repro.cluster import ClusterSimulator
-from repro.experiments.availability import (
-    RETRY_POLICY,
-    STRESS_FAULT_PROFILE,
-)
+from repro.cluster import ClusterSimulator, RetryPolicy
+from repro.faults import STRESS_FAULT_PROFILE
 from repro.flashcache.analysis import disk_configuration
 from repro.memsim.remote_memory import make_remote_memory_model
 from repro.obs import (
@@ -75,10 +72,13 @@ def main() -> None:
         remote_memory=make_remote_memory_model(
             BENCH, local_fraction=0.25, trace_length=100_000
         ),
-        disk_model_factory=config.disk_spec(BENCH).build,
+        disk_spec=config.disk_spec(BENCH),
         faults=STRESS_FAULT_PROFILE,
         fault_seed=7,
-        retry=RETRY_POLICY,
+        retry=RetryPolicy(
+            timeout_ms=500.0, max_retries=3, backoff_base_ms=20.0,
+            hedge_after_ms=250.0,
+        ),
         enclosure_size=4,
         tracer=tracer,
         metrics=metrics,

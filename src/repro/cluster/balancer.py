@@ -83,6 +83,7 @@ from repro.faults.recovery import (
     RecoveryReport,
     RedundancyConfig,
 )
+from repro.flashcache.models import DiskSpec
 from repro.memsim.remote_memory import RemoteMemoryModel
 from repro.obs.span import SpanKind, Trace
 from repro.obs.tracer import record_stage, record_stage_parts
@@ -375,7 +376,7 @@ class ClusterSimulator:
         seed: int = 1,
         warmup_requests: int = 500,
         measure_requests: int = 4000,
-        disk_model_factory=None,
+        disk_spec: Optional[DiskSpec] = None,
         failures: Optional[Dict[int, float]] = None,
         recoveries: Optional[Dict[int, float]] = None,
         remote_memory: Optional[RemoteMemoryModel] = None,
@@ -399,6 +400,10 @@ class ClusterSimulator:
         shared by ALL servers in the cluster (the PCIe-contention effect
         the paper's trace methodology could not capture), plus the
         per-miss trap-handler CPU time on its own server.
+
+        ``disk_spec`` (a frozen :class:`~repro.flashcache.models.DiskSpec`)
+        gives each server a fresh disk model from ``disk_spec.build()``;
+        without one, each server uses its platform's own disk.
 
         ``failures`` maps a server index to the simulated time (ms) at
         which it crashes; the balancer stops dispatching to it.
@@ -529,9 +534,7 @@ class ClusterSimulator:
         self._seed = seed
         self._warmup = warmup_requests
         self._measure = measure_requests
-        self._disk_model_factory = disk_model_factory or (
-            lambda: PlatformDiskModel(platform)
-        )
+        self._disk_spec = disk_spec
         self._failures = dict(failures or {})
         self._recoveries = dict(recoveries or {})
         self._remote_memory = remote_memory
@@ -659,8 +662,10 @@ class ClusterSimulator:
             else tuple(hist.record for hist in detector.histograms)
         )
         detector_report = None if detector is None else detector.report
+        spec = self._disk_spec
         servers = [
-            _Server(sim, platform, self._disk_model_factory(), index)
+            _Server(sim, platform,
+                    spec.build() if spec else PlatformDiskModel(platform), index)
             for index in range(self._servers)
         ]
         rr_state = {"next": 0}

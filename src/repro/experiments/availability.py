@@ -16,15 +16,16 @@ stack it implies:
 - *behaviour layer*: each design's cluster is re-run under stochastic
   fault injection with the balancer's full degradation stack enabled
   (health checks, 500 ms timeout, 3 bounded retries with backoff,
-  hedging at 250 ms).  Real MTBFs are 10^4-10^6 hours while a simulated
-  run spans about a minute, so injection uses
-  :data:`STRESS_FAULT_PROFILE`, an accelerated profile (MTBFs of
-  40-480 *seconds*) that compresses three years of failure phenomenology
-  into the window.  The interesting contrast is N2: its shared memory
-  blade is a *correlated* failure domain -- one blade fault degrades
-  every attached server to local-memory-only mode at once -- which shows
-  up as a tail-latency spike that the retry/hedging machinery must keep
-  from becoming QoS collapse.
+  hedging at 250 ms) -- the ``ext8-availability`` library scenario.
+  Real MTBFs are 10^4-10^6 hours while a simulated run spans about a
+  minute, so injection uses :data:`repro.faults.STRESS_FAULT_PROFILE`,
+  an accelerated profile (MTBFs of 40-480 *seconds*) that compresses
+  three years of failure phenomenology into the window.  The
+  interesting contrast is N2: its shared memory blade is a *correlated*
+  failure domain -- one blade fault degrades every attached server to
+  local-memory-only mode at once -- which shows up as a tail-latency
+  spike that the retry/hedging machinery must keep from becoming QoS
+  collapse.
 
 Run on websearch (the heaviest remote-memory traffic and the tightest
 QoS bound in the suite, 500 ms at the 95th percentile).
@@ -33,9 +34,8 @@ QoS bound in the suite, 500 ms at the 95th percentile).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.cluster.balancer import ClusterSimulator, RetryPolicy
 from repro.core.designs import baseline_design, n1_design, n2_design
 from repro.costmodel.availability import RepairCostModel
 from repro.costmodel.tco import TcoModel
@@ -49,44 +49,11 @@ from repro.experiments.reporting import (
 from repro.faults.model import (
     ComponentType,
     DEFAULT_FAULT_PROFILE,
-    FaultProfile,
-    FaultSpec,
+    STRESS_FAULT_PROFILE,
 )
-from repro.flashcache.analysis import disk_configuration
-from repro.memsim.remote_memory import make_remote_memory_model
-from repro.workloads.suite import make_workload
 
 _WORKLOAD = "websearch"
 _TRACE_LENGTH = 200_000
-
-#: Degradation stack used by every faulted run: timeout at the QoS bound,
-#: three retries with exponential backoff, hedge at half the timeout.
-RETRY_POLICY = RetryPolicy(
-    timeout_ms=500.0, max_retries=3, backoff_base_ms=20.0, hedge_after_ms=250.0
-)
-
-
-def _seconds(mtbf_s: float, mttr_s: float) -> FaultSpec:
-    return FaultSpec(mtbf_hours=mtbf_s / 3600.0, mttr_hours=mttr_s / 3600.0)
-
-
-#: Accelerated profile for fault *injection* (MTBF/MTTR in seconds of
-#: simulated time).  A measured window is ~60 s, so these rates make each
-#: component class fail a handful of times per run -- the same relative
-#: failure mix as :data:`DEFAULT_FAULT_PROFILE`, compressed.  Cost math
-#: never uses this profile.
-STRESS_FAULT_PROFILE = FaultProfile(
-    "stress-60s-window",
-    {
-        ComponentType.SERVER: _seconds(90.0, 3.0),
-        ComponentType.DISK: _seconds(240.0, 5.0),
-        ComponentType.NIC: _seconds(480.0, 2.0),
-        ComponentType.MEMORY_BLADE: _seconds(40.0, 3.0),
-        ComponentType.FLASH_CACHE: _seconds(120.0, 3.0),
-        ComponentType.ENCLOSURE_FAN: _seconds(150.0, 5.0),
-        ComponentType.ENCLOSURE_PSU: _seconds(300.0, 4.0),
-    },
-)
 
 #: Relative performance retained while a gracefully-degrading component
 #: is down (used for the cost layer's availability credit): a fan loss
@@ -113,10 +80,6 @@ class _DesignSetup:
     components: tuple
     #: Servers splitting each shared component's repair bill.
     shared: Dict[ComponentType, int]
-    #: Enclosure-level fault blast radius in the simulation: 1 for
-    #: conventional 1U packaging (each server owns its fans/PSU), the
-    #: whole sub-cluster for blade enclosures.
-    enclosure_size: Optional[int]
     uses_remote_memory: bool = False
     uses_flash: bool = False
 
@@ -135,7 +98,6 @@ def _setups() -> list:
             design=baseline_design("srvr1"),
             components=base_path,
             shared={},
-            enclosure_size=1,
         ),
         _DesignSetup(
             name="N1",
@@ -145,7 +107,6 @@ def _setups() -> list:
                 ComponentType.ENCLOSURE_FAN: _ENCLOSURE_SHARE,
                 ComponentType.ENCLOSURE_PSU: _ENCLOSURE_SHARE,
             },
-            enclosure_size=None,  # one shared enclosure for the sub-cluster
         ),
         _DesignSetup(
             name="N2",
@@ -157,55 +118,10 @@ def _setups() -> list:
                 ComponentType.ENCLOSURE_PSU: _ENCLOSURE_SHARE,
                 ComponentType.MEMORY_BLADE: _BLADE_SHARE,
             },
-            enclosure_size=None,
             uses_remote_memory=True,
             uses_flash=True,
         ),
     ]
-
-
-def _simulate(
-    setup: _DesignSetup,
-    servers: int,
-    clients_per_server: int,
-    warmup: int,
-    measure: int,
-    seed: int,
-    fault_seed: int,
-    profile: FaultProfile,
-):
-    """One healthy and one fault-injected run of a design's cluster."""
-    plat = setup.design.platform
-    workload = make_workload(_WORKLOAD)
-    remote = None
-    if setup.uses_remote_memory:
-        remote = make_remote_memory_model(
-            _WORKLOAD, local_fraction=0.25, trace_length=_TRACE_LENGTH
-        )
-    factory = None
-    if setup.uses_flash:
-        factory = disk_configuration("remote-laptop+flash").disk_spec(_WORKLOAD).build
-
-    common = dict(
-        platform=plat,
-        workload=workload,
-        servers=servers,
-        clients_per_server=clients_per_server,
-        seed=seed,
-        warmup_requests=warmup,
-        measure_requests=measure,
-        disk_model_factory=factory,
-        remote_memory=remote,
-    )
-    healthy = ClusterSimulator(**common).run()
-    faulted = ClusterSimulator(
-        **common,
-        faults=profile,
-        fault_seed=fault_seed,
-        retry=RETRY_POLICY,
-        enclosure_size=setup.enclosure_size or servers,
-    ).run()
-    return healthy, faulted
 
 
 def run(
@@ -215,10 +131,17 @@ def run(
     measure: int = 1800,
     seed: int = 1,
     fault_seed: int = 7,
-    profile: Optional[FaultProfile] = None,
 ) -> ExperimentResult:
     """Re-run the srvr1/N1/N2 comparison with hardware failing."""
-    profile = profile or STRESS_FAULT_PROFILE
+    from repro.scenario import run_scenario
+    from repro.scenario.library import ext8_availability
+
+    scenario = ext8_availability(
+        servers=servers, clients_per_server=clients_per_server,
+        warmup=warmup, measure=measure, seed=seed, fault_seed=fault_seed,
+    )
+    results = {record.run_id: record.result
+               for record in run_scenario(scenario).runs}
     repair_model = RepairCostModel(DEFAULT_FAULT_PROFILE)
     data: Dict[str, Dict[str, object]] = {}
 
@@ -227,10 +150,8 @@ def run(
     handling_rows = []
     weighted = {}
     for setup in _setups():
-        healthy, faulted = _simulate(
-            setup, servers, clients_per_server, warmup, measure,
-            seed, fault_seed, profile,
-        )
+        healthy = results[f"{setup.name}/healthy"]
+        faulted = results[f"{setup.name}/faulted"]
         breakdown = setup.design.tco_breakdown()
         model = TcoModel(power_model=PowerModel(rack=setup.design.rack()))
         adjusted = model.availability_adjusted(
@@ -313,12 +234,14 @@ def run(
             percent(data[name]["relative_weighted_perf_per_tco"]),
         )
 
-    data["fault_profile"] = profile.name
+    _healthy, faulted_arm = scenario.overlays
+    retry = faulted_arm.retry
+    data["fault_profile"] = STRESS_FAULT_PROFILE.name
     data["retry_policy"] = {
-        "timeout_ms": RETRY_POLICY.timeout_ms,
-        "max_retries": RETRY_POLICY.max_retries,
-        "backoff_base_ms": RETRY_POLICY.backoff_base_ms,
-        "hedge_after_ms": RETRY_POLICY.hedge_after_ms,
+        "timeout_ms": retry.timeout_ms,
+        "max_retries": retry.max_retries,
+        "backoff_base_ms": retry.backoff_base_ms,
+        "hedge_after_ms": retry.hedge_after_ms,
     }
 
     sections = {

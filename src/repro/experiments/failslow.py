@@ -154,9 +154,9 @@ def run_failslow_config(config: FailSlowRunConfig) -> dict:
         remote = make_remote_memory_model(
             _WORKLOAD, local_fraction=0.25, trace_length=_TRACE_LENGTH
         )
-    factory = None
+    disk_spec = None
     if setup.uses_flash:
-        factory = disk_configuration("remote-laptop+flash").disk_spec(_WORKLOAD).build
+        disk_spec = disk_configuration("remote-laptop+flash").disk_spec(_WORKLOAD)
 
     plan = None
     if config.scenario != "healthy":
@@ -182,7 +182,7 @@ def run_failslow_config(config: FailSlowRunConfig) -> dict:
         seed=config.seed,
         warmup_requests=config.warmup,
         measure_requests=config.measure,
-        disk_model_factory=factory,
+        disk_spec=disk_spec,
         remote_memory=remote,
         retry=STATIC_RETRY,
         failslow=plan,

@@ -32,38 +32,13 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
-from repro.cluster.balancer import ClusterSimulator, RetryPolicy
-from repro.cluster.capacity import (
-    open_loop_rate_rps,
-    per_server_capacity_rps,
-    surge_queue_cap,
-)
-from repro.cluster.overload import OverloadPolicy, SurgeSchedule
 from repro.costmodel.availability import RepairCostModel
 from repro.costmodel.power import PowerModel
 from repro.costmodel.tco import TcoModel
-from repro.experiments.availability import (
-    DEGRADED_CREDIT,
-    _setups,
-    _TRACE_LENGTH,
-)
+from repro.experiments.availability import DEGRADED_CREDIT, _setups
 from repro.experiments.reporting import ExperimentResult, format_table
 from repro.faults.model import DEFAULT_FAULT_PROFILE
-from repro.flashcache.analysis import disk_configuration
-from repro.memsim.remote_memory import make_remote_memory_model
 from repro.simulator.telemetry import TimeSeries
-from repro.workloads.suite import make_workload
-
-_WORKLOAD = "websearch"
-
-#: The naive stack: the repository's default retry policy (1 s timeout,
-#: two synchronized exponential-backoff retries) over unbounded queues.
-NAIVE_RETRY = RetryPolicy()
-
-#: The protected stack keeps the same timeout/retry budget but jitters
-#: the backoff; the rest of the protection comes from
-#: :class:`OverloadPolicy`'s defaults.
-PROTECTED_RETRY = RetryPolicy(jitter=True)
 
 
 def _recovery_ms(
@@ -112,9 +87,21 @@ def run(
 
     Each cluster is offered ``load_fraction`` of its analytic capacity,
     multiplied by ``surge_multiplier`` inside the surge window.  The
-    measurement window is ``[warmup_ms, warmup_ms + measure_ms)``.
+    measurement window is ``[warmup_ms, warmup_ms + measure_ms)``.  The
+    runs are the ``ext10-overload`` library scenario built with these
+    keywords; ``recovery_fraction`` only shapes the report.
     """
-    workload = make_workload(_WORKLOAD)
+    from repro.scenario import compile_scenario
+    from repro.scenario.library import ext10_overload
+
+    compiled = compile_scenario(ext10_overload(
+        servers=servers, seed=seed, load_fraction=load_fraction,
+        surge_multiplier=surge_multiplier, warmup_ms=warmup_ms,
+        surge_start_ms=surge_start_ms, surge_end_ms=surge_end_ms,
+        measure_ms=measure_ms,
+    ))
+    plans = {plan.run_id: plan for plan in compiled.plans}
+    records = {record.run_id: record for record in compiled.execute().runs}
     repair_model = RepairCostModel(DEFAULT_FAULT_PROFILE)
     data: Dict[str, Dict[str, object]] = {}
     surge_rows = []
@@ -124,68 +111,22 @@ def run(
     weighted: Dict[str, Dict[str, float]] = {}
 
     for setup in _setups():
-        plat = setup.design.platform
-        remote = None
-        disk_spec = None
-        if setup.uses_remote_memory:
-            remote = make_remote_memory_model(
-                _WORKLOAD, local_fraction=0.25, trace_length=_TRACE_LENGTH
-            )
-        if setup.uses_flash:
-            disk_spec = disk_configuration("remote-laptop+flash").disk_spec(_WORKLOAD)
-        capacity = per_server_capacity_rps(
-            plat, workload,
-            remote_memory=remote, disk_spec=disk_spec, servers=servers,
-        )
-        base_rate = open_loop_rate_rps(load_fraction, capacity, servers)
-        schedule = SurgeSchedule(
-            base_rate_rps=base_rate,
-            surge_multiplier=surge_multiplier,
-            surge_start_ms=surge_start_ms,
-            surge_end_ms=surge_end_ms,
-        )
-        common = dict(
-            platform=plat,
-            workload=workload,
-            servers=servers,
-            clients_per_server=1,  # ignored in open-loop mode
-            seed=seed,
-            disk_model_factory=disk_spec.build if disk_spec else None,
-            remote_memory=remote,
-            arrivals=schedule,
-            warmup_ms=warmup_ms,
-            measure_ms=measure_ms,
-        )
-        queue_cap = surge_queue_cap(capacity, PROTECTED_RETRY.timeout_ms)
-        sims = {
-            "naive": ClusterSimulator(
-                retry=NAIVE_RETRY,
-                overload=OverloadPolicy.unprotected(),
-                **common,
-            ),
-            "protected": ClusterSimulator(
-                retry=PROTECTED_RETRY,
-                overload=OverloadPolicy(queue_cap=queue_cap),
-                **common,
-            ),
-        }
-        results = {mode: sim.run() for mode, sim in sims.items()}
-        for mode, sim in sims.items():
-            engine_rows.append(
-                (
-                    setup.name,
-                    mode,
-                    sim.engine_used,
-                    sim.fallback_reason or "-",
-                )
-            )
+        plan = plans[f"{setup.name}/naive"]
+        runs = {mode: records[f"{setup.name}/{mode}"]
+                for mode in ("naive", "protected")}
+        engine_rows += [
+            (setup.name, mode, record.engine_used,
+             record.fallback_reason or "-")
+            for mode, record in runs.items()
+        ]
         end_ms = warmup_ms + measure_ms
         design_data: Dict[str, object] = {
-            "capacity_rps_per_server": capacity,
-            "base_rate_rps": base_rate,
+            "capacity_rps_per_server": plan.capacity_rps_per_server,
+            "base_rate_rps": plan.arrival.base_rate_rps,
         }
         weighted[setup.name] = {}
-        for mode, result in results.items():
+        for mode, record in runs.items():
+            result = record.result
             overload = result.overload_report
             faultrep = result.fault_report
             pre = overload.goodput.window_mean_rate_per_s(
@@ -226,8 +167,8 @@ def run(
             )
             weighted[setup.name][mode] = metric
             design_data[mode] = {
-                "engine_used": sims[mode].engine_used,
-                "engine_fallback_reason": sims[mode].fallback_reason,
+                "engine_used": record.engine_used,
+                "engine_fallback_reason": record.fallback_reason,
                 "offered_rps": result.offered_rps,
                 "throughput_rps": result.throughput_rps,
                 "goodput_rps": result.goodput_rps,

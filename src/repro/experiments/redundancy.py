@@ -188,7 +188,7 @@ def run_redundancy_config(config: RedundancyRunConfig) -> dict:
         seed=config.seed,
         warmup_requests=config.warmup,
         measure_requests=config.measure,
-        disk_model_factory=disk_spec.build,
+        disk_spec=disk_spec,
         remote_memory=remote,
         retry=RETRY,
         redundancy=redundancy,

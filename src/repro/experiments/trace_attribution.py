@@ -6,8 +6,10 @@ the milliseconds went -- blade reconnect waits?  retry backoff?  queueing
 behind degraded peers?  This experiment re-runs the section 3.6
 srvr1/N1/N2 clusters under the same accelerated fault profile and
 degradation stack with per-request distributed tracing enabled
-(:mod:`repro.obs`), then decomposes each design's latency percentiles
-into exclusive per-component time along the critical path.
+(:mod:`repro.obs`) -- the ``ext11-trace-attribution`` library
+scenario, which ``repro-trace`` also runs -- then decomposes each
+design's latency percentiles into exclusive per-component time along
+the critical path.
 
 For every design the result carries a p50/p95/p99 attribution table:
 each row charges 100% of the tail set's mean latency to queue, cpu, mem,
@@ -26,116 +28,27 @@ byte-for-byte across hosts and ``--jobs`` settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.cluster.balancer import ClusterSimulator
-from repro.experiments.availability import (
-    RETRY_POLICY,
-    STRESS_FAULT_PROFILE,
-    _TRACE_LENGTH,
-    _WORKLOAD,
-    _setups,
-)
 from repro.experiments.reporting import ExperimentResult, format_table, percent
-from repro.flashcache.analysis import disk_configuration
-from repro.memsim.remote_memory import make_remote_memory_model
+from repro.faults.model import STRESS_FAULT_PROFILE
 from repro.obs.critical_path import (
     COMPONENT_ORDER,
     attribute_critical_path,
     format_attribution,
 )
 from repro.obs.export import trace_digest
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
-from repro.perf.parallel import intra_jobs, merge_telemetry, pmap
-from repro.workloads.suite import make_workload
+from repro.perf.parallel import intra_jobs, merge_telemetry
 
 #: Percentiles reported in every attribution table.
 PERCENTILES = (0.50, 0.95, 0.99)
 
 
-@dataclass(frozen=True)
-class TraceRunConfig:
-    """One design's traced cluster run (picklable for ``pmap``)."""
-
-    design: str
-    servers: int = 6
-    clients_per_server: int = 6
-    warmup: int = 200
-    measure: int = 1800
-    seed: int = 1
-    fault_seed: int = 7
-    sample_rate: float = 1.0
-    trace_seed: int = 17
-    #: Inject the accelerated fault profile + degradation stack (the
-    #: section 3.6 faulted configuration).  ``False`` gives a healthy
-    #: run, used by the CLI's quick smoke mode.
-    faults: bool = True
-
-
-def run_traced_design(config: TraceRunConfig) -> dict:
-    """Run one design's cluster with tracing; return the raw artifacts.
-
-    Module-level and driven by a frozen config so ``pmap`` can fan the
-    three designs across worker processes; the returned dict carries the
-    tracer (span trees), the metrics registry, and the scalar cluster
-    results, all picklable.
-    """
-    setups = {setup.name: setup for setup in _setups()}
-    try:
-        setup = setups[config.design]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown design {config.design!r}; known: {sorted(setups)}"
-        ) from exc
-
-    workload = make_workload(_WORKLOAD)
-    remote = None
-    if setup.uses_remote_memory:
-        remote = make_remote_memory_model(
-            _WORKLOAD, local_fraction=0.25, trace_length=_TRACE_LENGTH
-        )
-    factory = None
-    if setup.uses_flash:
-        factory = disk_configuration("remote-laptop+flash").disk_spec(_WORKLOAD).build
-
-    tracer = Tracer(sample_rate=config.sample_rate, seed=config.trace_seed)
-    metrics = MetricsRegistry()
-    kwargs = dict(
-        platform=setup.design.platform,
-        workload=workload,
-        servers=config.servers,
-        clients_per_server=config.clients_per_server,
-        seed=config.seed,
-        warmup_requests=config.warmup,
-        measure_requests=config.measure,
-        disk_model_factory=factory,
-        remote_memory=remote,
-        tracer=tracer,
-        metrics=metrics,
-    )
-    if config.faults:
-        kwargs.update(
-            faults=STRESS_FAULT_PROFILE,
-            fault_seed=config.fault_seed,
-            retry=RETRY_POLICY,
-            enclosure_size=setup.enclosure_size or config.servers,
-        )
-    result = ClusterSimulator(**kwargs).run()
-    return {
-        "design": config.design,
-        "config": config,
-        "result": result,
-        "tracer": tracer,
-        "metrics": metrics,
-    }
-
-
-def summarize(payload: dict) -> dict:
-    """JSON-friendly attribution summary of one traced design run."""
-    tracer = payload["tracer"]
-    result = payload["result"]
+def summarize(record) -> dict:
+    """JSON-friendly attribution summary of one traced design run (a
+    :class:`~repro.scenario.compiler.RunRecord`)."""
+    tracer = record.tracer
+    result = record.result
     completed = tracer.completed_traces()
     attributions = attribute_critical_path(completed, percentiles=PERCENTILES)
     per_percentile: Dict[str, dict] = {}
@@ -154,7 +67,7 @@ def summarize(payload: dict) -> dict:
         "completed_traces": len(completed),
         "truncated_traces": len(tracer.traces) - len(completed),
         "requests_seen": tracer.requests_seen,
-        "trace_digest": trace_digest([(payload["design"], tracer.traces)]),
+        "trace_digest": trace_digest([(record.tier, tracer.traces)]),
         "per_server_rps": result.per_server_rps,
         "qos_percentile_ms": result.qos_percentile_ms,
         "attribution": per_percentile,
@@ -174,32 +87,23 @@ def run(
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
     """Trace the faulted srvr1/N1/N2 runs and attribute their tails."""
-    configs = [
-        TraceRunConfig(
-            design=setup.name,
-            servers=servers,
-            clients_per_server=clients_per_server,
-            warmup=warmup,
-            measure=measure,
-            seed=seed,
-            fault_seed=fault_seed,
-            sample_rate=sample_rate,
-            trace_seed=trace_seed,
-        )
-        for setup in _setups()
-    ]
-    payloads = pmap(
-        run_traced_design,
-        configs,
-        jobs=intra_jobs() if jobs is None else jobs,
+    from repro.scenario import run_scenario
+    from repro.scenario.library import ext11_trace_attribution
+
+    scenario = ext11_trace_attribution(
+        servers=servers, clients_per_server=clients_per_server,
+        warmup=warmup, measure=measure, seed=seed, fault_seed=fault_seed,
+        sample_rate=sample_rate, trace_seed=trace_seed,
     )
+    records = run_scenario(
+        scenario, jobs=intra_jobs() if jobs is None else jobs).runs
 
     data: Dict[str, object] = {}
     sections: Dict[str, str] = {}
     p99_rows = []
-    for payload in payloads:
-        name = payload["design"]
-        summary = summarize(payload)
+    for record in records:
+        name = record.tier
+        summary = summarize(record)
         attributions = summary.pop("attributions")
         data[name] = summary
         sections[f"critical-path attribution -- {name}"] = format_attribution(
@@ -225,7 +129,7 @@ def run(
     # lossless shard merge the ``--jobs`` path relies on): histograms
     # combine without rebinning, counters add, so the combined p99 is
     # exactly what a single shared registry would have recorded.
-    combined = merge_telemetry(p["metrics"] for p in payloads)
+    combined = merge_telemetry(record.metrics for record in records)
     if combined is not None:
         response = combined.get("cluster.response_ms")
         data["combined"] = {
@@ -249,7 +153,7 @@ def run(
         "sum exactly to end-to-end latency, so every share row above "
         "totals 100%."
     )
-    data["workload"] = _WORKLOAD
+    data["workload"] = scenario.workload.benchmark
     data["fault_profile"] = STRESS_FAULT_PROFILE.name
     data["sample_rate"] = sample_rate
     data["trace_seed"] = trace_seed

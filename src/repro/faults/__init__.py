@@ -37,6 +37,7 @@ from repro.faults.model import (
     DEPRECIATION_CYCLE_HOURS,
     FaultProfile,
     FaultSpec,
+    STRESS_FAULT_PROFILE,
 )
 from repro.faults.injector import (
     FailureDomain,
@@ -79,6 +80,7 @@ __all__ = [
     "DEPRECIATION_CYCLE_HOURS",
     "FaultProfile",
     "FaultSpec",
+    "STRESS_FAULT_PROFILE",
     "FailureDomain",
     "FaultComponent",
     "FaultEvent",

@@ -181,3 +181,26 @@ DEFAULT_FAULT_PROFILE = FaultProfile(
         ComponentType.ENCLOSURE_PSU: FaultSpec(mtbf_hours=150_000.0, mttr_hours=4.0),
     },
 )
+
+
+def _seconds(mtbf_s: float, mttr_s: float) -> FaultSpec:
+    return FaultSpec(mtbf_hours=mtbf_s / 3600.0, mttr_hours=mttr_s / 3600.0)
+
+
+#: Accelerated profile for fault *injection* (MTBF/MTTR in seconds of
+#: simulated time).  A measured window is ~60 s, so these rates make each
+#: component class fail a handful of times per run -- the same relative
+#: failure mix as :data:`DEFAULT_FAULT_PROFILE`, compressed.  Cost math
+#: never uses this profile.
+STRESS_FAULT_PROFILE = FaultProfile(
+    "stress-60s-window",
+    {
+        ComponentType.SERVER: _seconds(90.0, 3.0),
+        ComponentType.DISK: _seconds(240.0, 5.0),
+        ComponentType.NIC: _seconds(480.0, 2.0),
+        ComponentType.MEMORY_BLADE: _seconds(40.0, 3.0),
+        ComponentType.FLASH_CACHE: _seconds(120.0, 3.0),
+        ComponentType.ENCLOSURE_FAN: _seconds(150.0, 5.0),
+        ComponentType.ENCLOSURE_PSU: _seconds(300.0, 4.0),
+    },
+)

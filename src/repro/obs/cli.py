@@ -7,13 +7,13 @@ Examples::
     repro-trace srvr1 --no-faults --measure 200 --validate
     python -m repro.obs.cli --jobs 3 --chrome traces.json
 
-Runs the section 3.6 designs (default: srvr1, N1, N2) through the
-cluster simulator with per-request tracing enabled -- by default under
-the accelerated fault profile and full degradation stack, the EXT-11
-configuration -- prints each design's critical-path attribution table
-and trace digest, and optionally writes the spans as a Chrome
-trace-event file (loadable in Perfetto / ``chrome://tracing``) and as a
-compact JSONL span log.
+Builds the EXT-11 library scenario (``ext11-trace-attribution``) from
+the flags and runs it: the section 3.6 designs (default: srvr1, N1, N2)
+through the cluster simulator with per-request tracing enabled, by
+default under the accelerated fault profile and full degradation stack.
+Prints each design's critical-path attribution table and trace digest,
+and optionally writes the spans as a Chrome trace-event file (loadable
+in Perfetto / ``chrome://tracing``) and as a compact JSONL span log.
 
 Everything is deterministic per seed: rerunning with the same arguments
 reproduces the printed digests and the exported files byte-for-byte,
@@ -35,7 +35,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_spans_jsonl,
 )
-from repro.perf.parallel import merge_telemetry, pmap
+from repro.perf.parallel import merge_telemetry
 
 _DESIGNS = ("srvr1", "N1", "N2")
 
@@ -84,22 +84,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="print the labeled metrics registry")
     args = parser.parse_args(argv)
 
-    # Imported here so ``repro-trace --help`` stays instant and the obs
-    # package never hard-depends on the experiments layer.
-    from repro.experiments.trace_attribution import (
-        TraceRunConfig,
-        run_traced_design,
-    )
-
     unknown = [d for d in args.designs if d not in _DESIGNS]
     if unknown:
         parser.error(
             f"unknown design(s) {', '.join(unknown)}; "
             f"choose from {', '.join(_DESIGNS)}"
         )
-    configs = [
-        TraceRunConfig(
-            design=name,
+    # Imported here so ``repro-trace --help`` stays instant and the obs
+    # package never hard-depends on the scenario layer.
+    from repro.scenario import ScenarioValidationError, run_scenario
+    from repro.scenario.library import ext11_trace_attribution
+
+    try:
+        scenario = ext11_trace_attribution(
             servers=args.servers,
             clients_per_server=args.clients,
             warmup=args.warmup,
@@ -108,16 +105,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             fault_seed=args.fault_seed,
             sample_rate=args.sample_rate,
             trace_seed=args.trace_seed,
+            designs=args.designs,
             faults=not args.no_faults,
         )
-        for name in args.designs
-    ]
-    payloads = pmap(run_traced_design, configs, jobs=args.jobs)
+    except ScenarioValidationError as exc:
+        parser.error(str(exc))
+    records = run_scenario(scenario, jobs=args.jobs).runs
 
-    groups = [(p["design"], p["tracer"].traces) for p in payloads]
-    for payload in payloads:
-        name = payload["design"]
-        tracer = payload["tracer"]
+    groups = [(record.tier, record.tracer.traces) for record in records]
+    for record in records:
+        name = record.tier
+        tracer = record.tracer
         completed = tracer.completed_traces()
         print(f"=== {name} ===")
         print(
@@ -125,7 +123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"completed={len(completed)} "
             f"digest={trace_digest([(name, tracer.traces)])[:16]}"
         )
-        result = payload["result"]
+        result = record.result
         print(
             f"{result.per_server_rps:.1f} rps/server, "
             f"p95 {result.qos_percentile_ms:.0f} ms, "
@@ -133,11 +131,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         print(format_attribution(attribute_critical_path(completed)))
         if args.metrics:
-            print(payload["metrics"].render())
+            print(record.metrics.render())
         print()
 
-    if args.metrics and len(payloads) > 1:
-        combined = merge_telemetry(p["metrics"] for p in payloads)
+    if args.metrics and len(records) > 1:
+        combined = merge_telemetry(record.metrics for record in records)
         print("=== combined (all designs, lossless merge) ===")
         print(combined.render())
         print()

@@ -95,7 +95,6 @@ from repro.cluster.overload import (
 )
 from repro.faults.failslow import DriftTable, FailSlowReport, PeerComparisonDetector
 from repro.simulator.engine import PAST_EPSILON_MS, PAST_RELATIVE_EPSILON
-from repro.simulator.server_sim import PlatformDiskModel
 from repro.simulator.telemetry import TimeSeries
 from repro.workloads.qos import QosTracker
 
@@ -142,13 +141,10 @@ def cohort_supported(csim) -> Tuple[bool, str]:
         return False, "redundancy/rebuild traffic"
     if csim._maintenance is not None and csim._maintenance.windows:
         return False, "maintenance drains"
-    # The kernels inline the platform disk-time formula; any other disk
-    # model (flash cache, degraded modes) keeps the scalar path.
-    probe = csim._disk_model_factory()
-    if type(probe) is not PlatformDiskModel:
-        return False, f"disk model {type(probe).__name__}"
-    if probe._platform is not csim._platform:
-        return False, "disk model bound to a different platform"
+    # The kernels inline the platform disk-time formula; a disk spec's
+    # model (local, SAN, flash cache) keeps the scalar path.
+    if csim._disk_spec is not None:
+        return False, "non-platform disk model"
     return True, ""
 
 

@@ -143,9 +143,8 @@ def main(argv: "list[str] | None" = None) -> int:
 
     from repro.scenario.compiler import compile_scenario
 
-    scenario = _resolve(args.scenario)
     try:
-        compiled = compile_scenario(scenario, quick=args.quick)
+        compiled = compile_scenario(_resolve(args.scenario), quick=args.quick)
     except ScenarioValidationError as exc:
         print(str(exc), file=sys.stderr)
         return 1

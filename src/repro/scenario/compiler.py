@@ -16,10 +16,11 @@ configuration alone picks its engine: the **cohort** engine
 otherwise; the balancer records why (``fallback_reason``), which every
 run record surfaces.
 
-The kwargs handed to :class:`ClusterSimulator` mirror the hand-wired
-experiment modules exactly -- that is what makes scenario-compiled
-EXT-8/EXT-10/EXT-11 runs digest-identical to the originals (asserted
-in ``tests/scenario/test_digest_equality.py``).
+The EXT-8/EXT-10/EXT-11 experiment modules and ``repro-trace`` run
+their library scenarios through this compiler;
+``tests/scenario/test_digest_equality.py`` holds each compiled run
+digest-identical to a direct :class:`ClusterSimulator` construction of
+the same configuration.
 """
 
 from __future__ import annotations
@@ -185,9 +186,8 @@ def _cached_dag_workload(dag):
 def _build_workload(spec: WorkloadSpec):
     """The spec's workload, built once per process.
 
-    Workloads and remote-memory models are stateless across runs (the
-    hand-wired experiments share one instance across their healthy and
-    faulted runs), so construction -- sampler and trace tables are
+    Workloads and remote-memory models are stateless across runs (one
+    instance can serve a healthy and a faulted run alike), so construction -- sampler and trace tables are
     expensive next to a short run -- is memoized: benchmarks by
     :func:`repro.workloads.suite.make_workload` itself, remote-memory
     models by :func:`repro.memsim.remote_memory.make_remote_memory_model`
@@ -413,9 +413,9 @@ def compile_scenario(scenario: Scenario, quick: bool = False):
 def _build_cluster_simulator(plan: RunPlan):
     """Construct the ClusterSimulator for one plan.
 
-    The kwargs mirror the hand-wired experiment modules: optional
-    pieces are only passed when the overlay declares them, so a
-    scenario-compiled run constructs a bit-identical simulator.
+    Optional pieces are only passed when the overlay declares them, so
+    the simulator is bit-identical to a direct construction of the same
+    configuration.
     """
     from repro.cluster.balancer import ClusterSimulator, RetryPolicy
     from repro.cluster.overload import OverloadPolicy, SurgeSchedule
@@ -430,7 +430,7 @@ def _build_cluster_simulator(plan: RunPlan):
         servers=tier.servers,
         clients_per_server=tier.clients_per_server,
         seed=plan.seed,
-        disk_model_factory=disk_spec.build if disk_spec else None,
+        disk_spec=disk_spec,
         remote_memory=remote,
     )
     if tier.dispatch is not None:

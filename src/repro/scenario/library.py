@@ -1,15 +1,16 @@
 """Named scenarios shipped with the repository.
 
-Three of these re-express hand-wired experiment modules as declarative
-specs -- EXT-8 (availability under faults), EXT-10 (metastable
-overload), EXT-11 (traced tail attribution) -- and are held
-digest-identical to the originals by
-``tests/scenario/test_digest_equality.py``: the compiler must lower
-them onto bit-for-bit the same simulator configurations.  The fourth,
-``multirack-diurnal``, is the flagship: a four-rack ensemble driven
-through a full diurnal day (24 hourly segments, three regional
-populations, an evening flash crowd) at a modeled population of
-millions of users.
+Three of these are the configurations of experiment modules -- EXT-8
+(availability under faults), EXT-10 (metastable overload), EXT-11
+(traced tail attribution).  Each factory takes its module's ``run()``
+keywords, and the module (and, for EXT-11, ``repro-trace``) compiles
+and executes the scenario it returns.
+``tests/scenario/test_digest_equality.py`` holds the compiled runs
+digest-identical to direct :class:`ClusterSimulator` constructions.
+The fourth, ``multirack-diurnal``, is the flagship: a four-rack
+ensemble driven through a full diurnal day (24 hourly segments, three
+regional populations, an evening flash crowd) at a modeled population
+of millions of users.
 
 The YAML files under ``examples/scenarios/`` are the serialized forms
 of these builders (round-trip asserted in the tests); edit either side
@@ -18,7 +19,7 @@ and the suite will point at the drift.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Sequence
 
 from repro.scenario.builder import ScenarioBuilder
 from repro.scenario.spec import (
@@ -36,56 +37,76 @@ _EXT8_RETRY = RetrySpec(
     hedge_after_ms=250.0,
 )
 
-
-def _section36_tiers(builder: ScenarioBuilder, *, servers: int,
-                     clients_per_server: int) -> ScenarioBuilder:
-    """The section 3.6 design ladder: srvr1, N1, N2 (blade + flash)."""
-    return (
-        builder
-        .tier("srvr1", design="srvr1", servers=servers,
-              clients_per_server=clients_per_server, enclosure_size=1)
-        .tier("N1", design="N1", servers=servers,
-              clients_per_server=clients_per_server)
-        .tier("N2", design="N2", servers=servers,
-              clients_per_server=clients_per_server,
-              remote_memory=True, flash=True)
-    )
+#: The section 3.6 design ladder: each design's tier options beyond its
+#: size.  srvr1's 1U servers each own their fans and PSU (an enclosure
+#: fault hits one server); N1/N2 share one enclosure across the tier;
+#: N2 adds the memory blade and flash cache.
+_SECTION36 = {
+    "srvr1": dict(enclosure_size=1),
+    "N1": {},
+    "N2": dict(remote_memory=True, flash=True),
+}
 
 
-def ext8_availability() -> Scenario:
+def _section36_tiers(
+    builder: ScenarioBuilder, *, servers: int, clients_per_server: int,
+    designs: Sequence[str] = tuple(_SECTION36),
+) -> ScenarioBuilder:
+    """The section 3.6 design ladder: srvr1, N1, N2 (blade + flash).
+
+    ``designs`` picks rungs by name; a name off the ladder becomes a
+    plain tier, which validation rejects unless it names a design.
+    """
+    for name in designs:
+        builder.tier(name, design=name, servers=servers,
+                     clients_per_server=clients_per_server,
+                     **_SECTION36.get(name, {}))
+    return builder
+
+
+def ext8_availability(*, servers: int = 6, clients_per_server: int = 6,
+                      warmup: int = 200, measure: int = 1800, seed: int = 1,
+                      fault_seed: int = 7) -> Scenario:
     """EXT-8 as a scenario: srvr1/N1/N2, healthy vs fault-injected."""
     builder = ScenarioBuilder("ext8-availability").describe(
         "Section 3.6 designs healthy and under accelerated fault "
         "injection with the full degradation stack (EXT-8)."
     )
-    _section36_tiers(builder, servers=6, clients_per_server=6)
+    _section36_tiers(builder, servers=servers,
+                     clients_per_server=clients_per_server)
     return (
         builder
         .benchmark("websearch")
-        .closed_loop(warmup_requests=200, measure_requests=1800)
-        .seed(1)
+        .closed_loop(warmup_requests=warmup, measure_requests=measure)
+        .seed(seed)
         .overlay("healthy")
         .overlay("faulted",
-                 faults=FaultsSpec(profile="stress", fault_seed=7),
+                 faults=FaultsSpec(profile="stress", fault_seed=fault_seed),
                  retry=_EXT8_RETRY)
         .build()
     )
 
 
-def ext10_overload() -> Scenario:
+def ext10_overload(*, servers: int = 4, seed: int = 3,
+                   load_fraction: float = 0.6, surge_multiplier: float = 5.0,
+                   warmup_ms: float = 2000.0, surge_start_ms: float = 6000.0,
+                   surge_end_ms: float = 11_000.0,
+                   measure_ms: float = 22_000.0) -> Scenario:
     """EXT-10 as a scenario: a 5x surge, naive vs protected stacks."""
     builder = ScenarioBuilder("ext10-overload").describe(
         "Metastable overload: each design offered 60% of analytic "
         "capacity with a 5x surge, naive retry stack vs the full "
         "overload-protection stack (EXT-10)."
     )
-    _section36_tiers(builder, servers=4, clients_per_server=1)
+    _section36_tiers(builder, servers=servers, clients_per_server=1)
     return (
         builder
         .benchmark("websearch")
-        .open_loop(utilization=0.6, warmup_ms=2000.0, measure_ms=22_000.0)
-        .surge(multiplier=5.0, start_ms=6000.0, end_ms=11_000.0)
-        .seed(3)
+        .open_loop(utilization=load_fraction, warmup_ms=warmup_ms,
+                   measure_ms=measure_ms)
+        .surge(multiplier=surge_multiplier, start_ms=surge_start_ms,
+               end_ms=surge_end_ms)
+        .seed(seed)
         .overlay("naive",
                  retry=RetrySpec(),
                  overload=OverloadSpec(protected=False, queue_cap=None))
@@ -96,22 +117,36 @@ def ext10_overload() -> Scenario:
     )
 
 
-def ext11_trace_attribution() -> Scenario:
-    """EXT-11 as a scenario: the faulted ladder with tracing enabled."""
+def ext11_trace_attribution(
+    *, servers: int = 6, clients_per_server: int = 6, warmup: int = 200,
+    measure: int = 1800, seed: int = 1, fault_seed: int = 7,
+    sample_rate: float = 1.0, trace_seed: int = 17,
+    designs: Sequence[str] = tuple(_SECTION36), faults: bool = True,
+) -> Scenario:
+    """EXT-11 as a scenario: the faulted ladder with tracing enabled.
+
+    ``faults=False`` drops the fault profile and the retry stack,
+    leaving healthy traced runs.
+    """
     builder = ScenarioBuilder("ext11-trace-attribution").describe(
         "Critical-path tail attribution: the EXT-8 faulted runs with "
         "deterministic per-request tracing (EXT-11)."
     )
-    _section36_tiers(builder, servers=6, clients_per_server=6)
+    _section36_tiers(builder, servers=servers,
+                     clients_per_server=clients_per_server, designs=designs)
+    tracing = TracingSpec(sample_rate=sample_rate, trace_seed=trace_seed)
+    if faults:
+        builder.overlay("traced-faulted",
+                        faults=FaultsSpec(profile="stress",
+                                          fault_seed=fault_seed),
+                        retry=_EXT8_RETRY, tracing=tracing)
+    else:
+        builder.overlay("traced", tracing=tracing)
     return (
         builder
         .benchmark("websearch")
-        .closed_loop(warmup_requests=200, measure_requests=1800)
-        .seed(1)
-        .overlay("traced-faulted",
-                 faults=FaultsSpec(profile="stress", fault_seed=7),
-                 retry=_EXT8_RETRY,
-                 tracing=TracingSpec(sample_rate=1.0, trace_seed=17))
+        .closed_loop(warmup_requests=warmup, measure_requests=measure)
+        .seed(seed)
         .build()
     )
 
@@ -151,7 +186,8 @@ def multirack_diurnal() -> Scenario:
     )
 
 
-#: name -> zero-arg scenario factory (the ``repro-scenario`` registry).
+#: name -> scenario factory, called with its defaults (the
+#: ``repro-scenario`` registry).
 LIBRARY: Dict[str, Callable[[], Scenario]] = {
     "ext8-availability": ext8_availability,
     "ext10-overload": ext10_overload,

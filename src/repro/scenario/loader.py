@@ -84,14 +84,38 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
+#: Stands in for a value that could not be decoded (its issue is recorded).
+_FAILED = object()
+
+
+def _has_failed(value: Any) -> bool:
+    items = value if isinstance(value, tuple) else (value,)
+    return any(item is _FAILED for item in items)
+
+
+def _validate_parts(path: str, value: Any,
+                    issues: List[ValidationIssue]) -> None:
+    """Semantic issues of the decoded spec objects in ``value``."""
+    if isinstance(value, tuple):
+        for i, item in enumerate(value):
+            _validate_parts(f"{path}[{i}]", item, issues)
+    elif dataclasses.is_dataclass(value):
+        value.validate_into(path, issues)
+
+
 def _decode(cls: type, data: Any, path: str, issues: List[ValidationIssue]):
-    """Rebuild dataclass ``cls`` from ``data``, appending issues."""
+    """Rebuild dataclass ``cls`` from ``data``, appending issues.
+
+    Returns ``_FAILED`` if ``data`` or a part of it cannot be decoded.
+    The parts of a failed node that did decode are validated on their
+    own, so one malformed value does not hide the rest's issues.
+    """
     if not isinstance(data, dict):
         issues.append(ValidationIssue(
             path or "<root>",
             f"expected a mapping for {cls.__name__}, "
             f"got {type(data).__name__}"))
-        return None
+        return _FAILED
     hints = typing.get_type_hints(cls)
     field_names = {f.name for f in dataclasses.fields(cls)}
     for key in data:
@@ -109,11 +133,14 @@ def _decode(cls: type, data: Any, path: str, issues: List[ValidationIssue]):
             continue
         kwargs[f.name] = _decode_value(
             hints[f.name], data[f.name], join_path(path, f.name), issues)
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        issues.append(ValidationIssue(path or "<root>", str(exc)))
-        return None
+    if not any(_has_failed(value) for value in kwargs.values()):
+        try:
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            issues.append(ValidationIssue(path or "<root>", str(exc)))
+    for name, value in kwargs.items():
+        _validate_parts(join_path(path, name), value, issues)
+    return _FAILED
 
 
 def _decode_value(hint: Any, value: Any, path: str,
@@ -148,13 +175,12 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     """Decode and semantically validate; aggregate every problem."""
     issues: List[ValidationIssue] = []
     scenario = _decode(Scenario, data, "", issues)
-    if scenario is not None:
+    if scenario is not _FAILED:
         # Report semantic problems alongside any decode problems -- one
         # failure should not mask the rest of the spec's issues.
         issues.extend(scenario.validate())
     if issues:
         raise ScenarioValidationError(issues)
-    assert scenario is not None
     return scenario
 
 

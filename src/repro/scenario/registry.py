@@ -14,7 +14,11 @@ from typing import List
 
 from repro.cluster.balancer import Dispatch
 from repro.core.designs import baseline_design, n1_design, n2_design
-from repro.faults.model import DEFAULT_FAULT_PROFILE, FaultProfile
+from repro.faults.model import (
+    DEFAULT_FAULT_PROFILE,
+    STRESS_FAULT_PROFILE,
+    FaultProfile,
+)
 from repro.flashcache.analysis import DISK_CONFIGURATIONS
 from repro.platforms.catalog import platform_names
 from repro.workloads.suite import BENCHMARK_SUITE
@@ -23,31 +27,19 @@ from repro.workloads.suite import BENCHMARK_SUITE
 #: ``stress`` is the accelerated profile EXT-8/EXT-11 inject (MTBFs in
 #: seconds so a one-minute window sees failures); ``real-timescale`` is
 #: the 3-year MTBF profile the cost layer prices.
-_FAULT_PROFILES = None
-
-
-def _fault_profiles() -> dict:
-    # Imported lazily: repro.experiments.availability pulls in the cost
-    # model stack, which the schema layer should not load just to be
-    # imported.
-    global _FAULT_PROFILES
-    if _FAULT_PROFILES is None:
-        from repro.experiments.availability import STRESS_FAULT_PROFILE
-
-        _FAULT_PROFILES = {
-            "stress": STRESS_FAULT_PROFILE,
-            "real-timescale": DEFAULT_FAULT_PROFILE,
-        }
-    return _FAULT_PROFILES
+_FAULT_PROFILES = {
+    "stress": STRESS_FAULT_PROFILE,
+    "real-timescale": DEFAULT_FAULT_PROFILE,
+}
 
 
 def fault_profile_names() -> List[str]:
-    return list(_fault_profiles())
+    return list(_FAULT_PROFILES)
 
 
 def fault_profile(name: str) -> FaultProfile:
     try:
-        return _fault_profiles()[name]
+        return _FAULT_PROFILES[name]
     except KeyError as exc:
         raise KeyError(
             f"unknown fault profile {name!r}; known: {fault_profile_names()}"

@@ -243,7 +243,7 @@ class TestFallbackRouting:
         spec = disk_configuration("remote-laptop+flash").disk_spec("websearch")
         self._assert_falls_back(
             "disk model",
-            disk_model_factory=spec.build,
+            disk_spec=spec,
             measure_ms=400.0,
         )
 

@@ -167,7 +167,7 @@ class TestFlashCacheBypass:
         result = _cluster(
             platform=platform("emb1"),
             workload=make_workload("websearch"),
-            disk_model_factory=spec.build,
+            disk_spec=spec,
             faults=FLASH_FAULTS,
             fault_seed=3,
         ).run()

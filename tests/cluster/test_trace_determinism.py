@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cluster import ClusterSimulator
-from repro.experiments.availability import RETRY_POLICY, STRESS_FAULT_PROFILE
+from repro.cluster import ClusterSimulator, RetryPolicy
+from repro.faults import STRESS_FAULT_PROFILE
 from repro.obs import MetricsRegistry, Tracer, exclusive_times, spans_jsonl
 from repro.platforms import platform
 from repro.simulator.server_sim import ServerSimulator, SimConfig
@@ -22,7 +22,8 @@ def _cluster_run(tracer=None, metrics=None):
         measure_requests=600,
         faults=STRESS_FAULT_PROFILE,
         fault_seed=7,
-        retry=RETRY_POLICY,
+        retry=RetryPolicy(timeout_ms=500.0, max_retries=3,
+                          backoff_base_ms=20.0, hedge_after_ms=250.0),
         enclosure_size=3,
         tracer=tracer,
         metrics=metrics,

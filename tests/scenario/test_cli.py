@@ -63,6 +63,21 @@ def test_validate_reports_paths(tmp_path, capsys):
     assert "topology.tiers[0].platform" in out
 
 
+@pytest.mark.parametrize("command", ["run", "describe"])
+def test_invalid_spec_file_reports_issues(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "name": "bad",
+        "topology": {"tiers": ["web"]},
+        "workload": {"benchmark": "websearch"},
+        "traffic": {"closed_loop": {}},
+    }))
+    assert main([command, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "scenario failed validation" in err
+    assert "topology.tiers[0]: expected a mapping for TierSpec" in err
+
+
 def test_describe_shows_engines(tmp_path, capsys):
     spec = tmp_path / "tiny.json"
     save_scenario(_tiny_scenario(), spec)

@@ -121,6 +121,33 @@ class TestAggregation:
         assert "overlays[0].bogus_key" in paths  # decode problem
         assert "topology.tiers[0].platform" in paths  # semantic problem
 
+    @pytest.mark.parametrize("change, path, message", [
+        ({"topology": {"tiers": ["web"]}}, "topology.tiers[0]",
+         "expected a mapping for TierSpec, got str"),
+        ({"topology": None}, "topology",
+         "expected a mapping for TopologySpec, got NoneType"),
+        ({"overlays": ["healthy"]}, "overlays[0]",
+         "expected a mapping for OverlaySpec, got str"),
+        ({"traffic": {"open_loop": {"utilization": 0.5, "regions": [1]}}},
+         "traffic.open_loop.regions[0]",
+         "expected a mapping for RegionSpec, got int"),
+    ])
+    def test_non_mapping_entries_are_issues(self, change, path, message):
+        data = {
+            "name": "bad",
+            "topology": {"tiers": [{"name": "web", "design": "N1"}]},
+            "workload": {"benchmark": "nosuchbench"},
+            "traffic": {"closed_loop": {}},
+        }
+        data.update(change)
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            scenario_from_dict(data)
+        issues = {issue.path: issue.message
+                  for issue in excinfo.value.issues}
+        assert issues[path] == message
+        # The parts that did decode are still validated.
+        assert "workload.benchmark" in issues
+
     def test_per_enclosure_balancer_fields_are_rejected(self):
         # A tier is always one balancer: a spec asking for per-enclosure
         # balancing must fail at the field's path, not run as one tier.
