@@ -47,6 +47,7 @@ from repro.scenario.compiler import (
 )
 from repro.scenario.library import ext11_trace_attribution
 from repro.workloads.suite import make_workload
+from tests.memsim.reference_twolevel import run_scalar
 from tests.obs import reference_export
 
 #: Measurements a budget may miss before it fails: noise reads high in
@@ -259,7 +260,7 @@ def test_miss_ratio_curve_speedup():
 
     def scalar():
         return [
-            TwoLevelMemorySimulator(spec, fraction, policy="lru")._run_scalar(length)
+            run_scalar(TwoLevelMemorySimulator(spec, fraction, policy="lru"), length)
             for fraction in fractions
         ]
 

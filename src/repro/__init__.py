@@ -26,7 +26,6 @@ The package is organized by subsystem, mirroring the paper's structure:
 from repro.core.metrics import (
     EfficiencyMetrics,
     harmonic_mean,
-    relative_efficiency,
 )
 from repro.core.designs import (
     BaselineDesign,
@@ -40,7 +39,6 @@ __version__ = "1.0.0"
 __all__ = [
     "EfficiencyMetrics",
     "harmonic_mean",
-    "relative_efficiency",
     "BaselineDesign",
     "UnifiedDesign",
     "n1_design",

@@ -23,9 +23,8 @@ The balancer also carries the repository's graceful-degradation stack
   to local-memory-only operation (capacity misses page in from disk); a
   down flash cache drops to the raw-disk path.
 
-Faults come either from a scripted ``failures``/``recoveries`` schedule
-or from stochastic per-component MTBF/MTTR processes
-(:class:`repro.faults.FaultInjector`), both fully deterministic per seed.
+Faults come from stochastic per-component MTBF/MTTR processes
+(:class:`repro.faults.FaultInjector`), fully deterministic per seed.
 
 On top of that sits the *overload-protection* stack
 (:mod:`repro.cluster.overload`), enabled by passing an
@@ -55,7 +54,6 @@ import hashlib
 import pickle
 import random
 from dataclasses import dataclass, field, replace
-from numbers import Real
 from typing import Dict, List, Optional
 
 from repro.cluster.overload import (
@@ -345,19 +343,6 @@ class _Server:
         self.draining = False
 
 
-def _scripted_time(label: str, index: int, at_ms: object) -> float:
-    """Validate one scripted failure/recovery timestamp."""
-    if isinstance(at_ms, bool) or not isinstance(at_ms, Real):
-        raise TypeError(
-            f"server {index} {label} must be a single time in ms, got "
-            f"{type(at_ms).__name__!r}: the scripted schedule supports at "
-            "most one failure and one recovery per server (a recovery "
-            "followed by another failure is not representable); use "
-            "repro.faults.FaultInjector for repeated fail/repair cycles"
-        )
-    return float(at_ms)
-
-
 class ClusterSimulator:
     """N identical servers behind a load balancer.
 
@@ -377,8 +362,6 @@ class ClusterSimulator:
         warmup_requests: int = 500,
         measure_requests: int = 4000,
         disk_spec: Optional[DiskSpec] = None,
-        failures: Optional[Dict[int, float]] = None,
-        recoveries: Optional[Dict[int, float]] = None,
         remote_memory: Optional[RemoteMemoryModel] = None,
         faults: Optional[FaultProfile] = None,
         fault_seed: Optional[int] = None,
@@ -405,15 +388,6 @@ class ClusterSimulator:
         gives each server a fresh disk model from ``disk_spec.build()``;
         without one, each server uses its platform's own disk.
 
-        ``failures`` maps a server index to the simulated time (ms) at
-        which it crashes; the balancer stops dispatching to it.
-        ``recoveries`` maps a server index to the time it comes back into
-        rotation.  The scripted schedule is one-shot: at most one failure
-        and one optional later recovery per server -- a recovery followed
-        by a second failure cannot be expressed (pass ``faults`` for
-        repeated, stochastic fail/repair cycles instead).  Failing every
-        server (without recovery) is rejected.
-
         ``faults`` enables stochastic per-component fault injection from
         MTBF/MTTR processes (seeded by ``fault_seed``, default derived
         from ``seed``); servers, disks, NICs, the memory blade, flash
@@ -421,12 +395,9 @@ class ClusterSimulator:
         with correlated blast radii for the shared components.
 
         ``retry`` adds per-request timeout, bounded retry with
-        exponential backoff, and optional hedged dispatch.  With ``retry``
-        (explicit, or the default one implied by ``faults``) a server
-        going down *loses* its in-flight requests -- clients recover via
-        timeout -- whereas without it the legacy behaviour is kept:
-        in-flight requests complete, only new dispatches avoid the dead
-        server.
+        exponential backoff, and optional hedged dispatch.  ``faults``
+        implies a default ``retry``: a server going down *loses* its
+        in-flight requests, and clients recover via timeout.
 
         ``overload`` layers the protection stack of
         :mod:`repro.cluster.overload` over dispatch: bounded per-server
@@ -499,33 +470,6 @@ class ClusterSimulator:
             raise ValueError("enclosure size must be positive")
         if arrivals is not None and (warmup_ms < 0 or measure_ms <= 0):
             raise ValueError("open-loop windows must be positive")
-        if failures:
-            failures = {
-                i: _scripted_time("failure", i, t) for i, t in failures.items()
-            }
-            bad = [i for i in failures if not 0 <= i < servers]
-            if bad:
-                raise ValueError(f"failure indices out of range: {bad}")
-            if len(failures) >= servers and not recoveries:
-                raise ValueError("cannot fail every server")
-            if any(t < 0 for t in failures.values()):
-                raise ValueError("failure times must be >= 0")
-        if recoveries:
-            recoveries = {
-                i: _scripted_time("recovery", i, t) for i, t in recoveries.items()
-            }
-            bad = [i for i in recoveries if not 0 <= i < servers]
-            if bad:
-                raise ValueError(f"recovery indices out of range: {bad}")
-            for index, at_ms in recoveries.items():
-                if failures is None or index not in failures:
-                    raise ValueError(
-                        f"server {index} has a recovery but no failure"
-                    )
-                if at_ms <= failures[index]:
-                    raise ValueError(
-                        f"server {index} recovery must follow its failure"
-                    )
         self._platform = platform
         self._workload = workload
         self._servers = servers
@@ -535,16 +479,13 @@ class ClusterSimulator:
         self._warmup = warmup_requests
         self._measure = measure_requests
         self._disk_spec = disk_spec
-        self._failures = dict(failures or {})
-        self._recoveries = dict(recoveries or {})
         self._remote_memory = remote_memory
         self._faults = faults
         self._fault_seed = (
             fault_seed if fault_seed is not None else seed ^ 0x5EED5EED
         )
         # Stochastic faults can strand in-flight requests, so they imply
-        # a retry policy; scripted-only runs keep the legacy semantics
-        # unless the caller asks for one.
+        # a retry policy.
         self._retry = retry if retry is not None else (
             RetryPolicy() if faults is not None else None
         )
@@ -745,7 +686,7 @@ class ClusterSimulator:
                     if fault.repair_ms is not None:
                         sim.schedule_at(fault.repair_ms, _unprotected_repair)
 
-        track_faults = self._faults is not None or bool(self._failures)
+        track_faults = self._faults is not None
         tracker = AvailabilityTracker() if track_faults else None
 
         # --- overload-protection runtime -------------------------------
@@ -790,12 +731,11 @@ class ClusterSimulator:
             if server.down_components == 1:
                 server.up = False
                 _rotation_observe(index, up=False)
-                if retry is not None:
-                    # In-flight work on a dead server is lost; clients
-                    # recover through their timeouts.
-                    server.epoch += 1
-                    report.lost_in_flight += server.outstanding
-                    server.outstanding = 0
+                # In-flight work on a dead server is lost; clients
+                # recover through their timeouts.
+                server.epoch += 1
+                report.lost_in_flight += server.outstanding
+                server.outstanding = 0
 
         def bring_up(index: int) -> None:
             server = servers[index]
@@ -807,11 +747,6 @@ class ClusterSimulator:
         if tracker is not None:
             for index in range(self._servers):
                 tracker.observe(f"rotation/server{index}", 0.0, up=True)
-
-        for index, at_ms in self._failures.items():
-            sim.schedule(at_ms, lambda i=index: take_down(i))
-        for index, at_ms in self._recoveries.items():
-            sim.schedule(at_ms, lambda i=index: bring_up(i))
 
         injector: Optional[FaultInjector] = None
         if self._faults is not None:
@@ -939,7 +874,7 @@ class ClusterSimulator:
             alive = self._alive(servers)
             if not alive:
                 # Health check: nobody can serve right now.  Back off and
-                # re-probe; a repair or scripted recovery will unblock us.
+                # re-probe; a repair or drain end will unblock us.
                 report.all_down_waits += 1
                 trace = rs.trace
                 if trace is not None and trace.status is None:

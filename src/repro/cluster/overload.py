@@ -222,10 +222,6 @@ class RetryBudget:
         self.policy = policy
         self._tokens = float(policy.burst)
 
-    @property
-    def tokens(self) -> float:
-        return self._tokens
-
     def note_request(self) -> None:
         """Deposit the per-request token fraction (first attempts only)."""
         self._tokens = min(

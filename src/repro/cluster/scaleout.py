@@ -74,26 +74,6 @@ class ScaleOutModel:
             raise ValueError("per-server throughput must be >= 0")
         return servers * per_server_throughput * self.partition_efficiency(servers)
 
-    def max_useful_partitions(self, limit: int = 1 << 20) -> int:
-        """Partition count beyond which aggregate throughput declines."""
-        best_n, best_x = 1, self.cluster_throughput(1, 1.0)
-        n = 1
-        while n < limit:
-            n *= 2
-            x = self.cluster_throughput(n, 1.0)
-            if x <= best_x:
-                # Refine between the last improving power of two and n.
-                lo, hi = best_n, n
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if self.cluster_throughput(mid, 1.0) > best_x:
-                        lo, best_x = mid, self.cluster_throughput(mid, 1.0)
-                    else:
-                        hi = mid
-                return lo
-            best_n, best_x = n, x
-        return best_n
-
     def equivalence_ratio(
         self, small_per_server: float, big_per_server: float,
         big_servers: int,

@@ -28,7 +28,6 @@ from repro.cooling.enclosure import (
     AGGREGATED_MICROBLADE,
 )
 from repro.cooling.rack import RackPacking, pack_rack
-from repro.cooling.fanlaws import Fan, operating_point, speed_margin
 
 __all__ = [
     "AirflowPath",
@@ -41,7 +40,4 @@ __all__ = [
     "AGGREGATED_MICROBLADE",
     "RackPacking",
     "pack_rack",
-    "Fan",
-    "operating_point",
-    "speed_margin",
 ]

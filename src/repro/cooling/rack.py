@@ -42,13 +42,6 @@ class RackPacking:
             switch_rack_power_w=self.switch_rack_power_w,
         )
 
-    def racks_for(self, servers: int) -> int:
-        """Racks needed to house ``servers`` systems."""
-        if servers < 0:
-            raise ValueError("server count must be >= 0")
-        per = self.systems_per_rack
-        return -(-servers // per) if servers else 0
-
 
 def pack_rack(
     enclosure: EnclosureDesign,

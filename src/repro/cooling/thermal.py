@@ -119,15 +119,3 @@ class ThermalCircuit:
     @property
     def total_k_w(self) -> float:
         return self.conduction_k_w + self.convection_k_w
-
-    def junction_rise_k(self, heat_w: float) -> float:
-        """Junction temperature rise above inlet air for ``heat_w``."""
-        if heat_w < 0:
-            raise ValueError("heat must be >= 0")
-        return heat_w * self.total_k_w
-
-    def max_heat_w(self, allowed_rise_k: float) -> float:
-        """Heat removable within an allowed junction temperature rise."""
-        if allowed_rise_k <= 0:
-            raise ValueError("allowed rise must be positive")
-        return allowed_rise_k / self.total_k_w

@@ -14,7 +14,6 @@
 from repro.core.metrics import (
     EfficiencyMetrics,
     harmonic_mean,
-    relative_efficiency,
 )
 from repro.core.efficiency import EfficiencyTable, build_efficiency_tables
 from repro.core.designs import (
@@ -29,7 +28,6 @@ from repro.core.analysis import DesignEvaluation, evaluate_designs
 __all__ = [
     "EfficiencyMetrics",
     "harmonic_mean",
-    "relative_efficiency",
     "EfficiencyTable",
     "build_efficiency_tables",
     "BaselineDesign",

@@ -53,10 +53,6 @@ class DesignEvaluation:
     def table(self, metric: str) -> EfficiencyTable:
         return self.tables[metric]
 
-    def render(self, metrics: Optional[Sequence[str]] = None) -> str:
-        names = list(metrics) if metrics is not None else list(self.tables)
-        return "\n\n".join(self.tables[m].render() for m in names)
-
 
 def evaluate_designs(
     designs: Sequence[Design],

@@ -10,7 +10,7 @@ the harmonic mean of throughputs and reciprocal execution times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 
 def harmonic_mean(values: Iterable[float]) -> float:
@@ -79,24 +79,3 @@ METRIC_ATTRIBUTES: Dict[str, str] = {
     "Perf/P&C-$": "perf_per_pc_usd",
     "Perf/TCO-$": "perf_per_tco_usd",
 }
-
-
-def relative_efficiency(
-    metrics: Mapping[str, EfficiencyMetrics],
-    baseline: str,
-    attribute: str,
-) -> Dict[str, float]:
-    """Ratio of one metric attribute to the baseline system's.
-
-    ``metrics`` maps system name to :class:`EfficiencyMetrics` (all for
-    the same benchmark); ``attribute`` is an :class:`EfficiencyMetrics`
-    property name such as ``"perf_per_tco_usd"``.
-    """
-    if baseline not in metrics:
-        raise KeyError(f"baseline {baseline!r} not in metrics")
-    base_value = getattr(metrics[baseline], attribute)
-    if base_value <= 0:
-        raise ValueError(f"baseline {attribute} must be positive")
-    return {
-        system: getattr(m, attribute) / base_value for system, m in metrics.items()
-    }

@@ -35,7 +35,6 @@ from repro.costmodel.availability import (
     DurabilityAdjustedTco,
     DurabilityModel,
     RepairCostModel,
-    availability_weighted_perf_per_tco,
 )
 from repro.costmodel.realestate import DEFAULT_REAL_ESTATE, RealEstateModel
 from repro.costmodel.utilization_power import UtilizationPowerModel
@@ -62,7 +61,6 @@ __all__ = [
     "DurabilityAdjustedTco",
     "DurabilityModel",
     "RepairCostModel",
-    "availability_weighted_perf_per_tco",
     "DEFAULT_REAL_ESTATE",
     "RealEstateModel",
     "UtilizationPowerModel",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional
 
 from repro.costmodel.tco import TcoBreakdown
 from repro.faults.model import (
@@ -164,40 +164,11 @@ class AvailabilityAdjustedTco:
         """TCO including expected repair spending over the cycle."""
         return self.breakdown.total_usd + self.repair_usd
 
-    @property
-    def downtime_fraction(self) -> float:
-        return 1.0 - self.availability
-
-    def downtime_hours_per_cycle(
-        self, cycle_hours: float = DEPRECIATION_CYCLE_HOURS
-    ) -> float:
-        return self.downtime_fraction * cycle_hours
-
     def availability_weighted_perf_per_tco(self, performance: float) -> float:
         """The paper's Perf/TCO-$ with availability priced in."""
         if performance < 0:
             raise ValueError("performance must be >= 0")
         return performance * self.availability / self.total_usd
-
-
-def availability_weighted_perf_per_tco(
-    performance: float,
-    breakdown: TcoBreakdown,
-    repair_model: RepairCostModel,
-    components: Iterable[ComponentType],
-    shared: Optional[Mapping[ComponentType, int]] = None,
-    degraded: Optional[Mapping[ComponentType, float]] = None,
-) -> Tuple[float, AvailabilityAdjustedTco]:
-    """Convenience wrapper: adjusted TCO and the weighted metric at once."""
-    component_list = list(components)
-    adjusted = AvailabilityAdjustedTco(
-        breakdown=breakdown,
-        repair_usd=repair_model.repair_cost_usd(component_list, shared),
-        availability=repair_model.effective_availability(
-            component_list, degraded
-        ),
-    )
-    return adjusted.availability_weighted_perf_per_tco(performance), adjusted
 
 
 @dataclass(frozen=True)

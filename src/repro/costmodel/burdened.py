@@ -92,7 +92,3 @@ class BurdenedPowerCoolingModel:
         energy_wh = consumed_w * self.hours
         electricity = energy_wh * self.parameters.tariff_usd_per_wh
         return electricity * self.parameters.burden_factor
-
-    def cost_per_watt_usd(self) -> float:
-        """Burdened cost of one watt of continuous draw over the cycle."""
-        return self.cost_usd(1.0)

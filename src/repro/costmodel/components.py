@@ -45,12 +45,6 @@ class ComponentSpec:
         if self.power_w < 0:
             raise ValueError(f"component power must be >= 0, got {self.power_w}")
 
-    def scaled(self, cost_factor: float = 1.0, power_factor: float = 1.0) -> "ComponentSpec":
-        """Return a copy with cost and/or power scaled by the given factors."""
-        if cost_factor < 0 or power_factor < 0:
-            raise ValueError("scale factors must be >= 0")
-        return ComponentSpec(self.cost_usd * cost_factor, self.power_w * power_factor)
-
 
 @dataclass(frozen=True)
 class ServerBill:
@@ -82,11 +76,6 @@ class ServerBill:
     def power_w(self) -> float:
         """Total per-server maximum operational power (sum over components)."""
         return sum(spec.power_w for spec in self.components.values())
-
-    def cost_of(self, component: Component) -> float:
-        """Hardware cost of one component group (0 if absent)."""
-        spec = self.components.get(component)
-        return spec.cost_usd if spec is not None else 0.0
 
     def power_of(self, component: Component) -> float:
         """Maximum operational power of one component group (0 if absent)."""
@@ -121,16 +110,5 @@ class ServerBill:
         return ServerBill(
             name=name if name is not None else self.name,
             components=new_components,
-            description=self.description,
-        )
-
-    def scaled(self, cost_factor: float = 1.0, power_factor: float = 1.0) -> "ServerBill":
-        """Return a copy with every component's cost/power scaled uniformly."""
-        return ServerBill(
-            name=self.name,
-            components={
-                component: spec.scaled(cost_factor, power_factor)
-                for component, spec in self.components.items()
-            },
             description=self.description,
         )

@@ -59,9 +59,3 @@ class PowerModel:
     def rack_consumed_w(self, bill: ServerBill) -> float:
         """Average consumed power of a full rack of this server."""
         return self.rack.rack_power_w(bill.power_w) * self.activity_factor
-
-    def energy_wh(self, consumed_w: float, hours: float) -> float:
-        """Energy in watt-hours for a constant average draw over ``hours``."""
-        if hours < 0:
-            raise ValueError("hours must be >= 0")
-        return consumed_w * hours

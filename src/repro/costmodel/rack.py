@@ -52,19 +52,6 @@ class RackConfig:
             raise ValueError("server power must be >= 0")
         return self.servers_per_rack * server_power_w + self.switch_rack_power_w
 
-    def with_density(self, servers_per_rack: int, switch_scale: float = 1.0) -> "RackConfig":
-        """Return a denser rack; switch cost/power scale with ``switch_scale``.
-
-        Denser racks need more switch ports; by default the switch cost is
-        held constant (conservative: it then amortizes over more servers).
-        """
-        return RackConfig(
-            servers_per_rack=servers_per_rack,
-            switch_rack_cost_usd=self.switch_rack_cost_usd * switch_scale,
-            switch_rack_power_w=self.switch_rack_power_w * switch_scale,
-            rack_units=self.rack_units,
-        )
-
 
 #: The paper's default rack: 40 1U "pizza box" servers, $2,750 switch.
 STANDARD_RACK = RackConfig()

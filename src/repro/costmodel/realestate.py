@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.costmodel.rack import RackConfig, STANDARD_RACK
-
 
 @dataclass(frozen=True)
 class RealEstateModel:
@@ -43,25 +41,6 @@ class RealEstateModel:
     def cost_per_rack_usd(self) -> float:
         """Floor-space cost of one rack position over the cycle."""
         return self.gross_sqft_per_rack * self.cost_per_sqft_cycle_usd
-
-    def cost_per_server_usd(self, rack: RackConfig = STANDARD_RACK) -> float:
-        """Per-server share of the rack's floor-space cost."""
-        return self.cost_per_rack_usd / rack.servers_per_rack
-
-    def fleet_cost_usd(self, servers: int, rack: RackConfig = STANDARD_RACK) -> float:
-        """Floor-space cost of a fleet (whole racks)."""
-        if servers < 0:
-            raise ValueError("server count must be >= 0")
-        racks = -(-servers // rack.servers_per_rack) if servers else 0
-        return racks * self.cost_per_rack_usd
-
-    def density_savings(
-        self, dense_rack: RackConfig, base_rack: RackConfig = STANDARD_RACK
-    ) -> float:
-        """Fractional per-server floor-space saving from densification."""
-        base = self.cost_per_server_usd(base_rack)
-        dense = self.cost_per_server_usd(dense_rack)
-        return 1.0 - dense / base
 
 
 #: Default model: ~$7,200 of floor space per rack position per cycle.

@@ -62,19 +62,6 @@ class TcoBreakdown:
         """Total cost of ownership (the paper's "Total costs" line)."""
         return self.hardware_total_usd + self.power_cooling_total_usd
 
-    def share(self, label: str, category: CostCategory) -> float:
-        """Fraction of TCO contributed by one (component, category) slice.
-
-        These are the slices of the paper's Figure 1(b) pie chart, e.g.
-        ``share("cpu", CostCategory.HARDWARE)`` is about 0.20 for srvr2.
-        """
-        table = (
-            self.hardware_usd
-            if category is CostCategory.HARDWARE
-            else self.power_cooling_usd
-        )
-        return table.get(label, 0.0) / self.total_usd
-
     def pie_slices(self) -> Dict[Tuple[str, CostCategory], float]:
         """All Figure 1(b) pie slices as ``{(label, category): fraction}``."""
         slices: Dict[Tuple[str, CostCategory], float] = {}
@@ -123,14 +110,6 @@ class TcoModel:
     def total_usd(self, bill: ServerBill) -> float:
         """Per-server TCO (hardware + burdened P&C + rack share)."""
         return self.breakdown(bill).total_usd
-
-    def infrastructure_usd(self, bill: ServerBill) -> float:
-        """Per-server infrastructure (hardware-only) cost incl. rack share."""
-        return self.breakdown(bill).hardware_total_usd
-
-    def power_cooling_usd(self, bill: ServerBill) -> float:
-        """Per-server burdened power-and-cooling cost over the cycle."""
-        return self.breakdown(bill).power_cooling_total_usd
 
     def availability_adjusted(
         self,

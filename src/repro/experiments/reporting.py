@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
@@ -27,23 +25,6 @@ class ExperimentResult:
             parts.append(f"--- {name} ---")
             parts.append(text)
         return "\n\n".join(parts)
-
-    def payload_digest(self) -> str:
-        """SHA-256 over the full payload (sections, data, identity).
-
-        Two results are byte-identical -- same numbers, same seeds, same
-        rendering inputs -- exactly when their digests match; the
-        determinism tests use this to compare serial and parallel runs.
-        """
-        payload = (
-            self.experiment_id,
-            self.title,
-            self.paper_reference,
-            self.sections,
-            self.data,
-        )
-        blob = pickle.dumps(payload, protocol=4)
-        return hashlib.sha256(blob).hexdigest()
 
 
 def format_table(
@@ -118,7 +99,3 @@ def percent(value: float) -> str:
 
 def dollars(value: float) -> str:
     return f"${value:,.0f}"
-
-
-def watts(value: float) -> str:
-    return f"{value:.0f} W"

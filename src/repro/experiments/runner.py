@@ -184,6 +184,12 @@ def main(argv: list[str] | None = None) -> int:
     if not names:
         parser.print_help()
         return 2
+    unknown = [name for name in names if name not in _EXPERIMENTS]
+    if unknown:
+        parser.error(
+            f"unknown experiment(s) {', '.join(unknown)}; "
+            f"known: {', '.join(_EXPERIMENTS)}"
+        )
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")
 

@@ -545,9 +545,6 @@ class PeerComparisonDetector:
 
     # -- balancer-facing queries --------------------------------------
 
-    def health(self, server: int) -> ServerHealth:
-        return self._health[server]
-
     def routable(self, server: int) -> bool:
         """May regular (non-probe) traffic go to this server?
 
@@ -605,10 +602,6 @@ class PeerComparisonDetector:
         timeout = adaptive if adaptive < static_ms else static_ms
         self.report.last_adaptive_timeout_ms = timeout
         return timeout
-
-    def observe(self, server: int, latency_ms: float) -> None:
-        """Record one finished attempt's latency for ``server``."""
-        self.histograms[server].record(latency_ms)
 
     # -- periodic evaluation ------------------------------------------
 

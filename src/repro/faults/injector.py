@@ -165,10 +165,6 @@ class FaultInjector:
 
         self._sim.schedule(delay, fail)
 
-    @property
-    def total_failures(self) -> int:
-        return sum(self.failure_counts.values())
-
 
 def schedule_maintenance(
     sim: "Simulation",

@@ -11,9 +11,9 @@ standard memoryless model for hardware fault processes.
 Two consumers share these profiles:
 
 - :class:`repro.faults.injector.FaultInjector` draws concrete fault
-  events from them inside the discrete-event simulator (usually through
-  an *accelerated* copy, since real MTBFs of months would never fire in
-  a seconds-long simulated window), and
+  events from them inside the discrete-event simulator (usually from
+  the seconds-scale :data:`STRESS_FAULT_PROFILE`, since real MTBFs of
+  months would never fire in a seconds-long simulated window), and
 - :class:`repro.costmodel.availability.RepairCostModel` prices the
   expected repair labour and downtime over the three-year depreciation
   cycle from the *unaccelerated* figures.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 #: Milliseconds per hour (fault specs are quoted in hours, simulated in ms).
 MS_PER_HOUR = 3_600_000.0
@@ -82,15 +82,6 @@ class FaultSpec:
             raise ValueError("cycle must be >= 0")
         return cycle_hours / self.mtbf_hours
 
-    def scaled(self, acceleration: float) -> "FaultSpec":
-        """Shrink both time constants by ``acceleration`` (for simulation)."""
-        if acceleration <= 0:
-            raise ValueError("acceleration must be positive")
-        return FaultSpec(
-            mtbf_hours=self.mtbf_hours / acceleration,
-            mttr_hours=self.mttr_hours / acceleration,
-        )
-
 
 @dataclass(frozen=True)
 class FaultProfile:
@@ -106,58 +97,6 @@ class FaultProfile:
     def spec(self, component: ComponentType) -> Optional[FaultSpec]:
         """The spec for one component class (None = never fails)."""
         return self.specs.get(component)
-
-    def availability(self, component: ComponentType) -> float:
-        spec = self.spec(component)
-        return spec.availability if spec is not None else 1.0
-
-    def serial_availability(self, components: Iterable[ComponentType]) -> float:
-        """Availability of a chain that needs every listed component up.
-
-        Independent components in series: the product of their
-        steady-state availabilities (the classic RBD series formula).
-        An *empty* chain is the multiplicative identity, 1.0 -- a path
-        that crosses no fallible component is always up -- and a
-        component with no spec contributes 1.0 the same way.  A zero or
-        negative MTTR cannot appear here: :class:`FaultSpec` rejects it
-        at construction, so every factor is strictly in (0, 1).
-        """
-        product = 1.0
-        for component in components:
-            product *= self.availability(component)
-        return product
-
-    def accelerated(self, factor: float) -> "FaultProfile":
-        """A copy with every MTBF/MTTR divided by ``factor``.
-
-        Real component MTBFs are months to decades; simulated measurement
-        windows are seconds.  Accelerating the whole profile preserves
-        the *ratio* of repair time to uptime (and hence availability)
-        while making faults observable inside a run.
-        """
-        return FaultProfile(
-            name=f"{self.name}/x{factor:g}",
-            specs={c: s.scaled(factor) for c, s in self.specs.items()},
-        )
-
-    def replace(self, **overrides: FaultSpec) -> "FaultProfile":
-        """A copy with named component specs replaced.
-
-        Keys are :class:`ComponentType` value strings with ``-`` replaced
-        by ``_`` (e.g. ``memory_blade=FaultSpec(...)``).
-        """
-        by_key: Dict[str, ComponentType] = {
-            c.value.replace("-", "_"): c for c in ComponentType
-        }
-        specs = dict(self.specs)
-        for key, spec in overrides.items():
-            try:
-                specs[by_key[key]] = spec
-            except KeyError as exc:
-                raise KeyError(
-                    f"unknown component {key!r}; known: {sorted(by_key)}"
-                ) from exc
-        return FaultProfile(name=self.name, specs=specs)
 
 
 #: Default commodity-hardware fault profile (unaccelerated, real hours).

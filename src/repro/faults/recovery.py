@@ -259,9 +259,6 @@ class RecoveryReport:
     #: Requests that paid local-paging time for unrecoverable pages.
     lossy_requests: int = 0
     #: Group counters (copied at finalize).
-    failover_reads: int = 0
-    reconstructed_reads: int = 0
-    lost_page_reads: int = 0
     degraded_writes: int = 0
     lost_writes: int = 0
     pages_rebuilt: int = 0
@@ -281,9 +278,7 @@ class RecoveryReport:
 
     @property
     def data_loss(self) -> bool:
-        return self.lost_page_reads > 0 or (
-            self.audit is not None and self.audit.lost > 0
-        )
+        return self.audit is not None and self.audit.lost > 0
 
 
 class RecoveryOrchestrator:
@@ -505,9 +500,6 @@ class RecoveryOrchestrator:
             report.rebuild_traces.append(self._stream_trace)
             self._stream_trace = None
         group = self.group
-        report.failover_reads = group.failover_reads
-        report.reconstructed_reads = group.reconstructed_reads
-        report.lost_page_reads = group.lost_page_reads
         report.degraded_writes = group.degraded_writes
         report.lost_writes = group.lost_writes
         report.pages_rebuilt = group.pages_rebuilt

@@ -109,13 +109,6 @@ class FlashCache:
         """Service time to read one object from flash."""
         return self.device.access_time_ms(self.object_bytes, write=False)
 
-    def write_service_ms(self) -> float:
-        """Service time to install one object (write + amortized erase)."""
-        return (
-            self.device.access_time_ms(self.object_bytes, write=True)
-            + self.device.erase_latency_ms
-        )
-
     def estimated_lifetime_years(self, writes_per_second: float) -> float:
         """Wear-leveled lifetime at a sustained write rate.
 

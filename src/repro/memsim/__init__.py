@@ -10,11 +10,10 @@ This package reproduces the paper's evaluation:
 - :mod:`~repro.memsim.trace` -- synthetic page-access traces with
   per-workload locality (the paper gathered traces on the emb1 model;
   we generate statistically equivalent ones).
-- :mod:`~repro.memsim.replacement` -- LRU and random replacement (the
-  paper brackets implementable policies between these two).
-- :mod:`~repro.memsim.twolevel` -- the two-level trace simulator and the
-  slowdown model with PCIe x4 (4 us/page) and critical-block-first
-  (CBF, 0.75 us) remote-access latencies.
+- :mod:`~repro.memsim.twolevel` -- the two-level trace simulator under
+  LRU and random replacement (the paper brackets implementable policies
+  between these two), and the slowdown model with PCIe x4 (4 us/page)
+  and critical-block-first (CBF, 0.75 us) remote-access latencies.
 - :mod:`~repro.memsim.blade` -- the memory-blade architecture: capacity
   allocation and per-server isolation.
 - :mod:`~repro.memsim.provisioning` -- static vs dynamic provisioning
@@ -37,7 +36,6 @@ from repro.memsim.trace import (
     generate_trace,
     trace_chunks,
 )
-from repro.memsim.replacement import LruPolicy, RandomPolicy, ReplacementPolicy
 from repro.memsim.twolevel import (
     MissStats,
     TwoLevelMemorySimulator,
@@ -82,9 +80,6 @@ __all__ = [
     "lru_miss_curve",
     "measured_slowdown",
     "scheme_performance_ratio",
-    "LruPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
     "MissStats",
     "TwoLevelMemorySimulator",
     "PCIE_X4_PAGE_LATENCY_US",

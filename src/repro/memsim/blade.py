@@ -7,7 +7,7 @@ while enforcing the per-server memory allocation to provide security and
 fault isolation."
 
 This module implements that controller functionally: per-server capacity
-allocations, page read/write with strict isolation checks, and transfer
+allocations, page swap-out with strict isolation checks, and transfer
 accounting (used by tests and by the provisioning analysis to validate
 capacity arithmetic).
 """
@@ -49,7 +49,6 @@ class MemoryBlade:
         self.capacity_pages = int(capacity_gb * (1 << 30) / PAGE_SIZE_BYTES)
         self._allocations: Dict[str, BladeAllocation] = {}
         self.transfers_to_blade = 0
-        self.transfers_from_blade = 0
 
     @property
     def allocated_pages(self) -> int:
@@ -73,10 +72,6 @@ class MemoryBlade:
         self._allocations[server_id] = allocation
         return allocation
 
-    def release(self, server_id: str) -> None:
-        """Release a server's allocation (server decommissioned)."""
-        self._allocations.pop(server_id, None)
-
     def allocation_of(self, server_id: str) -> Optional[BladeAllocation]:
         return self._allocations.get(server_id)
 
@@ -98,15 +93,3 @@ class MemoryBlade:
         allocation = self._check(server_id, page_number)
         allocation.resident[page_number] = data
         self.transfers_to_blade += 1
-
-    def read_page(self, server_id: str, page_number: int) -> bytes:
-        """Remote page fetched into a server's local memory (exclusive:
-        the page leaves the blade)."""
-        allocation = self._check(server_id, page_number)
-        try:
-            data = allocation.resident.pop(page_number)
-        except KeyError:
-            # Never-written page: zero-filled, like fresh anonymous memory.
-            data = bytes(PAGE_SIZE_BYTES)
-        self.transfers_from_blade += 1
-        return data

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memsim.twolevel import slowdown_fraction
-
 
 @dataclass(frozen=True)
 class DmaDirectModel:
@@ -45,21 +43,3 @@ class DmaDirectModel:
             self.io_buffer_fraction * self.residual_cost_fraction
             + (1.0 - self.io_buffer_fraction)
         )
-
-    def slowdown(
-        self, miss_rate: float, touches_per_ms: float, latency_us: float
-    ) -> float:
-        """Remote-paging slowdown with DMA-direct enabled."""
-        base = slowdown_fraction(miss_rate, touches_per_ms, latency_us)
-        return base * self.effective_miss_cost_factor()
-
-    def transfer_traffic_factor(self) -> float:
-        """Blade-link traffic relative to the baseline design.
-
-        Each I/O-buffer miss previously cost three page movements
-        (DMA-in to local, evict to blade, later swap-in); DMA-direct
-        reduces those to one (DMA-in to blade) plus the eventual swap-in,
-        i.e. 2/3 of the traffic for the I/O share.
-        """
-        io_share = self.io_buffer_fraction
-        return io_share * (2.0 / 3.0) + (1.0 - io_share)

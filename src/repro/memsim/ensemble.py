@@ -157,10 +157,3 @@ class ProvisioningStudy:
             capacity_overhead, overflow_tolerance
         )
         return 1.0 - redundant / per_server
-
-    def overflow_rate(self, provisioned_gb: float) -> float:
-        """Fraction of time steps whose aggregate demand exceeds capacity."""
-        if provisioned_gb < 0:
-            raise ValueError("capacity must be >= 0")
-        samples = self.aggregate_demand_samples()
-        return sum(1 for s in samples if s > provisioned_gb) / len(samples)

@@ -23,10 +23,9 @@ rebuild worklist :class:`repro.faults.recovery.RecoveryOrchestrator`
 drains as background DES traffic.  All placement is a pure function of
 (server slot, page number), so a run's layout consumes zero RNG.
 
-Semantics follow :class:`~repro.memsim.blade.MemoryBlade` exactly:
-exclusive caching (a read pops the page from every surviving copy and
-removes its parity contribution), never-written pages read as zeros,
-and per-server isolation is enforced on every blade a copy lands on.
+Semantics follow :class:`~repro.memsim.blade.MemoryBlade`: never-written
+pages read as zeros, and per-server isolation is enforced on every blade
+a copy lands on.
 """
 
 from __future__ import annotations
@@ -105,11 +104,6 @@ class RedundancyPolicy:
     def min_blades(self) -> int:
         """Distinct blades the placement needs."""
         return self.copies if self.mode == "replica" else self.data_shards + 1
-
-    @property
-    def group_width(self) -> int:
-        """Blades involved in one server's placement group."""
-        return self.min_blades
 
     @property
     def degraded_read_amplification(self) -> float:
@@ -213,9 +207,6 @@ class BladeGroup:
         #: Bumped on every state change; callers cache derived views
         #: (service profiles) against it.
         self.version = 0
-        self.failover_reads = 0
-        self.reconstructed_reads = 0
-        self.lost_page_reads = 0
         self.pages_rebuilt = 0
         self.degraded_writes = 0
         self.lost_writes = 0
@@ -332,7 +323,7 @@ class BladeGroup:
                 self.degraded_writes += 1
                 self._note_missing_copies(server_id, slot, page)
         else:
-            old = self._read_value(server_id, slot, page, count=False)
+            old = self._read_value(server_id, slot, page)
             if old is None:
                 old = ZERO_PAGE  # unreconstructable old value: 2+ faults
             blade = self._data_blade(slot, page)
@@ -360,26 +351,17 @@ class BladeGroup:
         self.version += 1
 
     def _read_value(
-        self, server_id: str, slot: int, page: int, count: bool = True
+        self, server_id: str, slot: int, page: int
     ) -> Optional[bytes]:
-        """Current value of a written page, or None if unrecoverable.
-
-        ``count=True`` bumps the failover/reconstruction counters (a
-        real foreground read); internal peeks pass ``count=False``.
-        """
+        """Current value of a written page, or None if unrecoverable."""
         if page not in self._written[server_id]:
             return ZERO_PAGE
         if self.policy.mode == "replica":
-            primary = self._replica_set(slot)[0]
-            for rank, blade in enumerate(self._replica_set(slot)):
+            for blade in self._replica_set(slot):
                 if not self.live[blade]:
                     continue
                 value = self._resident(blade, server_id, page)
                 if value is not None:
-                    if count and rank > 0:
-                        self.failover_reads += 1
-                    elif count and blade != primary:  # pragma: no cover
-                        self.failover_reads += 1
                     return value
             return None
         blade = self._data_blade(slot, page)
@@ -415,56 +397,7 @@ class BladeGroup:
             if sibling_value is None:
                 return None
             value = _xor_pages(value, sibling_value)
-        if count:
-            self.reconstructed_reads += 1
         return value
-
-    def read_page(self, server_id: str, page: int) -> bytes:
-        """Fetch a page back into local memory (exclusive: every copy
-        leaves the group and the parity contribution is removed).
-
-        A page whose every copy is unreachable reads as zeros and counts
-        as a lost-page read -- the data-loss event the durability model
-        prices.
-        """
-        slot = self._check(server_id, page)
-        value = self._read_value(server_id, slot, page)
-        if value is None:
-            self.lost_page_reads += 1
-            value = ZERO_PAGE
-        self._drop_page(server_id, slot, page, value)
-        self._written[server_id].discard(page)
-        self.version += 1
-        return value
-
-    def _drop_page(
-        self, server_id: str, slot: int, page: int, value: bytes
-    ) -> None:
-        """Remove every stored copy of a page (exclusive-read pop)."""
-        if self.policy.mode == "replica":
-            for blade in self._replica_set(slot):
-                allocation = self.blades[blade].allocation_of(server_id)
-                if allocation is not None:
-                    allocation.resident.pop(page, None)
-        else:
-            blade = self._data_blade(slot, page)
-            allocation = self.blades[blade].allocation_of(server_id)
-            if allocation is not None:
-                allocation.resident.pop(page, None)
-            stripe = page // self.policy.data_shards
-            parity_blade = self._parity_blade(slot, stripe)
-            if self.live[parity_blade]:
-                parity = _xor_pages(
-                    self._parity_value(server_id, slot, stripe), value
-                )
-                self.blades[parity_blade].write_page(
-                    f"{server_id}#parity", stripe, parity
-                )
-        self._worklist = [
-            item for item in self._worklist
-            if not (item[0] == server_id and item[1] == "data"
-                    and item[2] == page)
-        ]
 
     def _note_missing_copies(
         self, server_id: str, slot: int, page: int
@@ -566,7 +499,7 @@ class BladeGroup:
             if not self.live[blade]:  # failed again mid-rebuild
                 continue
             if kind == "data":
-                value = self._read_value(server_id, slot, key, count=False)
+                value = self._read_value(server_id, slot, key)
                 if value is None:
                     continue
                 owner = server_id
@@ -578,7 +511,7 @@ class BladeGroup:
                         continue
                     if page not in self._written[server_id]:
                         continue
-                    part = self._read_value(server_id, slot, page, count=False)
+                    part = self._read_value(server_id, slot, page)
                     if part is None:
                         recoverable = False
                         break
@@ -627,7 +560,7 @@ class BladeGroup:
             return "intact"
         if direct:
             return "degraded"
-        if self._read_value(server_id, slot, page, count=False) is not None:
+        if self._read_value(server_id, slot, page) is not None:
             return "degraded"
         return "lost"
 

@@ -62,16 +62,12 @@ class CompressionModel:
     compression_ratio: float = 2.0
     #: Fraction of pages that compress well (media/encrypted data do not).
     compressible_fraction: float = 0.7
-    #: Added decompression latency per remote page fetch, microseconds.
-    decompression_latency_us: float = 1.0
 
     def __post_init__(self) -> None:
         if self.compression_ratio < 1.0:
             raise ValueError("compression ratio must be >= 1")
         if not 0 <= self.compressible_fraction <= 1:
             raise ValueError("compressible fraction must be in [0, 1]")
-        if self.decompression_latency_us < 0:
-            raise ValueError("latency must be >= 0")
 
     def capacity_multiplier(self) -> float:
         """Logical capacity per physical GB from compression alone."""
@@ -80,14 +76,6 @@ class CompressionModel:
             + (1.0 - self.compressible_fraction)
         )
         return 1.0 / stored
-
-    def fetch_latency_us(self, base_latency_us: float) -> float:
-        """Remote-fetch latency including expected decompression cost."""
-        if base_latency_us < 0:
-            raise ValueError("base latency must be >= 0")
-        return base_latency_us + (
-            self.compressible_fraction * self.decompression_latency_us
-        )
 
 
 def effective_capacity_factor(

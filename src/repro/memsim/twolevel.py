@@ -26,7 +26,6 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.memsim.replacement import make_policy
 from repro.memsim.trace import (
     PageTraceSpec,
     WORKLOAD_TRACES,
@@ -58,11 +57,6 @@ class MissStats:
     @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
-
-    @property
-    def blade_transfers(self) -> int:
-        """Total page movements over the blade link (fetch + writeback)."""
-        return self.misses + self.writebacks
 
 
 def slowdown_fraction(
@@ -100,8 +94,8 @@ class TwoLevelMemorySimulator:
 
         Exact LRU reads the memoized single-pass stack-distance curve;
         Random runs one flat replay loop.  Both are bit-identical to the
-        per-access policy replay of :meth:`_run_scalar`, their oracle
-        (``tests/perf/test_kernels.py``).
+        per-access policy replay in ``tests/memsim/reference_twolevel.py``,
+        their oracle (``tests/perf/test_kernels.py``).
         """
         length = (
             trace_length
@@ -122,7 +116,7 @@ class TwoLevelMemorySimulator:
     def _run_random(self, length: int) -> MissStats:
         """Random replacement as one flat loop over the trace chunks.
 
-        Replays :class:`~repro.memsim.replacement.RandomPolicy` exactly:
+        Replays the oracle's per-access ``RandomPolicy`` exactly:
         a victim slot is drawn with ``getrandbits`` the way
         ``randrange(capacity)`` draws it, from the same seeded stream.
         Compulsory first touches are counted once, off the whole trace,
@@ -171,37 +165,6 @@ class TwoLevelMemorySimulator:
             misses=window_misses - first_touches,
             local_capacity_pages=capacity,
             writebacks=window_misses - (len(slots) - resident_at_window),
-        )
-
-    def _run_scalar(self, length: int) -> MissStats:
-        """Reference per-access policy replay (the oracle)."""
-        trace = cached_trace(self.spec, length, seed=self.seed)
-        policy = make_policy(self.policy_name, self.local_capacity, seed=self.seed)
-
-        warmup = min(self.spec.footprint_pages, length // 2)
-        misses = 0
-        accesses = 0
-        evictions_at_window = 0
-        seen: set = set()
-        for i, page in enumerate(trace):
-            page = int(page)
-            if i == warmup:
-                evictions_at_window = policy.evictions
-            first_touch = page not in seen
-            if first_touch:
-                seen.add(page)
-            hit = policy.access(page)
-            if i >= warmup:
-                accesses += 1
-                # Compulsory first touches are page allocations, not
-                # remote fetches; only genuine capacity misses pay the
-                # blade round trip.
-                if not hit and not first_touch:
-                    misses += 1
-        return MissStats(
-            accesses=accesses, misses=misses,
-            local_capacity_pages=self.local_capacity,
-            writebacks=policy.evictions - evictions_at_window,
         )
 
     def slowdown(self, latency_us: float, trace_length: int | None = None) -> float:

@@ -84,6 +84,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="print the labeled metrics registry")
     args = parser.parse_args(argv)
 
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     unknown = [d for d in args.designs if d not in _DESIGNS]
     if unknown:
         parser.error(

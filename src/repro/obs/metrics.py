@@ -5,16 +5,15 @@ ad-hoc counter fields:
 
 - :class:`Counter` -- monotonically increasing float;
 - :class:`Gauge` -- last-written value (merge takes the max);
-- histograms -- :class:`~repro.simulator.telemetry.LatencyHistogram`;
-- series -- :class:`~repro.simulator.telemetry.TimeSeries`.
+- histograms -- :class:`~repro.simulator.telemetry.LatencyHistogram`.
 
 Instruments are keyed on ``(name, sorted labels)``; asking for the same
 key returns the same instrument, so independent components naturally
 accumulate into shared metrics.  :meth:`MetricsRegistry.merge` folds a
 second registry in (the ``--jobs N`` per-worker pattern: each worker
 fills its own registry, the parent merges them in request order), using
-the lossless ``merge()`` of the underlying accumulators -- mismatched
-histogram/series configurations raise rather than silently degrade.
+the lossless ``merge()`` of the underlying histograms -- mismatched
+bucket configurations raise rather than silently degrade.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import copy
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.simulator.telemetry import LatencyHistogram, TimeSeries
+from repro.simulator.telemetry import LatencyHistogram
 
 LabelKey = Tuple[Tuple[str, str], ...]
 MetricKey = Tuple[str, LabelKey]
@@ -59,7 +58,7 @@ def _label_key(labels: Dict[str, Any]) -> LabelKey:
 
 
 class MetricsRegistry:
-    """Counters, gauges, histograms, and time series keyed on (name, labels)."""
+    """Counters, gauges and histograms keyed on (name, labels)."""
 
     def __init__(self) -> None:
         self._metrics: Dict[MetricKey, Any] = {}
@@ -88,13 +87,6 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: Any) -> LatencyHistogram:
         return self._get_or_create(
             name, labels, LatencyHistogram, LatencyHistogram
-        )
-
-    def series(
-        self, name: str, bucket_ms: float = 500.0, **labels: Any
-    ) -> TimeSeries:
-        return self._get_or_create(
-            name, labels, lambda: TimeSeries(bucket_ms=bucket_ms), TimeSeries
         )
 
     # -- inspection ---------------------------------------------------
@@ -139,10 +131,6 @@ class MetricsRegistry:
                 entry["p50_ms"] = instrument.percentile_ms(0.50, default=None)
                 entry["p95_ms"] = instrument.percentile_ms(0.95, default=None)
                 entry["p99_ms"] = instrument.percentile_ms(0.99, default=None)
-            elif isinstance(instrument, TimeSeries):
-                entry["type"] = "series"
-                entry["bucket_ms"] = instrument.bucket_ms
-                entry["points"] = instrument.series()
             else:  # pragma: no cover - defensive
                 entry["type"] = type(instrument).__name__
             out.append(entry)
@@ -156,14 +144,12 @@ class MetricsRegistry:
             label_text = f"{{{labels}}}" if labels else ""
             if entry["type"] in ("counter", "gauge"):
                 body = f"{entry['value']:g}"
-            elif entry["type"] == "histogram":
+            else:
                 p99 = entry["p99_ms"]
                 body = (
                     f"count={entry['count']} mean={entry['mean_ms']:.2f}ms "
                     f"p99={'n/a' if p99 is None else f'{p99:.2f}ms'}"
                 )
-            else:
-                body = f"buckets={len(entry.get('points', []))}"
             lines.append(f"{entry['name']}{label_text} {body}")
         return "\n".join(lines)
 
@@ -172,8 +158,8 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other`` into this registry (lossless; returns self).
 
-        Counters add, gauges keep the max, histograms and series merge
-        via their lossless ``merge()`` (raising on mismatched bucket
+        Counters add, gauges keep the max, histograms merge via their
+        lossless ``merge()`` (raising on mismatched bucket
         configuration, never silently rebinning).
         """
         for (name, labels), theirs in sorted(other._metrics.items()):

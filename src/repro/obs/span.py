@@ -21,7 +21,7 @@ timestamps, which keeps tracing deterministic per seed.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 class SpanKind:
@@ -200,11 +200,6 @@ class Trace:
         return self.status is not None and all(
             s.end_ms is not None for s in self.spans
         )
-
-    def children_of(self, span: Span) -> Iterator[Span]:
-        for candidate in self.spans:
-            if candidate.parent_id == span.span_id:
-                yield candidate
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

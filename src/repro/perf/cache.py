@@ -122,24 +122,3 @@ class ResultCache:
                 tmp.unlink()
             except OSError:
                 pass
-
-    def clear(self) -> int:
-        """Delete every cache entry; returns the number removed.
-
-        Also sweeps orphaned ``*.tmp<pid>`` files left by writers that
-        died between creating the temp file and renaming it.
-        """
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.pickle"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            for path in self.directory.glob("*.tmp*"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-        return removed

@@ -74,7 +74,7 @@ response histogram is flushed once at the end of the run.
 
 Features the kernels do not model fall back to the scalar path
 automatically (see :func:`cohort_supported`): closed-loop mode, tracing,
-remote memory, stochastic or scripted faults, redundancy/rebuild
+remote memory, stochastic faults, redundancy/rebuild
 traffic, maintenance drains, and non-default disk models.
 """
 
@@ -135,8 +135,6 @@ def cohort_supported(csim) -> Tuple[bool, str]:
         return False, "remote memory blade"
     if csim._faults is not None:
         return False, "stochastic fault injection"
-    if csim._failures or csim._recoveries:
-        return False, "scripted failures/recoveries"
     if csim._redundancy is not None:
         return False, "redundancy/rebuild traffic"
     if csim._maintenance is not None and csim._maintenance.windows:

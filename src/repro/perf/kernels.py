@@ -164,10 +164,6 @@ class MissCounts:
     evictions: int
     writebacks: int
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class MissRatioCurve:
     """All-capacities LRU miss/eviction counts from one trace pass.
@@ -224,11 +220,6 @@ class MissRatioCurve:
         """Capacity misses inside the measurement window."""
         return self._greater(self._window_dists, capacity)
 
-    def hits(self, capacity):
-        """Hits inside the measurement window (non-first, ``dist <= C``)."""
-        window_non_first = self._window_dists.shape[0]
-        return window_non_first - self.misses(capacity)
-
     def evictions(self, capacity, *, upto_warmup: bool = False):
         """LRU evictions over the whole trace (or the warmup prefix)."""
         cap = np.asarray(capacity, dtype=np.int64)
@@ -247,12 +238,6 @@ class MissRatioCurve:
             self.evictions(capacity, upto_warmup=True)
         )
         return int(out) if cap.ndim == 0 else out
-
-    def miss_rate(self, capacity):
-        m = self.misses(capacity)
-        if not self.accesses:
-            return np.zeros_like(np.asarray(m, dtype=float)) if np.ndim(m) else 0.0
-        return np.asarray(m) / self.accesses if np.ndim(m) else m / self.accesses
 
     def counts(self, capacity: int) -> MissCounts:
         """All counters for one capacity, matching the scalar simulator."""

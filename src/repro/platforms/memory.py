@@ -32,20 +32,6 @@ class MemoryTechnology(enum.Enum):
         """
         return {_T.FBDIMM: 1.0, _T.DDR2: 0.8, _T.DDR1: 0.4}[self]
 
-    @property
-    def active_powerdown_savings(self) -> float:
-        """Fraction of device power saved in active power-down mode.
-
-        The paper cites "more than 90% in DDR2" from the Micron power
-        calculator; FB-DIMM's advanced memory buffer limits savings.
-        """
-        return {_T.FBDIMM: 0.55, _T.DDR2: 0.90, _T.DDR1: 0.85}[self]
-
-    @property
-    def powerdown_wake_cycles(self) -> int:
-        """DRAM cycles to exit active power-down (paper: 6 cycles)."""
-        return 6
-
 
 _T = MemoryTechnology
 
@@ -76,14 +62,3 @@ class MemoryConfig:
     def channel_bandwidth_factor(self) -> float:
         """Effective per-channel bandwidth relative to one FB-DIMM channel."""
         return self.technology.bandwidth_factor * self.numa_efficiency
-
-    @property
-    def total_bandwidth_factor(self) -> float:
-        """Aggregate bandwidth relative to one FB-DIMM channel."""
-        return self.channels * self.channel_bandwidth_factor
-
-    def resized(self, capacity_gb: float) -> "MemoryConfig":
-        """Return a copy with a different capacity (used by memory blades)."""
-        return MemoryConfig(
-            capacity_gb, self.technology, self.channels, self.numa_efficiency
-        )

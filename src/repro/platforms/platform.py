@@ -8,7 +8,7 @@ through the catalogs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.platforms.calibration import CalibrationConstants, DEFAULT_CALIBRATION
@@ -140,11 +140,3 @@ class Platform:
     def net_time_ms(self, num_bytes: float) -> float:
         """Per-request NIC service time."""
         return self.nic.transfer_time_ms(num_bytes)
-
-    def with_disk(self, disk: StorageDevice) -> "Platform":
-        """Return a copy using a different storage device (section 3.5)."""
-        return _dc_replace(self, disk=disk)
-
-    def with_memory(self, memory: MemoryConfig) -> "Platform":
-        """Return a copy using a different memory config (section 3.4)."""
-        return _dc_replace(self, memory=memory)

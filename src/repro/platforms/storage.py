@@ -76,10 +76,6 @@ class StorageDevice:
     def is_flash(self) -> bool:
         return self.kind is StorageKind.FLASH
 
-    @property
-    def is_remote(self) -> bool:
-        return self.location is StorageLocation.REMOTE
-
     def access_time_ms(self, bytes_transferred: float, write: bool = False) -> float:
         """Average service time for one access of the given size."""
         if bytes_transferred < 0:
@@ -87,24 +83,6 @@ class StorageDevice:
         latency = self.write_latency_ms if write else self.read_latency_ms
         transfer_ms = bytes_transferred / (self.bandwidth_mb_s * 1000.0)
         return latency + transfer_ms
-
-    def relocated(
-        self, location: StorageLocation, extra_latency_ms: float = 0.0
-    ) -> "StorageDevice":
-        """Return a copy moved to a SAN (adds network round-trip latency)."""
-        return StorageDevice(
-            name=self.name,
-            kind=self.kind,
-            bandwidth_mb_s=self.bandwidth_mb_s,
-            read_latency_ms=self.read_latency_ms + extra_latency_ms,
-            write_latency_ms=self.write_latency_ms + extra_latency_ms,
-            capacity_gb=self.capacity_gb,
-            power_w=self.power_w,
-            price_usd=self.price_usd,
-            location=location,
-            erase_latency_ms=self.erase_latency_ms,
-            write_endurance=self.write_endurance,
-        )
 
 
 #: Table 3(a): local desktop-class 7.2k RPM disk (the baseline in §3.5).

@@ -131,12 +131,6 @@ class ScenarioResult:
             hasher.update(f"{record.run_id}={record.digest}\n".encode())
         return hasher.hexdigest()
 
-    def engines(self) -> Dict[str, Tuple[str, Optional[str]]]:
-        return {
-            record.run_id: (record.engine_used, record.fallback_reason)
-            for record in self.runs
-        }
-
     def render(self) -> str:
         from repro.experiments.reporting import format_table
 

@@ -30,11 +30,6 @@ from repro.simulator.telemetry import (
     LatencyHistogram,
     TimeSeries,
 )
-from repro.simulator.queueing import (
-    mm1k_blocking_probability,
-    mm1k_mean_number,
-    mm1k_mean_wait,
-)
 from repro.simulator.sweep import QosSweep, SweepResult
 from repro.simulator.analytic import AnalyticServerModel, mva_throughput
 from repro.simulator.performance import (
@@ -53,9 +48,6 @@ __all__ = [
     "EntityAvailability",
     "LatencyHistogram",
     "TimeSeries",
-    "mm1k_blocking_probability",
-    "mm1k_mean_number",
-    "mm1k_mean_wait",
     "QosSweep",
     "SweepResult",
     "AnalyticServerModel",

@@ -123,10 +123,3 @@ class AnalyticServerModel:
             if demand > 0:
                 best = min(best, servers / demand)
         return best * 1000.0
-
-    def bottleneck(self) -> str:
-        """Name of the station with the highest per-server demand."""
-        names = ["cpu", "mem", "disk", "nic"]
-        demands = self.service_demands()
-        per_server = [d / s for d, s in demands]
-        return names[per_server.index(max(per_server))]

@@ -144,8 +144,3 @@ class Simulation:
                 callback()
                 if self._stopped:
                     return
-
-    @property
-    def pending_events(self) -> int:
-        """Queued entries, including cancelled timers not yet reclaimed."""
-        return len(self._heap)

@@ -89,13 +89,3 @@ class Resource:
             done()
 
         self._sim.schedule(service_ms, finish)
-
-    @property
-    def busy(self) -> int:
-        return self._busy
-
-    def utilization(self, elapsed_ms: float) -> float:
-        """Mean fraction of stations busy over ``elapsed_ms``."""
-        if elapsed_ms <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_time_ms / (self.servers * elapsed_ms))

@@ -110,13 +110,6 @@ class SimResult:
     #: Fraction of measurement-window arrivals rejected by the cap.
     drop_rate: float = 0.0
 
-    def describe(self) -> str:
-        flags = "" if self.qos_met else " [QoS violated]"
-        return (
-            f"{self.throughput_rps:.2f} req/s, mean {self.mean_response_ms:.1f} ms,"
-            f" p95 {self.qos_percentile_ms:.1f} ms{flags}"
-        )
-
 
 # Event kinds, in the low two bits of each heap entry's key.
 _ISSUE = 0
@@ -200,10 +193,6 @@ class ServerSimulator:
         #: Optional :class:`repro.obs.MetricsRegistry` for labeled
         #: counters/histograms alongside the scalar ``SimResult``.
         self._metrics = metrics
-
-    @property
-    def population(self) -> int:
-        return self._population
 
     def run(self) -> SimResult:
         """Execute the simulation and return measurements.

@@ -19,7 +19,7 @@ class HistogramSnapshot(NamedTuple):
     """Frozen bucket state of a :class:`LatencyHistogram` at one instant.
 
     Taken with :meth:`LatencyHistogram.snapshot` and consumed by
-    :meth:`LatencyHistogram.since` to answer windowed queries ("p95 of
+    :meth:`LatencyHistogram.percentile_since` to answer windowed queries ("p95 of
     the samples recorded since the last evaluation") off one cumulative
     histogram -- the pattern the fail-slow peer-comparison detector uses
     so per-server latency state lives in exactly one accumulator.  A
@@ -64,12 +64,6 @@ class LatencyHistogram:
         # percentile queries walk down from the occupied top instead of
         # up through the whole bucket range.
         self._hi = -1
-
-    def _bucket(self, value_ms: float) -> int:
-        if value_ms <= self._min:
-            return 0
-        index = int(math.log(value_ms / self._min) / self._log_growth) + 1
-        return min(index, self._bucket_count - 1)
 
     def bucket_bounds(self, index: int) -> Tuple[float, float]:
         """(low, high) bounds of one bucket, ms."""
@@ -186,46 +180,15 @@ class LatencyHistogram:
         return self
 
     def snapshot(self) -> HistogramSnapshot:
-        """Frozen copy of the current bucket state (for :meth:`since`)."""
+        """Frozen copy of the current bucket state (for :meth:`percentile_since`)."""
         return HistogramSnapshot(
             counts=tuple(self._counts), total=self._total, sum_ms=self._sum
         )
 
-    def since(self, snapshot: HistogramSnapshot) -> "LatencyHistogram":
-        """The window of samples recorded after ``snapshot`` was taken.
-
-        Returns a new histogram holding exactly the per-bucket count
-        difference, so windowed percentiles come from one cumulative
-        accumulator instead of a second reset-on-read copy.  The window's
-        ``max_ms`` is inherited from the cumulative histogram (an upper
-        bound -- the true window maximum is not recoverable from bucket
-        counts), which only matters for the overflow bucket's percentile
-        clamp.  Raises when ``snapshot`` came from a histogram with a
-        different bucket layout or a later state than ``self``.
-        """
-        if len(snapshot.counts) != self._bucket_count:
-            raise ValueError("snapshot has a different bucket layout")
-        window = LatencyHistogram.__new__(LatencyHistogram)
-        window._min = self._min
-        window._log_growth = self._log_growth
-        window._bucket_count = self._bucket_count
-        deltas = [0] * self._bucket_count
-        for index, (now, then) in enumerate(zip(self._counts, snapshot.counts)):
-            delta = now - then
-            if delta < 0:
-                raise ValueError("snapshot is newer than the histogram")
-            deltas[index] = delta
-        window._counts = deltas
-        window._total = self._total - snapshot.total
-        window._sum = self._sum - snapshot.sum_ms
-        window._max = self._max
-        window._hi = self._hi
-        return window
-
     def percentile_since(
         self, snapshot: HistogramSnapshot, percentile: float
     ) -> float:
-        """``since(snapshot).percentile_ms(percentile)``, allocation-free.
+        """The ``percentile`` of the samples recorded after ``snapshot``.
 
         The fail-slow detector scores every server's fresh window once
         per evaluation interval; materialising a full delta histogram
@@ -233,8 +196,14 @@ class LatencyHistogram:
         bucket-count deltas *downward from the highest populated
         bucket*, so a high percentile is found within the few occupied
         top buckets instead of a pass over the whole bucket range.
-        Same empty-window and layout-mismatch errors, and the same
-        inherited-``max_ms`` clamp, as the two-step spelling.
+        The window's ``max_ms`` is inherited from the cumulative
+        histogram (an upper bound -- the true window maximum is not
+        recoverable from bucket counts), which only matters for the
+        overflow bucket's percentile clamp.  Raises when ``snapshot``
+        came from a histogram with a different bucket layout or a later
+        state than ``self``, or when the window is empty.  Its oracle,
+        which materializes the window as a histogram, is ``since`` in
+        ``tests/simulator/test_telemetry.py``.
         """
         if not 0 < percentile <= 1:
             raise ValueError("percentile must be in (0, 1]")
@@ -290,14 +259,6 @@ class LatencyHistogram:
                 return min(self.bucket_bounds(index)[1], self._max)
         return self._max  # pragma: no cover - defensive
 
-    def nonzero_buckets(self) -> List[Tuple[float, float, int]]:
-        """(low, high, count) for every populated bucket."""
-        return [
-            (*self.bucket_bounds(i), count)
-            for i, count in enumerate(self._counts)
-            if count
-        ]
-
 
 class TimeSeries:
     """Fixed-width time buckets accumulating a value (e.g. completions).
@@ -333,24 +294,6 @@ class TimeSeries:
         index = int(time_ms / self.bucket_ms)
         self._buckets[index] = self._buckets.get(index, 0.0) + value
 
-    def merge(self, other: "TimeSeries") -> "TimeSeries":
-        """Fold ``other`` into this series, losslessly (returns self).
-
-        Both series must share the same bucket width; merging across
-        widths would rebin and is refused.
-        """
-        if not isinstance(other, TimeSeries):
-            raise TypeError("can only merge another TimeSeries")
-        if self.bucket_ms != other.bucket_ms:
-            raise ValueError(
-                "cannot merge series with different bucket widths "
-                f"({self.bucket_ms} vs {other.bucket_ms})"
-            )
-        buckets = self._buckets
-        for index, value in other._buckets.items():
-            buckets[index] = buckets.get(index, 0.0) + value
-        return self
-
     def series(self) -> List[Tuple[float, float]]:
         """(bucket start ms, accumulated value), gaps filled with zero."""
         if not self._buckets:
@@ -360,11 +303,6 @@ class TimeSeries:
             (i * self.bucket_ms, self._buckets.get(i, 0.0))
             for i in range(last + 1)
         ]
-
-    def rate_per_second(self) -> List[Tuple[float, float]]:
-        """(bucket start ms, value per second within the bucket)."""
-        scale = 1000.0 / self.bucket_ms
-        return [(t, v * scale) for t, v in self.series()]
 
     def window_sum(self, start_ms: float, end_ms: float) -> float:
         """Total accumulated value in buckets starting in [start, end)."""
@@ -461,9 +399,6 @@ class AvailabilityTracker:
             incidents=self._incidents[name],
             observed_ms=max(end - self._start[name], 0.0),
         )
-
-    def entities(self) -> List[EntityAvailability]:
-        return [self.entity(name) for name in self._state]
 
     def mean_availability(self, prefix: str = "") -> float:
         """Mean availability across entities whose name has ``prefix``."""

@@ -26,13 +26,6 @@ class CellDelta:
     def absolute_delta(self) -> float:
         return self.measured - self.paper
 
-    @property
-    def relative_delta(self) -> float:
-        """Relative error; infinite if the paper value is zero."""
-        if self.paper == 0:
-            return float("inf") if self.measured else 0.0
-        return self.measured / self.paper - 1.0
-
     def within(self, absolute: float) -> bool:
         return abs(self.absolute_delta) <= absolute
 

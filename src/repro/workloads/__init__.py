@@ -36,12 +36,6 @@ from repro.workloads.ytube import make_ytube
 from repro.workloads.mapreduce import make_mapred_wc, make_mapred_wr
 from repro.workloads.suite import BENCHMARK_SUITE, benchmark_names, make_workload
 from repro.workloads.client import ClientDriver, ClientDriverReport
-from repro.workloads.variants import (
-    make_mapred_compute_heavy,
-    make_webmail_light_users,
-    make_websearch_large_index,
-    make_ytube_viral,
-)
 
 __all__ = [
     "MetricKind",
@@ -64,8 +58,4 @@ __all__ = [
     "make_workload",
     "ClientDriver",
     "ClientDriverReport",
-    "make_websearch_large_index",
-    "make_webmail_light_users",
-    "make_ytube_viral",
-    "make_mapred_compute_heavy",
 ]

@@ -191,28 +191,6 @@ class Workload:
         """Calibrated mean per-request demand (used by the analytic model)."""
         return self.profile.mean_demand
 
-    def estimate_mean_demand(self, samples: int = 4000, seed: int = 7) -> ResourceDemand:
-        """Empirical mean demand from the sampler (used to verify samplers
-        agree with the calibrated means)."""
-        if samples <= 0:
-            raise ValueError("sample count must be positive")
-        rng = random.Random(seed)
-        total = dict(cpu=0.0, mem=0.0, ios=0.0, dbytes=0.0, nbytes=0.0)
-        for _ in range(samples):
-            d = self.sample(rng).demand
-            total["cpu"] += d.cpu_ms_ref
-            total["mem"] += d.mem_ms_ref
-            total["ios"] += d.disk_ios
-            total["dbytes"] += d.disk_bytes
-            total["nbytes"] += d.net_bytes
-        return ResourceDemand(
-            cpu_ms_ref=total["cpu"] / samples,
-            mem_ms_ref=total["mem"] / samples,
-            disk_ios=total["ios"] / samples,
-            disk_bytes=total["dbytes"] / samples,
-            net_bytes=total["nbytes"] / samples,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Workload({self.profile.name!r})"
 

@@ -84,42 +84,6 @@ ACTION_MIX: List[MailAction] = [
 ATTACHMENT_BYTES_FACTOR = 8.0
 
 
-class SessionGenerator:
-    """Generates coherent user sessions (login ... actions ... logout).
-
-    The benchmark's clients "interact with the servers in sessions, each
-    consisting of a sequence of actions".  The throughput model samples
-    actions i.i.d. from the stationary mix (equivalent in steady state);
-    this generator produces the *ordered* sequences -- useful for
-    session-level analyses and for validating that the stationary mix
-    matches the session structure.
-
-    A session is ``login``, then a geometric number of body actions drawn
-    from the body mix, then ``logout``.
-    """
-
-    def __init__(self, mean_body_actions: float = 11.0):
-        if mean_body_actions < 1.0:
-            raise ValueError("sessions have at least one body action")
-        self._body_actions = [
-            a for a in ACTION_MIX if a.name not in ("login", "logout")
-        ]
-        self._body_weights = [a.weight for a in self._body_actions]
-        # Geometric with minimum 1: mean = 1 / (1 - p) = mean_body_actions.
-        self._continue_prob = 1.0 - 1.0 / mean_body_actions
-
-    def session(self, rng: random.Random) -> List[str]:
-        """One ordered session as a list of action names."""
-        actions = ["login"]
-        while True:
-            index = discrete_sample(self._body_weights, rng)
-            actions.append(self._body_actions[index].name)
-            if rng.random() >= self._continue_prob:
-                break
-        actions.append("logout")
-        return actions
-
-
 class _SessionModel:
     """Structural (pre-calibration) action model."""
 

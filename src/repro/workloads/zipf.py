@@ -15,8 +15,6 @@ import bisect
 import random
 from typing import List, Sequence
 
-import numpy as np
-
 
 def zipf_weights(n: int, alpha: float) -> List[float]:
     """Unnormalized Zipf weights ``1 / rank**alpha`` for ranks 1..n."""
@@ -45,7 +43,6 @@ class ZipfSampler:
         # Guard against floating-point shortfall at the tail: the final
         # cumulative value must be exactly 1.0 so no draw falls past it.
         self._cdf[-1] = 1.0
-        self._cdf_array = np.asarray(self._cdf, dtype=np.float64)
         self.n = n
         self.alpha = alpha
 
@@ -54,25 +51,6 @@ class ZipfSampler:
         # Intermediate cumulative values can exceed later ones' float
         # round-off; clamp so a draw just under 1.0 can never land at n.
         return min(bisect.bisect_left(self._cdf, rng.random()), self.n - 1)
-
-    def sample_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``size`` ranks at once (``np.searchsorted`` on the CDF).
-
-        Takes a :class:`numpy.random.Generator` (the scalar path keeps
-        ``random.Random``); for a fixed uniform draw the rank matches
-        :meth:`sample` exactly -- same CDF array, same left-bisection.
-        """
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        ranks = np.searchsorted(self._cdf_array, rng.random(size), side="left")
-        return np.minimum(ranks, self.n - 1).astype(np.int64)
-
-    def probability(self, rank: int) -> float:
-        """Probability mass of a 0-based rank."""
-        if not 0 <= rank < self.n:
-            raise IndexError(f"rank {rank} out of range [0, {self.n})")
-        lo = self._cdf[rank - 1] if rank > 0 else 0.0
-        return self._cdf[rank] - lo
 
     def head_mass(self, k: int) -> float:
         """Total probability of the ``k`` most popular items.

@@ -211,11 +211,6 @@ class TestFallbackRouting:
             measure_ms=400.0,
         )
 
-    def test_scripted_failures(self):
-        self._assert_falls_back(
-            "failures/recoveries", failures={1: 600.0}, measure_ms=400.0,
-        )
-
     def test_redundancy(self):
         # The constructor requires remote_memory alongside redundancy,
         # and the remote-memory check fires first; probe the redundancy

@@ -7,10 +7,9 @@ paging, flash-cache bypass), and the determinism guarantees that make
 fault runs reproducible.
 """
 
-import pytest
-
 from repro.cluster.balancer import ClusterResult, ClusterSimulator, RetryPolicy
 from repro.faults.model import ComponentType, FaultProfile, FaultSpec
+from repro.faults.recovery import MaintenancePlan, MaintenanceWindow
 from repro.flashcache.analysis import disk_configuration
 from repro.memsim.remote_memory import make_remote_memory_model
 from repro.platforms.catalog import platform
@@ -73,20 +72,6 @@ class TestImbalanceGuard:
         assert result.imbalance == 1.0
 
 
-class TestScriptedScheduleValidation:
-    def test_list_of_failure_times_is_rejected(self):
-        with pytest.raises(TypeError, match="FaultInjector"):
-            _cluster(failures={0: [1000.0, 2000.0]})
-
-    def test_list_of_recovery_times_is_rejected(self):
-        with pytest.raises(TypeError, match="at most one failure"):
-            _cluster(failures={0: 1000.0}, recoveries={0: [2000.0, 3000.0]})
-
-    def test_bool_is_not_a_time(self):
-        with pytest.raises(TypeError):
-            _cluster(failures={0: True})
-
-
 class TestInjectedFaults:
     def test_faults_fire_and_cluster_survives(self):
         result = _cluster(faults=SERVER_FAULTS).run()
@@ -118,18 +103,14 @@ class TestInjectedFaults:
         # A hedge that loses the race shows up as a wasted completion.
         assert report.wasted_completions > 0
 
-    def test_legacy_scripted_semantics_keep_in_flight_work(self):
-        result = _cluster(failures={1: 5_000.0}).run()
-        report = result.fault_report
-        assert report is not None
-        assert report.lost_in_flight == 0
-        assert report.timeouts == 0
-
     def test_full_outage_waits_instead_of_crashing(self):
+        # Both servers drained at once: nobody can serve for 3 s.
         result = _cluster(
             servers=2,
-            failures={0: 1_000.0, 1: 1_000.0},
-            recoveries={0: 4_000.0, 1: 4_000.0},
+            maintenance=MaintenancePlan((
+                MaintenanceWindow(0, 1_000.0, 3_000.0),
+                MaintenanceWindow(1, 1_000.0, 3_000.0),
+            )),
         ).run()
         assert result.fault_report.all_down_waits > 0
         assert result.throughput_rps > 0
@@ -179,13 +160,6 @@ class TestFlashCacheBypass:
 
 class TestDeterminism:
     """Satellite: same-seed runs are byte-identical, different seeds differ."""
-
-    def test_scripted_runs_are_reproducible(self):
-        results = [
-            _cluster(failures={1: 3_000.0}, recoveries={1: 8_000.0}).run()
-            for _ in range(2)
-        ]
-        assert repr(results[0]) == repr(results[1])
 
     def test_fault_injected_runs_are_reproducible(self):
         results = [

@@ -102,7 +102,7 @@ class TestRetryBudget:
         budget = RetryBudget(RetryBudgetPolicy(token_ratio=1.0, burst=3.0))
         for _ in range(10):
             budget.note_request()
-        assert budget.tokens == 3.0
+        assert budget._tokens == 3.0
 
 
 class TestCircuitBreaker:

@@ -91,7 +91,6 @@ class TestBladeStorm:
         assert report.blade_failures == 1
         assert report.blade_repairs == 1
         assert report.failover_requests > 0
-        assert report.lost_page_reads == 0
         assert report.lossy_requests == 0
         assert report.pages_rebuilt > 0
         assert report.audit.conserved
@@ -111,7 +110,6 @@ class TestBladeStorm:
         # for the rebuild stream itself.
         assert report.failover_requests > 0
         assert report.pages_rebuilt > 0
-        assert report.lost_page_reads == 0
         assert not report.data_loss
 
     def test_unprotected_storm_degrades_requests(self):
@@ -164,7 +162,7 @@ class TestMaintenanceDrains:
         assert report.drain_ms > 0.0
         # Drains reroute work but never lose pages; the closed loop
         # still completes every measured request.
-        assert report.lost_page_reads == 0
+        assert not report.data_loss
         assert sum(result.server_completions) == 900 + 80  # + warmup
 
     def test_out_of_range_window_rejected(self):

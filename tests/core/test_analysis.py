@@ -44,11 +44,6 @@ class TestEvaluateDesigns:
         table = evaluation.table("Perf/TCO-$")
         assert table.value("mapred-wc", "N2") > 2.0
 
-    def test_render_mentions_metric_names(self, evaluation):
-        text = evaluation.render(["Perf/TCO-$"])
-        assert "Perf/TCO-$" in text
-        assert "mapred-wc" in text
-
     def test_disk_configured_design_fans_out_like_serial(self):
         """N2 carries a flash-cached SAN disk spec; its grid cells cross
         the process boundary and score exactly as in the serial loop."""

@@ -8,7 +8,6 @@ from repro.core.metrics import (
     EfficiencyMetrics,
     METRIC_ATTRIBUTES,
     harmonic_mean,
-    relative_efficiency,
 )
 
 
@@ -73,23 +72,3 @@ class TestEfficiencyMetrics:
         m = _metrics()
         for display, attribute in METRIC_ATTRIBUTES.items():
             assert getattr(m, attribute) >= 0, display
-
-
-class TestRelativeEfficiency:
-    def test_ratios_against_baseline(self):
-        table = {
-            "base": _metrics("base", performance=100.0),
-            "fast": _metrics("fast", performance=200.0),
-        }
-        rel = relative_efficiency(table, "base", "performance")
-        assert rel["base"] == pytest.approx(1.0)
-        assert rel["fast"] == pytest.approx(2.0)
-
-    def test_missing_baseline(self):
-        with pytest.raises(KeyError):
-            relative_efficiency({"a": _metrics("a")}, "b", "performance")
-
-    def test_zero_baseline_metric(self):
-        table = {"base": _metrics("base", performance=0.0)}
-        with pytest.raises(ValueError):
-            relative_efficiency(table, "base", "performance")

@@ -6,7 +6,6 @@ from repro.costmodel.availability import (
     AvailabilityAdjustedTco,
     DEFAULT_INCIDENT_COST_USD,
     RepairCostModel,
-    availability_weighted_perf_per_tco,
 )
 from repro.costmodel.catalog import server_bill
 from repro.costmodel.tco import TcoModel
@@ -111,15 +110,16 @@ class TestAvailabilityAdjustedTco:
             ComponentType.NIC,
             ComponentType.MEMORY_BLADE,
         ]
-        metric, adjusted = availability_weighted_perf_per_tco(
-            1.0,
-            breakdown,
-            model,
-            components,
-            shared={ComponentType.MEMORY_BLADE: 8},
-            degraded={ComponentType.MEMORY_BLADE: 0.7},
+        adjusted = AvailabilityAdjustedTco(
+            breakdown=breakdown,
+            repair_usd=model.repair_cost_usd(
+                components, {ComponentType.MEMORY_BLADE: 8}
+            ),
+            availability=model.effective_availability(
+                components, {ComponentType.MEMORY_BLADE: 0.7}
+            ),
         )
-        return metric, adjusted, breakdown
+        return adjusted.availability_weighted_perf_per_tco(1.0), adjusted, breakdown
 
     def test_total_includes_repair(self):
         _, adjusted, breakdown = self._adjusted()
@@ -135,12 +135,6 @@ class TestAvailabilityAdjustedTco:
         assert metric == pytest.approx(
             adjusted.availability / adjusted.total_usd
         )
-
-    def test_downtime_hours(self):
-        _, adjusted, _ = self._adjusted()
-        hours = adjusted.downtime_hours_per_cycle()
-        assert hours == pytest.approx(adjusted.downtime_fraction * 26_280.0)
-        assert 0.0 < hours < 100.0
 
     def test_tco_model_entry_point(self):
         model = TcoModel()

@@ -41,10 +41,6 @@ class TestBurdenedPowerCoolingModel:
         model = BurdenedPowerCoolingModel()
         assert model.cost_usd(200.0) == pytest.approx(2 * model.cost_usd(100.0))
 
-    def test_cost_per_watt(self):
-        model = BurdenedPowerCoolingModel()
-        assert model.cost_per_watt_usd() == pytest.approx(model.cost_usd(1.0))
-
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError):
             BurdenedPowerCoolingModel().cost_usd(-1.0)

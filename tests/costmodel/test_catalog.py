@@ -5,6 +5,7 @@ import pytest
 from repro.costmodel.catalog import SERVER_BILLS, server_bill, system_names
 from repro.costmodel.components import Component
 from repro.costmodel.rack import STANDARD_RACK
+from tests.costmodel import cost_of
 
 #: Table 2 published totals: (watt, inf-$ including switch share).
 PAPER_TABLE2 = {
@@ -39,24 +40,24 @@ class TestCatalog:
     def test_srvr1_component_breakdown_exact(self):
         """Figure 1(a) publishes srvr1's full breakdown."""
         bill = server_bill("srvr1")
-        assert bill.cost_of(Component.CPU) == 1700
-        assert bill.cost_of(Component.MEMORY) == 350
-        assert bill.cost_of(Component.DISK) == 275
-        assert bill.cost_of(Component.BOARD) == 400
-        assert bill.cost_of(Component.POWER_FANS) == 500
+        assert cost_of(bill, Component.CPU) == 1700
+        assert cost_of(bill, Component.MEMORY) == 350
+        assert cost_of(bill, Component.DISK) == 275
+        assert cost_of(bill, Component.BOARD) == 400
+        assert cost_of(bill, Component.POWER_FANS) == 500
         assert bill.power_of(Component.CPU) == 210
 
     def test_srvr2_component_breakdown_exact(self):
         bill = server_bill("srvr2")
-        assert bill.cost_of(Component.CPU) == 650
+        assert cost_of(bill, Component.CPU) == 650
         assert bill.power_of(Component.CPU) == 105
-        assert bill.cost_of(Component.DISK) == 120
+        assert cost_of(bill, Component.DISK) == 120
 
     def test_nonserver_systems_share_desktop_disk(self):
         """Table 3(a): $120 / 10 W desktop disk on all non-srvr1 systems."""
         for system in ("srvr2", "desk", "mobl", "emb1", "emb2"):
             bill = server_bill(system)
-            assert bill.cost_of(Component.DISK) == 120
+            assert cost_of(bill, Component.DISK) == 120
             assert bill.power_of(Component.DISK) == 10
 
     def test_unknown_system_raises_with_known_names(self):
@@ -65,6 +66,6 @@ class TestCatalog:
 
     def test_consumer_memory_cheaper_than_fbdimm(self):
         """Paper: consumer technologies like DDR2 reduce memory cost."""
-        fbdimm = server_bill("srvr2").cost_of(Component.MEMORY)
+        fbdimm = cost_of(server_bill("srvr2"), Component.MEMORY)
         for system in ("desk", "mobl", "emb1", "emb2"):
-            assert server_bill(system).cost_of(Component.MEMORY) < fbdimm
+            assert cost_of(server_bill(system), Component.MEMORY) < fbdimm

@@ -23,19 +23,6 @@ EMPTY_PROFILE = FaultProfile("nothing", {})
 class TestGuardRegressions:
     """Edge cases the availability layer must treat as identities."""
 
-    def test_empty_serial_chain_is_always_up(self):
-        assert EMPTY_PROFILE.serial_availability([]) == 1.0
-
-    def test_specless_components_contribute_unity(self):
-        profile = FaultProfile(
-            "one", {ComponentType.SERVER: BLADE_SPEC}
-        )
-        with_extras = profile.serial_availability(
-            [ComponentType.SERVER, ComponentType.FLASH_CACHE]
-        )
-        alone = profile.serial_availability([ComponentType.SERVER])
-        assert with_extras == alone
-
     def test_empty_components_cost_nothing(self):
         model = RepairCostModel(EMPTY_PROFILE)
         assert model.repair_cost_usd([]) == 0.0

@@ -47,9 +47,3 @@ class TestPowerModel:
         model = PowerModel()
         nameplate = model.rack.rack_power_w(server_bill("srvr1").power_w)
         assert nameplate == pytest.approx(13_640.0)
-
-    def test_energy_accumulates_over_hours(self):
-        model = PowerModel()
-        assert model.energy_wh(100.0, 10.0) == pytest.approx(1000.0)
-        with pytest.raises(ValueError):
-            model.energy_wh(100.0, -1.0)

@@ -22,19 +22,6 @@ class TestRackConfig:
         with pytest.raises(ValueError):
             STANDARD_RACK.rack_power_w(-5.0)
 
-    def test_with_density_keeps_switch_by_default(self):
-        dense = STANDARD_RACK.with_density(320)
-        assert dense.servers_per_rack == 320
-        assert dense.switch_rack_cost_usd == 2750.0
-        # Denser rack -> smaller per-server switch share.
-        assert dense.switch_cost_per_server_usd < STANDARD_RACK.switch_cost_per_server_usd
-
-    def test_with_density_switch_scaling(self):
-        dense = STANDARD_RACK.with_density(320, switch_scale=8.0)
-        assert dense.switch_rack_cost_usd == pytest.approx(22_000.0)
-        # Per-server share preserved when switch scales with density.
-        assert dense.switch_cost_per_server_usd == pytest.approx(68.75)
-
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             RackConfig(servers_per_rack=0)

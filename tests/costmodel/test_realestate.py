@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.cooling.enclosure import AGGREGATED_MICROBLADE, DUAL_ENTRY_ENCLOSURE
-from repro.cooling.rack import pack_rack
-from repro.costmodel.rack import STANDARD_RACK
-from repro.costmodel.realestate import DEFAULT_REAL_ESTATE, RealEstateModel
+from repro.costmodel.realestate import RealEstateModel
 
 
 class TestRealEstateModel:
@@ -14,34 +11,8 @@ class TestRealEstateModel:
                                 cost_per_sqft_cycle_usd=300.0)
         assert model.cost_per_rack_usd == pytest.approx(7200.0)
 
-    def test_per_server_share_standard_rack(self):
-        assert DEFAULT_REAL_ESTATE.cost_per_server_usd() == pytest.approx(180.0)
-
-    def test_fleet_cost_rounds_up_to_whole_racks(self):
-        model = DEFAULT_REAL_ESTATE
-        assert model.fleet_cost_usd(0) == 0.0
-        assert model.fleet_cost_usd(1) == model.cost_per_rack_usd
-        assert model.fleet_cost_usd(41) == 2 * model.cost_per_rack_usd
-
-    def test_density_savings_from_paper_enclosures(self):
-        """Dual-entry (320/rack) cuts per-server floor cost ~8x; the
-        microblade design (1250/rack) ~31x."""
-        model = DEFAULT_REAL_ESTATE
-        dual = pack_rack(DUAL_ENTRY_ENCLOSURE, 78.0).rack_config()
-        micro = pack_rack(AGGREGATED_MICROBLADE, 30.0).rack_config()
-        assert model.density_savings(dual) == pytest.approx(1 - 40 / 320)
-        assert model.density_savings(micro) == pytest.approx(1 - 40 / 1250)
-
-    def test_real_estate_is_small_vs_server_tco_at_standard_density(self):
-        """At 40/rack the floor share (~$180) is ~3% of srvr1's TCO --
-        consistent with the paper treating it as second-order."""
-        share = DEFAULT_REAL_ESTATE.cost_per_server_usd(STANDARD_RACK)
-        assert share / 5758 < 0.05
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RealEstateModel(gross_sqft_per_rack=0.0)
         with pytest.raises(ValueError):
             RealEstateModel(cost_per_sqft_cycle_usd=-1.0)
-        with pytest.raises(ValueError):
-            DEFAULT_REAL_ESTATE.fleet_cost_usd(-1)

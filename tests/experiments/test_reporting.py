@@ -7,14 +7,12 @@ from repro.experiments.reporting import (
     dollars,
     format_table,
     percent,
-    watts,
 )
 
 
 class TestFormatters:
     def test_dollars_and_watts(self):
         assert dollars(1234.5) == "$1,234"
-        assert watts(51.7) == "52 W"
 
     def test_percent_rounds(self):
         assert percent(0.954) == "95%"

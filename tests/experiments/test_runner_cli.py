@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import _EXPERIMENTS, main
+from repro.experiments.runner import _EXPERIMENTS, main, run_experiment
 
 #: The committed ``repro-experiments --all`` rendering.
 ALL_EXPERIMENTS = Path(__file__).resolve().parents[2] / "results" / "all_experiments.txt"
@@ -33,9 +33,22 @@ class TestCli:
         assert "Table 2" in out
         assert "srvr1" in out
 
-    def test_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
+    def test_unknown_experiment_raises(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["figure99"])
+        assert excinfo.value.code == 2
+        assert "figure99" in capsys.readouterr().err
+        with pytest.raises(KeyError):
+            run_experiment("figure99")
+
+    def test_unknown_name_is_rejected_before_any_experiment_runs(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "nosuch"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "nosuch" in captured.err
+        assert "table1" in captured.err  # the known names are listed
+        assert captured.out == ""  # table1 never ran
 
     def test_output_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "out.txt"

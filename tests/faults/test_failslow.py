@@ -137,7 +137,7 @@ class TestPeerComparisonDetector:
             _feed(detector, [10.0, 10.0, 10.0, 100.0],
                   self.POLICY.min_window_samples)
             detector.evaluate(now)
-        assert detector.health(3) is ServerHealth.QUARANTINED
+        assert detector._health[3] is ServerHealth.QUARANTINED
         assert detector.report.ejections == 1
         assert not detector.routable(3)
         assert all(detector.routable(i) for i in range(3))
@@ -194,8 +194,8 @@ class TestPeerComparisonDetector:
             _feed(other, [10.0, 10.0, 80.0], self.POLICY.min_window_samples)
             other.evaluate(now)
         assert detector.report == other.report
-        assert [detector.health(i) for i in range(3)] == [
-            other.health(i) for i in range(3)
+        assert [detector._health[i] for i in range(3)] == [
+            other._health[i] for i in range(3)
         ]
 
 
@@ -208,7 +208,7 @@ class TestDrainedServers:
         detector = PeerComparisonDetector(self.POLICY, servers=3)
         assert detector.routable(1)
         detector.set_drained(1, True)
-        assert detector.health(1) is ServerHealth.ACTIVE  # not ejected
+        assert detector._health[1] is ServerHealth.ACTIVE  # not ejected
         assert not detector.routable(1)
         detector.set_drained(1, False)
         assert detector.routable(1)
@@ -250,13 +250,13 @@ class TestDrainedServers:
             _feed(detector, [10.0, 10.0, 10.0, 100.0],
                   self.POLICY.min_window_samples)
             detector.evaluate(now)
-        assert detector.health(3) is ServerHealth.QUARANTINED
+        assert detector._health[3] is ServerHealth.QUARANTINED
         # Let the quarantine dwell expire so probation probing starts.
         now += self.POLICY.quarantine_ms + self.POLICY.eval_interval_ms
         _feed(detector, [10.0, 10.0, 10.0, 10.0],
               self.POLICY.min_window_samples)
         detector.evaluate(now)
-        assert detector.health(3) is ServerHealth.PROBATION
+        assert detector._health[3] is ServerHealth.PROBATION
         detector.set_drained(3, True)
         assert detector.take_probe() is None  # drained: no probe traffic
         detector.set_drained(3, False)

@@ -27,19 +27,11 @@ class TestFaultSpec:
         assert spec.incidents_per_cycle() == pytest.approx(3.0)
         assert spec.incidents_per_cycle(0.0) == 0.0
 
-    def test_scaled_preserves_availability(self):
-        spec = FaultSpec(mtbf_hours=100.0, mttr_hours=4.0)
-        fast = spec.scaled(1000.0)
-        assert fast.mtbf_hours == pytest.approx(0.1)
-        assert fast.availability == pytest.approx(spec.availability)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FaultSpec(mtbf_hours=0.0, mttr_hours=1.0)
         with pytest.raises(ValueError):
             FaultSpec(mtbf_hours=1.0, mttr_hours=-1.0)
-        with pytest.raises(ValueError):
-            FaultSpec(mtbf_hours=1.0, mttr_hours=1.0).scaled(0.0)
         with pytest.raises(ValueError):
             FaultSpec(mtbf_hours=1.0, mttr_hours=1.0).incidents_per_cycle(-1.0)
 
@@ -55,40 +47,6 @@ class TestFaultProfile:
     def test_missing_component_never_fails(self):
         profile = FaultProfile("p", {})
         assert profile.spec(ComponentType.DISK) is None
-        assert profile.availability(ComponentType.DISK) == 1.0
-        assert profile.serial_availability(list(ComponentType)) == 1.0
-
-    def test_serial_availability_is_a_product(self):
-        profile = FaultProfile(
-            "p",
-            {
-                ComponentType.SERVER: FaultSpec(9.0, 1.0),
-                ComponentType.DISK: FaultSpec(4.0, 1.0),
-            },
-        )
-        assert profile.serial_availability(
-            [ComponentType.SERVER, ComponentType.DISK]
-        ) == pytest.approx(0.9 * 0.8)
-
-    def test_accelerated_keeps_availability(self):
-        fast = DEFAULT_FAULT_PROFILE.accelerated(1e6)
-        for ctype in ComponentType:
-            assert fast.availability(ctype) == pytest.approx(
-                DEFAULT_FAULT_PROFILE.availability(ctype)
-            )
-        assert "x1e+06" in fast.name or "x1000000" in fast.name
-
-    def test_replace_overrides_one_spec(self):
-        spec = FaultSpec(1.0, 1.0)
-        profile = DEFAULT_FAULT_PROFILE.replace(memory_blade=spec)
-        assert profile.spec(ComponentType.MEMORY_BLADE) is spec
-        assert profile.spec(ComponentType.DISK) is DEFAULT_FAULT_PROFILE.spec(
-            ComponentType.DISK
-        )
-
-    def test_replace_rejects_unknown_component(self):
-        with pytest.raises(KeyError, match="unknown component"):
-            DEFAULT_FAULT_PROFILE.replace(gpu=FaultSpec(1.0, 1.0))
 
     def test_specs_are_frozen(self):
         with pytest.raises(TypeError):

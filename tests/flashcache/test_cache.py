@@ -48,12 +48,6 @@ class TestFlashCache:
         cache.write_update(42)  # not resident: no wear
         assert cache.stats.block_writes == 2
 
-    def test_service_times_from_device(self, cache):
-        read = cache.read_service_ms()
-        write = cache.write_service_ms()
-        assert write > read
-        assert write >= FLASH_1GB.erase_latency_ms
-
     def test_flash_read_far_faster_than_disk_for_small_objects(self):
         """Flash wins on latency-dominated (small) objects; for huge
         streaming objects the desktop disk's higher bandwidth wins."""

@@ -1,4 +1,4 @@
-"""Local-memory replacement policies: LRU and random.
+"""Per-access replacement policies and the two-level replay: the oracle.
 
 The paper deliberately brackets implementable policies between LRU and
 random replacement ("rather than exhaustively studying page replacement
@@ -8,6 +8,12 @@ implementable policy would have performance between these points").
 Both policies model an *exclusive* two-level hierarchy: the local memory
 holds ``capacity`` pages; a miss swaps the victim page with the requested
 remote page (the victim moves to the memory blade).
+
+:func:`run_scalar` replays a trace through one policy an access at a
+time.  :meth:`repro.memsim.twolevel.TwoLevelMemorySimulator.run` must
+match it bit for bit: ``tests/perf/test_kernels.py`` and the
+miss-ratio-curve budget in ``benchmarks/test_budgets.py`` compare
+against it.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ import random
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from typing import Dict, List
+
+from repro.memsim.trace import cached_trace
+from repro.memsim.twolevel import MissStats, TwoLevelMemorySimulator
 
 
 class ReplacementPolicy(ABC):
@@ -99,3 +108,35 @@ def make_policy(name: str, capacity: int, seed: int = 0) -> ReplacementPolicy:
     if name == "random":
         return RandomPolicy(capacity, seed=seed)
     raise ValueError(f"unknown replacement policy {name!r}")
+
+
+def run_scalar(sim: TwoLevelMemorySimulator, length: int) -> MissStats:
+    """Reference per-access policy replay (the oracle)."""
+    trace = cached_trace(sim.spec, length, seed=sim.seed)
+    policy = make_policy(sim.policy_name, sim.local_capacity, seed=sim.seed)
+
+    warmup = min(sim.spec.footprint_pages, length // 2)
+    misses = 0
+    accesses = 0
+    evictions_at_window = 0
+    seen: set = set()
+    for i, page in enumerate(trace):
+        page = int(page)
+        if i == warmup:
+            evictions_at_window = policy.evictions
+        first_touch = page not in seen
+        if first_touch:
+            seen.add(page)
+        hit = policy.access(page)
+        if i >= warmup:
+            accesses += 1
+            # Compulsory first touches are page allocations, not
+            # remote fetches; only genuine capacity misses pay the
+            # blade round trip.
+            if not hit and not first_touch:
+                misses += 1
+    return MissStats(
+        accesses=accesses, misses=misses,
+        local_capacity_pages=sim.local_capacity,
+        writebacks=policy.evictions - evictions_at_window,
+    )

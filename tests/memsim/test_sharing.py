@@ -47,24 +47,11 @@ class TestCompressionModel:
         """MXT-class: ~1.5x capacity at mixed compressibility."""
         assert CompressionModel().capacity_multiplier() == pytest.approx(1.54, abs=0.05)
 
-    def test_fetch_latency_adds_expected_decompression(self):
-        model = CompressionModel(
-            compressible_fraction=0.5, decompression_latency_us=2.0
-        )
-        assert model.fetch_latency_us(4.0) == pytest.approx(5.0)
-
-    def test_latency_penalty_small_vs_pcie_transfer(self):
-        """The decompression cost hides behind the 4 us PCIe transfer."""
-        model = CompressionModel()
-        assert model.fetch_latency_us(4.0) < 4.0 * 1.5
-
     def test_validation(self):
         with pytest.raises(ValueError):
             CompressionModel(compression_ratio=0.5)
         with pytest.raises(ValueError):
             CompressionModel(compressible_fraction=-0.1)
-        with pytest.raises(ValueError):
-            CompressionModel().fetch_latency_us(-1.0)
 
 
 class TestEffectiveCapacity:

@@ -40,6 +40,12 @@ class TestCli:
         capsys.readouterr()
         assert logs[0] == logs[1]
 
+    def test_jobs_below_one_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["--jobs", "-2"])
+        assert excinfo.value.code == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+
     def test_unknown_design_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["srvr9"])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import Counter, Gauge, MetricsRegistry
-from repro.simulator.telemetry import LatencyHistogram, TimeSeries
+from repro.simulator.telemetry import LatencyHistogram
 
 
 class TestRegistration:
@@ -54,9 +54,8 @@ class TestInspection:
         registry.counter("c").inc()
         registry.gauge("g").set(1.0)
         registry.histogram("h").record(5.0)
-        registry.series("s").record(100.0, 1.0)
         types = {entry["type"] for entry in registry.snapshot()}
-        assert types == {"counter", "gauge", "histogram", "series"}
+        assert types == {"counter", "gauge", "histogram"}
 
     def test_empty_histogram_snapshot_uses_none_not_crash(self):
         registry = MetricsRegistry()
@@ -108,13 +107,6 @@ class TestMerge:
         with pytest.raises(TypeError):
             left.merge(right)
 
-    def test_series_config_mismatch_raises(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.series("s", bucket_ms=500.0).record(0.0, 1.0)
-        right.series("s", bucket_ms=250.0).record(0.0, 1.0)
-        with pytest.raises(ValueError):
-            left.merge(right)
-
     def test_merge_returns_self_for_reduce_chaining(self):
         left = MetricsRegistry()
         assert left.merge(MetricsRegistry()) is left
@@ -122,4 +114,3 @@ class TestMerge:
     def test_instrument_classes_exported(self):
         assert isinstance(MetricsRegistry().counter("c"), Counter)
         assert isinstance(MetricsRegistry().gauge("g"), Gauge)
-        assert isinstance(MetricsRegistry().series("s"), TimeSeries)

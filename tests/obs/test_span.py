@@ -39,8 +39,8 @@ class TestTrace:
         root = trace.start(SpanKind.REQUEST, 0.0)
         attempt = trace.start(SpanKind.ATTEMPT, 0.0, parent=root)
         cpu = trace.start(SpanKind.CPU, 0.0, parent=attempt)
-        assert list(trace.children_of(attempt)) == [cpu]
-        assert list(trace.children_of(root)) == [attempt]
+        assert [s for s in trace.spans if s.parent_id == attempt.span_id] == [cpu]
+        assert [s for s in trace.spans if s.parent_id == root.span_id] == [attempt]
 
     def test_span_ids_are_sequential_per_trace(self):
         trace = Trace(0)

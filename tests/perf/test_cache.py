@@ -22,12 +22,6 @@ class TestRoundTrip:
         cache.put(key, {"payload": [1, 2, 3]})
         assert cache.get(key) == {"payload": [1, 2, 3]}
 
-    def test_clear_removes_entries(self, cache):
-        for name in ("a", "b"):
-            cache.put(cache.key(name), name)
-        assert cache.clear() == 2
-        assert cache.get(cache.key("a")) is None
-
 
 class TestKeys:
     def test_key_distinguishes_names(self, cache):

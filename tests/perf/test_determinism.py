@@ -8,6 +8,7 @@ wall-clock, never numbers.
 """
 
 from repro.perf.parallel import run_experiments
+from tests.perf import payload_digest
 
 NAMES = ["figure5", "availability", "overload"]
 
@@ -30,4 +31,4 @@ def test_parallel_matches_serial_digest():
     parallel = run_experiments(NAMES, method="analytic", jobs=4, overrides=OVERRIDES)
     assert [name for name, _ in parallel] == NAMES
     for (name, a), (_, b) in zip(serial, parallel):
-        assert a.payload_digest() == b.payload_digest(), f"{name} diverged under --jobs 4"
+        assert payload_digest(a) == payload_digest(b), f"{name} diverged under --jobs 4"

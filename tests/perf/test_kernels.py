@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim.replacement import LruPolicy
 from repro.memsim.trace import WORKLOAD_TRACES, cached_trace
 from repro.memsim.twolevel import (
     TwoLevelMemorySimulator,
@@ -24,6 +23,7 @@ from repro.perf.kernels import (
     previous_occurrences,
     stack_distances,
 )
+from tests.memsim.reference_twolevel import LruPolicy, run_scalar
 
 #: Shortened trace for the workload-equality sweep (full Figure 4 runs
 #: are exercised in tests/experiments; the kernels are length-agnostic).
@@ -98,7 +98,7 @@ class TestMissRatioCurve:
         sim = TwoLevelMemorySimulator(
             WORKLOAD_TRACES[workload], fraction, policy="lru"
         )
-        assert sim.run(TRACE_LENGTH) == sim._run_scalar(TRACE_LENGTH)
+        assert sim.run(TRACE_LENGTH) == run_scalar(sim, TRACE_LENGTH)
 
     def test_miss_curve_monotonically_non_increasing(self):
         spec = WORKLOAD_TRACES["webmail"]
@@ -123,7 +123,7 @@ class TestMissRatioCurve:
         sweep = lru_fraction_sweep(spec, fractions, trace_length=TRACE_LENGTH)
         for fraction in fractions:
             sim = TwoLevelMemorySimulator(spec, fraction, policy="lru")
-            assert sweep[fraction] == sim._run_scalar(TRACE_LENGTH)
+            assert sweep[fraction] == run_scalar(sim, TRACE_LENGTH)
 
     def test_warmup_validation(self):
         with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ class TestMissRatioCurve:
 
 class TestRandomReplay:
     """The flat Random loop against the per-access ``RandomPolicy``
-    replay (``_run_scalar``).  The loop draws victims with
+    replay (``run_scalar``).  The loop draws victims with
     ``getrandbits`` the way ``randrange`` does, so these run on every
     CPython the test matrix covers."""
 
@@ -168,7 +168,7 @@ class TestRandomReplay:
         sim = TwoLevelMemorySimulator(
             WORKLOAD_TRACES[workload], fraction, policy="random"
         )
-        assert sim.run(TRACE_LENGTH) == sim._run_scalar(TRACE_LENGTH)
+        assert sim.run(TRACE_LENGTH) == run_scalar(sim, TRACE_LENGTH)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -185,7 +185,7 @@ class TestRandomReplay:
         sim = TwoLevelMemorySimulator(
             WORKLOAD_TRACES[workload], fraction, policy="random", seed=seed
         )
-        assert sim.run(length) == sim._run_scalar(length)
+        assert sim.run(length) == run_scalar(sim, length)
 
 
 class TestTraceMemoization:

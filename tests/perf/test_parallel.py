@@ -12,6 +12,7 @@ from repro.perf.parallel import (
     run_experiments,
     set_intra_jobs,
 )
+from tests.perf import payload_digest
 
 
 def _square(x):
@@ -104,7 +105,7 @@ class TestRunExperiments:
         monkeypatch.setattr(runner_module, "run_experiment", counting)
         second = run_experiments(["table1"], jobs=1, cache=cache)
         assert calls == []
-        assert first[0][1].payload_digest() == second[0][1].payload_digest()
+        assert payload_digest(first[0][1]) == payload_digest(second[0][1])
 
     def test_overrides_produce_distinct_cache_keys(self, tmp_path):
         cache = ResultCache(tmp_path)

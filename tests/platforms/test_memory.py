@@ -13,34 +13,12 @@ class TestMemoryTechnology:
             > MemoryTechnology.DDR1.bandwidth_factor
         )
 
-    def test_ddr2_powerdown_savings_match_paper(self):
-        """Paper: active power-down reduces power by more than 90% in DDR2."""
-        assert MemoryTechnology.DDR2.active_powerdown_savings >= 0.90
-
-    def test_powerdown_wake_cycles(self):
-        """Paper: 6 DRAM cycles to wake."""
-        assert MemoryTechnology.DDR2.powerdown_wake_cycles == 6
-
 
 class TestMemoryConfig:
     def test_channel_bandwidth_includes_numa_efficiency(self):
         config = MemoryConfig(4.0, MemoryTechnology.FBDIMM, channels=4,
                               numa_efficiency=0.75)
         assert config.channel_bandwidth_factor == pytest.approx(0.75)
-        assert config.total_bandwidth_factor == pytest.approx(3.0)
-
-    def test_single_channel_ddr2(self):
-        config = MemoryConfig(4.0, MemoryTechnology.DDR2)
-        assert config.total_bandwidth_factor == pytest.approx(0.8)
-
-    def test_resized_preserves_everything_but_capacity(self):
-        config = MemoryConfig(4.0, MemoryTechnology.DDR2, channels=2,
-                              numa_efficiency=0.9)
-        resized = config.resized(1.0)
-        assert resized.capacity_gb == 1.0
-        assert resized.technology is MemoryTechnology.DDR2
-        assert resized.channels == 2
-        assert resized.numa_efficiency == 0.9
 
     def test_validation(self):
         with pytest.raises(ValueError):

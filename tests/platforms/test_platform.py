@@ -5,9 +5,7 @@ import random
 import pytest
 
 from repro.platforms.catalog import PLATFORMS, platform, platform_names
-from repro.platforms.memory import MemoryConfig, MemoryTechnology
 from repro.platforms.nic import GIGABIT, TEN_GIGABIT
-from repro.platforms.storage import LAPTOP_DISK
 from repro.workloads.suite import benchmark_names, make_workload
 
 
@@ -148,12 +146,3 @@ class TestOtherResources:
         t1 = platform("srvr2").net_time_ms(125_000)
         t10 = platform("srvr1").net_time_ms(125_000)
         assert t1 > 9 * t10
-
-    def test_with_disk_and_with_memory_return_modified_copies(self):
-        base = platform("emb1")
-        laptop = base.with_disk(LAPTOP_DISK)
-        assert laptop.disk is LAPTOP_DISK
-        assert base.disk is not LAPTOP_DISK
-        small = base.with_memory(MemoryConfig(1.0, MemoryTechnology.DDR2))
-        assert small.memory.capacity_gb == 1.0
-        assert base.memory.capacity_gb == 4.0

@@ -34,7 +34,7 @@ class TestTable3aValues:
             assert disk.capacity_gb == 200
             assert disk.power_w == 2
             assert disk.price_usd == price
-            assert disk.is_remote
+            assert disk.location is StorageLocation.REMOTE
 
     def test_desktop_disk(self):
         assert DESKTOP_DISK.bandwidth_mb_s == 70
@@ -42,7 +42,7 @@ class TestTable3aValues:
         assert DESKTOP_DISK.capacity_gb == 500
         assert DESKTOP_DISK.power_w == 10
         assert DESKTOP_DISK.price_usd == 120
-        assert not DESKTOP_DISK.is_remote
+        assert DESKTOP_DISK.location is not StorageLocation.REMOTE
 
     def test_server_disk_faster_than_desktop(self):
         assert SERVER_DISK_15K.read_latency_ms < DESKTOP_DISK.read_latency_ms
@@ -66,13 +66,6 @@ class TestAccessTime:
 
 
 class TestRelocated:
-    def test_relocation_adds_latency_and_marks_remote(self):
-        moved = DESKTOP_DISK.relocated(StorageLocation.REMOTE, extra_latency_ms=2.0)
-        assert moved.is_remote
-        assert moved.read_latency_ms == pytest.approx(6.0)
-        assert moved.write_latency_ms == pytest.approx(6.0)
-        assert moved.price_usd == DESKTOP_DISK.price_usd
-
     def test_flash_kind_flag(self):
         assert FLASH_1GB.is_flash
         assert FLASH_1GB.kind is StorageKind.FLASH

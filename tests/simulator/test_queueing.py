@@ -5,7 +5,16 @@ import random
 import pytest
 
 from repro.platforms.catalog import platform
-from repro.simulator.queueing import (
+from repro.simulator.server_sim import ServerSimulator, SimConfig
+from repro.workloads.base import (
+    MetricKind,
+    PopulationPolicy,
+    Request,
+    ResourceDemand,
+    Workload,
+    WorkloadProfile,
+)
+from tests.simulator.reference_queueing import (
     erlang_c,
     interactive_response_law,
     md1_mean_wait,
@@ -15,15 +24,6 @@ from repro.simulator.queueing import (
     mm1k_mean_number,
     mm1k_mean_wait,
     mmm_mean_wait,
-)
-from repro.simulator.server_sim import ServerSimulator, SimConfig
-from repro.workloads.base import (
-    MetricKind,
-    PopulationPolicy,
-    Request,
-    ResourceDemand,
-    Workload,
-    WorkloadProfile,
 )
 
 

@@ -69,7 +69,7 @@ class TestServerSimulator:
 
     def test_default_population_from_policy(self, emb1):
         sim = ServerSimulator(emb1, make_workload("mapred-wc"))
-        assert sim.population == 4 * emb1.cpu.total_cores
+        assert sim._population == 4 * emb1.cpu.total_cores
 
     def test_utilizations_are_fractions(self, srvr1, config):
         result = ServerSimulator(srvr1, make_workload("ytube"),
@@ -90,9 +90,3 @@ class TestServerSimulator:
             ServerSimulator(srvr1, make_workload("ytube"), memory_slowdown=0.5)
         with pytest.raises(ValueError):
             SimConfig(measure_requests=0)
-
-    def test_describe_mentions_qos_violation(self, emb1, config):
-        result = ServerSimulator(emb1, make_workload("websearch"),
-                                 population=256, config=config).run()
-        assert not result.qos_met
-        assert "QoS violated" in result.describe()

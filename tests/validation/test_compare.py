@@ -19,14 +19,8 @@ class TestCellDelta:
     def test_deltas(self):
         d = CellDelta(row="r", column="c", paper=0.5, measured=0.6)
         assert d.absolute_delta == pytest.approx(0.1)
-        assert d.relative_delta == pytest.approx(0.2)
         assert d.within(0.1)
         assert not d.within(0.05)
-
-    def test_zero_paper_value(self):
-        d = CellDelta("r", "c", paper=0.0, measured=0.1)
-        assert d.relative_delta == float("inf")
-        assert CellDelta("r", "c", 0.0, 0.0).relative_delta == 0.0
 
 
 class TestCompareMatrix:
