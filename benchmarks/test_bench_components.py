@@ -63,7 +63,12 @@ def test_bench_flash_cache_lookups(benchmark):
     rng = random.Random(3)
 
     def serve_batch():
-        return [model.service_ms(demand, rng) for _ in range(1000)]
+        return [
+            model.service_ms(
+                demand.disk_ios, demand.disk_bytes, demand.disk_write, rng
+            )
+            for _ in range(1000)
+        ]
 
     times = benchmark(serve_batch)
     assert len(times) == 1000

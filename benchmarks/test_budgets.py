@@ -45,7 +45,7 @@ from repro.scenario.compiler import (
     compile_scenario,
     run_scenario,
 )
-from repro.scenario.library import ext11_trace_attribution
+from repro.scenario.library import ext8_availability, ext11_trace_attribution
 from repro.workloads.suite import make_workload
 from tests.memsim.reference_twolevel import run_scalar
 from tests.obs import reference_export
@@ -61,6 +61,20 @@ OVERHEAD_LIMIT = 1.05
 #: pre-cohort scalar engine's rate, which reads 5 / 1.14 = 4.4x against
 #: today's oracle (its demand sampling got 1.14x faster since).
 COHORT_SPEEDUP_FLOOR = 4.4
+
+#: The closed loop on the cohort engine over the scalar oracle, on two
+#: faulted section 3.6 shapes: 0.7x the median of 16 best-of-3 readings
+#: measured when the closed loop, remote memory, disk specs, the tracer
+#: and faults moved onto the cohort engine (2.32x, 2.01x to 2.92x; and
+#: 2.67x, 1.94x to 3.07x; CPython 3.11 on a 2-vCPU x86-64 VM).  The
+#: traced shape is EXT-11's srvr1 run: on its N2 run the span and flash
+#: work both engines share leaves a 2.08x median, too close to what
+#: identical work on both sides reads on this VM (up to 1.5x) for the
+#: budget to tell a scalar run reported as cohort from the real thing.
+CLOSED_LOOP_SPEEDUP_FLOORS = {
+    "ext8-N2-faulted": 0.7 * 2.32,
+    "ext11-srvr1-traced-faulted": 0.7 * 2.67,
+}
 
 #: One stack-distance pass over 16 scalar LRU replays: 0.7x the 5.799x
 #: measured when the kernel landed.
@@ -167,9 +181,11 @@ def test_healthy_redundancy_overhead():
         _closed_loop(2400, remote_memory=remote, redundancy=redundancy)
         .run().stream_digest()
     )
+    # Redundancy runs on the scalar engine, so the reference is the
+    # same run without it on that engine.
     assert_within(
         OVERHEAD_LIMIT,
-        lambda: _closed_loop(2400, remote_memory=remote).run(),
+        lambda: _closed_loop(2400, remote_memory=remote)._run_scalar(),
         lambda: _closed_loop(
             2400, remote_memory=remote, redundancy=redundancy
         ).run(),
@@ -245,6 +261,48 @@ def test_cohort_engine_speedup():
         lambda: surge()._run_scalar(),
         lambda: surge().run(),
         pairs=3,
+    )
+
+
+def _faulted_plans():
+    """The two closed-loop shapes: EXT-8's faulted N2 run (6x6 clients,
+    shared memory blade, flash-cached SAN disks, stress faults, hedging
+    retry) and EXT-11's traced faulted srvr1 run (one-server
+    enclosures)."""
+    ext8 = compile_scenario(ext8_availability()).plans
+    ext11 = compile_scenario(ext11_trace_attribution()).plans
+    return {
+        "ext8-N2-faulted": next(p for p in ext8 if p.run_id == "N2/faulted"),
+        "ext11-srvr1-traced-faulted": next(
+            p for p in ext11 if p.run_id == "srvr1/traced-faulted"
+        ),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(CLOSED_LOOP_SPEEDUP_FLOORS))
+def test_closed_loop_cohort_speedup(shape):
+    """A faulted closed-loop run on the cohort engine against the scalar
+    reference engine; the traced shape also compares the span logs."""
+    plan = _faulted_plans()[shape]
+
+    def scalar():
+        sim, tracer, _ = _build_cluster_simulator(plan)
+        return sim._run_scalar(), tracer
+
+    def cohort():
+        sim, tracer, _ = _build_cluster_simulator(plan)
+        result = sim.run()
+        assert sim.engine_used == "cohort", sim.fallback_reason
+        return result, tracer
+
+    (want, want_tracer), (got, got_tracer) = scalar(), cohort()
+    assert got.stream_digest() == want.stream_digest()
+    if want_tracer is not None:
+        assert export.trace_digest([("run", got_tracer.traces)]) == (
+            export.trace_digest([("run", want_tracer.traces)])
+        )
+    assert_within(
+        1.0 / CLOSED_LOOP_SPEEDUP_FLOORS[shape], scalar, cohort, pairs=3
     )
 
 

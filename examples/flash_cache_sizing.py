@@ -38,13 +38,17 @@ def sweep(bench: str) -> None:
         )
         rng = random.Random(42)
         for _ in range(WARMUP_REQUESTS):  # populate the cache first
-            model.service_ms(workload.sample(rng).demand, rng)
+            d = workload.sample(rng).demand
+            model.service_ms(d.disk_ios, d.disk_bytes, d.disk_write, rng)
         warm_hits = model.cache.stats.hits
         warm_lookups = model.cache.stats.lookups
         warm_inserts = model.cache.stats.insertions
         total_ms = 0.0
         for _ in range(REQUESTS):
-            total_ms += model.service_ms(workload.sample(rng).demand, rng)
+            d = workload.sample(rng).demand
+            total_ms += model.service_ms(
+                d.disk_ios, d.disk_bytes, d.disk_write, rng
+            )
         mean_ms = total_ms / REQUESTS
         lookups = model.cache.stats.lookups - warm_lookups
         hit_rate = (model.cache.stats.hits - warm_hits) / max(lookups, 1)

@@ -84,7 +84,7 @@ from repro.faults.recovery import (
 from repro.flashcache.models import DiskSpec
 from repro.memsim.remote_memory import RemoteMemoryModel
 from repro.obs.span import SpanKind, Trace
-from repro.obs.tracer import record_stage, record_stage_parts
+from repro.obs.tracer import close_gave_up, record_stage, record_stage_parts
 from repro.perf.variates import exponential_sampler
 from repro.platforms.platform import Platform
 from repro.simulator.engine import Simulation
@@ -455,12 +455,11 @@ class ClusterSimulator:
         present) drops it from the fleet median for the duration.
 
         The configuration alone picks the engine :meth:`run` uses:
-        eligible open-loop configurations run the cohort
-        request-lifecycle kernels of :mod:`repro.perf.cluster_kernels`,
-        which produce a bitwise identical :class:`ClusterResult`
-        (``stream_digest()`` equality is a test invariant); those the
-        kernels do not model (closed-loop mode, tracing, remote memory,
-        faults, redundancy, maintenance drains, non-default disk models)
+        every configuration except redundancy and maintenance drains
+        runs the cohort request-lifecycle kernels of
+        :mod:`repro.perf.cluster_kernels`, which produce a bitwise
+        identical :class:`ClusterResult` and span log
+        (``stream_digest()`` equality is a test invariant); those two
         run the scalar per-request callback path.  After :meth:`run`,
         ``engine_used`` names the path taken and ``fallback_reason``
         says why the cohort path was ineligible (``None`` otherwise)."""
@@ -545,10 +544,9 @@ class ClusterSimulator:
     def run(self) -> ClusterResult:
         """Run the simulation on the engine the configuration selects.
 
-        Eligible configurations (open loop, no tracing/faults/remote
-        memory/maintenance, default disk model) run the vectorized
-        request-lifecycle kernels; every other one runs the scalar path
-        with ``fallback_reason`` set.  Both paths produce the same
+        Configurations without redundancy or maintenance drains run the
+        vectorized request-lifecycle kernels; those two run the scalar
+        path with ``fallback_reason`` set.  Both paths produce the same
         ``ClusterResult.stream_digest()``.
         """
         from repro.perf.cluster_kernels import cohort_supported, run_cohort
@@ -561,9 +559,9 @@ class ClusterSimulator:
         return self._run_scalar()
 
     def _run_scalar(self) -> ClusterResult:
-        """The scalar per-request callback engine: the fallback for
-        configurations the cohort kernels do not model, and the
-        reference that tests and the cohort speedup budget in
+        """The scalar per-request callback engine: the engine of
+        redundancy and maintenance-drain configurations, and the
+        reference that tests and the cohort speedup budgets in
         ``benchmarks/test_budgets.py`` compare cohort runs with."""
         sim = Simulation()
         rng = random.Random(self._seed)
@@ -687,7 +685,6 @@ class ClusterSimulator:
                         sim.schedule_at(fault.repair_ms, _unprotected_repair)
 
         track_faults = self._faults is not None
-        tracker = AvailabilityTracker() if track_faults else None
 
         # --- overload-protection runtime -------------------------------
         overload_report: Optional[OverloadReport] = None
@@ -721,39 +718,13 @@ class ClusterSimulator:
                     for _ in servers
                 ]
 
-        def _rotation_observe(index: int, up: bool) -> None:
-            if tracker is not None:
-                tracker.observe(f"rotation/server{index}", sim.now, up=up)
-
-        def take_down(index: int) -> None:
-            server = servers[index]
-            server.down_components += 1
-            if server.down_components == 1:
-                server.up = False
-                _rotation_observe(index, up=False)
-                # In-flight work on a dead server is lost; clients
-                # recover through their timeouts.
-                server.epoch += 1
-                report.lost_in_flight += server.outstanding
-                server.outstanding = 0
-
-        def bring_up(index: int) -> None:
-            server = servers[index]
-            server.down_components = max(server.down_components - 1, 0)
-            if server.down_components == 0 and not server.up:
-                server.up = True
-                _rotation_observe(index, up=True)
-
-        if tracker is not None:
-            for index in range(self._servers):
-                tracker.observe(f"rotation/server{index}", 0.0, up=True)
-
         injector: Optional[FaultInjector] = None
-        if self._faults is not None:
+        tracker: Optional[AvailabilityTracker] = None
+        if track_faults:
             injector = self._inject_faults(
-                sim, servers, blade_state, take_down, bring_up, tracker,
-                report, recovery,
+                sim, servers, blade_state, report, recovery
             )
+            tracker = injector.tracker
 
         if maintenance is not None and maintenance.windows:
             drain_started: Dict[int, float] = {}
@@ -970,29 +941,7 @@ class ClusterSimulator:
             report.gave_up += 1
             trace = rs.trace
             if trace is not None and trace.status is None:
-                # A request can reach give-up with no critical spans at
-                # all: every timed-out attempt overlapped a then-live
-                # hedge, so no timeout-wait was ever charged.  The
-                # elapsed time was still all spent on failed attempts,
-                # so the stretch no critical span covers is charged to
-                # ``retry`` here rather than falling into ``other``.
-                root = trace.root
-                covered = root.start_ms
-                for span in trace.spans:
-                    if (
-                        span.critical
-                        and span.parent_id == root.span_id
-                        and span.end_ms is not None
-                    ):
-                        covered = max(covered, span.end_ms)
-                if sim.now - covered > 1e-9:
-                    Trace.finish(
-                        trace.start(
-                            SpanKind.RETRY, covered, name="gave-up-wait"
-                        ),
-                        sim.now,
-                    )
-                trace.close(sim.now, status="gave_up")
+                close_gave_up(trace, sim.now)
             complete(rs.start, served=False)
 
         def fast_fail(rs: _RequestState) -> None:
@@ -1088,7 +1037,7 @@ class ClusterSimulator:
             degraded_disk_ms = 0.0
             failover_profile = None
             if self._remote_memory is not None:
-                cpu_ms += self._remote_memory.trap_cpu_ms(demand)
+                cpu_ms += self._remote_memory.trap_cpu_ms(demand.cpu_ms_ref)
                 if recovery is not None and recovery.active:
                     # Redundant placement: a blade is down (or being
                     # rebuilt).  Reads split per the server's current
@@ -1097,11 +1046,13 @@ class ClusterSimulator:
                     # reconstruction), or lost to the swap path.
                     prof = recovery.profile(server_ids[server.index])
                     if prof.healthy:
-                        blade_ms = self._remote_memory.link_time_ms(demand)
+                        blade_ms = self._remote_memory.link_time_ms(
+                            demand.cpu_ms_ref
+                        )
                     else:
                         failover_profile = prof
                         blade_ms = self._remote_memory.failover_time_ms(
-                            demand,
+                            demand.cpu_ms_ref,
                             prof.direct_fraction,
                             prof.failover_fraction,
                             prof.amplification,
@@ -1111,7 +1062,7 @@ class ClusterSimulator:
                         if prof.lost_fraction > 0.0:
                             degraded_disk_ms = (
                                 self._remote_memory.residual_degraded_time_ms(
-                                    demand, prof.lost_fraction
+                                    demand.cpu_ms_ref, prof.lost_fraction
                                 )
                             )
                             recovery_report.lossy_requests += 1
@@ -1121,10 +1072,12 @@ class ClusterSimulator:
                     # Capacity misses page in from the swap path on the
                     # server's own disk instead of crossing the (dead)
                     # link.
-                    degraded_disk_ms = self._remote_memory.degraded_time_ms(demand)
+                    degraded_disk_ms = self._remote_memory.degraded_time_ms(
+                        demand.cpu_ms_ref
+                    )
                     report.degraded_requests += 1
                 else:
-                    blade_ms = self._remote_memory.link_time_ms(demand)
+                    blade_ms = self._remote_memory.link_time_ms(demand.cpu_ms_ref)
             if drift is not None:
                 # Gray-failure drift, evaluated once at dispatch time
                 # (pure function of simulated time; zero RNG).
@@ -1142,17 +1095,14 @@ class ClusterSimulator:
             # ``service_ms`` delegates to ``service_components``.
             disk_parts = None
             if aspan is not None:
-                parts_fn = getattr(server.disk_model, "service_components", None)
-                if parts_fn is not None:
-                    disk_parts = parts_fn(demand, rng)
-                    disk_service = sum(part[2] for part in disk_parts)
-                else:
-                    disk_service = server.disk_model.service_ms(demand, rng)
-                disk_parts = list(disk_parts) if disk_parts else (
-                    [("disk", "disk", disk_service)] if disk_service > 0 else []
-                )
+                disk_parts = list(server.disk_model.service_components(
+                    demand.disk_ios, demand.disk_bytes, demand.disk_write, rng
+                ))
+                disk_service = sum(part[2] for part in disk_parts)
             else:
-                disk_service = server.disk_model.service_ms(demand, rng)
+                disk_service = server.disk_model.service_ms(
+                    demand.disk_ios, demand.disk_bytes, demand.disk_write, rng
+                )
             if drift is not None:
                 lane = drift.flash[server.index]
                 if lane is not None:
@@ -1270,7 +1220,9 @@ class ClusterSimulator:
                                     name="blade-link",
                                 )
                                 span.annotate(
-                                    **self._remote_memory.span_attrs(demand)
+                                    **self._remote_memory.span_attrs(
+                                        demand.cpu_ms_ref
+                                    )
                                 )
                                 if failover_profile is not None:
                                     span.annotate(
@@ -1680,19 +1632,50 @@ class ClusterSimulator:
 
     def _inject_faults(
         self,
-        sim: Simulation,
-        servers: List[_Server],
+        clock,
+        servers: list,
         blade_state: dict,
-        take_down,
-        bring_up,
-        tracker: Optional[AvailabilityTracker],
         report: FaultReport,
         recovery: Optional[RecoveryOrchestrator] = None,
     ) -> FaultInjector:
-        """Register every hardware component with the fault injector."""
+        """Register every hardware component with the fault injector.
+
+        The one place that says which components can fail and what each
+        failure does to a server, shared by both engines: ``clock`` is
+        the engine's scheduler (anything with ``now`` and
+        ``schedule(delay_ms, callback)``), and ``servers`` are its
+        per-server records, which carry ``index``, ``up``, ``epoch``,
+        ``down_components``, ``outstanding``, ``cpu_throttle``,
+        ``blade_down`` and ``disk_model``.  The injector's
+        :class:`AvailabilityTracker` (``injector.tracker``) records
+        each server's time in rotation.
+        """
         assert self._faults is not None
+        tracker = AvailabilityTracker()
+        for index in range(len(servers)):
+            tracker.observe(f"rotation/server{index}", 0.0, up=True)
+
+        def take_down(index: int) -> None:
+            server = servers[index]
+            server.down_components += 1
+            if server.down_components == 1:
+                server.up = False
+                tracker.observe(f"rotation/server{index}", clock.now, up=False)
+                # In-flight work on a dead server is lost; clients
+                # recover through their timeouts.
+                server.epoch += 1
+                report.lost_in_flight += server.outstanding
+                server.outstanding = 0
+
+        def bring_up(index: int) -> None:
+            server = servers[index]
+            server.down_components = max(server.down_components - 1, 0)
+            if server.down_components == 0 and not server.up:
+                server.up = True
+                tracker.observe(f"rotation/server{index}", clock.now, up=True)
+
         injector = FaultInjector(
-            sim, self._faults, seed=self._fault_seed, tracker=tracker
+            clock, self._faults, seed=self._fault_seed, tracker=tracker
         )
 
         for index, server in enumerate(servers):
@@ -1733,11 +1716,11 @@ class ClusterSimulator:
             # restores them together.
             def blade_failed() -> None:
                 blade_state["up"] = False
-                blade_state["down_since"] = sim.now
+                blade_state["down_since"] = clock.now
 
             def blade_repaired() -> None:
                 blade_state["up"] = True
-                report.blade_downtime_ms += sim.now - blade_state["down_since"]
+                report.blade_downtime_ms += clock.now - blade_state["down_since"]
 
             domain = injector.register_domain("blade", ComponentType.MEMORY_BLADE)
             domain.attach(blade_failed, blade_repaired)

@@ -34,13 +34,13 @@ def per_server_capacity_rps(
             profile.inorder_ipc_factor,
             profile.stall_fraction,
         )
-        slowdown = 1.0 + remote_memory.trap_cpu_ms(mean) / cpu_ms
+        slowdown = 1.0 + remote_memory.trap_cpu_ms(mean.cpu_ms_ref) / cpu_ms
     capacity = measure_performance(
         platform, workload, disk_spec=disk_spec,
         memory_slowdown=slowdown, method="analytic",
     ).throughput_rps
     if remote_memory is not None:
-        link_ms = remote_memory.link_time_ms(workload.mean_demand())
+        link_ms = remote_memory.link_time_ms(workload.mean_demand().cpu_ms_ref)
         if link_ms > 0:
             capacity = min(capacity, 1000.0 / link_ms / servers)
     return capacity

@@ -40,7 +40,7 @@ def run() -> ExperimentResult:
         remote = make_remote_memory_model(
             "websearch", local_fraction=fraction, trace_length=_TRACE_LENGTH
         )
-        per_request_ms = remote.link_time_ms(workload.mean_demand())
+        per_request_ms = remote.link_time_ms(workload.mean_demand().cpu_ms_ref)
         rows = []
         data[fraction] = {}
         for servers in SERVER_COUNTS:

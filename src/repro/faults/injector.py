@@ -10,6 +10,11 @@ Correlated failures -- the cost of the paper's ensemble sharing -- are
 expressed with :class:`FailureDomain`: one shared component (a memory
 blade, an enclosure fan or PSU) whose fault degrades every attached
 member at once, and whose repair restores them together.
+
+The injector schedules on a *clock*: anything with a ``now`` (simulated
+ms) and ``schedule(delay_ms, callback)``.  A
+:class:`~repro.simulator.engine.Simulation` is one; the cohort cluster
+engine provides another over its own event heap.
 """
 
 from __future__ import annotations
@@ -95,12 +100,13 @@ class FaultInjector:
 
     def __init__(
         self,
-        sim: "Simulation",
+        clock,
         profile: FaultProfile,
         seed: int = 1,
         tracker: Optional["AvailabilityTracker"] = None,
     ):
-        self._sim = sim
+        #: The scheduler: ``now`` and ``schedule(delay_ms, callback)``.
+        self._sim = clock
         self._profile = profile
         self._rng = random.Random(seed)
         self.tracker = tracker

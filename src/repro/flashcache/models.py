@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
 #: One timed piece of a disk service: (span kind, label, service ms).
@@ -57,16 +58,16 @@ class LocalDiskModel:
     def __init__(self, device: StorageDevice):
         self.device = device
 
-    def service_ms(self, demand: ResourceDemand, rng: random.Random) -> float:
-        return _device_service_ms(
-            self.device, demand.disk_ios, demand.disk_bytes, demand.disk_write
-        )
+    def service_ms(
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
+    ) -> float:
+        return _device_service_ms(self.device, ios, num_bytes, write)
 
     def service_components(
-        self, demand: ResourceDemand, rng: random.Random
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
     ) -> List[ServiceComponent]:
         """Typed breakdown of :meth:`service_ms` (identical RNG draws)."""
-        return [("disk", "local-disk", self.service_ms(demand, rng))]
+        return [("disk", "local-disk", self.service_ms(ios, num_bytes, write, rng))]
 
     def mean_service_ms(self, demand: ResourceDemand) -> float:
         """Expected service for a mean demand (analytic model support)."""
@@ -97,21 +98,23 @@ class RemoteSanDiskModel:
         self.stripe_width = stripe_width
         self.san_overhead_ms = san_overhead_ms
 
-    def service_ms(self, demand: ResourceDemand, rng: random.Random) -> float:
-        return self.mean_service_ms(demand)
+    def service_ms(
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
+    ) -> float:
+        work = _device_service_ms(self.device, ios, num_bytes, write)
+        return work / self.stripe_width + ios * self.san_overhead_ms
 
     def service_components(
-        self, demand: ResourceDemand, rng: random.Random
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
     ) -> List[ServiceComponent]:
         """Typed breakdown of :meth:`service_ms` (identical RNG draws)."""
-        return [("disk", "san", self.service_ms(demand, rng))]
+        return [("disk", "san", self.service_ms(ios, num_bytes, write, rng))]
 
     def mean_service_ms(self, demand: ResourceDemand) -> float:
         """Expected service for a mean demand (analytic model support)."""
-        work = _device_service_ms(
-            self.device, demand.disk_ios, demand.disk_bytes, demand.disk_write
+        return self.service_ms(
+            demand.disk_ios, demand.disk_bytes, demand.disk_write, None
         )
-        return work / self.stripe_width + demand.disk_ios * self.san_overhead_ms
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,17 @@ def flash_object_params(workload_name: str) -> FlashObjectParams:
         ) from exc
 
 
+@lru_cache(maxsize=None)
+def popularity_sampler(objects: int, alpha: float) -> ZipfSampler:
+    """The object-popularity sampler of ``objects`` items at ``alpha``.
+
+    Building one fills a CDF of every object (16-20k entries for the
+    shipped workloads); it is read-only afterwards, so every flash model
+    of the same object count and skew shares one per process.
+    """
+    return ZipfSampler(objects, alpha)
+
+
 class FlashCachedDiskModel:
     """A flash cache in front of a backing disk model.
 
@@ -176,7 +190,7 @@ class FlashCachedDiskModel:
         #: Lookups served on the raw-disk path because the cache was down.
         self.bypassed_requests = 0
         objects = max(1, int(params.dataset_gb * (1 << 30) / params.object_bytes))
-        self._popularity = ZipfSampler(objects, params.zipf_alpha)
+        self._popularity = popularity_sampler(objects, params.zipf_alpha)
 
     def fail(self) -> None:
         """Take the cache out of the data path (raw disk fallback)."""
@@ -197,15 +211,19 @@ class FlashCachedDiskModel:
         """Independent-reference hit-rate estimate (hot head fits in flash)."""
         return self._popularity.head_mass(self.cache.capacity_objects)
 
-    def service_ms(self, demand: ResourceDemand, rng: random.Random) -> float:
+    def service_ms(
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
+    ) -> float:
         # Single implementation: the typed breakdown below draws the same
         # RNG values and updates the same cache state, so traced runs
         # (which ask for components) and untraced runs (which ask for the
         # total) are stream-identical.
-        return sum(ms for _, _, ms in self.service_components(demand, rng))
+        return sum(
+            ms for _, _, ms in self.service_components(ios, num_bytes, write, rng)
+        )
 
     def service_components(
-        self, demand: ResourceDemand, rng: random.Random
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
     ) -> List[ServiceComponent]:
         """Typed breakdown of one request's disk service.
 
@@ -214,25 +232,28 @@ class FlashCachedDiskModel:
         flash time, a miss is backing-disk time, and writes/bypasses take
         the raw disk path.
         """
-        if demand.disk_bytes <= 0 and demand.disk_ios <= 0:
+        if num_bytes <= 0 and ios <= 0:
             return []
+        backing = self.backing
         if not self.available:
             # Cache down: raw disk path.  The popularity sample is still
             # drawn so the request stream (and RNG state) is identical
             # with and without an operational cache.
             self._popularity.sample(rng)
             self.bypassed_requests += 1
-            return [("disk", "cache-bypass", self.backing.service_ms(demand, rng))]
+            return [("disk", "cache-bypass",
+                     backing.service_ms(ios, num_bytes, write, rng))]
         object_id = self._popularity.sample(rng)
-        if demand.disk_write:
+        if write:
             # Write-through: disk pays full price; cached copy is updated.
             self.cache.write_update(object_id)
-            return [("disk", "write-through", self.backing.service_ms(demand, rng))]
+            return [("disk", "write-through",
+                     backing.service_ms(ios, num_bytes, write, rng))]
         if self.cache.lookup(object_id):
             # Flash hit: serve the request's bytes from flash.
-            scale = demand.disk_bytes / max(self.params.object_bytes, 1.0)
+            scale = num_bytes / max(self.params.object_bytes, 1.0)
             return [("flash", "hit", self.cache.read_service_ms() * max(scale, 0.1))]
-        service = self.backing.service_ms(demand, rng)
+        service = backing.service_ms(ios, num_bytes, write, rng)
         self.cache.insert(object_id)
         return [("disk", "miss", service)]
 

@@ -28,7 +28,6 @@ from repro.memsim.twolevel import (
     PCIE_X4_PAGE_LATENCY_US,
     TwoLevelMemorySimulator,
 )
-from repro.workloads.base import ResourceDemand
 
 #: CPU time of the lightweight trap handler per remote miss, microseconds
 #: (page-table update, DMA setup; Ekman & Stenstrom-style handler).
@@ -71,32 +70,35 @@ class RemoteMemoryModel:
         if self.degraded_miss_latency_us < 0:
             raise ValueError("degraded miss latency must be >= 0")
 
-    def misses_per_request(self, demand: ResourceDemand) -> float:
+    # Per-request costs read one demand field, ``cpu_ms_ref``: the
+    # simulators pass it straight from their tuple demand draws.
+
+    def misses_per_request(self, cpu_ms_ref: float) -> float:
         """Expected remote-page misses for one request."""
-        return self.touches_per_ms * demand.cpu_ms_ref * self.miss_rate
+        return self.touches_per_ms * cpu_ms_ref * self.miss_rate
 
-    def link_time_ms(self, demand: ResourceDemand) -> float:
+    def link_time_ms(self, cpu_ms_ref: float) -> float:
         """PCIe/blade transfer time charged per request."""
-        return self.misses_per_request(demand) * self.page_latency_us / 1000.0
+        return self.misses_per_request(cpu_ms_ref) * self.page_latency_us / 1000.0
 
-    def trap_cpu_ms(self, demand: ResourceDemand) -> float:
+    def trap_cpu_ms(self, cpu_ms_ref: float) -> float:
         """Extra CPU time for fault handling per request."""
-        return self.misses_per_request(demand) * self.trap_overhead_us / 1000.0
+        return self.misses_per_request(cpu_ms_ref) * self.trap_overhead_us / 1000.0
 
-    def span_attrs(self, demand: ResourceDemand) -> dict:
+    def span_attrs(self, cpu_ms_ref: float) -> dict:
         """Attributes for a traced remote-memory span.
 
         Rounded so span logs stay compact; values are expectations, not
         sampled counts (the model charges mean traffic per request).
         """
-        misses = self.misses_per_request(demand)
+        misses = self.misses_per_request(cpu_ms_ref)
         return {
             "misses": round(misses, 4),
-            "trap_cpu_ms": round(self.trap_cpu_ms(demand), 6),
+            "trap_cpu_ms": round(self.trap_cpu_ms(cpu_ms_ref), 6),
             "local_fraction": self.local_fraction,
         }
 
-    def degraded_time_ms(self, demand: ResourceDemand) -> float:
+    def degraded_time_ms(self, cpu_ms_ref: float) -> float:
         """Capacity-miss penalty per request while the blade is DOWN.
 
         Graceful degradation: the server keeps serving from its local
@@ -105,12 +107,13 @@ class RemoteMemoryModel:
         the server's disk, not the (unavailable) blade link.
         """
         return (
-            self.misses_per_request(demand) * self.degraded_miss_latency_us / 1000.0
+            self.misses_per_request(cpu_ms_ref)
+            * self.degraded_miss_latency_us / 1000.0
         )
 
     def failover_time_ms(
         self,
-        demand: ResourceDemand,
+        cpu_ms_ref: float,
         direct_fraction: float,
         failover_fraction: float,
         amplification: float,
@@ -123,12 +126,12 @@ class RemoteMemoryModel:
         (1.0 for a replica read, k for a k+1 parity reconstruction).
         All of it still crosses the shared blade-controller link.
         """
-        return self.link_time_ms(demand) * (
+        return self.link_time_ms(cpu_ms_ref) * (
             direct_fraction + failover_fraction * amplification
         )
 
     def residual_degraded_time_ms(
-        self, demand: ResourceDemand, lost_fraction: float
+        self, cpu_ms_ref: float, lost_fraction: float
     ) -> float:
         """Swap-path penalty for the unrecoverable slice of the page set.
 
@@ -136,7 +139,7 @@ class RemoteMemoryModel:
         blade-down mode of :meth:`degraded_time_ms`, scaled down to the
         lost fraction; the rest of the working set stays remote.
         """
-        return self.degraded_time_ms(demand) * lost_fraction
+        return self.degraded_time_ms(cpu_ms_ref) * lost_fraction
 
 
 @lru_cache(maxsize=None)

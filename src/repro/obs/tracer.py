@@ -105,6 +105,32 @@ def record_stage_parts(
         at += ms
 
 
+def close_gave_up(trace: Trace, now_ms: float) -> None:
+    """Close a request's trace after it exhausted its retries.
+
+    A request can reach give-up with no critical spans at all: every
+    timed-out attempt overlapped a then-live hedge, so no timeout wait
+    was ever charged.  The elapsed time was still all spent on failed
+    attempts, so the stretch no critical span covers is charged to
+    ``retry`` (a ``gave-up-wait`` span) rather than falling into
+    ``other``.
+    """
+    root = trace.root
+    covered = root.start_ms
+    for span in trace.spans:
+        if (
+            span.critical
+            and span.parent_id == root.span_id
+            and span.end_ms is not None
+        ):
+            covered = max(covered, span.end_ms)
+    if now_ms - covered > _GAP_EPS_MS:
+        Trace.finish(
+            trace.start(SpanKind.RETRY, covered, name="gave-up-wait"), now_ms
+        )
+    trace.close(now_ms, status="gave_up")
+
+
 class Tracer:
     """Samples requests and collects their span trees.
 

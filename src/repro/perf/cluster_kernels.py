@@ -14,25 +14,33 @@ number with the event kind in its low 4 bits) -- the *cohort* of state
 needed per event rides in two plain lists instead of captured cells --
 while reproducing the scalar path's behaviour **bit for bit**:
 
-- every ``random.Random`` consumer (inter-arrival draws, workload
-  sampling via :attr:`~repro.workloads.base.Workload.fast_demand`,
+- every ``random.Random`` consumer (inter-arrival and think-time draws,
+  workload sampling via :attr:`~repro.workloads.base.Workload.fast_demand`,
   admission shed draws, least-outstanding tie-breaks, full-jitter
-  backoff) runs in exactly the scalar order on the shared generator, so
-  the uniform stream is identical;
+  backoff, flash-cache popularity draws) runs in exactly the scalar
+  order on the shared generator, so the uniform stream is identical;
 - the CPU and memory stations replicate :class:`Resource`'s grant
   algorithm exactly (free-station grant, FIFO queueing, the ``on_start``
   gate loop that cancels deadline-shed work and immediately grants the
   next waiter, grant-before-completion-callback ordering on finish);
-- the disk and NIC stations -- both single-server FIFO queues whose
-  service time is fixed at dispatch -- are advanced as carry-seeded
-  Lindley recurrences instead of discrete events: at an attempt's
-  memory-stage completion, ``dep = max(now, carry) + svc`` per station
+- the blade-controller link (shared by every server), disk and NIC
+  stations -- single-server FIFO queues whose service time is fixed at
+  dispatch -- are advanced as carry-seeded Lindley recurrences:
+  ``dep = max(entry, carry) + svc`` computed when an attempt enters
   reproduces, operation for operation, the floats the event-at-a-time
   grant would compute (grant-at-entry when the station is free, grant
   at the previous departure otherwise), because a k=1 FIFO station's
-  departure order equals its entry order and nothing observable reads
-  the station state in between.  Only the final attempt-complete event
-  returns to the heap;
+  departure order equals its entry order.  The carry must see entries
+  in entry order, and nothing may decide between entry and departure
+  whether the attempt goes on.  So at a memory completion the disk
+  and NIC departures are computed together and one attempt-complete
+  event returns to the heap -- unless a fault can strand the attempt
+  in the disk (it must not then enter the NIC: fault runs push a disk
+  departure event and enter the NIC there) or the attempt is traced
+  (its stage spans are created at each departure, in event order: a
+  span-only disk departure event).  The blade link is always its own
+  departure event, because an attempt that skips it (blade down, no
+  remote misses) can reach its disk ahead of one still in the link;
 - service times come from the same platform formulas with loop-invariant
   factors hoisted only where IEEE semantics make the hoist bitwise-safe
   (e.g. ``cpu_ms_ref * (stall + (1 - stall) * scaling)`` -- the
@@ -50,8 +58,20 @@ while reproducing the scalar path's behaviour **bit for bit**:
   keep their relative order because their seq assignments keep their
   relative order.
 
-``ClusterResult.stream_digest()`` equality between the two engines is a
-hard test invariant (``tests/cluster/test_cohort_engine.py``).
+The rest of the lifecycle follows the scalar callbacks event for event:
+a closed-loop client's think-time re-issue is a heap event and the
+warm-up and measurement windows count completions; the tracer records
+the same spans, ids, names and attributes at the same points with zero
+RNG; fault injection runs through the scalar engine's own wiring
+(``ClusterSimulator._inject_faults``), scheduling its fail/repair
+processes on a two-method clock over this heap, so the injector draws in
+the same order and each failure does the same thing to the same
+per-server fields (epochs that void in-flight work, health waits, the
+blade, flash, fan and PSU degraded modes).
+
+``ClusterResult.stream_digest()``, span-log and metrics-snapshot
+equality between the two engines is a hard test invariant
+(``tests/cluster/test_cohort_engine.py``).
 
 Two deliberate deviations from a naive "vectorize everything" plan, both
 forced by the stream-identity contract: inter-arrival variates cannot be
@@ -72,10 +92,9 @@ immediately before each detector evaluation (the evaluator reads only
 bucket counts, which ``record_many`` computes exactly), and the metrics
 response histogram is flushed once at the end of the run.
 
-Features the kernels do not model fall back to the scalar path
-automatically (see :func:`cohort_supported`): closed-loop mode, tracing,
-remote memory, stochastic faults, redundancy/rebuild
-traffic, maintenance drains, and non-default disk models.
+Two features fall back to the scalar path automatically (see
+:func:`cohort_supported`): redundancy/rebuild traffic and maintenance
+drains.
 """
 
 from __future__ import annotations
@@ -88,12 +107,15 @@ from typing import List, Optional, Tuple
 
 from repro.cluster.overload import (
     AdmissionController,
+    AdmissionVerdict,
     BreakerState,
     CircuitBreaker,
     OverloadReport,
     RetryBudget,
 )
 from repro.faults.failslow import DriftTable, FailSlowReport, PeerComparisonDetector
+from repro.obs.span import SpanKind, Trace
+from repro.obs.tracer import close_gave_up, record_stage, record_stage_parts
 from repro.simulator.engine import PAST_EPSILON_MS, PAST_RELATIVE_EPSILON
 from repro.simulator.telemetry import TimeSeries
 from repro.workloads.qos import QosTracker
@@ -127,22 +149,10 @@ def cohort_supported(csim) -> Tuple[bool, str]:
     stored on the simulator as ``fallback_reason`` so tests (and users)
     can see why a run routed to the scalar path.
     """
-    if csim._arrivals is None:
-        return False, "closed-loop mode"
-    if csim._tracer is not None:
-        return False, "tracer attached"
-    if csim._remote_memory is not None:
-        return False, "remote memory blade"
-    if csim._faults is not None:
-        return False, "stochastic fault injection"
     if csim._redundancy is not None:
         return False, "redundancy/rebuild traffic"
     if csim._maintenance is not None and csim._maintenance.windows:
         return False, "maintenance drains"
-    # The kernels inline the platform disk-time formula; a disk spec's
-    # model (local, SAN, flash cache) keeps the scalar path.
-    if csim._disk_spec is not None:
-        return False, "non-platform disk model"
     return True, ""
 
 
@@ -154,17 +164,25 @@ def cohort_supported(csim) -> Tuple[bool, str]:
 # plus the per-attempt service times the scalar path kept in closure
 # cells):
 #
-#   rs  = [d, start, attempts, finished, hedged]
-#          0  1      2         3         4
+#   rs  = [d, start, attempts, finished, hedged, trace, live]
+#          0  1      2         3         4       5      6
 #   att = [rs, server, void, done, probe, t0, timeout_ms, mem_ms,
 #          0   1       2     3     4      5   6           7
-#          disk_ms, net_ms, floor, left, decided, serve, batch]
-#          8        9       10     11    12       13     14
+#          disk_ms, net_ms, floor, left, decided, serve, batch, epoch,
+#          8        9       10     11    12       13     14     15
+#          blade_ms, nic_dep, tr]
+#          16        17       18
 #
 # ``att[14]`` (batch) counts the CPU slice completions the attempt's
 # next _K_CPU event stands for: >1 when every slice was granted at
 # dispatch (they share one service time, so their finish events would
 # pop back-to-back anyway and coalesce into one heap entry).
+# ``rs[5]`` is the request's :class:`~repro.obs.span.Trace` (None when
+# untraced) and ``rs[6]`` its attempt spans still in flight; ``att[18]``
+# is None unless the attempt is traced, then
+# ``[attempt span, cursor_ms, disk parts, cpu slice ms, slices,
+# cpu_ms_ref]``.  ``att[17]`` holds a traced attempt's NIC departure
+# between its disk-stage event and its completion event.
 
 
 class _Srv:
@@ -172,16 +190,19 @@ class _Srv:
 
     CPU and memory are event-driven stations replicating the scalar
     :class:`Resource` (busy count + FIFO queue); disk and NIC are the
-    carry floats of their Lindley recurrences (next free time).
+    carry floats of their Lindley recurrences (next free time).  The
+    fault fields mirror the scalar ``_Server``'s, so the shared fault
+    wiring (``ClusterSimulator._inject_faults``) drives both.
     """
 
     __slots__ = (
         "index", "outstanding", "completions",
         "cpu_busy", "cpu_q", "mem_busy", "mem_q",
-        "disk_free", "nic_free", "brk",
+        "disk_free", "nic_free", "brk", "disk_model",
+        "up", "epoch", "down_components", "cpu_throttle", "blade_down",
     )
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, disk_model):
         self.index = index
         self.outstanding = 0
         self.completions = 0
@@ -194,18 +215,43 @@ class _Srv:
         #: This server's circuit breaker (None when breakers are off) --
         #: saves the breakers[server.index] double lookup on the hot path.
         self.brk = None
+        #: The spec-built disk model, or None for the platform's own
+        #: disk (its formula is inlined).
+        self.disk_model = disk_model
+        self.up = True
+        #: Bumped when the server drops out of rotation; attempts carry
+        #: the epoch they were dispatched under (``att[15]``).
+        self.epoch = 0
+        self.down_components = 0
+        self.cpu_throttle = 1.0
+        self.blade_down = False
 
 
 class _St:
     """Mutable run state shared between the loop and its helpers."""
 
-    __slots__ = ("done", "measuring", "offered", "good")
+    __slots__ = ("done", "measuring", "offered", "good", "completions", "t0", "t1")
 
-    def __init__(self, measuring: bool):
+    def __init__(self, measuring: bool, t0: float, t1: float):
         self.done = False
         self.measuring = measuring
         self.offered = 0
         self.good = 0
+        #: Closed loop: completions and abandons so far (the windows
+        #: count them).
+        self.completions = 0
+        self.t0 = t0
+        self.t1 = t1
+
+
+class _Clock:
+    """The cohort heap seen as a scheduler: ``now`` and ``schedule``.
+
+    The fault injector schedules its fail/repair processes through
+    this, exactly as it does through a scalar ``Simulation``.
+    """
+
+    __slots__ = ("now", "schedule")
 
 
 # Event kinds, ordered by hot-path frequency.
@@ -213,23 +259,33 @@ _K_CPU = 0
 _K_MEM = 1
 _K_DONE = 2
 _K_ARRIVE = 3
-_K_TIMEOUT = 4
-_K_HEDGE = 5
-_K_BACKOFF = 6
-_K_TICK = 7
-_K_BEGIN = 8
-_K_END = 9
+_K_ISSUE = 4
+_K_DISK = 5
+_K_BLADE = 6
+_K_TIMEOUT = 7
+_K_HEDGE = 8
+_K_BACKOFF = 9
+_K_TICK = 10
+_K_CALL = 11
+_K_BEGIN = 12
+_K_END = 13
 
 
 def run_cohort(csim):
-    """Run one open-loop cluster simulation on the cohort engine.
+    """Run one cluster simulation on the cohort engine.
 
     ``csim`` is a :class:`~repro.cluster.balancer.ClusterSimulator` whose
     configuration passed :func:`cohort_supported`.  Returns the same
     :class:`~repro.cluster.balancer.ClusterResult` -- same
-    ``stream_digest()`` -- the scalar path would have produced.
+    ``stream_digest()``, same trace spans -- the scalar path would have
+    produced.
     """
-    from repro.cluster.balancer import ClusterResult, Dispatch, FaultReport
+    from repro.cluster.balancer import (
+        HEALTH_RECHECK_MS,
+        ClusterResult,
+        Dispatch,
+        FaultReport,
+    )
 
     rng = random.Random(csim._seed)
     _random = rng.random
@@ -243,8 +299,12 @@ def run_cohort(csim):
     policy = csim._overload
     schedule = csim._arrivals
     metrics = csim._metrics
+    tracer = csim._tracer
+    remote = csim._remote_memory
+    spec = csim._disk_spec
+    faults = csim._faults is not None
     nservers = csim._servers
-    assert policy is not None  # open-loop runs always carry a policy
+    closed = schedule is None
 
     fast_sample = workload.fast_demand
 
@@ -264,6 +324,7 @@ def run_cohort(csim):
     )
     if drift is not None:
         drift_cpu, drift_nic, drift_flash = drift.cpu, drift.nic, drift.flash
+        drift_remote = drift.remote
         drift_scale = DriftTable.scale
     detector: Optional[PeerComparisonDetector] = None
     if csim._failslow_detection is not None:
@@ -278,45 +339,60 @@ def run_cohort(csim):
         None if detector is None else [[] for _ in range(nservers)]
     )
 
-    servers = [_Srv(index) for index in range(nservers)]
+    servers = [
+        _Srv(index, spec.build() if spec is not None else None)
+        for index in range(nservers)
+    ]
     rr_next = 0
     report = FaultReport()
+    # The shared blade-controller link: a one-station FIFO queue across
+    # every server, advanced as a Lindley carry like the disk and NIC.
+    blade_free = 0.0
+    blade_state = {"up": True, "down_since": 0.0}
 
     # --- overload-protection runtime ----------------------------------
-    bucket = policy.telemetry_bucket_ms
-    overload_report = OverloadReport(
-        completed=TimeSeries(bucket_ms=bucket),
-        goodput=TimeSeries(bucket_ms=bucket),
-        offered=TimeSeries(bucket_ms=bucket),
-        breaker_open_series=TimeSeries(bucket_ms=bucket),
-    )
+    overload_report: Optional[OverloadReport] = None
     admission: Optional[AdmissionController] = None
     retry_budget: Optional[RetryBudget] = None
     breakers: Optional[List[CircuitBreaker]] = None
-    if policy.admission is not None:
-        slo_ms = (
-            profile.qos.limit_ms if profile.qos is not None
-            else (retry.timeout_ms if retry is not None else 1000.0)
+    queue_cap = None
+    deadline_shedding = False
+    brownout = None
+    if policy is not None:
+        bucket = policy.telemetry_bucket_ms
+        overload_report = OverloadReport(
+            completed=TimeSeries(bucket_ms=bucket),
+            goodput=TimeSeries(bucket_ms=bucket),
+            offered=TimeSeries(bucket_ms=bucket),
+            breaker_open_series=TimeSeries(bucket_ms=bucket),
         )
-        admission = AdmissionController(policy.admission, slo_ms, rng)
-    if policy.retry_budget is not None:
-        retry_budget = RetryBudget(policy.retry_budget)
-    if policy.breaker is not None:
-        def _on_open(now_ms: float, state_: BreakerState) -> None:
-            if state_ is BreakerState.OPEN:
-                overload_report.breaker_opens += 1
-                overload_report.breaker_open_series.record(now_ms)
+        if policy.admission is not None:
+            slo_ms = (
+                profile.qos.limit_ms if profile.qos is not None
+                else (retry.timeout_ms if retry is not None else 1000.0)
+            )
+            admission = AdmissionController(policy.admission, slo_ms, rng)
+        if policy.retry_budget is not None:
+            retry_budget = RetryBudget(policy.retry_budget)
+        if policy.breaker is not None:
+            def _on_open(now_ms: float, state_: BreakerState) -> None:
+                if state_ is BreakerState.OPEN:
+                    overload_report.breaker_opens += 1
+                    overload_report.breaker_open_series.record(now_ms)
 
-        breakers = [
-            CircuitBreaker(policy.breaker, on_transition=_on_open)
-            for _ in range(nservers)
-        ]
-        for srv, brk in zip(servers, breakers):
-            srv.brk = brk
-
-    queue_cap = policy.queue_cap
-    deadline_shedding = policy.deadline_shedding
-    brownout = policy.brownout
+            breakers = [
+                CircuitBreaker(policy.breaker, on_transition=_on_open)
+                for _ in range(nservers)
+            ]
+            for srv, brk in zip(servers, breakers):
+                srv.brk = brk
+        queue_cap = policy.queue_cap
+        deadline_shedding = policy.deadline_shedding
+        brownout = policy.brownout
+        # Inlined TimeSeries.record targets: the three per-request series.
+        completed_b = overload_report.completed._buckets
+        goodput_b = overload_report.goodput._buckets
+        offered_b = overload_report.offered._buckets
     if brownout is not None:
         brownout_enter = brownout.enter_outstanding
         brownout_factor = brownout.demand_factor
@@ -335,6 +411,8 @@ def run_cohort(csim):
     # to the real object methods.
     _CLOSED = BreakerState.CLOSED
     _HALF_OPEN = BreakerState.HALF_OPEN
+    _ADMIT = AdmissionVerdict.ADMIT
+    _RATE_LIMITED = AdmissionVerdict.RATE_LIMITED
     if admission is not None:
         adm_bucket = admission._bucket
         adm_a = admission.policy.ewma_alpha
@@ -351,19 +429,51 @@ def run_cohort(csim):
     qos_limit = profile.qos.limit_ms if profile.qos is not None else 0.0
     responses: List[float] = []
     responses_append = responses.append
-    # Inlined TimeSeries.record targets: the three per-request series.
-    completed_b = overload_report.completed._buckets
-    goodput_b = overload_report.goodput._buckets
-    offered_b = overload_report.offered._buckets
     # Metrics batching: responses flushed through record_many, outcome
     # counters accumulated and inc'd once.
     has_metrics = metrics is not None
     resp_buf: List[float] = []
     m_outcomes = [0, 0]  # served, gave_up
 
-    t0 = csim._warmup_ms
-    t1 = csim._warmup_ms + csim._measure_ms
-    st = _St(measuring=csim._warmup_ms == 0.0)
+    if closed:
+        # Completion-count windows: t0 and t1 are set by the warmup-th
+        # and the last counted completion.
+        warmup = csim._warmup
+        measure_end = csim._warmup + csim._measure
+        thinks = profile.think_time_ms > 0
+        think_rate = 1.0 / profile.think_time_ms if thinks else 0.0
+        st = _St(measuring=False, t0=0.0, t1=0.0)
+    else:
+        st = _St(
+            measuring=csim._warmup_ms == 0.0,
+            t0=csim._warmup_ms,
+            t1=csim._warmup_ms + csim._measure_ms,
+        )
+    t0 = st.t0
+    t1 = st.t1
+    rid = 0
+
+    # Which stage boundaries are heap events.  Without faults or traces
+    # a memory completion advances the disk and NIC Lindley carries at
+    # once and pushes one completion event.  A fault can strand an
+    # attempt inside a station, and a stranded attempt must not enter
+    # the next one, so fault runs decide each entry at the previous
+    # stage's departure event.  A traced attempt needs an event at each
+    # boundary so its spans are created in event order.  The blade link
+    # is always its own event: an attempt that skips it (blade down, no
+    # remote misses) can reach its disk ahead of one still in the link.
+    # A zero-rate tracer still sees every request (``requests_seen``)
+    # but never records a trace.
+    traced_run = tracer is not None and tracer.sample_rate > 0.0
+    staged_cpu = faults or traced_run
+    staged_mem = staged_cpu or remote is not None
+    # Closed-loop and traced completions take the general helpers; the
+    # open-loop one is inlined in the _K_DONE handler.
+    general_done = closed or traced_run
+    # A lost attempt is cancelled at its CPU grant only where the scalar
+    # engine installs a CPU gate (runs with an overload policy).
+    gate_lost = faults and policy is not None
+    closed_gated = closed and policy is not None
 
     # Heap events are 4-tuples ``(time, key, a, b)`` where ``key`` packs
     # the strictly-increasing push sequence number with the event kind in
@@ -383,6 +493,14 @@ def run_cohort(csim):
         """Schedule at an absolute target, clamping phase-edge round-off."""
         push(now + clamp_phase_delay(target - now, now), kind, a, b)
 
+    clock = _Clock()
+    clock.now = 0.0
+
+    def schedule_call(delay_ms: float, callback) -> None:
+        push(clock.now + delay_ms, _K_CALL, callback, None)
+
+    clock.schedule = schedule_call
+
     # --- request lifecycle helpers ------------------------------------
 
     def flush_detector() -> None:
@@ -391,23 +509,66 @@ def run_cohort(csim):
                 detector.histograms[index].record_many(buf)
                 del buf[:]
 
+    def record_response(now: float, start_ms: float, served: bool) -> None:
+        response = now - start_ms
+        responses_append(response)
+        if qos_record is not None:
+            qos_record(response)
+        if served and (qos is None or response <= qos_limit):
+            st.good += 1
+        if has_metrics:
+            resp_buf.append(response)
+            m_outcomes[0 if served else 1] += 1
+
+    def client_loop(now: float) -> None:
+        """A closed-loop client thinks, then issues its next request."""
+        if st.done:
+            return
+        think = -_log(1.0 - _random()) / think_rate if thinks else 0.0
+        push(now + think, _K_ISSUE, None, None)
+
     def complete(now: float, start_ms: float, served: bool) -> None:
-        if served:
+        if overload_report is not None and served:
             i = int(now / bucket)
             completed_b[i] = completed_b.get(i, 0.0) + 1.0
             if qos is None or now - start_ms <= qos_limit:
                 goodput_b[i] = goodput_b.get(i, 0.0) + 1.0
-        if not st.done and start_ms >= t0:
-            # _record_response
-            response = now - start_ms
-            responses_append(response)
-            if qos_record is not None:
-                qos_record(response)
-            if served and (qos is None or response <= qos_limit):
-                st.good += 1
-            if has_metrics:
-                resp_buf.append(response)
-                m_outcomes[0 if served else 1] += 1
+        if not closed:
+            if not st.done and start_ms >= t0:
+                record_response(now, start_ms, served)
+            return
+        st.completions += 1
+        count = st.completions
+        if count == warmup:
+            st.t0 = now
+            st.measuring = True
+        elif count > warmup and not st.done:
+            record_response(now, start_ms, served)
+            if count >= measure_end:
+                st.done = True
+                st.t1 = now
+                return
+        client_loop(now)
+
+    def abandon(now: float) -> None:
+        """A request was shed or rejected: an error, not a latency."""
+        if not closed:
+            return
+        st.completions += 1
+        count = st.completions
+        if count == warmup:
+            st.t0 = now
+            st.measuring = True
+        elif count >= measure_end:
+            st.done = True
+            st.t1 = now
+            return
+        client_loop(now)
+
+    def drop_live(rs: list, span) -> None:
+        live = rs[6]
+        if live and span in live:
+            live.remove(span)
 
     def schedule_backoff(now: float, rs: list) -> None:
         # retry.backoff_ms(attempts - 1, rng), inlined: the uniform
@@ -417,7 +578,13 @@ def run_cohort(csim):
             backoff = 0.0 + (ceiling - 0.0) * _random()
         else:
             backoff = ceiling
-        push(now + backoff, _K_BACKOFF, rs, None)
+        trace = rs[5]
+        span = None
+        if trace is not None and trace.status is None and not rs[6]:
+            # Not while a hedge is still live: the request is not
+            # blocked on the backoff then.
+            span = trace.start(SpanKind.RETRY, now, name="backoff")
+        push(now + backoff, _K_BACKOFF, rs, span)
 
     def retry_or_give_up(now: float, rs: list) -> None:
         if st.done or rs[3]:
@@ -430,6 +597,9 @@ def run_cohort(csim):
             overload_report.retries_denied += 1
         rs[3] = True
         report.gave_up += 1
+        trace = rs[5]
+        if trace is not None and trace.status is None:
+            close_gave_up(trace, now)
         complete(now, rs[1], False)
 
     def fast_fail(now: float, rs: list) -> None:
@@ -441,7 +611,41 @@ def run_cohort(csim):
                 return
             overload_report.retries_denied += 1
         rs[3] = True
-        # abandon() is a no-op in open-loop mode.
+        trace = rs[5]
+        if trace is not None and trace.status is None:
+            trace.event(SpanKind.SHED, now, name="rejected")
+            trace.close(now, status="rejected")
+        abandon(now)
+
+    def shed_deadline(now: float, att: list) -> None:
+        """The CPU gate's fail-fast: the attempt provably cannot meet
+        its deadline, so it is voided before any service."""
+        att[2] = True
+        overload_report.shed_deadline += 1
+        server = att[1]
+        server.outstanding -= 1
+        rs = att[0]
+        tr = att[18]
+        if tr is not None:
+            trace = rs[5]
+            if trace.status is None:
+                # The whole attempt so far was queueing; charge it to
+                # the critical path as queue time unless a hedge is
+                # still covering the request.
+                aspan = tr[0]
+                aspan.critical = False
+                Trace.finish(aspan, now)
+                aspan.annotate(shed="deadline")
+                drop_live(rs, aspan)
+                if not rs[6]:
+                    Trace.finish(
+                        trace.start(SpanKind.QUEUE, att[5], name="shed-wait"),
+                        now,
+                    )
+                trace.event(SpanKind.SHED, now, name="deadline-shed")
+        if breakers is not None:
+            breakers[server.index].record_failure(now, att[4])
+        retry_or_give_up(now, rs)
 
     def cpu_gate(now: float, att: list) -> bool:
         """The scalar ``cpu_gate``/``slice_gate`` pair: decide once per
@@ -449,6 +653,8 @@ def run_cohort(csim):
         if att[12]:
             return att[13]
         att[12] = True
+        if gate_lost and att[15] != att[1].epoch:
+            return False
         if admission is not None:
             # observe_delay(now - t0), inlined ((1-a) hoisted; same ops).
             admission._delay_ewma = (
@@ -462,15 +668,14 @@ def run_cohort(csim):
             # arranged the retry -- just shed the stale work.
             overload_report.shed_deadline += 1
             att[1].outstanding -= 1
+            tr = att[18]
+            if tr is not None and att[0][5].status is None:
+                att[0][5].event(
+                    SpanKind.SHED, now, parent=tr[0], name="stale-shed"
+                )
             return False
         if retry is not None and now - att[5] + att[10] > att[6]:
-            # Provably cannot meet the deadline: fail fast now.
-            att[2] = True
-            overload_report.shed_deadline += 1
-            att[1].outstanding -= 1
-            if breakers is not None:
-                breakers[att[1].index].record_failure(now, att[4])
-            retry_or_give_up(now, att[0])
+            shed_deadline(now, att)
             return False
         att[13] = True
         return True
@@ -478,7 +683,8 @@ def run_cohort(csim):
     def start_attempt(now: float, rs: list, server: "_Srv", hedge: bool) -> None:
         nonlocal seq
         d = rs[0]
-        if brownout is not None and server.outstanding >= brownout_enter:
+        browned = brownout is not None and server.outstanding >= brownout_enter
+        if browned:
             # demand.scaled(factor): the same five per-component products.
             c_cpu = d[0] * brownout_factor
             c_mem = d[1] * brownout_factor
@@ -511,35 +717,92 @@ def run_cohort(csim):
             else:
                 att_timeout = cached if cached < retry_timeout else retry_timeout
                 det_report.last_adaptive_timeout_ms = att_timeout
+        tr = None
+        trace = rs[5]
+        if trace is not None and trace.status is None:
+            aspan = trace.start(SpanKind.ATTEMPT, now, name=f"attempt{rs[2]}")
+            aspan.annotate(server=server.index)
+            if hedge:
+                aspan.annotate(hedge=True)
+            if browned:
+                aspan.annotate(brownout=True)
+            if rs[6] is None:
+                rs[6] = []
+            rs[6].append(aspan)
+            tr = [aspan, now, None, 0.0, 1, c_cpu]
 
         cpu_ms = c_cpu * cpu_factor
-        mem_ms = c_mem / mem_div
-        disk_ms = (
-            c_ios * (disk_write_lat if d[5] else disk_read_lat)
-            + c_bytes / disk_denom
-        )
-        net_ms = nic_overhead + c_net / nic_denom
+        if faults:
+            # Enclosure-fan thermal throttle (1.0 when the fan is up).
+            cpu_ms *= server.cpu_throttle
+        blade_ms = 0.0
+        degraded_ms = 0.0
+        if remote is not None:
+            cpu_ms += remote.trap_cpu_ms(c_cpu)
+            if server.blade_down:
+                # Blade down: local-memory-only mode; capacity misses
+                # page in from the swap path on the server's own disk.
+                degraded_ms = remote.degraded_time_ms(c_cpu)
+                report.degraded_requests += 1
+            else:
+                blade_ms = remote.link_time_ms(c_cpu)
         if drift is not None:
             # Drift evaluated once at dispatch time (pure function of
             # simulated time; zero RNG), like the scalar path.
             lane = drift_cpu[server.index]
             if lane is not None:
                 cpu_ms *= drift_scale(lane, now)
+            lane = drift_remote[server.index]
+            if lane is not None and blade_ms > 0.0:
+                blade_ms *= drift_scale(lane, now)
+        mem_ms = c_mem / mem_div
+        model = server.disk_model
+        parts = None
+        if model is None:
+            disk_ms = (
+                c_ios * (disk_write_lat if d[5] else disk_read_lat)
+                + c_bytes / disk_denom
+            )
+            if tr is not None:
+                parts = [("disk", "disk", disk_ms)]
+        else:
+            if not getattr(model, "available", True):
+                report.cache_bypassed_requests += 1
+            if tr is not None:
+                parts = list(model.service_components(c_ios, c_bytes, d[5], rng))
+                disk_ms = sum(part[2] for part in parts)
+            else:
+                disk_ms = model.service_ms(c_ios, c_bytes, d[5], rng)
+        if drift is not None:
             lane = drift_flash[server.index]
             if lane is not None:
-                disk_ms *= drift_scale(lane, now)
+                # The total is scaled once; the parts are display-only.
+                flash_mult = drift_scale(lane, now)
+                disk_ms *= flash_mult
+                if parts:
+                    parts = [(k, name, ms * flash_mult) for k, name, ms in parts]
+        if degraded_ms > 0.0:
+            if parts is not None:
+                parts.append(("disk", "degraded-swap", degraded_ms))
+            disk_ms = disk_ms + degraded_ms
+        net_ms = nic_overhead + c_net / nic_denom
+        if drift is not None:
             lane = drift_nic[server.index]
             if lane is not None:
                 net_ms *= drift_scale(lane, now)
 
         par = d[6]
         slices = par if par < cpu_k else cpu_k
+        svc = cpu_ms if slices == 1 else cpu_ms / slices
+        if tr is not None:
+            tr[2] = parts
+            tr[3] = svc
+            tr[4] = slices
         att = [
             rs, server, False, False, probe, now, att_timeout, mem_ms,
-            disk_ms, net_ms, cpu_ms + mem_ms + disk_ms + net_ms, slices,
-            False, False, 1,
+            disk_ms, net_ms, cpu_ms + mem_ms + blade_ms + disk_ms + net_ms,
+            slices, False, False, 1, server.epoch, blade_ms, 0.0, tr,
         ]
-        svc = cpu_ms if slices == 1 else cpu_ms / slices
         if server.cpu_busy + slices <= cpu_k:
             # Every slice starts right now and finishes at the same
             # instant with consecutive seqs, so the group coalesces into
@@ -557,12 +820,7 @@ def run_cohort(csim):
                 deadline_shedding and retry is not None
                 and att[10] > att_timeout
             ):
-                att[2] = True
-                overload_report.shed_deadline += 1
-                server.outstanding -= 1
-                if breakers is not None:
-                    breakers[server.index].record_failure(now, probe)
-                retry_or_give_up(now, rs)
+                shed_deadline(now, att)
             else:
                 att[13] = True
                 att[14] = slices
@@ -604,8 +862,16 @@ def run_cohort(csim):
             index = rr_next % len(candidates)
             rr_next = (index + 1) % len(candidates)
             return candidates[index]
-        least = min(s.outstanding for s in candidates)
-        ties = [s for s in candidates if s.outstanding == least]
+        # The least-outstanding ties in candidate order, in one pass.
+        least = -1
+        ties = None
+        for s in candidates:
+            o = s.outstanding
+            if ties is None or o < least:
+                least = o
+                ties = [s]
+            elif o == least:
+                ties.append(s)
         # rng.randrange(len(ties)), inlined (_randbelow_with_getrandbits).
         n = len(ties)
         k = n.bit_length()
@@ -614,13 +880,33 @@ def run_cohort(csim):
             r = _getrandbits(k)
         return ties[r]
 
-    # With no detector and least-outstanding dispatch (the common case),
-    # the breaker filter, queue-cap filter, and pick fuse into one pass.
-    fused = detector is None and not round_robin
+    # With every server always alive, no detector, least-outstanding
+    # dispatch, the platform disk, no blade and no tracer (the open-loop
+    # overload runs), the breaker filter, queue-cap filter and pick fuse
+    # into one pass, and the first attempt of each request is inlined
+    # into the arrival handler.
+    fused = (
+        not closed and not faults and detector is None and not round_robin
+        and spec is None and remote is None and tracer is None
+    )
 
     def dispatch_request(now: float, rs: list) -> None:
         if st.done or rs[3]:
             return
+        if faults:
+            alive = [s for s in servers if s.up]
+            if not alive:
+                # Health check: nobody can serve right now.  Back off
+                # and re-probe; a repair will unblock us.
+                report.all_down_waits += 1
+                trace = rs[5]
+                wait = None
+                if trace is not None and trace.status is None:
+                    wait = trace.start(SpanKind.RETRY, now, name="health-wait")
+                push(now + HEALTH_RECHECK_MS, _K_BACKOFF, rs, wait)
+                return
+        else:
+            alive = servers
         if fused:
             least = -1
             ties = None
@@ -654,17 +940,15 @@ def run_cohort(csim):
                 r = _getrandbits(k)
             start_attempt(now, rs, ties[r], False)
             return
-        # Every server is alive in cohort-supported configs, so the
-        # scalar health-wait branch is unreachable here.
-        candidates = servers
+        candidates = alive
         if detector is not None and (
             detector.ejected_count or detector.drained_count
         ):
-            routable = [s for s in servers if detector.routable(s.index)]
+            routable = [s for s in alive if detector.routable(s.index)]
             if routable:
                 candidates = routable
                 probe_index = detector.take_probe()
-                if probe_index is not None:
+                if probe_index is not None and servers[probe_index].up:
                     rs[2] += 1
                     start_attempt(now, rs, servers[probe_index], False)
                     return
@@ -689,21 +973,123 @@ def run_cohort(csim):
         rs[2] += 1
         start_attempt(now, rs, pick(candidates), False)
 
-    # --- arrival process ----------------------------------------------
-    base_pms = schedule.base_rate_rps / 1000.0
-    surge_pms = (schedule.base_rate_rps * schedule.surge_multiplier) / 1000.0
-    surge_start = schedule.surge_start_ms
-    surge_end = schedule.surge_end_ms
+    def issue(now: float) -> None:
+        """A new request: sample, trace, count, admit, dispatch."""
+        nonlocal rid
+        rs = [fast_sample(rng), now, 0, False, False, None, None]
+        if tracer is not None:
+            rs[5] = tracer.begin(rid, now)
+            rid += 1
+        if overload_report is not None:
+            i = int(now / bucket)
+            offered_b[i] = offered_b.get(i, 0.0) + 1.0
+        if st.measuring and not st.done:
+            st.offered += 1
+        if retry_budget is not None:
+            retry_budget.note_request()
+        if admission is not None:
+            verdict = admission.admit(now)
+            if verdict is not _ADMIT:
+                if verdict is _RATE_LIMITED:
+                    overload_report.rate_limited += 1
+                    shed_name = "rate-limited"
+                else:
+                    overload_report.shed_admission += 1
+                    shed_name = "admission-shed"
+                trace = rs[5]
+                if trace is not None:
+                    trace.event(SpanKind.SHED, now, name=shed_name)
+                    trace.close(now, status="shed")
+                abandon(now)
+                return
+        dispatch_request(now, rs)
+
+    # --- stage boundaries (staged runs) --------------------------------
+
+    def after_cpu(now: float, server: "_Srv", att: list) -> None:
+        """Every CPU slice is done: record the span, enter memory."""
+        nonlocal seq
+        if faults and att[15] != server.epoch:
+            return
+        tr = att[18]
+        if tr is not None:
+            trace = att[0][5]
+            if trace.status is None:
+                # One slice: the contiguous-service interval is exact.
+                # Sliced requests report the last slice's share and
+                # annotate the fan-out.
+                span = record_stage(
+                    trace, tr[0], tr[1], now, SpanKind.CPU, tr[3]
+                )
+                if tr[4] > 1:
+                    span.annotate(slices=tr[4])
+                tr[1] = now
+        if server.mem_busy < mem_k:
+            server.mem_busy += 1
+            seq += 16
+            heappush(heap, (now + att[7], seq + _K_MEM, server, att))
+        else:
+            server.mem_q.append(att)
+
+    def after_mem(now: float, server: "_Srv", att: list) -> None:
+        """Memory done: the blade link, or straight to the disk."""
+        nonlocal blade_free
+        if faults and att[15] != server.epoch:
+            return
+        tr = att[18]
+        if tr is not None:
+            trace = att[0][5]
+            if trace.status is None:
+                record_stage(trace, tr[0], tr[1], now, SpanKind.MEM, att[7])
+                tr[1] = now
+        blade_ms = att[16]
+        if blade_ms > 0 and blade_state["up"]:
+            free = blade_free
+            blade_free = (now if now > free else free) + blade_ms
+            push(blade_free, _K_BLADE, server, att)
+        else:
+            enter_disk(now, server, att)
+
+    def enter_disk(now: float, server: "_Srv", att: list) -> None:
+        """Advance the disk carry, and the NIC's where exact."""
+        free = server.disk_free
+        dep = (now if now > free else free) + att[8]
+        server.disk_free = dep
+        if faults:
+            # The NIC entry waits for the disk departure event: the
+            # server may go down in between.
+            push(dep, _K_DISK, server, att)
+            return
+        free = server.nic_free
+        nic_dep = (dep if dep > free else free) + att[9]
+        server.nic_free = nic_dep
+        if att[18] is not None:
+            # Span-only event at the disk departure.
+            att[17] = nic_dep
+            push(dep, _K_DISK, server, att)
+        else:
+            push(nic_dep, _K_DONE, server, att)
 
     # --- initial schedule (same order as the scalar path) -------------
+    injector = None
+    if faults:
+        injector = csim._inject_faults(clock, servers, blade_state, report)
     if detector is not None:
         eval_interval = csim._failslow_detection.eval_interval_ms
         push(eval_interval, _K_TICK, None, None)
-    if t0 > 0:
-        push_at(0.0, t0, _K_BEGIN, None, None)
-    push_at(0.0, t1, _K_END, None, None)
-    rate0 = surge_pms if surge_start <= 0.0 < surge_end else base_pms
-    push(-_log(1.0 - _random()) / rate0, _K_ARRIVE, None, None)
+    if closed:
+        for _ in range(csim._clients):
+            client_loop(0.0)
+    else:
+        base_pms = schedule.base_rate_rps / 1000.0
+        surge_pms = (schedule.base_rate_rps * schedule.surge_multiplier) / 1000.0
+        surge_start = schedule.surge_start_ms
+        surge_end = schedule.surge_end_ms
+        if t0 > 0:
+            push_at(0.0, t0, _K_BEGIN, None, None)
+        push_at(0.0, t1, _K_END, None, None)
+        rate0 = surge_pms if surge_start <= 0.0 < surge_end else base_pms
+        push(-_log(1.0 - _random()) / rate0, _K_ARRIVE, None, None)
 
     # Loop-local aliases for the hottest names: closure-captured
     # variables compile to cell lookups inside the loop; a plain local
@@ -712,25 +1098,28 @@ def run_cohort(csim):
     _push = heappush
     heap_l = heap
     servers_l = servers
-    completed_bl = completed_b
-    goodput_bl = goodput_b
-    completed_get = completed_b.get
-    goodput_get = goodput_b.get
-    offered_get = offered_b.get
+    if overload_report is not None:
+        completed_bl = completed_b
+        goodput_bl = goodput_b
+        completed_get = completed_b.get
+        goodput_get = goodput_b.get
+        offered_get = offered_b.get
     have_brk = breakers is not None
     have_cap = queue_cap is not None
     # The fused path implies no detector, so the per-attempt timeout is
     # the static policy timeout and the deadline gate needs one compare.
     fused_timeout = retry_timeout if retry is not None else 0.0
     deadline_gate = deadline_shedding and retry is not None
-    # ``st.done`` is set only by the _K_END handler, which breaks out of
-    # the loop, so inside the loop it is identically False (the scalar
-    # engine's ``state["done"]`` guards are equally dead: Simulation.stop
-    # halts the event loop before any later event runs).  The hot
-    # branches below therefore omit those guards; the shared closures
-    # keep them for the finalization path.  ``offered``/``good`` counters
-    # live in plain locals for the same reason and are stored back after
-    # the loop.
+    # In the open loop ``st.done`` is set only by the _K_END handler,
+    # which breaks out of the loop, so inside the loop it is identically
+    # False (the scalar engine's ``state["done"]`` guards are equally
+    # dead: Simulation.stop halts the event loop before any later event
+    # runs).  The hot open-loop branches below therefore omit those
+    # guards; the shared closures keep them for the closed loop, whose
+    # last counted completion sets ``st.done`` inside a handler that
+    # then finishes and breaks.  ``offered``/``good`` counters of the
+    # inlined open-loop path live in plain locals and are stored back
+    # after the loop.
     measuring = st.measuring
     offered_n = 0
     good_n = 0
@@ -773,13 +1162,17 @@ def run_cohort(csim):
                     if not n:
                         break
             if att[11] == 0:
+                if staged_cpu:
+                    after_cpu(now, server, att)
                 # after_cpu: enter the memory stage.
-                if server.mem_busy < mem_k:
+                elif server.mem_busy < mem_k:
                     server.mem_busy += 1
                     seq += 16
                     _push(heap_l, (now + att[7], seq + _K_MEM, server, att))
                 else:
                     server.mem_q.append(att)
+            if closed_gated and st.done:
+                break
         elif kind == _K_MEM:
             server = a
             att = b
@@ -790,6 +1183,9 @@ def run_cohort(csim):
                 _push(heap_l, (now + natt[7], seq + _K_MEM, server, natt))
             else:
                 server.mem_busy -= 1
+            if staged_mem:
+                after_mem(now, server, att)
+                continue
             # after_mem: the disk and NIC stations, advanced as Lindley
             # carries (exact -- see the module docstring).
             free = server.disk_free
@@ -804,6 +1200,9 @@ def run_cohort(csim):
             # done(): the attempt completed (NIC transfer finished).
             server = a
             att = b
+            if faults and att[15] != server.epoch:
+                # Lost: its server went down while it was in flight.
+                continue
             server.outstanding -= 1
             att[3] = True
             if not att[2]:
@@ -822,7 +1221,23 @@ def run_cohort(csim):
                 else:
                     rs[3] = True
                     server.completions += 1
-                    # complete(served=True) + _record_response, inlined.
+                    if general_done:
+                        tr = att[18]
+                        if tr is not None:
+                            trace = rs[5]
+                            if trace.status is None:
+                                record_stage(
+                                    trace, tr[0], tr[1], now, SpanKind.NET,
+                                    att[9],
+                                )
+                                Trace.finish(tr[0], now)
+                                drop_live(rs, tr[0])
+                                trace.close(now, status="ok")
+                        complete(now, rs[1], True)
+                        if st.done:
+                            break
+                        continue
+                    # complete(served=True) + record_response, inlined.
                     start = rs[1]
                     response = now - start
                     i = int(now / bucket)
@@ -848,7 +1263,10 @@ def run_cohort(csim):
                 (now + -_log(1.0 - _random()) / rate, seq + _K_ARRIVE,
                  None, None),
             )
-            rs = [fast_sample(rng), now, 0, False, False]
+            if not fused:
+                issue(now)
+                continue
+            rs = [fast_sample(rng), now, 0, False, False, None, None]
             i = int(now / bucket)
             offered_b[i] = offered_get(i, 0.0) + 1.0
             if measuring:
@@ -875,9 +1293,6 @@ def run_cohort(csim):
                     if p > 0.0 and _random() < p:
                         overload_report.shed_admission += 1
                         continue
-            if not fused:
-                dispatch_request(now, rs)
-                continue
             # --- fused dispatch_request + start_attempt, fully
             # inlined for the first attempt of each request (the
             # hot path: ~1.07 attempts per request on the surge
@@ -959,6 +1374,7 @@ def run_cohort(csim):
             att = [
                 rs, server, False, False, probe, now, fused_timeout,
                 mem_ms, disk_ms, net_ms, floor_, slices, False, False, 1,
+                0, 0.0, 0.0, None,
             ]
             svc = cpu_ms if slices == 1 else cpu_ms / slices
             if server.cpu_busy + slices <= cpu_k:
@@ -1004,6 +1420,49 @@ def run_cohort(csim):
                         heap_l,
                         (now + hedge_after, seq + _K_HEDGE, att, None),
                     )
+        elif kind == _K_ISSUE:
+            issue(now)
+            if st.done:
+                break
+        elif kind == _K_DISK:
+            # A staged attempt leaves the disk.
+            server = a
+            att = b
+            if faults and att[15] != server.epoch:
+                continue
+            tr = att[18]
+            if tr is not None:
+                trace = att[0][5]
+                if trace.status is None:
+                    record_stage_parts(
+                        trace, tr[0], tr[1], now, tr[2], att[8]
+                    )
+                    tr[1] = now
+            if faults:
+                free = server.nic_free
+                dep = (now if now > free else free) + att[9]
+                server.nic_free = dep
+            else:
+                dep = att[17]
+            seq += 16
+            _push(heap_l, (dep, seq + _K_DONE, server, att))
+        elif kind == _K_BLADE:
+            # An attempt leaves the blade-controller link.
+            server = a
+            att = b
+            if faults and att[15] != server.epoch:
+                continue
+            tr = att[18]
+            if tr is not None:
+                trace = att[0][5]
+                if trace.status is None:
+                    span = record_stage(
+                        trace, tr[0], tr[1], now, SpanKind.REMOTE_MEM,
+                        att[16], name="blade-link",
+                    )
+                    span.annotate(**remote.span_attrs(tr[5]))
+                    tr[1] = now
+            enter_disk(now, server, att)
         elif kind == _K_TIMEOUT:
             att = a
             # att[3] first: nearly every timeout is stale (the attempt
@@ -1015,9 +1474,32 @@ def run_cohort(csim):
                 if det_buf is not None:
                     # A timeout is a floor on the true latency.
                     det_buf[att[1].index].append(att[6])
+                tr = att[18]
+                if tr is not None:
+                    trace = rs[5]
+                    if trace.status is None:
+                        # The abandoned attempt's work leaves the
+                        # critical path; the wait it cost becomes a
+                        # retry span unless a hedge is still live.
+                        aspan = tr[0]
+                        aspan.critical = False
+                        if aspan.end_ms is None:
+                            Trace.finish(aspan, now)
+                        aspan.annotate(timeout=True)
+                        drop_live(rs, aspan)
+                        if not rs[6]:
+                            Trace.finish(
+                                trace.start(
+                                    SpanKind.RETRY, att[5],
+                                    name="timeout-wait",
+                                ),
+                                now,
+                            )
                 if have_brk:
                     att[1].brk.record_failure(now, att[4])
                 retry_or_give_up(now, rs)
+                if st.done:
+                    break
         elif kind == _K_HEDGE:
             att = a
             rs = att[0]
@@ -1025,9 +1507,10 @@ def run_cohort(csim):
                 rs[3] or att[3] or att[2] or rs[4]
             ):
                 server = att[1]
+                alive = [s for s in servers if s.up] if faults else servers
                 others = [
-                    s for s in servers if s is not server and allowed(now, s)
-                ] or [s for s in servers if allowed(now, s)]
+                    s for s in alive if s is not server and allowed(now, s)
+                ] or [s for s in alive if allowed(now, s)]
                 if not others:
                     report.hedges_dropped += 1
                 else:
@@ -1050,8 +1533,15 @@ def run_cohort(csim):
                             )
                             report.hedge_redirects += 1
                     start_attempt(now, rs, target, True)
+                    if st.done:
+                        break
         elif kind == _K_BACKOFF:
+            # A backoff or health-wait re-dispatch; ``b`` is its span.
+            if b is not None:
+                Trace.finish(b, now)
             dispatch_request(now, a)
+            if st.done:
+                break
         elif kind == _K_TICK:
             if not st.done:
                 flush_detector()
@@ -1059,6 +1549,10 @@ def run_cohort(csim):
                     if change.reason == "readmitted" and breakers is not None:
                         breakers[change.server].reset(now)
                 push(now + eval_interval, _K_TICK, None, None)
+        elif kind == _K_CALL:
+            # A fault injector fail/repair callback.
+            clock.now = now
+            a()
         elif kind == _K_BEGIN:
             measuring = True
             st.measuring = True
@@ -1072,6 +1566,17 @@ def run_cohort(csim):
         raise RuntimeError("cluster simulation ended before measurement")
 
     # --- finalization (mirrors the scalar path) -----------------------
+    if not blade_state["up"]:
+        report.blade_downtime_ms += now - blade_state["down_since"]
+        blade_state["down_since"] = now
+    if injector is not None:
+        injector.tracker.finalize(now)
+        report.injected_failures = {
+            ctype.value: count
+            for ctype, count in injector.failure_counts.items()
+        }
+    if tracer is not None:
+        tracer.finalize(now)
     failslow_report: Optional[FailSlowReport] = None
     if detector is not None:
         flush_detector()
@@ -1080,7 +1585,7 @@ def run_cohort(csim):
         if failslow_report is None:
             failslow_report = FailSlowReport()
         failslow_report.drifting_servers = csim._failslow.drifting_servers
-    window_s = max(t1 - t0, 1e-9) / 1000.0
+    window_s = max(st.t1 - st.t0, 1e-9) / 1000.0
     throughput = len(responses) / window_s
     if metrics is not None:
         if resp_buf:
@@ -1113,7 +1618,10 @@ def run_cohort(csim):
             metrics.gauge(
                 "cluster.completions", server=server.index
             ).set(server.completions)
-    attach_report = retry is not None or policy is not None
+            cache = getattr(server.disk_model, "cache", None)
+            if cache is not None:
+                cache.export_metrics(metrics, server=server.index)
+    attach_report = faults or retry is not None or policy is not None
     return ClusterResult(
         servers=nservers,
         throughput_rps=throughput,
@@ -1127,7 +1635,10 @@ def run_cohort(csim):
         per_server_rps=throughput / nservers,
         server_completions=[s.completions for s in servers],
         qos_violation_rate=qos.violation_rate() if qos else 0.0,
-        availability=1.0,
+        availability=(
+            injector.tracker.mean_availability("rotation/")
+            if injector is not None else 1.0
+        ),
         fault_report=report if attach_report else None,
         offered_rps=st.offered / window_s,
         goodput_rps=st.good / window_s,

@@ -56,11 +56,20 @@ class DiskModel(Protocol):
 
     The default uses the platform's disk device directly; the flash-cache
     experiments (paper section 3.5) substitute a model that consults the
-    flash cache first.
+    flash cache first.  Both methods take the request's disk fields
+    (I/O count, bytes, write flag) and make the same draws from ``rng``.
     """
 
-    def service_ms(self, demand: ResourceDemand, rng: random.Random) -> float:
+    def service_ms(
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
+    ) -> float:
         """Disk service time for one request."""
+        ...  # pragma: no cover - protocol
+
+    def service_components(
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
+    ) -> List[Tuple[str, str, float]]:
+        """``(span kind, label, ms)`` pieces summing to :meth:`service_ms`."""
         ...  # pragma: no cover - protocol
 
 
@@ -70,14 +79,16 @@ class PlatformDiskModel:
     def __init__(self, platform: Platform):
         self._platform = platform
 
-    def service_ms(self, demand: ResourceDemand, rng: random.Random) -> float:
-        return self._platform.disk_time_ms(
-            demand.disk_ios, demand.disk_bytes, write=demand.disk_write
-        )
+    def service_ms(
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
+    ) -> float:
+        return self._platform.disk_time_ms(ios, num_bytes, write=write)
 
-    def service_components(self, demand: ResourceDemand, rng: random.Random):
+    def service_components(
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
+    ) -> List[Tuple[str, str, float]]:
         """Typed breakdown of :meth:`service_ms` (identical RNG draws)."""
-        return [("disk", "disk", self.service_ms(demand, rng))]
+        return [("disk", "disk", self.service_ms(ios, num_bytes, write, rng))]
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,8 @@ _STATIONS = ("cpu", "mem", "disk", "nic")
 #    7           8                 9          10
 #
 # ``trace`` is None unless the request is traced, then
-# ``[Trace, cursor_ms, disk_parts, slices]``.  Slots 7-10 are set when the
+# ``[Trace, cursor_ms, disk_parts, slices]``, where ``disk_parts`` is the
+# disk model's ``service_components`` list.  Slots 7-10 are set when the
 # request enters the disk and NIC, at its memory completion.
 
 
@@ -228,7 +240,9 @@ class ServerSimulator:
             and disk_model._platform is platform
         )
         disk_service_ms = disk_model.service_ms
-        disk_components = getattr(disk_model, "service_components", None)
+        disk_components = (
+            disk_model.service_components if tracer is not None else None
+        )
         thinks = profile.think_time_ms > 0
         think_rate = 1.0 / profile.think_time_ms if thinks else 0.0
         warmup = self._config.warmup_requests
@@ -407,18 +421,16 @@ class ServerSimulator:
                     # The constructor raises the component's ValueError.
                     ResourceDemand(c, m, ios, dbytes, nbytes, write, par)
                 parts = None
-                if trace is None and inline_disk:
+                if trace is not None:
+                    parts = disk_components(ios, dbytes, write, rng)
+                    disk_ms = sum(part[2] for part in parts)
+                elif inline_disk:
                     disk_ms = (
                         ios * (write_latency if write else read_latency)
                         + dbytes / disk_rate
                     )
                 else:
-                    demand = ResourceDemand(c, m, ios, dbytes, nbytes, write, par)
-                    if trace is not None and disk_components is not None:
-                        parts = disk_components(demand, rng)
-                        disk_ms = sum(part[2] for part in parts)
-                    else:
-                        disk_ms = disk_service_ms(demand, rng)
+                    disk_ms = disk_service_ms(ios, dbytes, write, rng)
                 slices = par if par < cores else cores
                 cpu_ms = c * cpu_factor * slowdown
                 service = cpu_ms if slices == 1 else cpu_ms / slices
@@ -528,12 +540,5 @@ def _trace_disk(traced: list, rec: list) -> None:
     """Record a traced request's disk stage, which ends at its departure."""
     trace = traced[0]
     departure = rec[7] + rec[3]
-    if traced[2] is not None:
-        record_stage_parts(
-            trace, trace.root, traced[1], departure, traced[2], rec[3]
-        )
-    else:
-        record_stage(
-            trace, trace.root, traced[1], departure, SpanKind.DISK, rec[3]
-        )
+    record_stage_parts(trace, trace.root, traced[1], departure, traced[2], rec[3])
     traced[1] = departure

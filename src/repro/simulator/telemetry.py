@@ -33,6 +33,11 @@ class HistogramSnapshot(NamedTuple):
     sum_ms: float
 
 
+#: :meth:`LatencyHistogram.record_many` batches below this many values
+#: are recorded one :meth:`~LatencyHistogram.record` call at a time.
+_SMALL_BATCH = 64
+
+
 class LatencyHistogram:
     """Log-bucketed histogram with percentile queries.
 
@@ -107,8 +112,19 @@ class LatencyHistogram:
         count/max accumulators are exact, and the running sum is
         accumulated left-to-right (not ``numpy.sum``'s pairwise
         association) so a batched flush leaves the histogram
-        bit-identical to per-sample :meth:`record` calls.
+        bit-identical to per-sample :meth:`record` calls.  Batches
+        shorter than :data:`_SMALL_BATCH` take :meth:`record` per sample:
+        below that, numpy's per-call overhead costs more than the loop
+        (a fail-slow detector flushes a handful of samples per server at
+        every evaluation).
         """
+        if len(values_ms) < _SMALL_BATCH:
+            if len(values_ms) and min(values_ms) < 0:
+                raise ValueError("latency must be >= 0")
+            record = self.record
+            for value in values_ms:
+                record(value)
+            return
         import numpy as np
 
         values = np.asarray(values_ms, dtype=np.float64)

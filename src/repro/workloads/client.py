@@ -17,12 +17,13 @@ the operating points the driver explored along the way.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.platforms.platform import Platform
-from repro.simulator.server_sim import DiskModel, SimConfig
-from repro.simulator.sweep import QosSweep
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:  # the simulator imports this package: import it lazily
+    from repro.simulator.server_sim import DiskModel, SimConfig
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,12 @@ class ClientDriver:
         platform: Platform,
         workload: Workload,
         think_time_ms: Optional[float] = None,
-        config: SimConfig = SimConfig(),
+        config: Optional[SimConfig] = None,
         disk_model: Optional[DiskModel] = None,
     ):
+        """``config`` defaults to ``SimConfig()``."""
+        from repro.simulator.server_sim import SimConfig
+
         if think_time_ms is not None:
             if think_time_ms < 0:
                 raise ValueError("think time must be >= 0")
@@ -75,11 +79,13 @@ class ClientDriver:
             workload = Workload(profile, draw=workload.fast_demand)
         self._platform = platform
         self._workload = workload
-        self._config = config
+        self._config = config if config is not None else SimConfig()
         self._disk_model = disk_model
 
     def run(self) -> ClientDriverReport:
         """Find the peak-QoS operating point and report it."""
+        from repro.simulator.sweep import QosSweep
+
         sweep = QosSweep(
             self._platform,
             self._workload,

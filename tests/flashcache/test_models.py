@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.flashcache.analysis import disk_configuration
 from repro.flashcache.models import (
     FLASH_OBJECT_PARAMS,
     FlashCachedDiskModel,
@@ -15,13 +16,15 @@ from repro.workloads.base import ResourceDemand
 
 _READ = ResourceDemand(disk_ios=2.0, disk_bytes=700_000.0)
 _WRITE = ResourceDemand(disk_ios=2.0, disk_bytes=700_000.0, disk_write=True)
+_READ_IO = (_READ.disk_ios, _READ.disk_bytes, _READ.disk_write)
+_WRITE_IO = (_WRITE.disk_ios, _WRITE.disk_bytes, _WRITE.disk_write)
 
 
 class TestLocalDiskModel:
     def test_service_matches_device_math(self):
         model = LocalDiskModel(DESKTOP_DISK)
         # 2 seeks * 4 ms + 700 KB / 70 MB/s = 8 + 10 ms
-        assert model.service_ms(_READ, random.Random(0)) == pytest.approx(18.0)
+        assert model.service_ms(*_READ_IO, random.Random(0)) == pytest.approx(18.0)
         assert model.mean_service_ms(_READ) == pytest.approx(18.0)
 
 
@@ -65,7 +68,7 @@ class TestFlashCachedDiskModel:
     def test_hits_are_much_faster_than_misses(self):
         model = self._model()
         rng = random.Random(1)
-        times = [model.service_ms(_READ, rng) for _ in range(3000)]
+        times = [model.service_ms(*_READ_IO, rng) for _ in range(3000)]
         hits = [t for t in times if t < 20.0]
         misses = [t for t in times if t >= 20.0]
         assert hits and misses
@@ -77,10 +80,10 @@ class TestFlashCachedDiskModel:
         model = self._model()
         rng = random.Random(2)
         for _ in range(12_000):  # warm the cache
-            model.service_ms(_READ, rng)
+            model.service_ms(*_READ_IO, rng)
         before = (model.cache.stats.hits, model.cache.stats.lookups)
         for _ in range(12_000):
-            model.service_ms(_READ, rng)
+            model.service_ms(*_READ_IO, rng)
         hits = model.cache.stats.hits - before[0]
         lookups = model.cache.stats.lookups - before[1]
         observed = hits / lookups
@@ -92,7 +95,7 @@ class TestFlashCachedDiskModel:
         model = self._model("mapred-wr")
         rng = random.Random(3)
         backing = model.backing.mean_service_ms(_WRITE)
-        assert model.service_ms(_WRITE, rng) == pytest.approx(backing)
+        assert model.service_ms(*_WRITE_IO, rng) == pytest.approx(backing)
         assert model.mean_service_ms(_WRITE) == pytest.approx(backing)
 
     def test_mean_service_blends_hit_and_miss(self):
@@ -109,4 +112,15 @@ class TestFlashCachedDiskModel:
     def test_zero_disk_demand_is_free(self):
         model = self._model()
         nothing = ResourceDemand()
-        assert model.service_ms(nothing, random.Random(4)) == 0.0
+        assert model.service_ms(
+            nothing.disk_ios, nothing.disk_bytes, nothing.disk_write,
+            random.Random(4),
+        ) == 0.0
+
+    def test_built_models_share_one_popularity_sampler(self):
+        """The read-only Zipf CDF is built once per (objects, alpha);
+        each build still gets its own cold cache."""
+        spec = disk_configuration("remote-laptop+flash").disk_spec("websearch")
+        first, second = spec.build(), spec.build()
+        assert first._popularity is second._popularity
+        assert first.cache is not second.cache

@@ -28,25 +28,25 @@ def _model(miss_rate=0.2, touches=55.0, **kw):
 class TestRemoteMemoryModel:
     def test_misses_scale_with_cpu_work(self):
         model = _model()
-        small = model.misses_per_request(ResourceDemand(cpu_ms_ref=10.0))
-        large = model.misses_per_request(ResourceDemand(cpu_ms_ref=40.0))
+        small = model.misses_per_request(ResourceDemand(cpu_ms_ref=10.0).cpu_ms_ref)
+        large = model.misses_per_request(ResourceDemand(cpu_ms_ref=40.0).cpu_ms_ref)
         assert large == pytest.approx(4 * small)
 
     def test_link_time_formula(self):
         model = _model(miss_rate=0.1, touches=50.0)
         # 50 * 40 * 0.1 = 200 misses * 4 us = 0.8 ms
-        assert model.link_time_ms(_DEMAND) == pytest.approx(0.8)
+        assert model.link_time_ms(_DEMAND.cpu_ms_ref) == pytest.approx(0.8)
 
     def test_trap_time_uses_cpu_overhead(self):
         model = _model(miss_rate=0.1, touches=50.0)
-        assert model.trap_cpu_ms(_DEMAND) == pytest.approx(
+        assert model.trap_cpu_ms(_DEMAND.cpu_ms_ref) == pytest.approx(
             200 * DEFAULT_TRAP_OVERHEAD_US / 1000.0
         )
 
     def test_cbf_link_time_smaller(self):
         pcie = _model(page_latency_us=PCIE_X4_PAGE_LATENCY_US)
         cbf = _model(page_latency_us=CBF_PAGE_LATENCY_US)
-        assert cbf.link_time_ms(_DEMAND) < pcie.link_time_ms(_DEMAND) / 4
+        assert cbf.link_time_ms(_DEMAND.cpu_ms_ref) < pcie.link_time_ms(_DEMAND.cpu_ms_ref) / 4
 
     def test_validation(self):
         with pytest.raises(ValueError):

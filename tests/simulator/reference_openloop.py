@@ -151,7 +151,9 @@ class OpenLoopSimulator:
                 * self._memory_slowdown
             )
             mem_ms = platform.memory_channel_time_ms(demand.mem_ms_ref)
-            disk_ms = self._disk_model.service_ms(demand, rng)
+            disk_ms = self._disk_model.service_ms(
+                demand.disk_ios, demand.disk_bytes, demand.disk_write, rng
+            )
             net_ms = platform.net_time_ms(demand.net_bytes)
 
             def complete() -> None:

@@ -32,7 +32,7 @@ from repro.perf.variates import exponential_sampler
 from repro.platforms.platform import Platform
 from repro.simulator.engine import Simulation
 from repro.simulator.resources import Resource
-from repro.workloads.base import ResourceDemand, Workload
+from repro.workloads.base import Workload
 from repro.workloads.qos import QosTracker
 
 
@@ -44,7 +44,9 @@ class DiskModel(Protocol):
     flash cache first.
     """
 
-    def service_ms(self, demand: ResourceDemand, rng: random.Random) -> float:
+    def service_ms(
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
+    ) -> float:
         """Disk service time for one request."""
         ...  # pragma: no cover - protocol
 
@@ -55,14 +57,16 @@ class PlatformDiskModel:
     def __init__(self, platform: Platform):
         self._platform = platform
 
-    def service_ms(self, demand: ResourceDemand, rng: random.Random) -> float:
-        return self._platform.disk_time_ms(
-            demand.disk_ios, demand.disk_bytes, write=demand.disk_write
-        )
+    def service_ms(
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
+    ) -> float:
+        return self._platform.disk_time_ms(ios, num_bytes, write=write)
 
-    def service_components(self, demand: ResourceDemand, rng: random.Random):
+    def service_components(
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
+    ):
         """Typed breakdown of :meth:`service_ms` (identical RNG draws)."""
-        return [("disk", "disk", self.service_ms(demand, rng))]
+        return [("disk", "disk", self.service_ms(ios, num_bytes, write, rng))]
 
 
 @dataclass(frozen=True)
@@ -213,12 +217,18 @@ class ServerSimulator:
             if trace is not None:
                 parts_fn = getattr(self._disk_model, "service_components", None)
                 if parts_fn is not None:
-                    disk_parts = parts_fn(demand, rng)
+                    disk_parts = parts_fn(
+                        demand.disk_ios, demand.disk_bytes, demand.disk_write, rng
+                    )
                     disk_ms = sum(part[2] for part in disk_parts)
                 else:
-                    disk_ms = self._disk_model.service_ms(demand, rng)
+                    disk_ms = self._disk_model.service_ms(
+                        demand.disk_ios, demand.disk_bytes, demand.disk_write, rng
+                    )
             else:
-                disk_ms = self._disk_model.service_ms(demand, rng)
+                disk_ms = self._disk_model.service_ms(
+                    demand.disk_ios, demand.disk_bytes, demand.disk_write, rng
+                )
             net_ms = platform.net_time_ms(demand.net_bytes)
             # Service-start times are recovered retroactively at each
             # stage-completion callback (service is contiguous on these

@@ -238,7 +238,7 @@ class _NoClients:
 class _NegativeDisk:
     """A disk model that reports a negative service time."""
 
-    def service_ms(self, demand, rng) -> float:
+    def service_ms(self, ios, num_bytes, write, rng) -> float:
         return -1.0
 
 
