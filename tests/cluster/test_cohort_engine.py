@@ -133,14 +133,16 @@ def _disk(name):
 
 
 def _n2_faulted(**kwargs):
-    """EXT-8's N2 shape under :data:`_HOT` faults: one 6-server
-    enclosure sharing a memory blade, flash-cached SAN disks."""
-    return _closed(
+    """EXT-8's N2 shape, by default under :data:`_HOT` faults: one
+    6-server enclosure sharing a memory blade, flash-cached SAN disks."""
+    config = dict(
         platform_name="N2", servers=6, clients_per_server=6,
         measure_requests=1500, remote_memory=_remote(),
         disk_spec=_disk("remote-laptop+flash"), faults=_HOT, fault_seed=5,
-        retry=_EXT8_RETRY, **kwargs,
+        retry=_EXT8_RETRY,
     )
+    config.update(kwargs)
+    return _closed(**config)
 
 
 #: Configurations the cohort engine must reproduce bit-exactly.
@@ -210,6 +212,7 @@ EQUIVALENT_CONFIGS = {
         retry=_EXT8_RETRY,
     ),
     "faults-N2": _n2_faulted(),
+    "faults-N2-stress": _n2_faulted(faults=STRESS_FAULT_PROFILE, fault_seed=7),
     "faults-open-protected": dict(
         faults=_HOT, fault_seed=3,
         retry=RetryPolicy(timeout_ms=300.0, max_retries=2),
