@@ -47,7 +47,8 @@ from repro.scenario.compiler import (
 )
 from repro.scenario.library import ext8_availability, ext11_trace_attribution
 from repro.workloads.suite import make_workload
-from tests.memsim.reference_twolevel import run_scalar
+from tests.cluster.reference_balancer import run_scalar
+from tests.memsim import reference_twolevel
 from tests.obs import reference_export
 
 #: Measurements a budget may miss before it fails: noise reads high in
@@ -169,8 +170,9 @@ def test_failslow_detection_overhead():
 
 
 def test_healthy_redundancy_overhead():
-    """While no blade is down, a 2-replica group costs one flag check per
-    remote-memory request and one latency EWMA update per completion."""
+    """While no blade is down, a 2-replica group costs one list append
+    per completion (the rebuild throttle's latency feed) and nothing per
+    remote-memory request."""
     remote = make_remote_memory_model(
         "websearch", local_fraction=0.25, trace_length=50_000
     )
@@ -181,11 +183,9 @@ def test_healthy_redundancy_overhead():
         _closed_loop(2400, remote_memory=remote, redundancy=redundancy)
         .run().stream_digest()
     )
-    # Redundancy runs on the scalar engine, so the reference is the
-    # same run without it on that engine.
     assert_within(
         OVERHEAD_LIMIT,
-        lambda: _closed_loop(2400, remote_memory=remote)._run_scalar(),
+        lambda: _closed_loop(2400, remote_memory=remote).run(),
         lambda: _closed_loop(
             2400, remote_memory=remote, redundancy=redundancy
         ).run(),
@@ -253,12 +253,10 @@ def test_cohort_engine_speedup():
             measure_ms=4000.0,
         )
 
-    cohort = surge()
-    assert cohort.run().stream_digest() == surge()._run_scalar().stream_digest()
-    assert cohort.engine_used == "cohort", cohort.fallback_reason
+    assert surge().run().stream_digest() == run_scalar(surge()).stream_digest()
     assert_within(
         1.0 / COHORT_SPEEDUP_FLOOR,
-        lambda: surge()._run_scalar(),
+        lambda: run_scalar(surge()),
         lambda: surge().run(),
         pairs=3,
     )
@@ -287,13 +285,11 @@ def test_closed_loop_cohort_speedup(shape):
 
     def scalar():
         sim, tracer, _ = _build_cluster_simulator(plan)
-        return sim._run_scalar(), tracer
+        return run_scalar(sim), tracer
 
     def cohort():
         sim, tracer, _ = _build_cluster_simulator(plan)
-        result = sim.run()
-        assert sim.engine_used == "cohort", sim.fallback_reason
-        return result, tracer
+        return sim.run(), tracer
 
     (want, want_tracer), (got, got_tracer) = scalar(), cohort()
     assert got.stream_digest() == want.stream_digest()
@@ -318,7 +314,9 @@ def test_miss_ratio_curve_speedup():
 
     def scalar():
         return [
-            run_scalar(TwoLevelMemorySimulator(spec, fraction, policy="lru"), length)
+            reference_twolevel.run_scalar(
+                TwoLevelMemorySimulator(spec, fraction, policy="lru"), length
+            )
             for fraction in fractions
         ]
 

@@ -10,7 +10,8 @@ open issues in section 4 that this package addresses:
   very small platforms.
 - :mod:`~repro.cluster.balancer` -- a multi-server cluster simulation
   (load balancer in front of N simulated servers) used to validate the
-  aggregation assumption and to measure cluster-level tail latency.
+  aggregation assumption and to measure cluster-level tail latency;
+  :mod:`~repro.cluster.engine` is the request-lifecycle engine it runs.
 - :mod:`~repro.cluster.diurnal` -- time-of-day request distributions
   (the paper studies only sustained load) and the ensemble-level
   provisioning/energy questions they raise.

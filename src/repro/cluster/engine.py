@@ -1,85 +1,90 @@
-"""Cohort request-lifecycle engine for the serving-tier cluster DES.
+"""The cohort request-lifecycle engine of the serving-tier cluster DES.
 
-The scalar :meth:`repro.cluster.balancer.ClusterSimulator.run` models each
-request attempt as a chain of per-stage Python closures threaded through
-four :class:`~repro.simulator.resources.Resource` objects -- a dozen
-closure allocations and as many dynamic dispatches per attempt.  On the
-open-loop surge benchmark that loop, not the model, is the cost: the
-``cluster_surge`` bench sustained ~70k simulated-ms per wall-second on
-it.
+:meth:`repro.cluster.balancer.ClusterSimulator.run` runs every
+configuration here.  Its oracle is the per-request callback engine kept
+in ``tests/cluster/reference_balancer.py``, which models each attempt as
+a chain of per-stage closures threaded through four FCFS station
+objects -- a dozen closure allocations and as many dynamic dispatches
+per attempt.  On the open-loop surge benchmark that loop, not the model,
+was the cost: the ``cluster_surge`` bench sustained ~70k simulated-ms
+per wall-second on it.
 
 :func:`run_cohort` replaces the callback web with one flat event loop over
 plain tuples ``(time, key, a, b)`` (``key`` packs the push sequence
 number with the event kind in its low 4 bits) -- the *cohort* of state
 needed per event rides in two plain lists instead of captured cells --
-while reproducing the scalar path's behaviour **bit for bit**:
+while reproducing the oracle's behaviour **bit for bit**:
 
 - every ``random.Random`` consumer (inter-arrival and think-time draws,
   workload sampling via :attr:`~repro.workloads.base.Workload.fast_demand`,
   admission shed draws, least-outstanding tie-breaks, full-jitter
-  backoff, flash-cache popularity draws) runs in exactly the scalar
+  backoff, flash-cache popularity draws) runs in exactly the oracle's
   order on the shared generator, so the uniform stream is identical;
-- the CPU and memory stations replicate :class:`Resource`'s grant
+- the CPU and memory stations replicate the oracle's FCFS grant
   algorithm exactly (free-station grant, FIFO queueing, the ``on_start``
   gate loop that cancels deadline-shed work and immediately grants the
   next waiter, grant-before-completion-callback ordering on finish);
-- the blade-controller link (shared by every server), disk and NIC
-  stations -- single-server FIFO queues whose service time is fixed at
-  dispatch -- are advanced as carry-seeded Lindley recurrences:
-  ``dep = max(entry, carry) + svc`` computed when an attempt enters
-  reproduces, operation for operation, the floats the event-at-a-time
-  grant would compute (grant-at-entry when the station is free, grant
-  at the previous departure otherwise), because a k=1 FIFO station's
-  departure order equals its entry order.  The carry must see entries
-  in entry order, and nothing may decide between entry and departure
-  whether the attempt goes on.  So at a memory completion the disk
-  and NIC departures are computed together and one attempt-complete
-  event returns to the heap -- unless a fault can strand the attempt
-  in the disk (it must not then enter the NIC: fault runs push a disk
-  departure event and enter the NIC there) or the attempt is traced
-  (its stage spans are created at each departure, in event order: a
-  span-only disk departure event).  The blade link is always its own
-  departure event, because an attempt that skips it (blade down, no
-  remote misses) can reach its disk ahead of one still in the link;
+- the blade-controller link (shared by every server and by the rebuild
+  stream), disk and NIC stations -- single-server FIFO queues whose
+  service time is fixed at entry -- are advanced as carry-seeded Lindley
+  recurrences: ``dep = max(entry, carry) + svc`` computed when an
+  attempt enters reproduces, operation for operation, the floats the
+  event-at-a-time grant would compute (grant-at-entry when the station
+  is free, grant at the previous departure otherwise), because a k=1
+  FIFO station's departure order equals its entry order.  The carry
+  must see entries in entry order, and nothing may decide between entry
+  and departure whether the attempt goes on.  So at a memory completion
+  the disk and NIC departures are computed together and one
+  attempt-complete event returns to the heap -- unless a fault can
+  strand the attempt in the disk (it must not then enter the NIC: fault
+  runs push a disk departure event and enter the NIC there) or the
+  attempt is traced (its stage spans are created at each departure, in
+  event order: a span-only disk departure event).  The blade link is
+  always its own departure event, because an attempt that skips it
+  (blade down, no remote misses) can reach its disk ahead of one still
+  in the link;
 - service times come from the same platform formulas with loop-invariant
   factors hoisted only where IEEE semantics make the hoist bitwise-safe
   (e.g. ``cpu_ms_ref * (stall + (1 - stall) * scaling)`` -- the
   parenthesised factor never depends on the request);
-- event tie-breaking matches the scalar engine's FIFO ``seq`` order:
-  this loop schedules the surviving events at the same points, in the
-  same order, as the scalar code's ``schedule``/``schedule_timer``
-  calls, and the events the Lindley collapse removes (disk/NIC stage
-  completions) carry no observable side effects.  The collapsed
-  attempt-complete event is pushed earlier (at memory completion, not
-  NIC grant), which could only reorder it against an unrelated event
-  landing on the *identical* float timestamp in that window; event
-  times here are sums of continuous variates, and the structural
+- event tie-breaking matches the oracle's FIFO ``seq`` order: this loop
+  schedules the surviving events at the same points, in the same order,
+  as the oracle's ``schedule``/``schedule_timer`` calls, and the events
+  the Lindley collapse removes (disk/NIC stage completions) carry no
+  observable side effects.  A collapsed attempt-complete event, and a
+  link departure queued behind another transfer, is pushed earlier (at
+  entry, not grant), which could only reorder it against an unrelated
+  event landing on the *identical* float timestamp in that window;
+  event times here are sums of continuous variates, and the structural
   equal-time cases (same-server chains, timeout-vs-completion races)
   keep their relative order because their seq assignments keep their
   relative order.
 
-The rest of the lifecycle follows the scalar callbacks event for event:
-a closed-loop client's think-time re-issue is a heap event and the
-warm-up and measurement windows count completions; the tracer records
-the same spans, ids, names and attributes at the same points with zero
-RNG; fault injection runs through the scalar engine's own wiring
+The rest of the lifecycle follows the oracle's callbacks event for
+event: a closed-loop client's think-time re-issue is a heap event and
+the warm-up and measurement windows count completions; the tracer
+records the same spans, ids, names and attributes at the same points
+with zero RNG; fault injection runs through the simulator's own wiring
 (``ClusterSimulator._inject_faults``), scheduling its fail/repair
 processes on a two-method clock over this heap, so the injector draws in
 the same order and each failure does the same thing to the same
 per-server fields (epochs that void in-flight work, health waits, the
-blade, flash, fan and PSU degraded modes).
+blade, flash, fan and PSU degraded modes).  The maintenance script and
+the redundant blade group's :class:`~repro.faults.recovery.RecoveryOrchestrator`
+schedule on the same clock; the orchestrator's rebuild chunks acquire
+the blade link through the same carry foreground transfers advance.
 
-``ClusterResult.stream_digest()``, span-log and metrics-snapshot
-equality between the two engines is a hard test invariant
+``ClusterResult.stream_digest()``, span-log, metrics-snapshot and
+recovery-report equality with the oracle is a hard test invariant
 (``tests/cluster/test_cohort_engine.py``).
 
 Two deliberate deviations from a naive "vectorize everything" plan, both
 forced by the stream-identity contract: inter-arrival variates cannot be
 bulk-drawn ahead of time because the arrival draws *interleave* with
 workload/admission draws on the shared generator (and a numpy log
-mapping differs from ``math.log`` in the last ulp), so arrivals use the
-inlined :func:`~repro.perf.variates.exponential_sampler` form instead
--- same values, same stream, one C-level ``random()`` per draw.
+mapping differs from ``math.log`` in the last ulp), so arrivals use
+``random.expovariate``'s own formula, ``-log(1 - random()) / rate``,
+inline -- same values, same stream, one C-level ``random()`` per draw.
 Likewise the CPU and memory stations stay event-driven: the CPU gate
 (deadline shedding, admission EWMA) makes grant decisions that feed back
 into the shared stream, and a multi-channel memory station's completion
@@ -89,12 +94,10 @@ Latency recording is batched: detector histograms buffer per-server
 attempt latencies and flush through
 :meth:`~repro.simulator.telemetry.LatencyHistogram.record_many`
 immediately before each detector evaluation (the evaluator reads only
-bucket counts, which ``record_many`` computes exactly), and the metrics
-response histogram is flushed once at the end of the run.
-
-Two features fall back to the scalar path automatically (see
-:func:`cohort_supported`): redundancy/rebuild traffic and maintenance
-drains.
+bucket counts, which ``record_many`` computes exactly), the rebuild
+throttle's backpressure EWMA folds its event-ordered feed when the
+rebuild pump reads it, and the metrics response histogram is flushed
+once at the end of the run.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ import random
 from collections import deque
 from heapq import heappop, heappush
 from math import log
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.cluster.overload import (
     AdmissionController,
@@ -114,26 +117,35 @@ from repro.cluster.overload import (
     RetryBudget,
 )
 from repro.faults.failslow import DriftTable, FailSlowReport, PeerComparisonDetector
+from repro.faults.injector import schedule_maintenance
+from repro.faults.recovery import RecoveryOrchestrator, RecoveryReport
 from repro.obs.span import SpanKind, Trace
 from repro.obs.tracer import close_gave_up, record_stage, record_stage_parts
-from repro.simulator.engine import PAST_EPSILON_MS, PAST_RELATIVE_EPSILON
 from repro.simulator.telemetry import TimeSeries
 from repro.workloads.qos import QosTracker
 
-__all__ = ["cohort_supported", "run_cohort", "clamp_phase_delay"]
+__all__ = [
+    "run_cohort", "clamp_phase_delay", "PAST_EPSILON_MS", "PAST_RELATIVE_EPSILON",
+]
+
+#: Negative delays no larger than this absolute slack -- plus a relative
+#: term scaled by the current clock, since float error grows with the
+#: magnitude of ``now`` -- are treated as round-off and clamped to 0.
+PAST_EPSILON_MS = 1e-9
+PAST_RELATIVE_EPSILON = 1e-12
 
 
 def clamp_phase_delay(delay_ms: float, now_ms: float) -> float:
-    """Clamp a round-off-negative delay to zero, mirroring the engine.
+    """Clamp a round-off-negative delay to zero.
 
     Cohort window boundaries derived from absolute targets (warmup end,
     measurement end, :class:`~repro.cluster.overload.SurgeSchedule`
     phase edges) are computed as ``target - now``; float round-off can
-    land that one ulp in the past.  This mirrors
-    ``Simulation._clamped`` exactly -- the same absolute epsilon plus a
-    relative term scaled by the clock -- so a boundary event never
-    raises (or, worse, silently reorders) over the last ulp, while a
-    genuinely past target still fails loudly.
+    land that one ulp in the past.  The slack is the same absolute
+    epsilon plus a relative term scaled by the clock that the oracle's
+    event loop (``tests/simulator/engine.py``) applies, so a boundary
+    event never raises (or, worse, silently reorders) over the last
+    ulp, while a genuinely past target still fails loudly.
     """
     if delay_ms >= 0.0:
         return delay_ms
@@ -142,26 +154,12 @@ def clamp_phase_delay(delay_ms: float, now_ms: float) -> float:
     raise ValueError(f"cannot schedule in the past (delay {delay_ms})")
 
 
-def cohort_supported(csim) -> Tuple[bool, str]:
-    """Can ``csim`` run on the cohort engine with an identical digest?
-
-    Returns ``(True, "")`` or ``(False, reason)``.  The reason string is
-    stored on the simulator as ``fallback_reason`` so tests (and users)
-    can see why a run routed to the scalar path.
-    """
-    if csim._redundancy is not None:
-        return False, "redundancy/rebuild traffic"
-    if csim._maintenance is not None and csim._maintenance.windows:
-        return False, "maintenance drains"
-    return True, ""
-
-
 # Per-request and per-attempt state ride in plain lists: creating a
 # slotted instance costs a type call plus one STORE_ATTR per field,
 # which at one request record and ~1.07 attempt records per arrival was
 # a measurable slice of the hot loop.  Index layout (the ``rs`` list
-# mirrors the scalar ``_RequestState``; ``att`` mirrors ``_Attempt``
-# plus the per-attempt service times the scalar path kept in closure
+# mirrors the oracle's ``_RequestState``; ``att`` mirrors ``_Attempt``
+# plus the per-attempt service times the oracle keeps in closure
 # cells):
 #
 #   rs  = [d, start, attempts, finished, hedged, trace, live]
@@ -181,18 +179,19 @@ def cohort_supported(csim) -> Tuple[bool, str]:
 # untraced) and ``rs[6]`` its attempt spans still in flight; ``att[18]``
 # is None unless the attempt is traced, then
 # ``[attempt span, cursor_ms, disk parts, cpu slice ms, slices,
-# cpu_ms_ref]``.  ``att[17]`` holds a traced attempt's NIC departure
-# between its disk-stage event and its completion event.
+# cpu_ms_ref, failover profile]`` (the last is the redundant group's
+# degraded service profile the attempt was dispatched under, or None).
+# ``att[17]`` holds a traced attempt's NIC departure between its
+# disk-stage event and its completion event.
 
 
 class _Srv:
     """One server's stage state.
 
-    CPU and memory are event-driven stations replicating the scalar
-    :class:`Resource` (busy count + FIFO queue); disk and NIC are the
-    carry floats of their Lindley recurrences (next free time).  The
-    fault fields mirror the scalar ``_Server``'s, so the shared fault
-    wiring (``ClusterSimulator._inject_faults``) drives both.
+    CPU and memory are event-driven stations (busy count + FIFO queue);
+    disk and NIC are the carry floats of their Lindley recurrences (next
+    free time).  The fault fields are the ones the fault wiring
+    (``ClusterSimulator._inject_faults``) drives.
     """
 
     __slots__ = (
@@ -200,6 +199,7 @@ class _Srv:
         "cpu_busy", "cpu_q", "mem_busy", "mem_q",
         "disk_free", "nic_free", "brk", "disk_model",
         "up", "epoch", "down_components", "cpu_throttle", "blade_down",
+        "draining",
     )
 
     def __init__(self, index: int, disk_model):
@@ -224,7 +224,15 @@ class _Srv:
         self.epoch = 0
         self.down_components = 0
         self.cpu_throttle = 1.0
+        #: Remote reads leave the direct link path: the shared blade is
+        #: down (unprotected: page from the local swap path), or a
+        #: protected blade group is degraded or rebuilding (read per the
+        #: group's service profile).  One flag, so the healthy path
+        #: tests nothing more when redundancy is on.
         self.blade_down = False
+        #: In a maintenance-drain window: stays up (in-flight work
+        #: completes) but receives no new dispatches or hedges.
+        self.draining = False
 
 
 class _St:
@@ -247,11 +255,39 @@ class _St:
 class _Clock:
     """The cohort heap seen as a scheduler: ``now`` and ``schedule``.
 
-    The fault injector schedules its fail/repair processes through
-    this, exactly as it does through a scalar ``Simulation``.
+    The fault injector, the maintenance script and the rebuild pump
+    schedule their callbacks through this; each runs as a ``_K_CALL``
+    event with ``now`` set to its time.
     """
 
     __slots__ = ("now", "schedule")
+
+
+class _Link:
+    """The shared blade-controller link seen as a station: ``acquire``.
+
+    ``acquire(service_ms, done)`` advances the same Lindley carry the
+    foreground transfers advance and returns ``done`` as a ``_K_CALL``
+    event at the chunk's departure, so rebuild chunks queue behind, and
+    ahead of, foreground remote-memory transfers in entry order.
+    """
+
+    __slots__ = ("acquire",)
+
+
+class _TeeList(list):
+    """A detector's per-server latency buffer that also appends each
+    latency to the rebuild throttle's event-ordered feed."""
+
+    __slots__ = ("feed",)
+
+    def __init__(self, feed: list):
+        super().__init__()
+        self.feed = feed
+
+    def append(self, latency_ms: float) -> None:
+        list.append(self, latency_ms)
+        self.feed.append(latency_ms)
 
 
 # Event kinds, ordered by hot-path frequency.
@@ -272,14 +308,11 @@ _K_END = 13
 
 
 def run_cohort(csim):
-    """Run one cluster simulation on the cohort engine.
-
-    ``csim`` is a :class:`~repro.cluster.balancer.ClusterSimulator` whose
-    configuration passed :func:`cohort_supported`.  Returns the same
-    :class:`~repro.cluster.balancer.ClusterResult` -- same
-    ``stream_digest()``, same trace spans -- the scalar path would have
-    produced.
+    """Run one :class:`~repro.cluster.balancer.ClusterSimulator`
+    configuration and return its
+    :class:`~repro.cluster.balancer.ClusterResult`.
     """
+    # Deferred: the balancer imports this module to run its simulations.
     from repro.cluster.balancer import (
         HEALTH_RECHECK_MS,
         ClusterResult,
@@ -332,12 +365,6 @@ def run_cohort(csim):
             csim._failslow_detection, nservers, metrics=metrics
         )
     det_report = None if detector is None else detector.report
-    # Batched latency recording: per-server buffers flushed through
-    # LatencyHistogram.record_many right before every detector
-    # evaluation (which reads only counts -- exact under record_many).
-    det_buf: Optional[List[list]] = (
-        None if detector is None else [[] for _ in range(nservers)]
-    )
 
     servers = [
         _Srv(index, spec.build() if spec is not None else None)
@@ -400,10 +427,6 @@ def run_cohort(csim):
     retry_max = retry.max_retries if retry is not None else 0
     retry_timeout = retry.timeout_ms if retry is not None else 0.0
     hedge_after = retry.hedge_after_ms if retry is not None else None
-    if retry is not None:
-        backoff_base = retry.backoff_base_ms
-        backoff_factor = retry.backoff_factor
-        jitter = retry.jitter
 
     # Protection-stack fast paths: the closed-breaker / admit / deposit
     # cases are single compares or float ops, inlined below with the
@@ -470,8 +493,8 @@ def run_cohort(csim):
     # Closed-loop and traced completions take the general helpers; the
     # open-loop one is inlined in the _K_DONE handler.
     general_done = closed or traced_run
-    # A lost attempt is cancelled at its CPU grant only where the scalar
-    # engine installs a CPU gate (runs with an overload policy).
+    # A lost attempt is cancelled at its CPU grant only where the oracle
+    # installs a CPU gate (runs with an overload policy).
     gate_lost = faults and policy is not None
     closed_gated = closed and policy is not None
 
@@ -501,10 +524,78 @@ def run_cohort(csim):
 
     clock.schedule = schedule_call
 
+    def link_acquire(service_ms: float, done) -> None:
+        nonlocal blade_free
+        now = clock.now
+        free = blade_free
+        blade_free = (now if now > free else free) + service_ms
+        push(blade_free, _K_CALL, done, None)
+
+    link = _Link()
+    link.acquire = link_acquire
+
+    # --- redundancy / recovery runtime ----------------------------------
+    # The redundant blades are capacity and fault-domain state behind
+    # the ONE shared blade-controller link: foreground transfers and
+    # rebuild chunks advance the same carry.  None of it draws RNG, and
+    # a healthy group leaves every server's ``blade_down`` False, so a
+    # healthy protected run serves the unprotected stream bit for bit.
+    redundancy = csim._redundancy
+    maintenance = csim._maintenance
+    drains = maintenance is not None and bool(maintenance.windows)
+    recovery: Optional[RecoveryOrchestrator] = None
+    recovery_report: Optional[RecoveryReport] = None
+    if redundancy is not None or drains:
+        recovery_report = RecoveryReport()
+    if redundancy is not None and redundancy.policy is not None:
+        server_ids = [f"server-{i}" for i in range(nservers)]
+        recovery = RecoveryOrchestrator(
+            clock, link, redundancy.build_group(server_ids),
+            redundancy.rebuild,
+            page_latency_us=remote.page_latency_us,
+            metrics=metrics, trace=tracer is not None,
+            report=recovery_report,
+        )
+
+        def _mark_active(active: bool) -> None:
+            for srv in servers:
+                srv.blade_down = active
+
+        recovery.on_active = _mark_active
+        if detector is not None:
+            index_of = {sid: i for i, sid in enumerate(server_ids)}
+
+            def _impairment(server_id: str, impaired: bool) -> None:
+                # Failed-over servers paying the data-loss paging
+                # penalty leave the hedge-routable set.
+                detector.set_drained(index_of[server_id], impaired)
+
+            recovery.on_impairment = _impairment
+    # Attempt latencies (completions, and timeouts at the timeout value)
+    # go to per-server detector buffers, flushed through
+    # LatencyHistogram.record_many right before every detector
+    # evaluation (which reads only counts -- exact under record_many),
+    # and in event order to the rebuild throttle's feed, which folds
+    # them into its EWMA when the rebuild pump next reads it.
+    if detector is None and recovery is None:
+        lat_buf: Optional[List[list]] = None
+    elif detector is None:
+        lat_buf = [recovery.throttle.pending] * nservers
+    elif recovery is None:
+        lat_buf = [[] for _ in range(nservers)]
+    else:
+        lat_buf = [_TeeList(recovery.throttle.pending) for _ in range(nservers)]
+    # Servers in rotation (up and not draining).  Only fault and
+    # maintenance callbacks change either flag, and each runs as a
+    # _K_CALL event, so the list is rebuilt after those instead of at
+    # every dispatch.
+    health = faults or drains
+    in_rotation = list(servers)
+
     # --- request lifecycle helpers ------------------------------------
 
     def flush_detector() -> None:
-        for index, buf in enumerate(det_buf):
+        for index, buf in enumerate(lat_buf):
             if buf:
                 detector.histograms[index].record_many(buf)
                 del buf[:]
@@ -571,13 +662,7 @@ def run_cohort(csim):
             live.remove(span)
 
     def schedule_backoff(now: float, rs: list) -> None:
-        # retry.backoff_ms(attempts - 1, rng), inlined: the uniform
-        # full-jitter draw is rng.uniform(0.0, ceiling) verbatim.
-        ceiling = backoff_base * backoff_factor ** max(rs[2] - 1, 0)
-        if jitter:
-            backoff = 0.0 + (ceiling - 0.0) * _random()
-        else:
-            backoff = ceiling
+        backoff = retry.backoff_ms(rs[2] - 1, rng)
         trace = rs[5]
         span = None
         if trace is not None and trace.status is None and not rs[6]:
@@ -648,7 +733,7 @@ def run_cohort(csim):
         retry_or_give_up(now, rs)
 
     def cpu_gate(now: float, att: list) -> bool:
-        """The scalar ``cpu_gate``/``slice_gate`` pair: decide once per
+        """The oracle's ``cpu_gate``/``slice_gate`` pair: decide once per
         attempt at the first slice to reach a core."""
         if att[12]:
             return att[13]
@@ -729,7 +814,7 @@ def run_cohort(csim):
             if rs[6] is None:
                 rs[6] = []
             rs[6].append(aspan)
-            tr = [aspan, now, None, 0.0, 1, c_cpu]
+            tr = [aspan, now, None, 0.0, 1, c_cpu, None]
 
         cpu_ms = c_cpu * cpu_factor
         if faults:
@@ -739,16 +824,40 @@ def run_cohort(csim):
         degraded_ms = 0.0
         if remote is not None:
             cpu_ms += remote.trap_cpu_ms(c_cpu)
-            if server.blade_down:
+            if not server.blade_down:
+                blade_ms = remote.link_time_ms(c_cpu)
+            elif recovery is None:
                 # Blade down: local-memory-only mode; capacity misses
                 # page in from the swap path on the server's own disk.
                 degraded_ms = remote.degraded_time_ms(c_cpu)
                 report.degraded_requests += 1
             else:
-                blade_ms = remote.link_time_ms(c_cpu)
+                # Redundant placement with a blade down (or being
+                # rebuilt): reads split per the server's current service
+                # profile -- direct, failed over to surviving copies
+                # (amplified for parity reconstruction), or lost to the
+                # swap path.
+                prof = recovery.profile(server_ids[server.index])
+                if prof.healthy:
+                    blade_ms = remote.link_time_ms(c_cpu)
+                else:
+                    if tr is not None:
+                        tr[6] = prof
+                    blade_ms = remote.failover_time_ms(
+                        c_cpu, prof.direct_fraction, prof.failover_fraction,
+                        prof.amplification,
+                    )
+                    if prof.failover_fraction > 0.0:
+                        recovery_report.failover_requests += 1
+                    if prof.lost_fraction > 0.0:
+                        degraded_ms = remote.residual_degraded_time_ms(
+                            c_cpu, prof.lost_fraction
+                        )
+                        recovery_report.lossy_requests += 1
+                        report.degraded_requests += 1
         if drift is not None:
             # Drift evaluated once at dispatch time (pure function of
-            # simulated time; zero RNG), like the scalar path.
+            # simulated time; zero RNG), like the oracle.
             lane = drift_cpu[server.index]
             if lane is not None:
                 cpu_ms *= drift_scale(lane, now)
@@ -808,7 +917,7 @@ def run_cohort(csim):
             # instant with consecutive seqs, so the group coalesces into
             # ONE heap event standing for `slices` completions (see
             # att[14]/batch; the _K_CPU handler replays them back-to-back
-            # exactly as the scalar engine would pop them).  The gate
+            # exactly as the oracle would pop them).  The gate
             # decision is inlined for the dispatch-time case: the
             # observed queueing delay is exactly 0.0, so the admission
             # EWMA update reduces to the decay term, and the deadline
@@ -830,10 +939,10 @@ def run_cohort(csim):
         else:
             for _ in range(slices):
                 if server.cpu_busy < cpu_k:
-                    # Free station: the Resource _start path -- gate,
-                    # then grant.  (With a free station the queue is
-                    # empty by the Resource invariant, so a refused
-                    # gate just drops.)
+                    # Free station: the FCFS start path -- gate, then
+                    # grant.  (With a free station the queue is empty
+                    # by the station's invariant, so a refused gate
+                    # just drops.)
                     if cpu_gate(now, att):
                         server.cpu_busy += 1
                         seq += 16
@@ -886,18 +995,18 @@ def run_cohort(csim):
     # into one pass, and the first attempt of each request is inlined
     # into the arrival handler.
     fused = (
-        not closed and not faults and detector is None and not round_robin
+        not closed and not health and detector is None and not round_robin
         and spec is None and remote is None and tracer is None
     )
 
     def dispatch_request(now: float, rs: list) -> None:
         if st.done or rs[3]:
             return
-        if faults:
-            alive = [s for s in servers if s.up]
+        if health:
+            alive = in_rotation
             if not alive:
                 # Health check: nobody can serve right now.  Back off
-                # and re-probe; a repair will unblock us.
+                # and re-probe; a repair or drain end will unblock us.
                 report.all_down_waits += 1
                 trace = rs[5]
                 wait = None
@@ -1070,10 +1179,75 @@ def run_cohort(csim):
         else:
             push(nic_dep, _K_DONE, server, att)
 
-    # --- initial schedule (same order as the scalar path) -------------
+    # --- initial schedule ------------------------------------------------
+    # Pushed in the oracle's order (scripted blade faults, the fault
+    # processes, drain windows, the detector tick, then traffic), so
+    # events at equal times pop in the same order as in the oracle.
+    if redundancy is not None and recovery is None:
+        # Unprotected arm: the scripted storm with the degraded semantics
+        # of a shared-blade fault -- every attached server pages locally
+        # for the outage.
+        def _unprotected_fail() -> None:
+            blade_state["up"] = False
+            blade_state["down_since"] = clock.now
+            recovery_report.blade_failures += 1
+            for srv in servers:
+                srv.blade_down = True
+
+        def _unprotected_repair() -> None:
+            blade_state["up"] = True
+            down = clock.now - blade_state["down_since"]
+            report.blade_downtime_ms += down
+            downtime = recovery_report.blade_downtime_ms
+            downtime[0] = downtime.get(0, 0.0) + down
+            recovery_report.blade_repairs += 1
+            for srv in servers:
+                srv.blade_down = False
+
+        for fault in redundancy.blade_faults:
+            push(fault.fail_ms, _K_CALL, _unprotected_fail, None)
+            if fault.repair_ms is not None:
+                push(fault.repair_ms, _K_CALL, _unprotected_repair, None)
+    elif redundancy is not None:
+        for fault in redundancy.blade_faults:
+            push(fault.fail_ms, _K_CALL,
+                 lambda b=fault.blade: recovery.blade_failed(b), None)
+            if fault.repair_ms is not None:
+                push(fault.repair_ms, _K_CALL,
+                     lambda b=fault.blade: recovery.blade_repaired(b), None)
     injector = None
     if faults:
-        injector = csim._inject_faults(clock, servers, blade_state, report)
+        injector = csim._inject_faults(
+            clock, servers, blade_state, report, recovery
+        )
+    if drains:
+        drain_started = {}
+
+        def _drain(index: int) -> None:
+            server = servers[index]
+            if server.draining:
+                return
+            server.draining = True
+            drain_started[index] = clock.now
+            recovery_report.drains += 1
+            if detector is not None:
+                detector.set_drained(index, True)
+
+        def _restore(index: int) -> None:
+            server = servers[index]
+            if not server.draining:
+                return
+            server.draining = False
+            recovery_report.drain_ms += clock.now - drain_started.pop(
+                index, clock.now
+            )
+            if detector is not None:
+                detector.set_drained(index, False)
+
+        schedule_maintenance(
+            clock, maintenance.windows, _drain, _restore,
+            events=injector.events if injector is not None else None,
+        )
     if detector is not None:
         eval_interval = csim._failslow_detection.eval_interval_ms
         push(eval_interval, _K_TICK, None, None)
@@ -1112,9 +1286,8 @@ def run_cohort(csim):
     deadline_gate = deadline_shedding and retry is not None
     # In the open loop ``st.done`` is set only by the _K_END handler,
     # which breaks out of the loop, so inside the loop it is identically
-    # False (the scalar engine's ``state["done"]`` guards are equally
-    # dead: Simulation.stop halts the event loop before any later event
-    # runs).  The hot open-loop branches below therefore omit those
+    # False (the oracle's ``state["done"]`` guards are equally
+    # dead: its event loop stops before any later event runs).  The hot open-loop branches below therefore omit those
     # guards; the shared closures keep them for the closed loop, whose
     # last counted completion sets ``st.done`` inside a handler that
     # then finishes and breaks.  ``offered``/``good`` counters of the
@@ -1142,8 +1315,8 @@ def run_cohort(csim):
                 while True:
                     server.cpu_busy -= 1
                     if q:
-                        # Resource.finish grants the next waiter
-                        # (running its gate loop) before the
+                        # A finishing FCFS station grants the next
+                        # waiter (running its gate loop) before the
                         # completion callback.
                         while True:
                             svc, natt = q.popleft()
@@ -1214,8 +1387,8 @@ def run_cohort(csim):
                         b_._outcomes.append(True)
                     else:
                         b_.record_success(now, att[4])
-                if det_buf is not None:
-                    det_buf[server.index].append(now - att[5])
+                if lat_buf is not None:
+                    lat_buf[server.index].append(now - att[5])
                 if rs[3]:
                     report.wasted_completions += 1
                 else:
@@ -1382,12 +1555,7 @@ def run_cohort(csim):
                 if admission is not None:
                     admission._delay_ewma *= adm_1ma
                 if deadline_gate and floor_ > fused_timeout:
-                    att[2] = True
-                    overload_report.shed_deadline += 1
-                    server.outstanding -= 1
-                    if have_brk:
-                        server.brk.record_failure(now, probe)
-                    retry_or_give_up(now, rs)
+                    shed_deadline(now, att)
                 else:
                     att[13] = True
                     att[14] = slices
@@ -1461,6 +1629,17 @@ def run_cohort(csim):
                         att[16], name="blade-link",
                     )
                     span.annotate(**remote.span_attrs(tr[5]))
+                    if recovery is not None:
+                        prof = tr[6]
+                        if prof is not None:
+                            span.annotate(
+                                failover=round(prof.failover_fraction, 4),
+                                lost=round(prof.lost_fraction, 4),
+                            )
+                        if recovery.rebuilding:
+                            # Attribution hook: this transfer shared the
+                            # link with an active rebuild stream.
+                            span.annotate(rebuild=True)
                     tr[1] = now
             enter_disk(now, server, att)
         elif kind == _K_TIMEOUT:
@@ -1471,9 +1650,9 @@ def run_cohort(csim):
                 rs = att[0]
                 att[2] = True
                 report.timeouts += 1
-                if det_buf is not None:
+                if lat_buf is not None:
                     # A timeout is a floor on the true latency.
-                    det_buf[att[1].index].append(att[6])
+                    lat_buf[att[1].index].append(att[6])
                 tr = att[18]
                 if tr is not None:
                     trace = rs[5]
@@ -1507,7 +1686,7 @@ def run_cohort(csim):
                 rs[3] or att[3] or att[2] or rs[4]
             ):
                 server = att[1]
-                alive = [s for s in servers if s.up] if faults else servers
+                alive = in_rotation if health else servers
                 others = [
                     s for s in alive if s is not server and allowed(now, s)
                 ] or [s for s in alive if allowed(now, s)]
@@ -1550,9 +1729,11 @@ def run_cohort(csim):
                         breakers[change.server].reset(now)
                 push(now + eval_interval, _K_TICK, None, None)
         elif kind == _K_CALL:
-            # A fault injector fail/repair callback.
+            # A fault, maintenance, blade-script or rebuild callback.
             clock.now = now
             a()
+            if health:
+                in_rotation = [s for s in servers if s.up and not s.draining]
         elif kind == _K_BEGIN:
             measuring = True
             st.measuring = True
@@ -1565,12 +1746,23 @@ def run_cohort(csim):
     if not st.done:
         raise RuntimeError("cluster simulation ended before measurement")
 
-    # --- finalization (mirrors the scalar path) -----------------------
+    # --- finalization ------------------------------------------------
     if not blade_state["up"]:
-        report.blade_downtime_ms += now - blade_state["down_since"]
+        down = now - blade_state["down_since"]
+        report.blade_downtime_ms += down
         blade_state["down_since"] = now
+        if recovery_report is not None and recovery is None:
+            downtime = recovery_report.blade_downtime_ms
+            downtime[0] = downtime.get(0, 0.0) + down
     if injector is not None:
         injector.tracker.finalize(now)
+    if recovery is not None:
+        recovery.finalize(now)
+    if drains:
+        # Windows still open when measurement ended.
+        for since in drain_started.values():
+            recovery_report.drain_ms += now - since
+    if injector is not None:
         report.injected_failures = {
             ctype.value: count
             for ctype, count in injector.failure_counts.items()
@@ -1621,7 +1813,14 @@ def run_cohort(csim):
             cache = getattr(server.disk_model, "cache", None)
             if cache is not None:
                 cache.export_metrics(metrics, server=server.index)
-    attach_report = faults or retry is not None or policy is not None
+    # A recovery run only attaches the fault report when its config can
+    # produce fault activity (scripted blade faults or drains): an
+    # all-zero report on a healthy protected run would break its digest
+    # equality with the unprotected stream.
+    attach_report = (
+        faults or retry is not None or policy is not None or drains
+        or (redundancy is not None and bool(redundancy.blade_faults))
+    )
     return ClusterResult(
         servers=nservers,
         throughput_rps=throughput,
@@ -1647,5 +1846,5 @@ def run_cohort(csim):
         ),
         overload_report=overload_report,
         failslow_report=failslow_report,
-        recovery_report=None,
+        recovery_report=recovery_report,
     )

@@ -106,7 +106,6 @@ def run(
     data: Dict[str, Dict[str, object]] = {}
     surge_rows = []
     activity_rows = []
-    engine_rows = []
     cost_rows = []
     weighted: Dict[str, Dict[str, float]] = {}
 
@@ -114,11 +113,6 @@ def run(
         plan = plans[f"{setup.name}/naive"]
         runs = {mode: records[f"{setup.name}/{mode}"]
                 for mode in ("naive", "protected")}
-        engine_rows += [
-            (setup.name, mode, record.engine_used,
-             record.fallback_reason or "-")
-            for mode, record in runs.items()
-        ]
         end_ms = warmup_ms + measure_ms
         design_data: Dict[str, object] = {
             "capacity_rps_per_server": plan.capacity_rps_per_server,
@@ -167,8 +161,6 @@ def run(
             )
             weighted[setup.name][mode] = metric
             design_data[mode] = {
-                "engine_used": record.engine_used,
-                "engine_fallback_reason": record.fallback_reason,
                 "offered_rps": result.offered_rps,
                 "throughput_rps": result.throughput_rps,
                 "goodput_rps": result.goodput_rps,
@@ -258,10 +250,6 @@ def run(
             ["Design", "stack", "timeouts", "retries", "denied", "shed",
              "breaker opens", "brownout"],
             activity_rows,
-        ),
-        "engine selection (cohort requested, scalar on fallback)": format_table(
-            ["Design", "stack", "engine", "fallback reason"],
-            engine_rows,
         ),
         "goodput-weighted Perf/TCO-$ (vs srvr1 protected)": format_table(
             ["Design", "naive", "protected"],

@@ -152,6 +152,18 @@ class RedundancyRunConfig:
 
 def run_redundancy_config(config: RedundancyRunConfig) -> dict:
     """Run one arm; module-level so ``pmap`` can fan the grid out."""
+    simulator, tracer, metrics = _redundancy_simulator(config)
+    return {
+        "config": config,
+        "result": simulator.run(),
+        "tracer": tracer,
+        "metrics": metrics,
+    }
+
+
+def _redundancy_simulator(config: RedundancyRunConfig):
+    """The :class:`ClusterSimulator` of one arm, with its tracer (None
+    when untraced) and metrics registry."""
     setup = next(s for s in _setups() if s.name == "N2")
     workload = make_workload(_WORKLOAD)
     remote = make_remote_memory_model(
@@ -180,7 +192,7 @@ def run_redundancy_config(config: RedundancyRunConfig) -> dict:
         else None
     )
     metrics = MetricsRegistry()
-    result = ClusterSimulator(
+    simulator = ClusterSimulator(
         platform=setup.design.platform,
         workload=workload,
         servers=config.servers,
@@ -195,13 +207,8 @@ def run_redundancy_config(config: RedundancyRunConfig) -> dict:
         maintenance=maintenance,
         tracer=tracer,
         metrics=metrics,
-    ).run()
-    return {
-        "config": config,
-        "result": result,
-        "tracer": tracer,
-        "metrics": metrics,
-    }
+    )
+    return simulator, tracer, metrics
 
 
 def _remote_p99_ms(payload: dict) -> float:

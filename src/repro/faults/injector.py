@@ -11,10 +11,10 @@ expressed with :class:`FailureDomain`: one shared component (a memory
 blade, an enclosure fan or PSU) whose fault degrades every attached
 member at once, and whose repair restores them together.
 
-The injector schedules on a *clock*: anything with a ``now`` (simulated
-ms) and ``schedule(delay_ms, callback)``.  A
-:class:`~repro.simulator.engine.Simulation` is one; the cohort cluster
-engine provides another over its own event heap.
+The injector and :func:`schedule_maintenance` schedule on a *clock*:
+anything with a ``now`` (simulated ms) and ``schedule(delay_ms,
+callback)``.  The cluster engine (:mod:`repro.cluster.engine`) provides
+one over its event heap.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.faults.model import ComponentType, FaultProfile
 
 if TYPE_CHECKING:  # type-only: keeps repro.faults import-light so the
     # costmodel can use fault profiles without dragging in the simulator
-    from repro.simulator.engine import Simulation
     from repro.simulator.telemetry import AvailabilityTracker
 
 Action = Callable[[], None]
@@ -173,7 +172,7 @@ class FaultInjector:
 
 
 def schedule_maintenance(
-    sim: "Simulation",
+    clock,
     windows,
     on_drain: Callable[[int], None],
     on_restore: Callable[[int], None],
@@ -188,8 +187,10 @@ def schedule_maintenance(
     scripted times -- the same blast-radius mechanism stochastic shared
     faults use, but with zero RNG consumed, so a maintenance plan
     (e.g. a rolling upgrade) never perturbs the request stream's seeded
-    draws.  ``events``, when given, receives ``"drain"``/``"restore"``
-    :class:`FaultEvent` records alongside the injector's own.
+    draws.  ``clock`` is the engine's scheduler, as for
+    :class:`FaultInjector`; window times are absolute.  ``events``, when
+    given, receives ``"drain"``/``"restore"`` :class:`FaultEvent`
+    records alongside the injector's own.
     """
     domains: List[FailureDomain] = []
     for window in windows:
@@ -202,14 +203,14 @@ def schedule_maintenance(
         def drain(domain=domain, window=window) -> None:
             domain.degrade_all()
             if events is not None:
-                events.append(FaultEvent(sim.now, domain.name, "drain"))
+                events.append(FaultEvent(clock.now, domain.name, "drain"))
 
         def restore(domain=domain, window=window) -> None:
             domain.restore_all()
             if events is not None:
-                events.append(FaultEvent(sim.now, domain.name, "restore"))
+                events.append(FaultEvent(clock.now, domain.name, "restore"))
 
-        sim.schedule_at(window.start_ms, drain)
-        sim.schedule_at(window.end_ms, restore)
+        clock.schedule(window.start_ms - clock.now, drain)
+        clock.schedule(window.end_ms - clock.now, restore)
         domains.append(domain)
     return domains

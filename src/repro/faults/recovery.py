@@ -11,9 +11,8 @@ that trade:
   :class:`~repro.memsim.redundancy.BladeGroup`, keeps the balancer's
   per-server :class:`~repro.memsim.redundancy.ServiceProfile` view
   fresh, and drains the rebuild worklist in chunks that *acquire the
-  shared blade-controller* :class:`~repro.simulator.resources.Resource`
-  -- rebuild chunks genuinely queue behind (and ahead of) foreground
-  remote-memory transfers.
+  shared blade-controller link* -- rebuild chunks genuinely queue
+  behind (and ahead of) foreground remote-memory transfers.
 - :class:`RebuildPolicy` / :class:`RebuildThrottle` bound the storm: a
   token bucket (reusing the PR 2 admission machinery) caps sustained
   rebuild pages/s, and an EWMA of foreground latency provides
@@ -83,7 +82,7 @@ class RebuildPolicy:
 class RebuildThrottle:
     """Token-bucket rate cap + foreground-latency backpressure."""
 
-    __slots__ = ("policy", "_bucket", "_ewma", "_primed")
+    __slots__ = ("policy", "_bucket", "_ewma", "_primed", "pending")
 
     def __init__(self, policy: RebuildPolicy):
         # Deferred import: the balancer imports this module, and the
@@ -95,6 +94,12 @@ class RebuildThrottle:
         self._bucket = TokenBucket(policy.rate_pages_per_s, policy.burst_pages)
         self._ewma = 0.0
         self._primed = False
+        #: Foreground latencies not yet folded into the EWMA, in event
+        #: order.  An engine may append here instead of calling
+        #: :meth:`observe_foreground` once per completion: reading
+        #: :attr:`backpressured`, the EWMA's only reader, folds them in
+        #: first, in order, to the same float.
+        self.pending: List[float] = []
 
     def observe_foreground(self, latency_ms: float) -> None:
         """Feed one foreground completion latency into the EWMA."""
@@ -107,6 +112,10 @@ class RebuildThrottle:
 
     @property
     def backpressured(self) -> bool:
+        if self.pending:
+            for latency_ms in self.pending:
+                self.observe_foreground(latency_ms)
+            del self.pending[:]
         limit = self.policy.backpressure_ms
         return limit is not None and self._primed and self._ewma > limit
 
@@ -119,6 +128,30 @@ class RebuildThrottle:
         if deficit <= 0.0:
             return 0.0
         return deficit / (self.policy.rate_pages_per_s / 1000.0) + 1e-9
+
+
+def _reject_overlaps(
+    what: str, spans: Sequence[Tuple[int, float, Optional[float]]]
+) -> None:
+    """Raise ``ValueError`` naming two overlapping spans of one owner.
+
+    ``spans`` are ``(owner, start_ms, end_ms)``, with ``end_ms=None``
+    for a span that lasts to the end of the run.  Spans that only touch
+    (one ends where the next starts) do not overlap.
+    """
+    widest: Dict[int, Tuple[float, Optional[float]]] = {}
+    for owner, start, end in sorted(spans, key=lambda span: span[:2]):
+        seen = widest.get(owner)
+        if seen is not None:
+            if seen[1] is None or start < seen[1]:
+                first, second = (
+                    f"[{a:g}, {'end of run' if b is None else f'{b:g}'}) ms"
+                    for a, b in (seen, (start, end))
+                )
+                raise ValueError(f"{what} {owner}: {first} and {second}")
+            if end is not None and end <= seen[1]:
+                continue
+        widest[owner] = (start, end)
 
 
 @dataclass(frozen=True)
@@ -169,6 +202,15 @@ class MaintenancePlan:
         for window in self.windows:
             if not isinstance(window, MaintenanceWindow):
                 raise TypeError("windows must be MaintenanceWindow instances")
+        # An inner window's restore would end the outer window early.
+        _reject_overlaps("maintenance windows overlap on server", [
+            (w.server, w.start_ms, w.end_ms) for w in self.windows
+        ])
+        # Kept in start order, so a window that starts where another
+        # ends is scheduled after that one's restore.
+        object.__setattr__(self, "windows", tuple(
+            sorted(self.windows, key=lambda w: w.start_ms)
+        ))
 
     @classmethod
     def rolling(
@@ -227,6 +269,15 @@ class RedundancyConfig:
                     f"blade {fault.blade} out of range for "
                     f"{self.nblades} blades"
                 )
+        # A blade cannot fail again while it is down.
+        _reject_overlaps("blade faults overlap on blade", [
+            (f.blade, f.fail_ms, f.repair_ms) for f in self.blade_faults
+        ])
+        # Kept in failure order, so a fault that starts where another is
+        # repaired is scheduled after that repair.
+        object.__setattr__(self, "blade_faults", tuple(
+            sorted(self.blade_faults, key=lambda f: f.fail_ms)
+        ))
 
     @property
     def nblades(self) -> int:
@@ -284,15 +335,19 @@ class RecoveryReport:
 class RecoveryOrchestrator:
     """Drives failover state and background rebuild for one blade group.
 
-    The orchestrator never touches an RNG.  Its ``active`` flag is the
-    balancer's one-attribute hot-path gate: while False (healthy group,
-    nothing to rebuild) the foreground code path is byte-identical to
-    the unprotected one.
+    ``clock`` is the engine's scheduler (``now`` and
+    ``schedule(delay_ms, callback)``, as for
+    :class:`~repro.faults.injector.FaultInjector`) and ``link`` the
+    shared blade-controller link, a FIFO station with
+    ``acquire(service_ms, done)``.  The orchestrator never touches an
+    RNG.  Its ``active`` flag is the balancer's hot-path gate: while
+    False (healthy group, nothing to rebuild) the foreground code path
+    is byte-identical to the unprotected one.
     """
 
     def __init__(
         self,
-        sim,
+        clock,
         link,
         group: BladeGroup,
         policy: RebuildPolicy,
@@ -301,7 +356,7 @@ class RecoveryOrchestrator:
         trace: bool = False,
         report: Optional[RecoveryReport] = None,
     ):
-        self._sim = sim
+        self._clock = clock
         self._link = link
         self.group = group
         self.policy = policy
@@ -311,6 +366,9 @@ class RecoveryOrchestrator:
         #: Called with (server_id, impaired) when a server crosses into
         #: or out of unrecoverable-page territory (hedge avoidance).
         self.on_impairment: Optional[Callable[[str, bool], None]] = None
+        #: Called with the new value whenever :attr:`active` is set, so
+        #: an engine can keep its own per-server gate in step.
+        self.on_active: Optional[Callable[[bool], None]] = None
         per_page_us = (
             policy.page_transfer_us
             if policy.page_transfer_us is not None
@@ -365,17 +423,17 @@ class RecoveryOrchestrator:
     # -- blade lifecycle ----------------------------------------------
 
     def blade_failed(self, blade: int) -> None:
-        now = self._sim.now
+        now = self._clock.now
         self.group.fail_blade(blade)
         self.report.blade_failures += 1
         self._down_since[blade] = now
         if self._exposure_since is None:
             self._exposure_since = now
-        self.active = True
+        self._set_active(True)
         self._notify_impairments()
 
     def blade_repaired(self, blade: int) -> None:
-        now = self._sim.now
+        now = self._clock.now
         self.group.repair_blade(blade)
         self.report.blade_repairs += 1
         since = self._down_since.pop(blade, now)
@@ -383,6 +441,11 @@ class RecoveryOrchestrator:
         downtime[blade] = downtime.get(blade, 0.0) + (now - since)
         self._notify_impairments()
         self._start_stream()
+
+    def _set_active(self, active: bool) -> None:
+        self.active = active
+        if self.on_active is not None:
+            self.on_active(active)
 
     def _notify_impairments(self) -> None:
         if self.on_impairment is None:
@@ -406,11 +469,11 @@ class RecoveryOrchestrator:
             self._settle()
             return
         self._pumping = True
-        self._stream_started = self._sim.now
+        self._stream_started = self._clock.now
         if self._trace_streams:
             trace = Trace(f"rebuild-{self._streams}")
             trace.start(
-                SpanKind.REBUILD, self._sim.now,
+                SpanKind.REBUILD, self._clock.now,
                 name=f"rebuild stream {self._streams}",
             )
             self._stream_trace = trace
@@ -424,19 +487,19 @@ class RecoveryOrchestrator:
         if backlog == 0:
             self._finish_stream()
             return
-        now = self._sim.now
+        now = self._clock.now
         if self.throttle.backpressured:
             self.report.backpressure_pauses += 1
             if self._pause_counter is not None:
                 self._pause_counter.inc()
-            self._sim.schedule(self.policy.pause_ms, self._pump)
+            self._clock.schedule(self.policy.pause_ms, self._pump)
             return
         pages = min(self.policy.chunk_pages, backlog)
         if not self.throttle.try_acquire(now, pages):
             self.report.throttle_denials += 1
             if self._deny_counter is not None:
                 self._deny_counter.inc()
-            self._sim.schedule(self.throttle.refill_wait_ms(pages), self._pump)
+            self._clock.schedule(self.throttle.refill_wait_ms(pages), self._pump)
             return
         service_ms = self._chunk_service_ms * (pages / self.policy.chunk_pages)
 
@@ -448,7 +511,7 @@ class RecoveryOrchestrator:
             if self._chunk_counter is not None:
                 self._chunk_counter.inc()
             if self._stream_trace is not None:
-                end = self._sim.now
+                end = self._clock.now
                 span = self._stream_trace.start(
                     SpanKind.REBUILD, end - service_ms, name="chunk",
                 )
@@ -462,7 +525,7 @@ class RecoveryOrchestrator:
         self._link.acquire(service_ms, chunk_done)
 
     def _finish_stream(self) -> None:
-        now = self._sim.now
+        now = self._clock.now
         self.report.rebuild_ms += now - self._stream_started
         if self._stream_trace is not None:
             self._stream_trace.close(now)
@@ -476,11 +539,11 @@ class RecoveryOrchestrator:
         if self._down_since or self.group.pages_needing_rebuild:
             return
         if self.group.degraded_pages() == 0:
-            now = self._sim.now
+            now = self._clock.now
             if self._exposure_since is not None:
                 self.report.exposure_ms += now - self._exposure_since
                 self._exposure_since = None
-            self.active = False
+            self._set_active(False)
         # Lost pages keep the group active (degraded service persists)
         # and the exposure window open until finalize.
 

@@ -218,7 +218,8 @@ class BladeGroup:
         return len(self.blades)
 
     def _replica_set(self, slot: int) -> List[int]:
-        return [(slot + j) % self.nblades for j in range(self.policy.copies)]
+        nblades = len(self.blades)
+        return [(slot + j) % nblades for j in range(self.policy.copies)]
 
     def _parity_blade(self, slot: int, stripe: int) -> int:
         return (slot + stripe) % self.nblades
@@ -609,7 +610,16 @@ class BladeGroup:
     def audit(self) -> RedundancyAudit:
         """Page-conservation snapshot (see :class:`RedundancyAudit`)."""
         written = intact = degraded = lost = duplicated = 0
+        replica = self.policy.mode == "replica"
         for server_id, slot in self._slots.items():
+            # Each blade's resident copies of this server's pages, looked
+            # up once per server rather than once per page.
+            held = []
+            for blade in self.blades:
+                allocation = blade.allocation_of(server_id)
+                held.append({} if allocation is None else allocation.resident)
+            if replica:
+                allowed = set(self._replica_set(slot))
             for page in self._written[server_id]:
                 written += 1
                 state = self._page_state(server_id, slot, page)
@@ -619,27 +629,18 @@ class BladeGroup:
                     degraded += 1
                 else:
                     lost += 1
-                if self.policy.mode == "replica":
-                    allowed = set(self._replica_set(slot))
-                    copies = sum(
-                        1 for blade in range(self.nblades)
-                        if self._resident(blade, server_id, page) is not None
-                    )
-                    extra = sum(
-                        1 for blade in range(self.nblades)
-                        if blade not in allowed
-                        and self._resident(blade, server_id, page) is not None
-                    )
-                    if copies > len(allowed) or extra:
+                holders = [
+                    blade for blade, resident in enumerate(held)
+                    if resident.get(page) is not None
+                ]
+                if replica:
+                    if len(holders) > len(allowed) or any(
+                        blade not in allowed for blade in holders
+                    ):
                         duplicated += 1
                 else:
                     home = self._data_blade(slot, page)
-                    extra = sum(
-                        1 for blade in range(self.nblades)
-                        if blade != home
-                        and self._resident(blade, server_id, page) is not None
-                    )
-                    if extra:
+                    if any(blade != home for blade in holders):
                         duplicated += 1
         return RedundancyAudit(
             written=written, intact=intact, degraded=degraded, lost=lost,

@@ -1,4 +1,4 @@
-"""Performance layer: parallel execution, result caching, fast variates.
+"""Performance layer: parallel execution, result caching, fast kernels.
 
 ``repro.perf`` makes the evaluation pipeline itself fast (ROADMAP north
 star: "runs as fast as the hardware allows") without changing a single
@@ -8,12 +8,8 @@ result:
   order-preserving, seed-stable merging (``repro-experiments --jobs N``);
 - :mod:`repro.perf.cache` -- a content-hashed experiment result cache
   keyed on experiment name + parameters + a source fingerprint;
-- :mod:`repro.perf.variates` -- stream-identical fast exponential
-  sampling for the DES hot paths;
 - :mod:`repro.perf.kernels` -- single-pass miss-ratio-curve kernels
-  (Mattson stack distances, vectorized) for the memory trace simulator;
-- :mod:`repro.perf.cluster_kernels` -- the cohort request-lifecycle
-  engine behind :meth:`repro.cluster.balancer.ClusterSimulator.run`.
+  (Mattson stack distances, vectorized) for the memory trace simulator.
 
 The package holds no benchmark code: ``bench/run.py`` measures the
 package end to end, and ``benchmarks/test_budgets.py`` holds the
@@ -36,7 +32,6 @@ from repro.perf.parallel import (
     run_experiments,
     set_intra_jobs,
 )
-from repro.perf.variates import exponential_sampler
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -50,7 +45,6 @@ __all__ = [
     "pmap",
     "run_experiments",
     "set_intra_jobs",
-    "exponential_sampler",
     "MissCounts",
     "MissRatioCurve",
     "miss_ratio_curve",

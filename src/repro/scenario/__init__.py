@@ -9,9 +9,8 @@ protection, redundancy, tracing).  Build one fluently
 (:class:`~repro.scenario.builder.ScenarioBuilder`), load one from YAML
 or JSON (:mod:`repro.scenario.loader`), then compile and run it
 (:func:`~repro.scenario.compiler.run_scenario`); the compiler lowers
-the spec onto the existing engines, auto-selecting the fastest
-eligible one and surfacing ``engine_used``/``fallback_reason`` per
-run.  The ``repro-scenario`` CLI wraps the same pipeline.
+the spec onto the cluster engine, one run per compiled plan.  The
+``repro-scenario`` CLI wraps the same pipeline.
 """
 
 from repro.scenario.builder import ScenarioBuilder
@@ -21,7 +20,6 @@ from repro.scenario.compiler import (
     RunRecord,
     ScenarioResult,
     compile_scenario,
-    probe_engine,
     run_scenario,
 )
 from repro.scenario.errors import ScenarioValidationError, ValidationIssue
@@ -69,7 +67,6 @@ __all__ = [
     "ScenarioResult",
     "compile_scenario",
     "run_scenario",
-    "probe_engine",
     "LIBRARY",
     "library_scenario",
     "load_scenario",

@@ -58,8 +58,6 @@ def _write_outputs(result, output_dir: Path) -> list:
                 "overlay": r.overlay,
                 "rack": r.rack,
                 "segment": r.segment,
-                "engine_used": r.engine_used,
-                "fallback_reason": r.fallback_reason,
                 "offered_rps": r.offered_rps,
                 "throughput_rps": r.throughput_rps,
                 "goodput_rps": r.goodput_rps,
@@ -105,7 +103,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     describe = sub.add_parser(
         "describe",
-        help="show the compiled plan: runs, engines, rates, modeled scale")
+        help="show the compiled plan: runs, rates, modeled scale")
     describe.add_argument("scenario")
     describe.add_argument("--quick", action="store_true",
                           help="compile with shortened windows")

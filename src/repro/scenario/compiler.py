@@ -1,4 +1,4 @@
-"""Lower a :class:`Scenario` onto the serving-tier engines.
+"""Lower a :class:`Scenario` onto the serving-tier engine.
 
 ``compile_scenario`` expands the declarative spec into a flat list of
 picklable :class:`RunPlan` records -- one per (tier x overlay x rack x
@@ -9,12 +9,8 @@ compile time.  Execution fans the plans across worker processes with
 :func:`repro.perf.parallel.pmap`; results are merged in plan order, so
 a ``--jobs 4`` run is bit-identical to a serial one.
 
-Every plan lowers onto one :class:`ClusterSimulator`, and the
-configuration alone picks its engine: the **cohort** engine
-(vectorized, bitwise stream-identical to scalar) when the balancer's
-``cohort_supported`` check allows it, and the **scalar** reference
-otherwise; the balancer records why (``fallback_reason``), which every
-run record surfaces.
+Every plan lowers onto one :class:`ClusterSimulator` and runs on its
+engine, :mod:`repro.cluster.engine`.
 
 The EXT-8/EXT-10/EXT-11 experiment modules and ``repro-trace`` run
 their library scenarios through this compiler;
@@ -95,15 +91,13 @@ class RunPlan:
 
 @dataclass
 class RunRecord:
-    """One executed run: engine outcome, headline metrics, digest."""
+    """One executed run: headline metrics and digest."""
 
     run_id: str
     tier: str
     overlay: str
     rack: int
     segment: Optional[str]
-    engine_used: str
-    fallback_reason: Optional[str]
     offered_rps: float
     throughput_rps: float
     goodput_rps: float
@@ -136,10 +130,8 @@ class ScenarioResult:
 
         rows = []
         for r in self.runs:
-            reason = f" ({r.fallback_reason})" if r.fallback_reason else ""
             rows.append((
                 r.run_id,
-                f"{r.engine_used}{reason}",
                 f"{r.offered_rps:.0f}",
                 f"{r.throughput_rps:.0f}",
                 f"{r.goodput_rps:.0f}",
@@ -149,8 +141,7 @@ class ScenarioResult:
             f"scenario: {self.scenario_name}",
             "",
             format_table(
-                ["run", "engine", "offered r/s", "tput r/s",
-                 "goodput r/s", "p99"],
+                ["run", "offered r/s", "tput r/s", "goodput r/s", "p99"],
                 rows,
             ),
         ]
@@ -516,17 +507,6 @@ def _build_cluster_simulator(plan: RunPlan):
     return ClusterSimulator(**kwargs), tracer, metrics
 
 
-def probe_engine(plan: RunPlan) -> Tuple[str, Optional[str]]:
-    """Which engine a plan would run on, without running it."""
-    from repro.perf.cluster_kernels import cohort_supported
-
-    sim, _, _ = _build_cluster_simulator(plan)
-    ok, reason = cohort_supported(sim)
-    if ok:
-        return "cohort", None
-    return "scalar", reason
-
-
 def _execute_run(plan: RunPlan) -> RunRecord:
     """Run one plan (module-level so ``pmap`` can pickle it)."""
     sim, tracer, metrics = _build_cluster_simulator(plan)
@@ -537,8 +517,6 @@ def _execute_run(plan: RunPlan) -> RunRecord:
         overlay=plan.overlay.name,
         rack=plan.rack,
         segment=plan.segment,
-        engine_used=sim.engine_used,
-        fallback_reason=sim.fallback_reason,
         offered_rps=result.offered_rps,
         throughput_rps=result.throughput_rps,
         goodput_rps=result.goodput_rps,
@@ -561,12 +539,11 @@ class CompiledScenario:
     quick: bool = False
 
     def describe(self) -> str:
-        """Human-readable plan: engines, rates, windows, modeled scale."""
+        """Human-readable plan: rates, windows, modeled scale."""
         from repro.experiments.reporting import format_table
 
         rows = []
         for plan in self.plans:
-            engine, reason = probe_engine(plan)
             if plan.closed is not None:
                 traffic = (f"closed {plan.closed.warmup_requests}"
                            f"+{plan.closed.measure_requests} req")
@@ -577,7 +554,6 @@ class CompiledScenario:
                     traffic += f" x{arrival.surge_multiplier:g} surge"
             rows.append((
                 plan.run_id,
-                engine + (f" ({reason})" if reason else ""),
                 traffic,
                 f"{plan.capacity_rps_per_server:.0f}",
                 str(plan.seed),
@@ -587,7 +563,7 @@ class CompiledScenario:
             f"runs: {len(self.plans)}",
             "",
             format_table(
-                ["run", "engine", "traffic", "cap r/s/srv", "seed"], rows),
+                ["run", "traffic", "cap r/s/srv", "seed"], rows),
         ]
         scale = self.scale()
         if scale:
@@ -662,6 +638,5 @@ __all__ = [
     "CompiledScenario",
     "compile_scenario",
     "run_scenario",
-    "probe_engine",
     "tier_capacity_rps",
 ]

@@ -7,8 +7,8 @@ loop, or open loop with a flash-crowd surge or a diurnal day), and a
 set of *overlays* -- named arms that layer faults, fail-slow drift,
 redundancy, retry policy, overload protection, and tracing on top of
 the same topology.  The compiler (:mod:`repro.scenario.compiler`)
-lowers every tier onto one cluster simulator, which runs the cohort
-engine or its scalar reference.
+lowers every tier onto one cluster simulator, which runs the cluster
+engine (:mod:`repro.cluster.engine`).
 
 Validation never stops at the first problem: every spec type appends
 :class:`~repro.scenario.errors.ValidationIssue` records with precise

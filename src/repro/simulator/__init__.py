@@ -3,10 +3,6 @@
 This package replaces the paper's COTSon full-system simulation and
 Perl client driver:
 
-- :mod:`~repro.simulator.engine` -- event-driven simulation core, which
-  the scalar cluster engine and the fault layer schedule on.
-- :mod:`~repro.simulator.resources` -- multi-server FCFS resources
-  (CPU cores, memory channels, disk, NIC) on that core.
 - :mod:`~repro.simulator.server_sim` -- the single-server simulation:
   workload requests against platform resources, measuring throughput
   and tail latency, either closed loop (N clients with think time) or
@@ -21,8 +17,6 @@ Perl client driver:
   scores one (platform, workload) pair the way Figure 2(c) does.
 """
 
-from repro.simulator.engine import Simulation
-from repro.simulator.resources import Resource
 from repro.simulator.server_sim import ServerSimulator, SimConfig, SimResult
 from repro.simulator.telemetry import (
     AvailabilityTracker,
@@ -39,8 +33,6 @@ from repro.simulator.performance import (
 )
 
 __all__ = [
-    "Simulation",
-    "Resource",
     "ServerSimulator",
     "SimConfig",
     "SimResult",

@@ -28,8 +28,9 @@ minority).
 
 :meth:`ServerSimulator.run` is one flat event loop over packed
 ``(time, seq|kind, request)`` heap tuples.  CPU cores and memory channels
-are busy-count plus FIFO-queue stations that grant in the order of
-:class:`~repro.simulator.resources.Resource`; the one-server disk and NIC
+are busy-count plus FIFO-queue stations that grant in the order of the
+oracle engines' FCFS stations (``tests/simulator/resources.py``); the
+one-server disk and NIC
 are Lindley recurrences advanced at each memory completion, so one
 request-complete event stands for both of their stages.
 """
@@ -210,9 +211,9 @@ class ServerSimulator:
         """Execute the simulation and return measurements.
 
         The same draws in the same order, the same event order and the
-        same floats as event-at-a-time engines with one
-        :class:`~repro.simulator.resources.Resource` per station, one
-        per traffic model, which the tests keep as the references.
+        same floats as event-at-a-time engines with one FCFS station
+        object per station, one per traffic model, which the tests keep
+        as the references.
         """
         platform = self._platform
         profile = self._profile
@@ -275,7 +276,7 @@ class ServerSimulator:
         cpu_busy = mem_busy = 0
         cpu_queue: deque = deque()
         mem_queue: deque = deque()
-        # Busy time is booked at each grant, as Resource books it; the
+        # Busy time is booked at each grant, as the oracle books it; the
         # disk and NIC carries are their last departures.
         cpu_time = mem_time = disk_time = nic_time = 0.0
         disk_free = nic_free = 0.0
@@ -296,7 +297,7 @@ class ServerSimulator:
             if kind == _CPU:
                 if cpu_queue:
                     # The next waiter is granted before this slice's
-                    # completion is handled (Resource.finish's order).
+                    # completion is handled (the oracle station's order).
                     waiter = cpu_queue.popleft()
                     service = waiter[1]
                     cpu_time += service
@@ -524,8 +525,8 @@ def _granted(
     in flight whose grant lies after ``now`` is taken back out by reading
     the running sum as it stood before it: sums grow in grant order, so
     the least such value is the prefix granted by ``now``.  A grant *at*
-    ``now`` counts -- ``now`` is a NIC departure, and ``Resource`` grants
-    the next waiter before the departing request's callback runs.
+    ``now`` counts -- ``now`` is a NIC departure, and an FCFS station
+    grants the next waiter before the departing request's callback runs.
     """
     for _, key, rec in heap:
         if key & 3 == _DONE:

@@ -103,7 +103,7 @@ class LatencyHistogram:
     def record_many(self, values_ms) -> None:
         """Record a whole array of latencies in one vectorized pass.
 
-        The cohort cluster engine (:mod:`repro.perf.cluster_kernels`)
+        The cluster engine (:mod:`repro.cluster.engine`)
         buffers response latencies and flushes them in one array;
         bucketing them one ``record`` call at a time would hand back
         much of the kernel speedup.  Bucket indices are computed with ``numpy.log`` --

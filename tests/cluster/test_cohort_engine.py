@@ -1,18 +1,23 @@
-"""Cohort engine: digest equality, fallback routing, batched recording.
+"""Cohort engine: digest equality with the scalar oracle, batched recording.
 
-The vectorized serving-tier engine that :meth:`ClusterSimulator.run`
-selects for eligible configurations must be *invisible* except for
-wall-clock time: every supported configuration produces a
+The serving-tier engine behind :meth:`ClusterSimulator.run` must be
+*invisible* except for wall-clock time: every configuration produces a
 :meth:`ClusterResult.stream_digest`, a span log
-(:func:`~repro.obs.export.trace_digest`) and a metrics snapshot
-identical to the scalar event loop's (``_run_scalar()``, the
-reference), and every unsupported configuration routes to the scalar
-path with an explanatory ``fallback_reason`` rather than diverging.
+(:func:`~repro.obs.export.trace_digest`), a metrics snapshot and a
+recovery report identical to the scalar event loop's
+(:func:`tests.cluster.reference_balancer.run_scalar`, the oracle).
 """
+
+from dataclasses import fields
 
 import pytest
 
 from repro.cluster.balancer import ClusterSimulator, Dispatch, RetryPolicy
+from repro.cluster.engine import (
+    PAST_EPSILON_MS,
+    PAST_RELATIVE_EPSILON,
+    clamp_phase_delay,
+)
 from repro.cluster.overload import OverloadPolicy, SurgeSchedule
 from repro.faults.failslow import DetectionPolicy, FailSlowPlan, SlowResource
 from repro.faults.model import (
@@ -22,6 +27,7 @@ from repro.faults.model import (
     FaultSpec,
 )
 from repro.faults.recovery import (
+    BladeFault,
     MaintenancePlan,
     MaintenanceWindow,
     RebuildPolicy,
@@ -32,11 +38,10 @@ from repro.memsim.redundancy import RedundancyPolicy
 from repro.memsim.remote_memory import make_remote_memory_model
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.export import trace_digest
-from repro.perf.cluster_kernels import clamp_phase_delay, cohort_supported
 from repro.platforms.catalog import platform
 from repro.scenario.registry import design
-from repro.simulator.engine import PAST_EPSILON_MS, PAST_RELATIVE_EPSILON
 from repro.workloads.websearch import make_websearch
+from tests.cluster.reference_balancer import run_scalar
 
 
 def _surge(measure_ms=1500.0, base_rate_rps=120.0):
@@ -68,7 +73,7 @@ def _simulator(platform_name="srvr1", **kwargs):
 def _run_pair(trace_rate=None, **kwargs):
     """Run the scalar reference and ``run()`` on the same config, each
     with its own tracer (when ``trace_rate`` is set) and metrics
-    registry; return ``(sim, result, trace digest, snapshot)`` per side."""
+    registry; return ``(sim, result, tracer, snapshot)`` per side."""
     sides = []
     for engine in ("scalar", "cohort"):
         tracer = (
@@ -77,13 +82,13 @@ def _run_pair(trace_rate=None, **kwargs):
         )
         metrics = MetricsRegistry()
         sim = _simulator(tracer=tracer, metrics=metrics, **kwargs)
-        result = sim._run_scalar() if engine == "scalar" else sim.run()
-        traces = (
-            None if tracer is None
-            else trace_digest([("run", tracer.traces)])
-        )
-        sides.append((sim, result, traces, metrics.snapshot()))
+        result = run_scalar(sim) if engine == "scalar" else sim.run()
+        sides.append((sim, result, tracer, metrics.snapshot()))
     return sides
+
+
+def _trace_digest(tracer):
+    return None if tracer is None else trace_digest([("run", tracer.traces)])
 
 
 def _closed(**kwargs):
@@ -144,6 +149,52 @@ def _n2_faulted(**kwargs):
     config.update(kwargs)
     return _closed(**config)
 
+
+#: The retry stack of the redundancy entries (EXT-13's, two retries).
+_STORM_RETRY = RetryPolicy(
+    timeout_ms=1000.0, max_retries=2, backoff_base_ms=20.0,
+    hedge_after_ms=400.0,
+)
+
+#: Blade 0 dies 2 s in and comes back blank at 12 s, inside the ~48 s
+#: closed-loop window, so failover reads, the rebuild stream and the
+#: foreground transfers it queues with all land in the measured run.
+_STORM = (BladeFault(0, 2_000.0, 12_000.0),)
+
+
+def _redundancy(policy, blades, faults=(), backpressure_ms=None):
+    """A blade group of ``blades`` behind the shared link, with a slow
+    rebuild throttle: the stream runs long enough to share the link
+    with many foreground transfers."""
+    return RedundancyConfig(
+        policy=policy, blades=blades, pages_per_server=128,
+        rebuild=RebuildPolicy(
+            chunk_pages=16, rate_pages_per_s=400.0, burst_pages=32.0,
+            backpressure_ms=backpressure_ms,
+        ),
+        blade_faults=tuple(faults),
+    )
+
+
+def _storm(policy, blades, backpressure_ms=None, **kwargs):
+    config = dict(
+        remote_memory=_remote(), retry=_STORM_RETRY,
+        redundancy=_redundancy(policy, blades, _STORM, backpressure_ms),
+    )
+    config.update(kwargs)
+    return _closed(**config)
+
+
+#: A replicated blade group behind the shared remote-memory link.
+_REDUNDANT = dict(
+    remote_memory=make_remote_memory_model("websearch", trace_length=50_000),
+    redundancy=RedundancyConfig(
+        policy=RedundancyPolicy.replicated(2),
+        blades=3,
+        pages_per_server=64,
+        rebuild=RebuildPolicy(chunk_pages=32, rate_pages_per_s=20_000.0),
+    ),
+)
 
 #: Configurations the cohort engine must reproduce bit-exactly.
 EQUIVALENT_CONFIGS = {
@@ -227,19 +278,106 @@ EQUIVALENT_CONFIGS = {
         retry=RetryPolicy(timeout_ms=300.0, max_retries=2, hedge_after_ms=100.0),
         overload=OverloadPolicy(),
     ),
+    # Redundancy: failover reads, rebuild chunks on the shared link, the
+    # throttle, and the recovery report.
+    "redundancy-healthy": _closed(
+        remote_memory=_remote(),
+        redundancy=_redundancy(RedundancyPolicy.replicated(2), 3),
+    ),
+    "storm-unprotected": _storm(None, 1),
+    "storm-replica": _storm(RedundancyPolicy.replicated(2), 3),
+    "storm-parity": _storm(RedundancyPolicy.parity(4), 5, backpressure_ms=60.0),
+    "traced-replica-storm": _storm(
+        RedundancyPolicy.replicated(2), 3, trace_rate=1.0
+    ),
+    # Stochastic blade faults through the orchestrator, overlapping
+    # outages that lose pages, and the detector's impairment hook.
+    "faults-protected-hot": _n2_faulted(
+        measure_requests=600,
+        redundancy=_redundancy(RedundancyPolicy.replicated(2), 3),
+        failslow_detection=DetectionPolicy(
+            eval_interval_ms=250.0, min_window_samples=4
+        ),
+    ),
+    # Maintenance drains: rotation, the detector's drained set.
+    "drain-failslow": _closed(
+        retry=_STORM_RETRY,
+        maintenance=MaintenancePlan.rolling(
+            3, start_ms=5_000.0, duration_ms=8_000.0, gap_ms=2_000.0
+        ),
+        failslow=FailSlowPlan.single_slow_node(server=1, factor=4.0),
+        failslow_detection=DetectionPolicy(
+            eval_interval_ms=250.0, min_window_samples=4
+        ),
+    ),
+    # The two configurations that used to select the scalar engine.
+    "redundancy-open": dict(measure_ms=400.0, **_REDUNDANT),
+    "drain-open": dict(
+        maintenance=MaintenancePlan(
+            windows=(MaintenanceWindow(0, 100.0, 50.0),)
+        ),
+        measure_ms=400.0,
+    ),
 }
+
+
+def _span_attrs(tracer):
+    return [span.attrs or {} for trace in tracer.traces for span in trace.spans]
+
+
+#: What a redundancy or drain entry's cohort run must show, so that its
+#: equality with the oracle is not vacuous: ``(result, tracer) -> bool``.
+EXERCISES = {
+    "storm-unprotected": lambda r, _: r.fault_report.degraded_requests > 0,
+    "storm-replica": lambda r, _: (
+        r.recovery_report.failover_requests > 0
+        and r.recovery_report.pages_rebuilt > 0
+        and r.recovery_report.throttle_denials > 0
+    ),
+    "storm-parity": lambda r, _: (
+        r.recovery_report.backpressure_pauses > 0
+        and r.recovery_report.pages_rebuilt > 0
+    ),
+    "traced-replica-storm": lambda _, t: (
+        any(a.get("rebuild") for a in _span_attrs(t))
+        and any("failover" in a for a in _span_attrs(t))
+    ),
+    "faults-protected-hot": lambda r, _: (
+        r.recovery_report.lossy_requests > 0
+        and r.recovery_report.audit.lost > 0
+        and r.failslow_report.drain_marks > 0
+    ),
+    "drain-failslow": lambda r, _: r.recovery_report.drains == 3,
+}
+
+
+def _assert_same_recovery(want, got):
+    """Field-by-field :class:`RecoveryReport` equality, the rebuild
+    traces by span-log digest (``stream_digest()`` excludes the report)."""
+    if want is None or got is None:
+        assert want is got
+        return
+    for f in fields(want):
+        if f.name == "rebuild_traces":
+            assert trace_digest([("rebuild", got.rebuild_traces)]) == (
+                trace_digest([("rebuild", want.rebuild_traces)])
+            )
+        else:
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 class TestDigestEquality:
     @pytest.mark.parametrize("name", sorted(EQUIVALENT_CONFIGS))
     def test_cohort_matches_scalar(self, name):
-        (_, scalar, s_traces, s_metrics), (csim, cohort, c_traces, c_metrics) = (
+        (_, scalar, s_tracer, s_metrics), (_, cohort, c_tracer, c_metrics) = (
             _run_pair(**EQUIVALENT_CONFIGS[name])
         )
-        assert csim.engine_used == "cohort", csim.fallback_reason
         assert scalar.stream_digest() == cohort.stream_digest()
-        assert s_traces == c_traces
+        assert _trace_digest(s_tracer) == _trace_digest(c_tracer)
         assert s_metrics == c_metrics
+        _assert_same_recovery(scalar.recovery_report, cohort.recovery_report)
+        if name in EXERCISES:
+            assert EXERCISES[name](cohort, c_tracer)
 
     def test_faulted_n2_exercises_every_degraded_mode(self):
         """The faults-N2 entry is not a vacuous equality: the blade
@@ -269,8 +407,7 @@ class TestDigestEquality:
             ),
             measure_ms=2000.0,
         )
-        (_, scalar, _, _), (csim, cohort, _, _) = _run_pair(**kwargs)
-        assert csim.engine_used == "cohort", csim.fallback_reason
+        (_, scalar, _, _), (_, cohort, _, _) = _run_pair(**kwargs)
         assert scalar.stream_digest() == cohort.stream_digest()
         # The detector actually ran (not just a no-op equality).
         sr, cr = scalar.failslow_report, cohort.failslow_report
@@ -289,57 +426,9 @@ class TestDigestEquality:
         )
         scalar = _simulator(metrics=m_scalar, **kwargs)
         cohort = _simulator(metrics=m_cohort, **kwargs)
-        rs, rc = scalar._run_scalar(), cohort.run()
-        assert cohort.engine_used == "cohort", cohort.fallback_reason
+        rs, rc = run_scalar(scalar), cohort.run()
         assert rs.stream_digest() == rc.stream_digest()
         assert m_scalar.snapshot() == m_cohort.snapshot()
-
-    def test_engine_used_reported_on_scalar_runs(self):
-        sim = _simulator(
-            retry=None, measure_ms=400.0, **_REDUNDANT,
-        )
-        assert sim.engine_used is None and sim.fallback_reason is None
-        sim.run()
-        assert sim.engine_used == "scalar"
-        assert sim.fallback_reason == "redundancy/rebuild traffic"
-
-
-#: A replicated blade group behind the shared remote-memory link.
-_REDUNDANT = dict(
-    remote_memory=make_remote_memory_model("websearch", trace_length=50_000),
-    redundancy=RedundancyConfig(
-        policy=RedundancyPolicy.replicated(2),
-        blades=3,
-        pages_per_server=64,
-        rebuild=RebuildPolicy(chunk_pages=32, rate_pages_per_s=20_000.0),
-    ),
-)
-
-
-class TestFallbackRouting:
-    """Unsupported features run scalar, with the reason recorded."""
-
-    def _assert_falls_back(self, reason_fragment, **kwargs):
-        sim = _simulator(**kwargs)
-        ok, reason = cohort_supported(sim)
-        assert not ok
-        result = sim.run()
-        assert sim.engine_used == "scalar"
-        assert reason_fragment in sim.fallback_reason
-        assert sim.fallback_reason == reason
-        return result
-
-    def test_redundancy(self):
-        self._assert_falls_back("redundancy", measure_ms=400.0, **_REDUNDANT)
-
-    def test_maintenance_windows(self):
-        self._assert_falls_back(
-            "maintenance",
-            maintenance=MaintenancePlan(
-                windows=(MaintenanceWindow(0, 100.0, 50.0),)
-            ),
-            measure_ms=400.0,
-        )
 
 
 class TestClampPhaseDelay:

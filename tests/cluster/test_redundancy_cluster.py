@@ -119,6 +119,20 @@ class TestBladeStorm:
         assert storm.fault_report.degraded_requests > 0
         assert report.blade_downtime_ms[0] > 0.0
 
+    def test_back_to_back_faults_listed_out_of_order(self):
+        # Blade 0 fails again the instant it is repaired; listing the
+        # later fault first must not fail the still-down blade twice.
+        storm = _run(
+            _redundancy(RedundancyPolicy.replicated(2), 3, (
+                BladeFault(0, 3_000.0, 5_000.0),
+                BladeFault(0, 500.0, 3_000.0),
+            )),
+            retry=RETRY,
+        )
+        report = storm.recovery_report
+        assert report.blade_failures == report.blade_repairs == 2
+        assert report.blade_downtime_ms == {0: 4_500.0}
+
     def test_parity_storm_changes_the_digest(self):
         # Replica failover reads cost the same as primary reads (1.0x
         # amplification), so a replica storm can legitimately leave the
@@ -164,6 +178,15 @@ class TestMaintenanceDrains:
         # still completes every measured request.
         assert not report.data_loss
         assert sum(result.server_completions) == 900 + 80  # + warmup
+
+    def test_back_to_back_windows_listed_out_of_order(self):
+        plan = MaintenancePlan((
+            MaintenanceWindow(0, 600.0, 300.0),
+            MaintenanceWindow(0, 300.0, 300.0),
+        ))
+        report = _run(maintenance=plan, retry=RETRY).recovery_report
+        assert report.drains == 2
+        assert report.drain_ms == 600.0
 
     def test_out_of_range_window_rejected(self):
         plan = MaintenancePlan(

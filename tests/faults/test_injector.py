@@ -3,8 +3,8 @@
 
 from repro.faults.injector import FailureDomain, FaultInjector
 from repro.faults.model import ComponentType, FaultProfile, FaultSpec
-from repro.simulator.engine import Simulation
 from repro.simulator.telemetry import AvailabilityTracker
+from tests.simulator.engine import Simulation
 
 #: Seconds-scale profile so a short run sees many fail/repair cycles.
 FAST = FaultProfile(

@@ -5,6 +5,7 @@ import pytest
 from repro.faults.recovery import (
     BladeFault,
     MaintenancePlan,
+    MaintenanceWindow,
     RebuildPolicy,
     RebuildThrottle,
     RecoveryOrchestrator,
@@ -13,8 +14,8 @@ from repro.faults.recovery import (
 )
 from repro.faults.injector import FaultEvent, schedule_maintenance
 from repro.memsim.redundancy import RedundancyPolicy
-from repro.simulator.engine import Simulation
-from repro.simulator.resources import Resource
+from tests.simulator.engine import Simulation
+from tests.simulator.resources import Resource
 
 
 class TestRebuildPolicy:
@@ -58,6 +59,17 @@ class TestRebuildThrottle:
         throttle.observe_foreground(10_000.0)
         assert not throttle.backpressured
 
+    def test_pending_latencies_fold_to_the_same_ewma(self):
+        latencies = [250.0, 30.0, 7.5, 120.0, 61.25, 0.1] * 5
+        one_by_one = RebuildThrottle(RebuildPolicy(backpressure_ms=60.0))
+        batched = RebuildThrottle(RebuildPolicy(backpressure_ms=60.0))
+        for latency in latencies:
+            one_by_one.observe_foreground(latency)
+        batched.pending.extend(latencies)
+        assert batched.backpressured == one_by_one.backpressured
+        assert batched._ewma == one_by_one._ewma
+        assert batched.pending == []
+
 
 class TestScriptedFaults:
     def test_blade_fault_validation(self):
@@ -72,6 +84,27 @@ class TestScriptedFaults:
                 policy=RedundancyPolicy.replicated(2), blades=3,
                 blade_faults=(BladeFault(3, 10.0),),
             )
+
+    def test_config_rejects_overlapping_faults_on_one_blade(self):
+        with pytest.raises(ValueError, match=r"\[1000, 5000\).*\[2000, 6000\)"):
+            RedundancyConfig(blade_faults=(
+                BladeFault(0, 1000.0, 5000.0), BladeFault(0, 2000.0, 6000.0),
+            ))
+        # An unrepaired fault lasts to the end of the run.
+        with pytest.raises(ValueError, match="end of run"):
+            RedundancyConfig(blade_faults=(
+                BladeFault(0, 5000.0, 6000.0), BladeFault(0, 1000.0),
+            ))
+
+    def test_config_accepts_touching_and_disjoint_faults(self):
+        config = RedundancyConfig(
+            policy=RedundancyPolicy.replicated(2), blades=3,
+            blade_faults=(
+                BladeFault(0, 1000.0, 5000.0), BladeFault(0, 5000.0),
+                BladeFault(1, 2000.0, 3000.0),
+            ),
+        )
+        assert len(config.blade_faults) == 3
 
     def test_config_rejects_too_few_blades(self):
         with pytest.raises(ValueError):
@@ -102,6 +135,21 @@ class TestMaintenancePlan:
         assert [w.server for w in plan.windows] == [0, 1, 2]
         assert [w.start_ms for w in plan.windows] == [100.0, 160.0, 220.0]
         assert plan.windows[0].end_ms == 150.0
+
+    def test_overlapping_windows_on_one_server_rejected(self):
+        with pytest.raises(ValueError, match=r"\[100, 400\).*\[150, 200\)"):
+            MaintenancePlan((
+                MaintenanceWindow(0, 100.0, 300.0),
+                MaintenanceWindow(0, 150.0, 50.0),
+            ))
+
+    def test_touching_windows_and_other_servers_accepted(self):
+        plan = MaintenancePlan((
+            MaintenanceWindow(0, 0.0, 100.0),
+            MaintenanceWindow(0, 100.0, 50.0),
+            MaintenanceWindow(1, 50.0, 500.0),
+        ))
+        assert len(plan.windows) == 3
 
     def test_schedule_maintenance_consumes_zero_rng(self):
         sim = Simulation()
@@ -240,6 +288,17 @@ class TestRecoveryOrchestrator:
         assert recovery.active  # blade still down: stays active
         assert report.exposure_ms > 0.0
         assert report.blade_downtime_ms[0] > 0.0
+
+    def test_active_callback_follows_the_flag(self):
+        sim = Simulation()
+        recovery = _orchestrator(sim, Resource(sim, "blade", 1))
+        flags = []
+        recovery.on_active = flags.append
+        sim.schedule_at(100.0, lambda: recovery.blade_failed(0))
+        sim.schedule_at(400.0, lambda: recovery.blade_repaired(0))
+        sim.run()
+        assert flags == [True, False]
+        assert not recovery.active
 
     def test_impairment_callback_fires_on_data_loss(self):
         sim = Simulation()

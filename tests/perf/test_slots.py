@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.cluster.balancer import _Attempt, _RequestState
+from repro.cluster.engine import _Clock, _Link, _Srv, _St
 from repro.cluster.overload import (
     AdmissionController,
     AdmissionPolicy,
@@ -16,9 +16,25 @@ from repro.cluster.overload import (
     TokenBucket,
 )
 from repro.simulator.telemetry import TimeSeries
+from tests.cluster.reference_balancer import _Attempt, _RequestState
+
+
+class TestEngineRecords:
+    def test_all_slotted(self):
+        instances = [
+            _Srv(index=0, disk_model=None),
+            _St(measuring=False, t0=0.0, t1=0.0),
+            _Clock(),
+            _Link(),
+        ]
+        for obj in instances:
+            with pytest.raises(AttributeError):
+                obj.__dict__
 
 
 class TestBalancerRecords:
+    """The scalar oracle's records: the speedup budgets time against it."""
+
     def test_request_state_has_no_dict(self):
         rs = _RequestState(demand=1.5, start=0.0)
         with pytest.raises(AttributeError):

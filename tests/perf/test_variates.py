@@ -2,7 +2,8 @@
 
 import random
 
-from repro.perf.variates import exponential_sampler
+from tests.perf.variates import exponential_sampler
+
 
 
 class TestExponentialSampler:

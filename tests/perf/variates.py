@@ -1,4 +1,12 @@
-"""Fast random-variate sampling for the DES hot paths.
+"""Reference oracles' fast exponential sampler.
+
+This is ``repro.perf.variates`` as it stood when its last callers in
+``repro`` -- the scalar cluster engine and the event-at-a-time
+``ServerSimulator`` engines -- became the oracles under ``tests/``; the
+package's engines inline the same ``-log(1 - random()) / rate`` draw.
+The rest of this docstring is the original module's.
+
+Fast random-variate sampling for the DES hot paths.
 
 ``random.Random.expovariate`` is a pure-Python method, so every arrival,
 think-time, and service draw pays a Python call plus attribute lookups on

@@ -8,7 +8,7 @@ import pytest
 from repro.scenario import save_scenario
 from repro.scenario.builder import ScenarioBuilder
 from repro.scenario.cli import main
-from repro.scenario.spec import FaultsSpec, RedundancySpec, TracingSpec
+from repro.scenario.spec import FaultsSpec, TracingSpec
 
 REPO = pathlib.Path(__file__).parents[2]
 
@@ -78,30 +78,12 @@ def test_invalid_spec_file_reports_issues(tmp_path, capsys, command):
     assert "topology.tiers[0]: expected a mapping for TierSpec" in err
 
 
-def test_describe_shows_engines(tmp_path, capsys):
+def test_describe_shows_runs(tmp_path, capsys):
     spec = tmp_path / "tiny.json"
     save_scenario(_tiny_scenario(), spec)
     assert main(["describe", str(spec)]) == 0
     out = capsys.readouterr().out
     assert "web/baseline" in out
-    assert "cohort" in out and "scalar" not in out
-
-
-def test_describe_shows_fallback_reasons(tmp_path, capsys):
-    spec = tmp_path / "redundant.json"
-    save_scenario(
-        ScenarioBuilder("redundant")
-        .tier("web", design="N2", servers=2, clients_per_server=2,
-              remote_memory=True)
-        .benchmark("websearch")
-        .closed_loop(10, 40)
-        .overlay("replicated", redundancy=RedundancySpec())
-        .build(),
-        spec,
-    )
-    assert main(["describe", str(spec)]) == 0
-    out = capsys.readouterr().out
-    assert "scalar (redundancy/rebuild traffic)" in out
 
 
 def test_run_with_digest_and_outputs(tmp_path, capsys):
@@ -113,7 +95,6 @@ def test_run_with_digest_and_outputs(tmp_path, capsys):
 
     payload = json.loads((out_dir / "result.json").read_text())
     assert payload["scenario"] == "tiny"
-    assert payload["runs"][0]["engine_used"] == "cohort"
     assert payload["digest"]
 
     # Trace exports exist and the Chrome trace validates.

@@ -125,13 +125,6 @@ class TestExt10Overload:
         assert compiled[f"{design}/protected"].digest == \
             protected.stream_digest()
 
-    def test_cohort_engages_where_eligible(self, compiled):
-        # Every arm vectorizes, N2's remote-memory blade and flash
-        # included; nothing falls back.
-        for record in compiled.values():
-            assert record.engine_used == "cohort", record.run_id
-            assert record.fallback_reason is None
-
 
 class TestExt11TraceAttribution:
     @pytest.fixture(scope="class")

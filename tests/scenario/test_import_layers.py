@@ -1,4 +1,9 @@
-"""The experiment runner and the scenario layer import independently.
+"""Import layers: the package stands alone, and its layers load apart.
+
+No module of the ``repro`` package imports the repository's ``tests``,
+``benchmarks`` or ``bench`` trees: an installed package ships without
+them, and the oracles under ``tests/`` are where code leaves the
+package when only tests still run it.
 
 The EXT-8/EXT-10/EXT-11 modules run library scenarios, but import the
 scenario layer inside ``run()``: loading the experiment runner must not
@@ -7,6 +12,7 @@ profile without loading any experiment module; the shared table
 formatter (``repro.experiments.reporting``) is the one exception.
 """
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -15,6 +21,30 @@ import sys
 import repro
 
 _SRC = str(pathlib.Path(repro.__file__).parents[1])
+
+#: Top-level packages of the repository that the package must not import.
+_OUTSIDE = {"tests", "benchmarks", "bench"}
+
+
+def test_package_imports_nothing_outside_it():
+    """Every import statement, at module level, inside functions and
+    under ``TYPE_CHECKING`` alike."""
+    package = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(package.parent)}:{node.lineno}: {name}"
+                for name in names if name.split(".")[0] in _OUTSIDE
+            ]
+    assert offenders == []
 
 
 def _modules_after(statements: str) -> set:

@@ -1,4 +1,4 @@
-"""The shipped scenario specs: pinned outputs, and the engine they run on.
+"""The shipped scenario specs: pinned outputs.
 
 Each spec's ``--quick`` ``result.json`` digest, and the bytes of EXT-11's
 trace exports, are pinned at values recorded before the closed loop,
@@ -14,7 +14,6 @@ import pathlib
 
 import pytest
 
-from repro.scenario import compile_scenario, load_scenario, probe_engine
 from repro.scenario.cli import main
 
 REPO = pathlib.Path(__file__).parents[2]
@@ -51,16 +50,7 @@ def test_quick_run_digest_is_pinned(spec, tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads((tmp_path / "result.json").read_text())
     assert payload["digest"] == QUICK_DIGESTS[spec]
-    assert {run["engine_used"] for run in payload["runs"]} == {"cohort"}
     if spec.endswith("ext11_trace_attribution.yaml"):
         for name, expected in EXT11_EXPORTS.items():
             digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert digest == expected, name
-
-
-@pytest.mark.parametrize("spec", sorted(QUICK_DIGESTS))
-def test_every_plan_runs_on_the_cohort_engine(spec):
-    compiled = compile_scenario(load_scenario(REPO / spec))
-    assert [probe_engine(plan) for plan in compiled.plans] == [
-        ("cohort", None)
-    ] * len(compiled.plans)

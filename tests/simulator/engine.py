@@ -1,4 +1,15 @@
-"""Discrete-event simulation core.
+"""Reference oracle: the discrete-event simulation core.
+
+This is ``repro.simulator.engine`` as it stood when the scalar cluster
+engine (``tests/cluster/reference_balancer.py``), its last caller in
+``repro``, became a test oracle.  It schedules the reference engines
+under ``tests/`` (that one, ``reference_server_sim`` and
+``reference_openloop``); its round-off clamp constants stay in
+:mod:`repro.cluster.engine`, beside the cohort engine's
+``clamp_phase_delay`` that mirrors :meth:`Simulation._clamped`.  The
+rest of this docstring is the original module's.
+
+Discrete-event simulation core.
 
 A minimal, fast event loop: callbacks scheduled at absolute simulated
 times (milliseconds), executed in time order with FIFO tie-breaking.
@@ -34,13 +45,9 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Set, Tuple
 
-Callback = Callable[[], None]
+from repro.cluster.engine import PAST_EPSILON_MS, PAST_RELATIVE_EPSILON
 
-#: Negative delays no larger than this absolute slack -- plus a relative
-#: term scaled by the current clock, since float error grows with the
-#: magnitude of ``now`` -- are treated as round-off and clamped to 0.
-PAST_EPSILON_MS = 1e-9
-PAST_RELATIVE_EPSILON = 1e-12
+Callback = Callable[[], None]
 
 
 class Simulation:

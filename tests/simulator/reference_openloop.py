@@ -34,10 +34,7 @@ import random
 import warnings
 from typing import Optional
 
-from repro.perf.variates import exponential_sampler
 from repro.platforms.platform import Platform
-from repro.simulator.engine import Simulation
-from repro.simulator.resources import Resource
 from repro.simulator.server_sim import (
     DiskModel,
     PlatformDiskModel,
@@ -46,6 +43,9 @@ from repro.simulator.server_sim import (
 )
 from repro.workloads.base import Workload
 from repro.workloads.qos import QosTracker
+from tests.perf.variates import exponential_sampler
+from tests.simulator.engine import Simulation
+from tests.simulator.resources import Resource
 
 
 class OpenLoopSimulator:

@@ -28,12 +28,12 @@ from typing import Dict, Optional, Protocol
 
 from repro.obs.span import SpanKind
 from repro.obs.tracer import record_stage, record_stage_parts
-from repro.perf.variates import exponential_sampler
 from repro.platforms.platform import Platform
-from repro.simulator.engine import Simulation
-from repro.simulator.resources import Resource
 from repro.workloads.base import Workload
 from repro.workloads.qos import QosTracker
+from tests.perf.variates import exponential_sampler
+from tests.simulator.engine import Simulation
+from tests.simulator.resources import Resource
 
 
 class DiskModel(Protocol):

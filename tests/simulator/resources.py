@@ -1,4 +1,11 @@
-"""Multi-server FCFS resources for the server simulator.
+"""Reference oracle: multi-server FCFS resources on :class:`Simulation`.
+
+This is ``repro.simulator.resources`` as it stood when the scalar
+cluster engine became a test oracle; the reference engines under
+``tests/`` queue their stages on it.  The rest of this docstring is the
+original module's.
+
+Multi-server FCFS resources for the server simulator.
 
 Each server resource (CPU core pool, memory channels, disk, NIC) is a
 :class:`Resource`: ``servers`` identical service stations fed by one FCFS
@@ -12,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Optional, Tuple
 
-from repro.simulator.engine import Simulation
+from tests.simulator.engine import Simulation
 
 
 @dataclass

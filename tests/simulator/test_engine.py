@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulator.engine import Simulation
+from tests.simulator.engine import Simulation
 
 
 def pending_events(sim: Simulation) -> int:

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from repro.platforms.catalog import platform, platform_names
 from repro.simulator.analytic import AnalyticServerModel, mva_throughput
-from repro.simulator.engine import Simulation
-from repro.simulator.resources import Resource
 from repro.simulator.server_sim import ServerSimulator, SimConfig
 from repro.workloads.suite import benchmark_names, make_workload
+from tests.simulator.engine import Simulation
+from tests.simulator.resources import Resource
 
 
 class TestMvaProperties:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.simulator.engine import Simulation
-from repro.simulator.resources import Resource
+from tests.simulator.engine import Simulation
+from tests.simulator.resources import Resource
 
 
 def _run_jobs(servers, services):
