@@ -1286,13 +1286,14 @@ def run_cohort(csim):
     deadline_gate = deadline_shedding and retry is not None
     # In the open loop ``st.done`` is set only by the _K_END handler,
     # which breaks out of the loop, so inside the loop it is identically
-    # False (the oracle's ``state["done"]`` guards are equally
-    # dead: its event loop stops before any later event runs).  The hot open-loop branches below therefore omit those
-    # guards; the shared closures keep them for the closed loop, whose
-    # last counted completion sets ``st.done`` inside a handler that
-    # then finishes and breaks.  ``offered``/``good`` counters of the
-    # inlined open-loop path live in plain locals and are stored back
-    # after the loop.
+    # False (the oracle's ``state["done"]`` guards are equally dead:
+    # its event loop stops before any later event runs).  The hot
+    # open-loop branches below therefore omit those guards; the shared
+    # closures keep them for the closed loop, whose last counted
+    # completion sets ``st.done`` inside a handler that then finishes
+    # and breaks.  ``offered``/``good`` counters of the inlined
+    # open-loop path live in plain locals and are stored back after the
+    # loop.
     measuring = st.measuring
     offered_n = 0
     good_n = 0

@@ -5,7 +5,6 @@ import random
 from tests.perf.variates import exponential_sampler
 
 
-
 class TestExponentialSampler:
     def test_stream_identical_to_expovariate(self):
         reference = random.Random(42)
