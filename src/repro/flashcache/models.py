@@ -25,7 +25,7 @@ the FlashCache design the paper adopts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -268,6 +268,11 @@ class FlashCachedDiskModel:
         return hit_rate * flash + (1.0 - hit_rate) * backing
 
 
+def _unbilled(device: StorageDevice) -> StorageDevice:
+    """``device`` without what only the bill reads: name, price, power."""
+    return replace(device, name="", price_usd=0.0, power_w=0.0)
+
+
 @dataclass(frozen=True)
 class DiskSpec:
     """A frozen, hashable, picklable description of one disk model.
@@ -288,6 +293,22 @@ class DiskSpec:
     def __post_init__(self) -> None:
         if (self.flash_device is None) != (self.flash_params is None):
             raise ValueError("a flash cache needs both its device and its params")
+
+    def service_key(self) -> "DiskSpec":
+        """This spec with each device's name, price and power blanked.
+
+        No disk model reads those three fields, so specs with equal keys
+        build models that serve every request alike, and a score memo
+        keyed on this sweeps Table 3's laptop and laptop-2 disks once.
+        """
+        return replace(
+            self,
+            device=_unbilled(self.device),
+            flash_device=(
+                None if self.flash_device is None
+                else _unbilled(self.flash_device)
+            ),
+        )
 
     def build(self):
         """A fresh model (cold flash cache) for one simulation."""

@@ -65,13 +65,15 @@ def measure_performance(
     call and serves the whole sweep.
 
     Scores are memoized process-wide on (platform, workload profile,
-    ``config``, ``disk_spec``, ``memory_slowdown``, ``method``), so a
-    repeated call returns the first call's result without simulating
-    (:func:`repro.simulator.sweep.clear_sweep_memo` resets it).
+    ``config``, ``disk_spec.service_key()``, ``memory_slowdown``,
+    ``method``), so a repeated call -- or one whose disks differ only in
+    name, price or power -- returns the first call's result without
+    simulating (:func:`repro.simulator.sweep.clear_sweep_memo` resets it).
     """
     if method not in ("sim", "analytic"):
         raise ValueError(f"unknown method {method!r}")
-    key = (platform, workload.profile, config, disk_spec, memory_slowdown, method)
+    disk_key = disk_spec.service_key() if disk_spec is not None else None
+    key = (platform, workload.profile, config, disk_key, memory_slowdown, method)
     result = _PERF_MEMO.get(key)
     if result is None:
         disk_model = disk_spec.build() if disk_spec is not None else None

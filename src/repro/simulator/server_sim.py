@@ -15,7 +15,9 @@ Measurement uses a completion-count protocol: the first
 ``warmup_requests`` completions are discarded, the next
 ``measure_requests`` completions define the measurement window, and
 throughput is completions divided by window duration.  Response times of
-requests completing inside the window feed the QoS tracker.
+requests completing inside the window feed the QoS tracker.  A run asked
+to stop at its QoS failure ends at the measured completion that makes
+the failure certain, and reports the completions it measured by then.
 
 An open loop beyond capacity grows its queue without bound, so the run
 fails loudly.  With ``queue_cap`` the server holds at most that many
@@ -207,13 +209,22 @@ class ServerSimulator:
         #: counters/histograms alongside the scalar ``SimResult``.
         self._metrics = metrics
 
-    def run(self) -> SimResult:
+    def run(self, *, stop_at_qos_failure: bool = False) -> SimResult:
         """Execute the simulation and return measurements.
 
         The same draws in the same order, the same event order and the
         same floats as event-at-a-time engines with one FCFS station
         object per station, one per traffic model, which the tests keep
         as the references.
+
+        With ``stop_at_qos_failure`` a run whose workload has a QoS spec
+        ends at the measured response over the limit that makes the
+        window's percentile miss it, whatever the rest of the window
+        holds.  Its result has ``qos_met`` False and fewer
+        ``measured_requests`` than the config asks for; every other
+        field describes the window up to that response only.  A run that
+        meets QoS, or fails it only at the window's last completion, is
+        the same full run either way.
         """
         platform = self._platform
         profile = self._profile
@@ -248,6 +259,14 @@ class ServerSimulator:
         think_rate = 1.0 / profile.think_time_ms if thinks else 0.0
         warmup = self._config.warmup_requests
         target = warmup + self._config.measure_requests
+        # Measured responses over ``limit`` are counted toward
+        # ``fail_at``; without a stop nothing is over an infinite limit.
+        qos_spec = profile.qos
+        limit = float("inf")
+        fail_at = over = 0
+        if stop_at_qos_failure and qos_spec is not None:
+            limit = qos_spec.limit_ms
+            fail_at = qos_spec.violations_to_fail(self._config.measure_requests)
         rate = self._rate_per_ms
         cap = self._queue_cap
         # Admitted requests in flight past this mean the offered load
@@ -288,7 +307,7 @@ class ServerSimulator:
         record_response = responses.append
         rid = 0
         trace = None
-        done = False
+        done = stopped = False
         pop = heappop
         push = heappush
         while heap:
@@ -388,6 +407,11 @@ class ServerSimulator:
                     if completions >= target:
                         done = True
                         break
+                    if response > limit:
+                        over += 1
+                        if over == fail_at:
+                            done = stopped = True
+                            break
                 if rate is not None:
                     continue
                 think = -_log(1.0 - _random()) / think_rate if thinks else 0.0
@@ -476,12 +500,12 @@ class ServerSimulator:
         window = max(now - window_start, 1e-9)
         throughput = len(responses) / (window / 1000.0)
         mean_response = sum(responses) / len(responses)
-        qos = QosTracker(profile.qos) if profile.qos else None
+        qos = QosTracker(qos_spec) if qos_spec else None
         if qos is not None:
             for response in responses:
                 qos.record(response)
         percentile = qos.percentile_ms() if qos and qos.count else mean_response
-        qos_met = qos.satisfied() if qos else True
+        qos_met = not stopped and (qos.satisfied() if qos else True)
         utilization = {
             name: min(1.0, (end - start) / (servers * window))
             for name, servers, start, end in zip(

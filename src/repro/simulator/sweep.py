@@ -6,16 +6,29 @@ level of throughput without overloading the servers."  This module
 reproduces that control loop on top of the DES:
 
 1. Start from an analytic estimate of the saturating population.
-2. Grow the population geometrically while QoS holds and throughput still
-   improves.
+2. If QoS fails there, halve the population until it holds (or one
+   client is left); otherwise grow it geometrically while QoS holds and
+   throughput still improves.
 3. Binary-search the boundary between the last passing and first failing
    population.
+
+No step reads more than ``qos_met`` from a failing population above one
+client.  So on the platform's own disk, where every population is an
+independent run, such an evaluation stops at the measured completion
+that makes its QoS failure certain
+(:meth:`~repro.simulator.server_sim.ServerSimulator.run`'s
+``stop_at_qos_failure``).  Behind a disk model it runs in full: one
+model serves the whole sweep, and a flash cache carries its state from
+one population to the next.  A stopped point has fewer
+``measured_requests`` than the config asks for; :meth:`QosSweep.explored`
+runs it again in full before anyone reads its numbers.
 
 If QoS cannot be met even with a single client (e.g. emb2 running
 webmail, where one request's service time already exceeds the latency
 budget), the driver reports the single-client throughput with
-``qos_met=False`` -- the platform runs in a degraded mode, matching the
-paper's observation that emb2 "consistently underperforms".
+``qos_met=False``, from a full run -- the platform runs in a degraded
+mode, matching the paper's observation that emb2 "consistently
+underperforms".
 """
 
 from __future__ import annotations
@@ -47,10 +60,12 @@ _PERF_MEMO: Dict[tuple, object] = {}
 #: re-sweeps points the figures already scored.  Every operating point
 #: on the platform disk is a pure function of (platform, workload
 #: profile, population, measurement config, memory slowdown), so a hit
-#: reproduces the same ``SimResult`` bit for bit.  Sweeps with a live
-#: disk model (stateful: flash caches warm up, fail and recover) or
-#: unhashable parameters bypass it.  Values must be treated as
-#: read-only, which every caller does.
+#: reproduces the same ``SimResult`` bit for bit -- or the stopped run
+#: of a failing point, which :meth:`QosSweep.explored` replaces with the
+#: full run when it needs the numbers.  Sweeps with a live disk model
+#: (stateful: flash caches warm up, fail and recover) or unhashable
+#: parameters bypass it.  Values must be treated as read-only, which
+#: every caller does.
 _SIM_MEMO: Dict[tuple, SimResult] = {}
 
 #: Analytic warm-start estimates, memoized per (platform, profile).
@@ -100,7 +115,18 @@ class QosSweep:
         self._cache: Dict[int, SimResult] = {}
 
     def explored(self) -> Dict[int, SimResult]:
-        """All operating points simulated so far (population -> result)."""
+        """All operating points simulated so far (population -> result).
+
+        Each is a full run: a point the search stopped at its QoS
+        failure is simulated again in full here, and the full run
+        replaces the stopped one in the process-wide memo too.
+        """
+        for population, result in self._cache.items():
+            if result.measured_requests < self._config.measure_requests:
+                result = self._cache[population] = self._run(population)
+                key = self._memo_key(population)
+                if key is not None:
+                    _SIM_MEMO[key] = result
         return dict(self._cache)
 
     def _memo_key(self, population: int) -> Optional[tuple]:
@@ -123,22 +149,35 @@ class QosSweep:
         return key
 
     def _simulate(self, population: int) -> SimResult:
+        """The search's evaluation of ``population``: stopped at its QoS
+        failure where the points are independent and the search reads
+        nothing else from it (see the module docstring)."""
         if population not in self._cache:
             key = self._memo_key(population)
             result = _SIM_MEMO.get(key) if key is not None else None
             if result is None:
-                result = ServerSimulator(
-                    self._platform,
-                    self._workload,
-                    population=population,
-                    config=self._config,
-                    disk_model=self._disk_model,
-                    memory_slowdown=self._memory_slowdown,
-                ).run()
+                result = self._run(
+                    population,
+                    stop_at_qos_failure=(
+                        population > 1 and self._disk_model is None
+                    ),
+                )
                 if key is not None:
                     _SIM_MEMO[key] = result
             self._cache[population] = result
         return self._cache[population]
+
+    def _run(
+        self, population: int, stop_at_qos_failure: bool = False
+    ) -> SimResult:
+        return ServerSimulator(
+            self._platform,
+            self._workload,
+            population=population,
+            config=self._config,
+            disk_model=self._disk_model,
+            memory_slowdown=self._memory_slowdown,
+        ).run(stop_at_qos_failure=stop_at_qos_failure)
 
     def _max_population(self) -> int:
         cap = self._workload.profile.max_population

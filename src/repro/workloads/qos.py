@@ -33,6 +33,22 @@ class QosSpec:
             f"<{self.limit_ms / 1000:g} seconds"
         )
 
+    def violations_to_fail(self, samples: int) -> int:
+        """The fewest of ``samples`` responses over ``limit_ms`` that fail.
+
+        :meth:`QosTracker.satisfied` is False exactly when at least this
+        many of its ``samples`` exceed the limit, because its nearest-rank
+        percentile is then one of them: 126 of 2,500 at the 95th
+        percentile.
+        """
+        return samples - _nearest_rank(self.percentile, samples)
+
+
+def _nearest_rank(percentile: float, samples: int) -> int:
+    """Index of the nearest-rank ``percentile`` among ``samples`` sorted
+    values: the smallest value with CDF >= ``percentile``."""
+    return max(0, math.ceil(percentile * samples) - 1)
+
 
 class QosTracker:
     """Collects response times and evaluates a :class:`QosSpec`.
@@ -60,9 +76,7 @@ class QosTracker:
             raise ValueError("no samples recorded")
         p = self.spec.percentile if percentile is None else percentile
         ordered = sorted(self._samples)
-        # Nearest-rank percentile: smallest value with CDF >= p.
-        rank = max(0, math.ceil(p * len(ordered)) - 1)
-        return ordered[rank]
+        return ordered[_nearest_rank(p, len(ordered))]
 
     def violation_rate(self) -> float:
         """Fraction of samples exceeding the QoS limit."""

@@ -8,7 +8,11 @@ import pickle
 import pytest
 
 import repro.simulator.sweep as sweep_module
-from repro.flashcache.analysis import DISK_CONFIGURATIONS, flash_only_configuration
+from repro.flashcache.analysis import (
+    DISK_CONFIGURATIONS,
+    disk_configuration,
+    flash_only_configuration,
+)
 from repro.platforms.catalog import platform
 from repro.simulator.performance import measure_performance
 from repro.simulator.server_sim import SimConfig
@@ -32,9 +36,9 @@ def _count_runs(monkeypatch):
     calls = []
     real_run = sweep_module.ServerSimulator.run
 
-    def counting(self):
+    def counting(self, **kwargs):
         calls.append(1)
-        return real_run(self)
+        return real_run(self, **kwargs)
 
     monkeypatch.setattr(sweep_module.ServerSimulator, "run", counting)
     return calls
@@ -156,3 +160,91 @@ class TestDiskSpec:
         assert type(first) is type(second)
         if spec.flash_device is not None:
             assert first.cache is not second.cache
+
+
+#: Device fields a disk model serves with, one change each (the backing
+#: device's read latency, bandwidth and capacity, the flash device's
+#: read latency), and the fields only the server bill reads.
+SERVICE_CHANGES = {
+    "latency": ("device", dict(read_latency_ms=16.0)),
+    "bandwidth": ("device", dict(bandwidth_mb_s=25.0)),
+    "capacity": ("device", dict(capacity_gb=300.0)),
+    "flash-latency": ("flash_device", dict(read_latency_ms=0.03)),
+}
+BILL_CHANGES = {
+    "name": ("device", dict(name="renamed-disk")),
+    "price": ("device", dict(price_usd=1.0)),
+    "power": ("device", dict(power_w=9.0)),
+    "flash-bill": ("flash_device", dict(name="other-flash", price_usd=7.0,
+                                        power_w=0.25)),
+}
+
+
+def _flash_spec(bench, change=None):
+    spec = disk_configuration("remote-laptop+flash").disk_spec(bench)
+    if change is None:
+        return spec
+    field, values = change
+    device = dataclasses.replace(getattr(spec, field), **values)
+    return dataclasses.replace(spec, **{field: device})
+
+
+def _score_spec(spec, bench, config):
+    from repro.workloads.suite import make_workload
+
+    return measure_performance(platform("emb1"), make_workload(bench),
+                               config=config, disk_spec=spec)
+
+
+@pytest.mark.parametrize("bench", BENCHES)
+class TestDiskServiceKey:
+    """``_PERF_MEMO`` keys a disk on what its model serves with."""
+
+    def test_laptop2_flash_reuses_the_laptop_flash_sweep(
+        self, bench, config, monkeypatch
+    ):
+        first = _score(disk_configuration("remote-laptop+flash"), bench, config)
+        calls = _count_runs(monkeypatch)
+        second = _score(disk_configuration("remote-laptop2+flash"), bench, config)
+        assert calls == []
+        assert second == first
+
+    @pytest.mark.parametrize("change", BILL_CHANGES.values(), ids=list(BILL_CHANGES))
+    def test_bill_fields_hit(self, bench, change, config, monkeypatch):
+        first = _score_spec(_flash_spec(bench), bench, config)
+        calls = _count_runs(monkeypatch)
+        assert _score_spec(_flash_spec(bench, change), bench, config) == first
+        assert calls == []
+
+    @pytest.mark.parametrize("change", SERVICE_CHANGES.values(),
+                             ids=list(SERVICE_CHANGES))
+    def test_service_fields_miss(self, bench, change, config, monkeypatch):
+        _score_spec(_flash_spec(bench), bench, config)
+        before = len(sweep_module._PERF_MEMO)
+        calls = _count_runs(monkeypatch)
+        _score_spec(_flash_spec(bench, change), bench, config)
+        assert len(sweep_module._PERF_MEMO) == before + 1
+        assert calls
+
+
+def test_srvr1_websearch_work_count(monkeypatch):
+    """The completions one default-config score simulates, counted as the
+    benchmark counts them (warm-up plus measured, per run).  Running every
+    failing population in full takes 5 x 2,800 = 14,000; stopping each at
+    its deciding completion takes 7,529."""
+    from repro.workloads.suite import make_workload
+
+    completions = []
+    real_run = sweep_module.ServerSimulator.run
+
+    def counting(self, **kwargs):
+        result = real_run(self, **kwargs)
+        completions.append(self._config.warmup_requests
+                           + result.measured_requests)
+        return result
+
+    monkeypatch.setattr(sweep_module.ServerSimulator, "run", counting)
+    measure_performance(platform("srvr1"), make_workload("websearch"),
+                        config=SimConfig(seed=1))
+    assert len(completions) == 5
+    assert sum(completions) <= 7_529
