@@ -55,6 +55,8 @@ def _device_service_ms(
 class LocalDiskModel:
     """Baseline: all I/O to one local disk."""
 
+    stateless = True
+
     def __init__(self, device: StorageDevice):
         self.device = device
 
@@ -83,6 +85,8 @@ class RemoteSanDiskModel:
     protocol overhead (SATA tunneling and the network hop) is serial and
     is paid per seek.
     """
+
+    stateless = True
 
     def __init__(
         self,
@@ -172,6 +176,9 @@ class FlashCachedDiskModel:
     -- cold, since a failed module returns with no useful contents.
     """
 
+    #: The cache's contents carry from one request to the next.
+    stateless = False
+
     def __init__(
         self,
         backing,  # LocalDiskModel | RemoteSanDiskModel
@@ -214,13 +221,12 @@ class FlashCachedDiskModel:
     def service_ms(
         self, ios: float, num_bytes: float, write: bool, rng: random.Random
     ) -> float:
-        # Single implementation: the typed breakdown below draws the same
-        # RNG values and updates the same cache state, so traced runs
-        # (which ask for components) and untraced runs (which ask for the
-        # total) are stream-identical.
-        return sum(
-            ms for _, _, ms in self.service_components(ios, num_bytes, write, rng)
-        )
+        # Single implementation: both methods serve through ``_serve``,
+        # so traced runs (which ask for components) and untraced runs
+        # (which ask for the total) draw the same RNG values and update
+        # the same cache state.
+        piece = self._serve(ios, num_bytes, write, rng)
+        return 0.0 if piece is None else piece[2]
 
     def service_components(
         self, ios: float, num_bytes: float, write: bool, rng: random.Random
@@ -232,8 +238,16 @@ class FlashCachedDiskModel:
         flash time, a miss is backing-disk time, and writes/bypasses take
         the raw disk path.
         """
+        piece = self._serve(ios, num_bytes, write, rng)
+        return [] if piece is None else [piece]
+
+    def _serve(
+        self, ios: float, num_bytes: float, write: bool, rng: random.Random
+    ) -> Optional[ServiceComponent]:
+        """One request's service as its single piece; None without disk
+        demand."""
         if num_bytes <= 0 and ios <= 0:
-            return []
+            return None
         backing = self.backing
         if not self.available:
             # Cache down: raw disk path.  The popularity sample is still
@@ -241,21 +255,21 @@ class FlashCachedDiskModel:
             # with and without an operational cache.
             self._popularity.sample(rng)
             self.bypassed_requests += 1
-            return [("disk", "cache-bypass",
-                     backing.service_ms(ios, num_bytes, write, rng))]
+            return ("disk", "cache-bypass",
+                    backing.service_ms(ios, num_bytes, write, rng))
         object_id = self._popularity.sample(rng)
         if write:
             # Write-through: disk pays full price; cached copy is updated.
             self.cache.write_update(object_id)
-            return [("disk", "write-through",
-                     backing.service_ms(ios, num_bytes, write, rng))]
+            return ("disk", "write-through",
+                    backing.service_ms(ios, num_bytes, write, rng))
         if self.cache.lookup(object_id):
             # Flash hit: serve the request's bytes from flash.
             scale = num_bytes / max(self.params.object_bytes, 1.0)
-            return [("flash", "hit", self.cache.read_service_ms() * max(scale, 0.1))]
+            return ("flash", "hit", self.cache.read_service_ms() * max(scale, 0.1))
         service = backing.service_ms(ios, num_bytes, write, rng)
         self.cache.insert(object_id)
-        return [("disk", "miss", service)]
+        return ("disk", "miss", service)
 
     def mean_service_ms(self, demand: ResourceDemand) -> float:
         """Expected service for a mean demand (analytic model support)."""
@@ -299,7 +313,8 @@ class DiskSpec:
 
         No disk model reads those three fields, so specs with equal keys
         build models that serve every request alike, and a score memo
-        keyed on this sweeps Table 3's laptop and laptop-2 disks once.
+        keyed on this sweeps Table 3's laptop and laptop-2 disks once
+        (and its desktop-disk baseline with emb1's own disk).
         """
         return replace(
             self,

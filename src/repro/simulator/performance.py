@@ -62,21 +62,27 @@ def measure_performance(
     interactive benchmarks); ``method='analytic'`` uses the MVA model
     (no QoS constraint -- useful for fast exploration).  ``disk_spec``
     replaces the platform's own disk: one model is built from it per
-    call and serves the whole sweep.
+    call and serves the whole sweep.  A spec that serves like the
+    platform's own disk is scored on the platform's disk path, which
+    evaluates the same expression per request.
 
     Scores are memoized process-wide on (platform, workload profile,
-    ``config``, ``disk_spec.service_key()``, ``memory_slowdown``,
-    ``method``), so a repeated call -- or one whose disks differ only in
-    name, price or power -- returns the first call's result without
-    simulating (:func:`repro.simulator.sweep.clear_sweep_memo` resets it).
+    ``config``, disk key, ``memory_slowdown``, ``method``), where the
+    disk key is ``service_key()`` of ``disk_spec``, or of
+    ``DiskSpec(platform.disk)`` without one.  So a repeated call -- or
+    one whose disks differ only in name, price or power, such as Table
+    3's desktop-disk baseline and emb1's own disk -- returns the first
+    call's result without simulating
+    (:func:`repro.simulator.sweep.clear_sweep_memo` resets it).
     """
     if method not in ("sim", "analytic"):
         raise ValueError(f"unknown method {method!r}")
-    disk_key = disk_spec.service_key() if disk_spec is not None else None
+    own_disk = DiskSpec(platform.disk).service_key()
+    disk_key = own_disk if disk_spec is None else disk_spec.service_key()
     key = (platform, workload.profile, config, disk_key, memory_slowdown, method)
     result = _PERF_MEMO.get(key)
     if result is None:
-        disk_model = disk_spec.build() if disk_spec is not None else None
+        disk_model = None if disk_key == own_disk else disk_spec.build()
         result = _PERF_MEMO[key] = _score(
             platform, workload, config, disk_model, memory_slowdown, method
         )

@@ -61,6 +61,12 @@ class DiskModel(Protocol):
     experiments (paper section 3.5) substitute a model that consults the
     flash cache first.  Both methods take the request's disk fields
     (I/O count, bytes, write flag) and make the same draws from ``rng``.
+
+    A model whose class sets ``stateless = True`` serves each request
+    from its arguments alone, so runs that share it are independent and
+    :class:`~repro.simulator.sweep.QosSweep` may stop their failing
+    points early; a model that keeps state (a flash cache) declares
+    ``stateless = False`` or nothing.
     """
 
     def service_ms(
@@ -78,6 +84,8 @@ class DiskModel(Protocol):
 
 class PlatformDiskModel:
     """Default disk model: every I/O goes to the platform's disk."""
+
+    stateless = True
 
     def __init__(self, platform: Platform):
         self._platform = platform
@@ -502,8 +510,7 @@ class ServerSimulator:
         mean_response = sum(responses) / len(responses)
         qos = QosTracker(qos_spec) if qos_spec else None
         if qos is not None:
-            for response in responses:
-                qos.record(response)
+            qos.record_many(responses)
         percentile = qos.percentile_ms() if qos and qos.count else mean_response
         qos_met = not stopped and (qos.satisfied() if qos else True)
         utilization = {

@@ -13,15 +13,17 @@ reproduces that control loop on top of the DES:
    population.
 
 No step reads more than ``qos_met`` from a failing population above one
-client.  So on the platform's own disk, where every population is an
-independent run, such an evaluation stops at the measured completion
-that makes its QoS failure certain
+client.  So where every population is an independent run -- on the
+platform's own disk, or behind a disk model whose class declares it
+``stateless`` (local and SAN disks) -- such an evaluation stops at the
+measured completion that makes its QoS failure certain
 (:meth:`~repro.simulator.server_sim.ServerSimulator.run`'s
-``stop_at_qos_failure``).  Behind a disk model it runs in full: one
-model serves the whole sweep, and a flash cache carries its state from
-one population to the next.  A stopped point has fewer
-``measured_requests`` than the config asks for; :meth:`QosSweep.explored`
-runs it again in full before anyone reads its numbers.
+``stop_at_qos_failure``).  Behind a flash cache it runs in full: one
+model serves the whole sweep, and the cache carries its state from one
+population to the next; so does any model that declares nothing.  A
+stopped point has fewer ``measured_requests`` than the config asks for;
+:meth:`QosSweep.explored` runs it again in full before anyone reads its
+numbers.
 
 If QoS cannot be met even with a single client (e.g. emb2 running
 webmail, where one request's service time already exceeds the latency
@@ -47,8 +49,8 @@ _MIN_GAIN = 0.02
 _MAX_POPULATION = 4096
 
 #: Whole scores of :func:`repro.simulator.performance.measure_performance`,
-#: keyed on (platform, workload profile, measurement config, disk spec,
-#: memory slowdown, method).  A score is a pure function of that key:
+#: keyed on (platform, workload profile, measurement config, disk service
+#: key, memory slowdown, method).  A score is a pure function of that key:
 #: each sweep builds its disk model fresh from the frozen spec, and one
 #: model serves every population of the sweep (a flash cache stays warm
 #: from run to run), so the memo holds whole sweeps, never single runs.
@@ -112,6 +114,10 @@ class QosSweep:
         self._config = config
         self._disk_model = disk_model
         self._memory_slowdown = memory_slowdown
+        #: Whether a failing population may stop early (module docstring).
+        self._stoppable = disk_model is None or getattr(
+            type(disk_model), "stateless", False
+        )
         self._cache: Dict[int, SimResult] = {}
 
     def explored(self) -> Dict[int, SimResult]:
@@ -158,9 +164,7 @@ class QosSweep:
             if result is None:
                 result = self._run(
                     population,
-                    stop_at_qos_failure=(
-                        population > 1 and self._disk_model is None
-                    ),
+                    stop_at_qos_failure=population > 1 and self._stoppable,
                 )
                 if key is not None:
                     _SIM_MEMO[key] = result

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from math import exp, sqrt
 from typing import Callable, Optional
 
 
@@ -146,6 +147,11 @@ class WorkloadProfile:
 #: cpu_parallelism, kind)`` -- the :class:`ResourceDemand` fields in
 #: declaration order, then the :class:`Request` kind.
 DemandDraw = Callable[[random.Random], tuple]
+
+#: Kinderman-Monahan constant of CPython's ``random.normalvariate``,
+#: whose rejection loop the interactive benchmarks' draws inline:
+#: ``lognormvariate(0.0, s)`` is ``exp(z * s)`` of the loop's ``z``.
+NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0)
 
 
 class Workload:

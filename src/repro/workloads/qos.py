@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,28 @@ class QosTracker:
     """Collects response times and evaluates a :class:`QosSpec`.
 
     Uses exact order statistics over the collected samples (the simulated
-    measurement windows are small enough that a full sort is cheap).
+    measurement windows are small enough that a full sort is cheap).  The
+    sorted samples are kept until the sample count changes, so the
+    percentiles and :meth:`satisfied` of one window share one sort; the
+    cluster engine appends to ``_samples`` directly, so the count, not
+    :meth:`record`, marks the sort stale.
     """
 
     def __init__(self, spec: QosSpec):
         self.spec = spec
         self._samples: List[float] = []
+        self._sorted: List[float] = []
 
     def record(self, response_ms: float) -> None:
         if response_ms < 0:
             raise ValueError("response time must be >= 0")
         self._samples.append(response_ms)
+
+    def record_many(self, responses: Sequence[float]) -> None:
+        """:meth:`record` each of ``responses``, checked as one batch."""
+        if responses and min(responses) < 0:
+            raise ValueError("response time must be >= 0")
+        self._samples.extend(responses)
 
     @property
     def count(self) -> int:
@@ -75,8 +86,9 @@ class QosTracker:
         if not self._samples:
             raise ValueError("no samples recorded")
         p = self.spec.percentile if percentile is None else percentile
-        ordered = sorted(self._samples)
-        return ordered[_nearest_rank(p, len(ordered))]
+        if len(self._sorted) != len(self._samples):
+            self._sorted = sorted(self._samples)
+        return self._sorted[_nearest_rank(p, len(self._sorted))]
 
     def violation_rate(self) -> float:
         """Fraction of samples exceeding the QoS limit."""

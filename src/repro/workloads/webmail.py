@@ -15,11 +15,14 @@ network component), and mailbox access adds disk I/O.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import exp, log
 from typing import List, Sequence
 
 from repro.workloads._calibrate import calibrated_draw
 from repro.workloads.base import (
+    NV_MAGICCONST,
     DemandDraw,
     MetricKind,
     PopulationPolicy,
@@ -28,7 +31,6 @@ from repro.workloads.base import (
     WorkloadProfile,
 )
 from repro.workloads.qos import QosSpec
-from repro.workloads.zipf import discrete_sample
 
 #: Calibrated mean per-action demand (see DESIGN.md).
 MEAN_DEMAND = ResourceDemand(
@@ -88,28 +90,65 @@ class _SessionModel:
     """Structural (pre-calibration) action model."""
 
     def __init__(self) -> None:
-        self._weights = [a.weight for a in ACTION_MIX]
+        # A weighted linear scan over the action mix, as cumulative
+        # edges summed left to right, and their total.
+        weights = [a.weight for a in ACTION_MIX]
+        self._total = sum(weights)
+        self._edges: List[float] = []
+        edge = 0.0
+        for weight in weights:
+            edge += weight
+            self._edges.append(edge)
 
     def draw(self, factors: Sequence[float]) -> DemandDraw:
-        """One action's demand draw, each component scaled by ``factors``."""
-        weights = self._weights
+        """One action's demand draw, each component scaled by ``factors``.
+
+        The ``random.Random`` calls are inlined as in websearch's draw:
+        the same uniforms, in the same order, give bitwise the values of
+        the scan and of ``lognormvariate`` (CPython's Kinderman-Monahan
+        loop).
+        """
+        total = self._total
+        edges = self._edges
+        # (cpu, disk I/Os, disk bytes, net bytes, attachment chance, name)
+        # per action; a uniform past the last edge by round-off takes the
+        # last action, as the scan does.
+        actions = [
+            (a.cpu, a.disk_ios, a.disk_bytes, a.net_bytes, a.attachment_prob,
+             a.name)
+            for a in ACTION_MIX + ACTION_MIX[-1:]
+        ]
         f_cpu, f_mem, f_ios, f_dbytes, f_net = factors
+        nv = NV_MAGICCONST
+        _bisect = bisect_right
+        _exp = exp
+        _log = log
 
         def draw(rng: random.Random) -> tuple:
-            action = ACTION_MIX[discrete_sample(weights, rng)]
-            noise = rng.lognormvariate(0.0, 0.3)
-            attachment = rng.random() < action.attachment_prob
+            r = rng.random
+            # The first action whose edge lies above the uniform.
+            cpu_w, ios, dbytes, nbytes, attachment_prob, name = actions[
+                _bisect(edges, r() * total)
+            ]
+            while True:  # lognormvariate(0.0, 0.3)
+                u1 = r()
+                u2 = 1.0 - r()
+                z = nv * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -_log(u2):
+                    break
+            noise = _exp(z * 0.3)
+            attachment = r() < attachment_prob
             bytes_factor = ATTACHMENT_BYTES_FACTOR if attachment else 1.0
-            cpu = action.cpu * noise
+            cpu = cpu_w * noise
             return (
                 cpu * f_cpu,
                 cpu * f_mem,  # PHP string churn: memory tracks CPU work
-                action.disk_ios * (0.5 + rng.random()) * f_ios,
-                action.disk_bytes * bytes_factor * noise * f_dbytes,
-                action.net_bytes * bytes_factor * noise * f_net,
+                ios * (0.5 + r()) * f_ios,
+                dbytes * bytes_factor * noise * f_dbytes,
+                nbytes * bytes_factor * noise * f_net,
                 False,
                 1,
-                action.name,
+                name,
             )
 
         return draw

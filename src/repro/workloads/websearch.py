@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from math import exp, log, sqrt
+from math import exp, log
 from typing import List, Sequence, Tuple
 
 from repro.workloads._calibrate import calibrated_draw
 from repro.workloads.base import (
+    NV_MAGICCONST,
     DemandDraw,
     MetricKind,
     PopulationPolicy,
@@ -74,11 +75,6 @@ STALL_FRACTION = 0.30
 #: Buckets of the jump table over the Zipf CDF: a power of two, so the
 #: bucket of a uniform ``u`` is exactly ``int(u * 4096.0)``.
 _BUCKETS = 4096
-
-#: Kinderman-Monahan constant of CPython's ``random.normalvariate``, whose
-#: rejection loop the query draw inlines: ``lognormvariate(0.0, s)`` is
-#: ``exp(z * s)`` of the loop's ``z``.
-_NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0)
 
 
 class _QueryModel:
@@ -136,7 +132,7 @@ class _QueryModel:
         edge1, edge2, edge3 = self._kw_edges[:3]
         kinds = [f"query-{k}kw" for k in range(len(KEYWORD_COUNT_DIST) + 1)]
         f_cpu, f_mem, f_ios, f_dbytes, f_net = factors
-        nv = _NV_MAGICCONST
+        nv = NV_MAGICCONST
         _bisect = bisect_left
         _exp = exp
         _log = log

@@ -22,10 +22,12 @@ The key serving dynamics:
 from __future__ import annotations
 
 import random
+from math import exp, log
 from typing import Sequence
 
 from repro.workloads._calibrate import calibrated_draw
 from repro.workloads.base import (
+    NV_MAGICCONST,
     DemandDraw,
     MetricKind,
     PopulationPolicy,
@@ -73,21 +75,47 @@ class _StreamModel:
     """Structural (pre-calibration) stream model."""
 
     def __init__(self) -> None:
-        self._zipf = ZipfSampler(CATALOG_SIZE, ZIPF_ALPHA)
+        # ``ZipfSampler.sample`` bisects the popularity CDF, so a video's
+        # rank is below CACHED_VIDEOS exactly when its uniform is at most
+        # the CDF at the last cached rank: the cached head's mass.
+        self._cached_mass = ZipfSampler(CATALOG_SIZE, ZIPF_ALPHA).head_mass(
+            CACHED_VIDEOS
+        )
 
     def draw(self, factors: Sequence[float]) -> DemandDraw:
-        """One stream's demand draw, each component scaled by ``factors``."""
-        zipf = self._zipf
+        """One stream's demand draw, each component scaled by ``factors``.
+
+        The ``random.Random`` calls are inlined as in websearch's draw:
+        the same uniforms, in the same order, give bitwise the values of
+        ``ZipfSampler.sample``'s cached-or-not, ``lognormvariate``
+        (CPython's Kinderman-Monahan loop) and ``expovariate``.
+        """
+        cached_mass = self._cached_mass
         f_cpu, f_mem, f_ios, f_dbytes, f_net = factors
+        nv = NV_MAGICCONST
+        # expovariate's rate: dividing by it, as expovariate does, keeps
+        # its floats (multiplying by 0.45 would not).
+        watch_rate = 1.0 / 0.45
+        _exp = exp
+        _log = log
 
         def draw(rng: random.Random) -> tuple:
-            rank = zipf.sample(rng)
+            r = rng.random
+            cached = r() <= cached_mass
             # Heavy-tailed video size (lognormal; most videos a few MB).
-            size = rng.lognormvariate(0.0, 0.8)
+            while True:  # lognormvariate(0.0, 0.8)
+                u1 = r()
+                u2 = 1.0 - r()
+                z = nv * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -_log(u2):
+                    break
+            size = _exp(z * 0.8)
             # Partial views: fraction of the video actually transferred.
-            watched = min(1.0, 0.25 + rng.expovariate(1.0 / 0.45))
+            watched = 0.25 + -_log(1.0 - r()) / watch_rate  # expovariate
+            if watched > 1.0:
+                watched = 1.0
             transferred = size * watched
-            if rank < CACHED_VIDEOS:
+            if cached:
                 ios = dbytes = 0.0
                 kind = "stream-cached"
             else:
@@ -97,7 +125,13 @@ class _StreamModel:
                 kind = "stream-disk"
             # Per-stream CPU: connection handling + buffer copies scale
             # with bytes moved.
-            cpu = (0.3 + transferred) * rng.lognormvariate(0.0, 0.3)
+            while True:  # lognormvariate(0.0, 0.3)
+                u1 = r()
+                u2 = 1.0 - r()
+                z = nv * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -_log(u2):
+                    break
+            cpu = (0.3 + transferred) * _exp(z * 0.3)
             return (
                 cpu * f_cpu,
                 transferred * f_mem,

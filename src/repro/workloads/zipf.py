@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import List, Sequence
+from typing import List
 
 
 def zipf_weights(n: int, alpha: float) -> List[float]:
@@ -62,17 +62,3 @@ class ZipfSampler:
         if k <= 0:
             return 0.0
         return self._cdf[min(k, self.n) - 1]
-
-
-def discrete_sample(weights: Sequence[float], rng: random.Random) -> int:
-    """Sample an index proportional to ``weights`` (linear scan; small n)."""
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("weights must have positive sum")
-    u = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1

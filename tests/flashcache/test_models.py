@@ -117,6 +117,39 @@ class TestFlashCachedDiskModel:
             random.Random(4),
         ) == 0.0
 
+    def test_total_and_components_serve_alike(self):
+        """Twin models fed one mixed stream -- reads, writes, requests
+        without disk demand, and a fail/recover cycle -- one asked for
+        the total, the other for the typed pieces, serve alike and end
+        in the same state."""
+        spec = disk_configuration("remote-laptop+flash").disk_spec("websearch")
+        totals, parts = spec.build(), spec.build()
+        totals_rng, parts_rng = random.Random(11), random.Random(11)
+        stream = random.Random(5)
+        for i in range(3000):
+            if i == 1000:
+                totals.fail()
+                parts.fail()
+            elif i == 1400:
+                totals.recover()
+                parts.recover()
+            u = stream.random()
+            if u < 0.1:
+                request = (0.0, 0.0, False)
+            elif u < 0.3:
+                request = (2.0, 600_000.0, True)
+            else:
+                request = (1.5, stream.uniform(50_000.0, 900_000.0), False)
+            assert totals.service_ms(*request, totals_rng) == sum(
+                ms for _, _, ms in parts.service_components(*request, parts_rng)
+            )
+        assert totals.cache.stats == parts.cache.stats
+        assert totals.cache.stats.hits > 0
+        assert totals.bypassed_requests == parts.bypassed_requests > 0
+        assert list(totals.cache._objects) == list(parts.cache._objects)
+        assert totals.cache._slot_writes == parts.cache._slot_writes
+        assert totals_rng.getstate() == parts_rng.getstate()
+
     def test_built_models_share_one_popularity_sampler(self):
         """The read-only Zipf CDF is built once per (objects, alpha);
         each build still gets its own cold cache."""

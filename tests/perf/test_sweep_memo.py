@@ -7,16 +7,19 @@ import pickle
 
 import pytest
 
+import repro.simulator.performance as performance_module
 import repro.simulator.sweep as sweep_module
 from repro.flashcache.analysis import (
     DISK_CONFIGURATIONS,
     disk_configuration,
     flash_only_configuration,
 )
+from repro.flashcache.models import DiskSpec
 from repro.platforms.catalog import platform
 from repro.simulator.performance import measure_performance
 from repro.simulator.server_sim import SimConfig
 from repro.simulator.sweep import QosSweep, clear_sweep_memo
+from repro.workloads.suite import benchmark_names, make_workload
 
 
 @pytest.fixture
@@ -78,8 +81,6 @@ class TestSweepMemo:
 
 
 def _webmail():
-    from repro.workloads.suite import make_workload
-
     return make_workload("webmail")
 
 
@@ -98,8 +99,6 @@ def _spec(disk, bench):
 def _score(disk, bench, config, **overrides):
     """Score ``bench`` on emb1 (the disk study's target) behind ``disk``,
     with a spec built afresh for every call."""
-    from repro.workloads.suite import make_workload
-
     kwargs = dict(config=config, disk_spec=_spec(disk, bench))
     kwargs.update(overrides)
     return measure_performance(platform("emb1"), make_workload(bench), **kwargs)
@@ -130,7 +129,12 @@ class TestPerformanceMemo:
 
     def test_every_key_part_misses(self, disk, bench, config):
         _score(disk, bench, config)
-        other_disk = DISK_CONFIGURATIONS[1] if disk is None else None
+        # The baseline's desktop disk is emb1's own disk, so its other
+        # disk is one that serves differently.
+        other_disk = (
+            disk_configuration("remote-laptop")
+            if disk is None or disk.name == "baseline" else None
+        )
         other_config = dataclasses.replace(config, seed=config.seed + 1)
         for run_config, overrides in (
             (config, dict(disk_spec=_spec(other_disk, bench))),
@@ -190,8 +194,6 @@ def _flash_spec(bench, change=None):
 
 
 def _score_spec(spec, bench, config):
-    from repro.workloads.suite import make_workload
-
     return measure_performance(platform("emb1"), make_workload(bench),
                                config=config, disk_spec=spec)
 
@@ -227,13 +229,63 @@ class TestDiskServiceKey:
         assert calls
 
 
-def test_srvr1_websearch_work_count(monkeypatch):
-    """The completions one default-config score simulates, counted as the
-    benchmark counts them (warm-up plus measured, per run).  Running every
-    failing population in full takes 5 x 2,800 = 14,000; stopping each at
-    its deciding completion takes 7,529."""
-    from repro.workloads.suite import make_workload
+#: One change each to the fields of emb1's own disk that its service
+#: reads.
+OWN_DISK_CHANGES = {
+    "read-latency": dict(read_latency_ms=4.5),
+    "write-latency": dict(write_latency_ms=4.5),
+    "bandwidth": dict(bandwidth_mb_s=60.0),
+}
 
+
+@pytest.mark.parametrize("method", ["sim", "analytic"])
+@pytest.mark.parametrize("bench", benchmark_names())
+class TestPlatformDiskKey:
+    """The platform's own disk is keyed as ``DiskSpec(platform.disk)``,
+    so Table 3's desktop-disk baseline on emb1 is emb1's own disk."""
+
+    def test_baseline_model_scores_as_the_platform_disk(
+        self, bench, method, config
+    ):
+        """What the shared key relies on: a model built from the baseline
+        spec scores what the platform's own disk path does."""
+        plat, workload = platform("emb1"), make_workload(bench)
+        model = disk_configuration("baseline").disk_spec(bench).build()
+        assert performance_module._score(
+            plat, workload, config, model, 1.0, method
+        ) == performance_module._score(plat, workload, config, None, 1.0, method)
+
+    @pytest.mark.parametrize("baseline_first", [True, False],
+                             ids=["baseline-first", "platform-first"])
+    def test_second_score_simulates_nothing(
+        self, bench, method, baseline_first, config, monkeypatch
+    ):
+        baseline = disk_configuration("baseline")
+        first, second = (baseline, None) if baseline_first else (None, baseline)
+        scored = _score(first, bench, config, method=method)
+        before = len(sweep_module._PERF_MEMO)
+        calls = _count_runs(monkeypatch)
+        assert _score(second, bench, config, method=method) == scored
+        assert calls == []
+        assert len(sweep_module._PERF_MEMO) == before
+
+
+@pytest.mark.parametrize("bench", BENCHES)
+@pytest.mark.parametrize("change", OWN_DISK_CHANGES.values(),
+                         ids=list(OWN_DISK_CHANGES))
+def test_own_disk_service_fields_miss(bench, change, config, monkeypatch):
+    _score(None, bench, config)
+    spec = DiskSpec(dataclasses.replace(platform("emb1").disk, **change))
+    before = len(sweep_module._PERF_MEMO)
+    calls = _count_runs(monkeypatch)
+    _score_spec(spec, bench, config)
+    assert len(sweep_module._PERF_MEMO) == before + 1
+    assert calls
+
+
+def _count_completions(monkeypatch):
+    """Patch ServerSimulator.run to count each run's completions as the
+    benchmark counts them (warm-up plus measured)."""
     completions = []
     real_run = sweep_module.ServerSimulator.run
 
@@ -244,7 +296,26 @@ def test_srvr1_websearch_work_count(monkeypatch):
         return result
 
     monkeypatch.setattr(sweep_module.ServerSimulator, "run", counting)
+    return completions
+
+
+def test_srvr1_websearch_work_count(monkeypatch):
+    """The completions one default-config score simulates.  Running every
+    failing population in full takes 5 x 2,800 = 14,000; stopping each at
+    its deciding completion takes 7,529."""
+    completions = _count_completions(monkeypatch)
     measure_performance(platform("srvr1"), make_workload("websearch"),
                         config=SimConfig(seed=1))
     assert len(completions) == 5
     assert sum(completions) <= 7_529
+
+
+def test_emb1_remote_laptop_websearch_work_count(monkeypatch):
+    """The same behind Table 3's stateless SAN disk model: 14,000
+    completions in full, 11,408 with its failing populations stopped."""
+    completions = _count_completions(monkeypatch)
+    spec = disk_configuration("remote-laptop").disk_spec("websearch")
+    measure_performance(platform("emb1"), make_workload("websearch"),
+                        config=SimConfig(seed=1), disk_spec=spec)
+    assert len(completions) == 5
+    assert sum(completions) <= 11_408

@@ -8,6 +8,7 @@ import pytest
 import repro.simulator.server_sim as server_sim_module
 import repro.simulator.sweep as sweep_module
 from repro.costmodel.catalog import system_names
+from repro.flashcache.analysis import disk_configuration
 from repro.platforms.catalog import platform
 from repro.simulator.server_sim import ServerSimulator, SimConfig
 from repro.simulator.sweep import QosSweep, clear_sweep_memo
@@ -91,6 +92,56 @@ def fresh_memo():
     clear_sweep_memo()
 
 
+def _check_against_full_runs(plat, workload, config, monkeypatch, spec=None):
+    """Sweep ``workload`` as the search does and as a sweep of full runs,
+    and return how many of the search's evaluations stopped early.
+
+    At every population the sweep evaluates, a stopped run fails exactly
+    when the full run does, and is the full run whenever it passes; the
+    sweep's result and ``explored()`` equal a sweep of full runs.  With
+    ``spec``, every sweep and run has a model built from it."""
+
+    def disk():
+        return None if spec is None else spec.build()
+
+    def run(population, **kwargs):
+        return ServerSimulator(plat, workload, population=population,
+                               config=config, disk_model=disk()).run(**kwargs)
+
+    real_run = ServerSimulator.run
+    stopped_early = []
+
+    def recording(self, **kwargs):
+        result = real_run(self, **kwargs)
+        stopped_early.append(result.measured_requests < config.measure_requests)
+        return result
+
+    bench = workload.name
+    clear_sweep_memo()
+    with monkeypatch.context() as patch:
+        patch.setattr(ServerSimulator, "run", lambda self, **_: real_run(self))
+        full_sweep = QosSweep(plat, workload, config=config, disk_model=disk())
+        want = full_sweep.find_peak()
+        full = full_sweep.explored()
+    clear_sweep_memo()
+    with monkeypatch.context() as patch:
+        patch.setattr(ServerSimulator, "run", recording)
+        sweep = QosSweep(plat, workload, config=config, disk_model=disk())
+        got = sweep.find_peak()
+    assert (got.best, got.population, got.evaluations) == (
+        want.best, want.population, want.evaluations), bench
+    for population, full_run in full.items():
+        assert full_run.measured_requests == config.measure_requests
+        stopped = run(population, stop_at_qos_failure=True)
+        assert stopped.qos_met == full_run.qos_met, (bench, population)
+        if stopped.measured_requests < config.measure_requests:
+            assert not full_run.qos_met
+        else:
+            assert stopped == full_run
+    assert sweep.explored() == full, bench
+    return sum(stopped_early)
+
+
 @pytest.mark.usefixtures("fresh_memo")
 class TestStoppedEvaluations:
     """A failing population above one client stops at the completion that
@@ -99,42 +150,44 @@ class TestStoppedEvaluations:
     @pytest.mark.parametrize("system", system_names())
     def test_figure2c_sweeps_match_full_runs(self, system, config, monkeypatch):
         """Every sweep of Figure 2(c)'s column for ``system`` (its batch
-        benchmarks run once, with no QoS spec, and never sweep).  At every
-        population the sweep evaluates, a stopped run fails exactly when
-        the full run does, and is the full run whenever it passes; the
-        sweep's result and ``explored()`` equal a sweep of full runs."""
+        benchmarks run once, with no QoS spec, and never sweep)."""
         plat = platform(system)
-        real_run = ServerSimulator.run
         swept = stops = 0
         for bench in benchmark_names():
             workload = make_workload(bench)
             if workload.profile.qos is None:
                 continue
             swept += 1
-            clear_sweep_memo()
-            with monkeypatch.context() as patch:
-                patch.setattr(ServerSimulator, "run",
-                              lambda self, **_: real_run(self))
-                full_sweep = QosSweep(plat, workload, config=config)
-                want = full_sweep.find_peak()
-                full = full_sweep.explored()
-            clear_sweep_memo()
-            sweep = QosSweep(plat, workload, config=config)
-            got = sweep.find_peak()
-            assert (got.best, got.population, got.evaluations) == (
-                want.best, want.population, want.evaluations), bench
-            for population, full_run in full.items():
-                assert full_run.measured_requests == config.measure_requests
-                stopped = _stopped_run(plat, workload, population, config)
-                assert stopped.qos_met == full_run.qos_met, (bench, population)
-                if stopped.measured_requests < config.measure_requests:
-                    assert not full_run.qos_met
-                    stops += 1
-                else:
-                    assert stopped == full_run
-            assert sweep.explored() == full, bench
+            stops += _check_against_full_runs(plat, workload, config,
+                                              monkeypatch)
         assert swept == 3
         assert stops > 0
+
+    def test_remote_laptop_sweeps_match_full_runs(self, config, monkeypatch):
+        """Table 3's remote-laptop disk is a stateless SAN model, so its
+        sweeps on emb1 stop failing points as the platform's disk does."""
+        remote = disk_configuration("remote-laptop")
+        stops = 0
+        for bench in ("websearch", "webmail", "ytube"):
+            stops += _check_against_full_runs(
+                platform("emb1"), make_workload(bench), config, monkeypatch,
+                spec=remote.disk_spec(bench),
+            )
+        assert stops > 0
+
+    def test_remote_laptop_client_driver_reports_full_numbers(self, config):
+        plat, workload = platform("emb1"), make_workload("websearch")
+        spec = disk_configuration("remote-laptop").disk_spec("websearch")
+        report = ClientDriver(plat, workload, config=config,
+                              disk_model=spec.build()).run()
+        assert any(not point.qos_met for point in report.explored)
+        for point in report.explored:
+            full = ServerSimulator(plat, workload, population=point.clients,
+                                   config=config,
+                                   disk_model=spec.build()).run()
+            assert (point.transaction_rate_rps, point.qos_percentile_ms,
+                    point.qos_met) == (full.throughput_rps,
+                                       full.qos_percentile_ms, full.qos_met)
 
     @pytest.mark.parametrize("above", [True, False],
                              ids=["limit-at-p95", "limit-below-p95"])

@@ -35,7 +35,7 @@ from repro.workloads.base import (
     WorkloadProfile,
 )
 from repro.workloads.qos import QosSpec
-from repro.workloads.zipf import discrete_sample
+from tests.workloads.reference_discrete import discrete_sample
 
 #: Calibrated mean per-action demand (see DESIGN.md).
 MEAN_DEMAND = ResourceDemand(

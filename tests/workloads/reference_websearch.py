@@ -42,7 +42,8 @@ from repro.workloads.base import (
     WorkloadProfile,
 )
 from repro.workloads.qos import QosSpec
-from repro.workloads.zipf import ZipfSampler, discrete_sample
+from repro.workloads.zipf import ZipfSampler
+from tests.workloads.reference_discrete import discrete_sample
 
 #: Calibrated mean per-query demand (see DESIGN.md, performance calibration).
 MEAN_DEMAND = ResourceDemand(

@@ -52,6 +52,33 @@ class TestQosTracker:
         tracker = QosTracker(QosSpec(limit_ms=100.0))
         with pytest.raises(ValueError):
             tracker.record(-1.0)
+        with pytest.raises(ValueError):
+            tracker.record_many([5.0, -1.0, 7.0])
+
+    def test_record_many_equals_one_record_per_sample(self):
+        spec = QosSpec(limit_ms=25.0, percentile=0.5)
+        batch, single = QosTracker(spec), QosTracker(spec)
+        batch.record_many([40.0, 10.0, 30.0])
+        batch.record_many([])
+        for v in (40.0, 10.0, 30.0):
+            single.record(v)
+        assert batch._samples == single._samples
+        assert batch.percentile_ms() == single.percentile_ms() == 30.0
+
+    def test_sort_follows_the_sample_count(self):
+        """The sorted samples are reused until the count changes, also
+        when samples are appended to ``_samples`` directly."""
+        tracker = QosTracker(QosSpec(limit_ms=25.0, percentile=0.5))
+        tracker.record_many([10.0, 20.0, 30.0, 40.0])
+        assert tracker.percentile_ms() == 20.0
+        assert tracker.satisfied()
+        tracker._samples.append(50.0)
+        tracker._samples.append(60.0)
+        assert tracker.percentile_ms() == 30.0
+        assert not tracker.satisfied()
+        tracker.record(5.0)
+        assert tracker.percentile_ms() == 30.0
+        assert tracker.percentile_ms(0.2) == 10.0
 
     @given(
         samples=st.lists(

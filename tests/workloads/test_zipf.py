@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.zipf import ZipfSampler, discrete_sample, zipf_weights
+from repro.workloads.zipf import ZipfSampler, zipf_weights
+from tests.workloads.reference_discrete import discrete_sample
 
 
 def probability(sampler, rank: int) -> float:
