@@ -447,8 +447,6 @@ def run_cohort(csim):
         rb_burst = retry_budget.policy.burst
 
     qos = QosTracker(profile.qos) if profile.qos else None
-    qos_record = qos.record if qos is not None else None
-    qos_samples = qos._samples if qos is not None else None
     qos_limit = profile.qos.limit_ms if profile.qos is not None else 0.0
     responses: List[float] = []
     responses_append = responses.append
@@ -603,8 +601,6 @@ def run_cohort(csim):
     def record_response(now: float, start_ms: float, served: bool) -> None:
         response = now - start_ms
         responses_append(response)
-        if qos_record is not None:
-            qos_record(response)
         if served and (qos is None or response <= qos_limit):
             st.good += 1
         if has_metrics:
@@ -1421,8 +1417,6 @@ def run_cohort(csim):
                         goodput_bl[i] = goodput_get(i, 0.0) + 1.0
                     if start >= t0:
                         responses_append(response)
-                        if qos_samples is not None:
-                            qos_samples.append(response)
                         if good:
                             good_n += 1
                         if has_metrics:
@@ -1778,6 +1772,8 @@ def run_cohort(csim):
         if failslow_report is None:
             failslow_report = FailSlowReport()
         failslow_report.drifting_servers = csim._failslow.drifting_servers
+    if qos is not None:
+        qos.record_many(responses)
     window_s = max(st.t1 - st.t0, 1e-9) / 1000.0
     throughput = len(responses) / window_s
     if metrics is not None:

@@ -17,8 +17,8 @@ from repro.costmodel.catalog import server_bill, system_names
 from repro.costmodel.utilization_power import UtilizationPowerModel
 from repro.experiments.reporting import ExperimentResult, format_table
 from repro.platforms.catalog import platform
-from repro.simulator.server_sim import ServerSimulator, SimConfig
-from repro.simulator.sweep import QosSweep
+from repro.simulator.performance import measure_performance
+from repro.simulator.server_sim import SimConfig
 from repro.workloads.suite import make_workload
 
 BENCHMARKS = ("websearch", "mapred-wc")
@@ -34,11 +34,7 @@ def run(config: SimConfig = SimConfig()) -> ExperimentResult:
         plat = platform(system)
         factors: Dict[str, float] = {}
         for bench in BENCHMARKS:
-            workload = make_workload(bench)
-            if workload.profile.qos is not None:
-                result = QosSweep(plat, workload, config=config).find_peak().best
-            else:
-                result = ServerSimulator(plat, workload, config=config).run()
+            result = measure_performance(plat, make_workload(bench), config=config)
             factors[bench] = model.implied_activity_factor(
                 bill, result.utilization
             )

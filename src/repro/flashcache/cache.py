@@ -43,6 +43,7 @@ class FlashCache:
             raise ValueError("object size must be positive")
         self.device = device
         self.object_bytes = object_bytes
+        self._read_ms = device.access_time_ms(object_bytes, write=False)
         self.capacity_objects = max(
             1, int(device.capacity_gb * (1 << 30) / object_bytes)
         )
@@ -107,7 +108,7 @@ class FlashCache:
 
     def read_service_ms(self) -> float:
         """Service time to read one object from flash."""
-        return self.device.access_time_ms(self.object_bytes, write=False)
+        return self._read_ms
 
     def estimated_lifetime_years(self, writes_per_second: float) -> float:
         """Wear-leveled lifetime at a sustained write rate.

@@ -6,8 +6,7 @@ Perl client driver:
 - :mod:`~repro.simulator.server_sim` -- the single-server simulation:
   workload requests against platform resources, measuring throughput
   and tail latency, either closed loop (N clients with think time) or
-  open loop (Poisson arrivals at a fixed rate, optionally into a
-  bounded queue).
+  open loop (Poisson arrivals at a fixed rate).
 - :mod:`~repro.simulator.sweep` -- the adaptive client driver: finds the
   highest throughput that still meets the workload's QoS.
 - :mod:`~repro.simulator.analytic` -- approximate mean-value analysis of

@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from repro.flashcache.models import DiskSpec
@@ -38,6 +38,10 @@ class PerformanceResult:
     #: job execution time in seconds (batch benchmarks only).
     execution_time_s: Optional[float]
     qos_met: bool
+    #: Per-station utilization at the scored operating point, as
+    #: ``SimResult.utilization`` reports it (None for ``method="analytic"``);
+    #: left out of the hash, since a dict has none.
+    utilization: Optional[Dict[str, float]] = field(default=None, hash=False)
 
     @property
     def score(self) -> float:
@@ -110,26 +114,28 @@ def _score(
         )
         rps = model.throughput_rps()
         qos_met = True
-    elif profile.metric_kind is MetricKind.EXECUTION_TIME:
-        result = ServerSimulator(
-            platform,
-            workload,
-            config=config,
-            disk_model=disk_model,
-            memory_slowdown=memory_slowdown,
-        ).run()
-        rps = result.throughput_rps
-        qos_met = True
+        utilization = None
     else:
-        sweep = QosSweep(
-            platform,
-            workload,
-            config=config,
-            disk_model=disk_model,
-            memory_slowdown=memory_slowdown,
-        ).find_peak()
-        rps = sweep.throughput_rps
-        qos_met = sweep.qos_met
+        if profile.metric_kind is MetricKind.EXECUTION_TIME:
+            result = ServerSimulator(
+                platform,
+                workload,
+                config=config,
+                disk_model=disk_model,
+                memory_slowdown=memory_slowdown,
+            ).run()
+            qos_met = True
+        else:
+            result = QosSweep(
+                platform,
+                workload,
+                config=config,
+                disk_model=disk_model,
+                memory_slowdown=memory_slowdown,
+            ).find_peak().best
+            qos_met = result.qos_met
+        rps = result.throughput_rps
+        utilization = result.utilization
 
     execution_time = None
     if profile.metric_kind is MetricKind.EXECUTION_TIME:
@@ -142,6 +148,7 @@ def _score(
         throughput_rps=rps,
         execution_time_s=execution_time,
         qos_met=qos_met,
+        utilization=utilization,
     )
 
 

@@ -56,28 +56,14 @@ _MAX_POPULATION = 4096
 #: from run to run), so the memo holds whole sweeps, never single runs.
 _PERF_MEMO: Dict[tuple, object] = {}
 
-#: Cross-instance memo of simulated operating points for sweeps run
-#: outside :func:`~repro.simulator.performance.measure_performance`
-#: (whose repeats hit ``_PERF_MEMO`` first): ``power_accounting``
-#: re-sweeps points the figures already scored.  Every operating point
-#: on the platform disk is a pure function of (platform, workload
-#: profile, population, measurement config, memory slowdown), so a hit
-#: reproduces the same ``SimResult`` bit for bit -- or the stopped run
-#: of a failing point, which :meth:`QosSweep.explored` replaces with the
-#: full run when it needs the numbers.  Sweeps with a live disk model
-#: (stateful: flash caches warm up, fail and recover) or unhashable
-#: parameters bypass it.  Values must be treated as read-only, which
-#: every caller does.
-_SIM_MEMO: Dict[tuple, SimResult] = {}
-
 #: Analytic warm-start estimates, memoized per (platform, profile).
 _ESTIMATE_MEMO: Dict[tuple, int] = {}
 
 
 def clear_sweep_memo() -> None:
-    """Drop all memoized scores and sweep results (for tests and benchmarks)."""
+    """Drop all memoized scores and warm-start estimates (for tests and
+    benchmarks)."""
     _PERF_MEMO.clear()
-    _SIM_MEMO.clear()
     _ESTIMATE_MEMO.clear()
 
 
@@ -124,51 +110,22 @@ class QosSweep:
         """All operating points simulated so far (population -> result).
 
         Each is a full run: a point the search stopped at its QoS
-        failure is simulated again in full here, and the full run
-        replaces the stopped one in the process-wide memo too.
+        failure is simulated again in full here.
         """
         for population, result in self._cache.items():
             if result.measured_requests < self._config.measure_requests:
-                result = self._cache[population] = self._run(population)
-                key = self._memo_key(population)
-                if key is not None:
-                    _SIM_MEMO[key] = result
+                self._cache[population] = self._run(population)
         return dict(self._cache)
-
-    def _memo_key(self, population: int) -> Optional[tuple]:
-        """Process-wide memo key, or None when memoization is unsafe."""
-        if self._disk_model is not None:
-            # Disk models can carry state across requests (flash caches
-            # fail/recover) and are not part of a hashable key.
-            return None
-        key = (
-            self._platform,
-            self._workload.profile,
-            population,
-            self._config,
-            self._memory_slowdown,
-        )
-        try:
-            hash(key)
-        except TypeError:  # pragma: no cover - defensive
-            return None
-        return key
 
     def _simulate(self, population: int) -> SimResult:
         """The search's evaluation of ``population``: stopped at its QoS
         failure where the points are independent and the search reads
         nothing else from it (see the module docstring)."""
         if population not in self._cache:
-            key = self._memo_key(population)
-            result = _SIM_MEMO.get(key) if key is not None else None
-            if result is None:
-                result = self._run(
-                    population,
-                    stop_at_qos_failure=population > 1 and self._stoppable,
-                )
-                if key is not None:
-                    _SIM_MEMO[key] = result
-            self._cache[population] = result
+            self._cache[population] = self._run(
+                population,
+                stop_at_qos_failure=population > 1 and self._stoppable,
+            )
         return self._cache[population]
 
     def _run(
@@ -194,12 +151,8 @@ class QosSweep:
         or over same-family platform variants sharing the cap -- reuse
         the estimate instead of rebuilding the analytic model.
         """
-        try:
-            key: Optional[tuple] = (self._platform, self._workload.profile)
-            hash(key)
-        except TypeError:  # pragma: no cover - defensive
-            key = None
-        if key is not None and key in _ESTIMATE_MEMO:
+        key = (self._platform, self._workload.profile)
+        if key in _ESTIMATE_MEMO:
             return _ESTIMATE_MEMO[key]
         model = AnalyticServerModel(self._platform, self._workload)
         saturation = model.saturation_rps() / 1000.0  # per ms
@@ -207,8 +160,7 @@ class QosSweep:
         think = self._workload.profile.think_time_ms
         estimate = int(saturation * (think + demands)) or 1
         initial = max(2, min(estimate, self._max_population()))
-        if key is not None:
-            _ESTIMATE_MEMO[key] = initial
+        _ESTIMATE_MEMO[key] = initial
         return initial
 
     def find_peak(self) -> SweepResult:

@@ -56,9 +56,7 @@ class QosTracker:
     Uses exact order statistics over the collected samples (the simulated
     measurement windows are small enough that a full sort is cheap).  The
     sorted samples are kept until the sample count changes, so the
-    percentiles and :meth:`satisfied` of one window share one sort; the
-    cluster engine appends to ``_samples`` directly, so the count, not
-    :meth:`record`, marks the sort stale.
+    percentiles and :meth:`satisfied` of one window share one sort.
     """
 
     def __init__(self, spec: QosSpec):

@@ -42,11 +42,12 @@ from repro.faults.recovery import RecoveryOrchestrator, RecoveryReport
 from repro.obs.span import SpanKind, Trace
 from repro.obs.tracer import close_gave_up, record_stage, record_stage_parts
 from repro.platforms.platform import Platform
-from repro.simulator.server_sim import DiskModel, PlatformDiskModel
+from repro.simulator.server_sim import DiskModel
 from repro.simulator.telemetry import AvailabilityTracker, TimeSeries
 from repro.workloads.qos import QosTracker
 from tests.perf.variates import exponential_sampler
 from tests.simulator.engine import Simulation
+from tests.simulator.reference_server_sim import PlatformDiskModel
 from tests.simulator.resources import Resource
 
 

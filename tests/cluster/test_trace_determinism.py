@@ -6,7 +6,6 @@ from repro.cluster import ClusterSimulator, RetryPolicy
 from repro.faults import STRESS_FAULT_PROFILE
 from repro.obs import MetricsRegistry, Tracer, exclusive_times, spans_jsonl
 from repro.platforms import platform
-from repro.simulator.server_sim import ServerSimulator, SimConfig
 from repro.workloads import make_workload
 
 
@@ -94,22 +93,3 @@ class TestClusterDeterminism:
             assert sum(times.values()) == pytest.approx(trace.duration_ms)
             assert times.get("retry", 0.0) > 0.0
 
-
-class TestServerSimulatorDeterminism:
-    def _run(self, tracer=None):
-        return ServerSimulator(
-            platform("srvr1"),
-            make_workload("websearch"),
-            config=SimConfig(warmup_requests=50, measure_requests=400),
-            tracer=tracer,
-        ).run()
-
-    def test_traced_run_matches_untraced_run(self):
-        assert self._run(Tracer(sample_rate=1.0, seed=3)) == self._run()
-
-    def test_sampling_rate_does_not_change_results(self):
-        full = self._run(Tracer(sample_rate=1.0, seed=3))
-        sparse_tracer = Tracer(sample_rate=0.2, seed=3)
-        sparse = self._run(sparse_tracer)
-        assert sparse == full
-        assert 0 < len(sparse_tracer.traces) < sparse_tracer.requests_seen

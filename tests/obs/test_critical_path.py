@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import ClusterSimulator
 from repro.obs import (
     OTHER,
     SpanKind,
@@ -12,7 +13,6 @@ from repro.obs import (
     format_attribution,
 )
 from repro.platforms import platform
-from repro.simulator.server_sim import ServerSimulator, SimConfig
 from repro.workloads import make_workload
 
 
@@ -60,10 +60,13 @@ class TestExclusiveTimes:
 
     def test_sum_property_holds_on_a_real_traced_run(self):
         tracer = Tracer(sample_rate=1.0, seed=17)
-        ServerSimulator(
+        ClusterSimulator(
             platform("srvr1"),
             make_workload("websearch"),
-            config=SimConfig(warmup_requests=50, measure_requests=300),
+            servers=2,
+            clients_per_server=6,
+            warmup_requests=50,
+            measure_requests=300,
             tracer=tracer,
         ).run()
         completed = tracer.completed_traces()

@@ -1,5 +1,4 @@
-"""Process-wide sweep memoization must be invisible in its results:
-``QosSweep``'s per-point memo in ``SweepResult``, and
+"""Process-wide score memoization must be invisible in its results:
 ``measure_performance``'s whole-sweep memo in ``PerformanceResult``."""
 
 import dataclasses
@@ -7,8 +6,10 @@ import pickle
 
 import pytest
 
+import repro.perf.parallel as parallel_module
 import repro.simulator.performance as performance_module
 import repro.simulator.sweep as sweep_module
+from repro.experiments import figure2, power_accounting
 from repro.flashcache.analysis import (
     DISK_CONFIGURATIONS,
     disk_configuration,
@@ -48,16 +49,19 @@ def _count_runs(monkeypatch):
 
 
 class TestSweepMemo:
-    def test_second_sweep_identical_without_resimulating(self, config, monkeypatch):
+    def test_power_after_figure2_runs_no_des(self, config, monkeypatch):
+        """``power`` reads its peaks through ``measure_performance``, so
+        after ``figure2`` in one process it simulates nothing and renders
+        what it renders alone."""
+        monkeypatch.setattr(parallel_module, "_INTRA_JOBS", 1)
         calls = _count_runs(monkeypatch)
-        first = QosSweep(platform("desk"), _webmail(), config=config).find_peak()
-        cold_runs = len(calls)
-        assert cold_runs > 0
-        second = QosSweep(platform("desk"), _webmail(), config=config).find_peak()
-        assert len(calls) == cold_runs  # every point came from the memo
-        assert second.best == first.best
-        assert second.population == first.population
-        assert second.evaluations == first.evaluations
+        alone = power_accounting.run(config=config).render()
+        assert calls
+        clear_sweep_memo()
+        figure2.run(config=config)
+        calls.clear()
+        assert power_accounting.run(config=config).render() == alone
+        assert calls == []
 
     def test_clear_forces_resimulation(self, config, monkeypatch):
         calls = _count_runs(monkeypatch)

@@ -35,16 +35,12 @@ import warnings
 from typing import Optional
 
 from repro.platforms.platform import Platform
-from repro.simulator.server_sim import (
-    DiskModel,
-    PlatformDiskModel,
-    SimConfig,
-    SimResult,
-)
+from repro.simulator.server_sim import DiskModel, SimConfig
 from repro.workloads.base import Workload
 from repro.workloads.qos import QosTracker
 from tests.perf.variates import exponential_sampler
 from tests.simulator.engine import Simulation
+from tests.simulator.reference_server_sim import PlatformDiskModel, SimResult
 from tests.simulator.resources import Resource
 
 

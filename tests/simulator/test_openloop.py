@@ -114,61 +114,3 @@ class TestOpenLoopBehaviour:
                 memory_slowdown=0.9,
             )
 
-
-class TestQueueCap:
-    def test_no_cap_reports_no_drops(self):
-        plat = platform("desk")
-        from repro.workloads.suite import make_workload
-
-        result = ServerSimulator(
-            plat, make_workload("webmail"), arrival_rate_rps=8.0,
-            config=SimConfig(warmup_requests=100, measure_requests=800, seed=12),
-        ).run()
-        assert result.dropped_requests == 0
-        assert result.drop_rate == 0.0
-
-    def test_cap_keeps_unsustainable_load_finite(self):
-        """The overload that raises without a cap completes with one:
-        excess arrivals are dropped and accounted, throughput saturates
-        at the service capacity, and the run warns that the latency
-        figures cover only the admitted minority."""
-        plat = platform("emb2")
-        workload = _constant_cpu_workload(10.0)
-        service = plat.cpu_time_ms(10.0, 0.0, 1.0)
-        with pytest.warns(RuntimeWarning, match="unsustainable"):
-            result = ServerSimulator(
-                plat, workload, arrival_rate_rps=4.0 / service * 1000.0,
-                config=SimConfig(warmup_requests=300, measure_requests=3000,
-                                 seed=13),
-                queue_cap=5,
-            ).run()
-        assert result.drop_rate > 0.5
-        # Carried load ~ the service rate, not the offered rate.
-        assert result.throughput_rps <= 1000.0 / service * 1.05
-        assert result.dropped_requests > 0
-
-    def test_moderate_drops_do_not_warn(self):
-        plat = platform("emb2")
-        workload = _constant_cpu_workload(10.0)
-        service = plat.cpu_time_ms(10.0, 0.0, 1.0)
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            result = ServerSimulator(
-                plat, workload, arrival_rate_rps=0.8 / service * 1000.0,
-                config=SimConfig(warmup_requests=300, measure_requests=3000,
-                                 seed=14),
-                queue_cap=8,
-            ).run()
-        assert 0.0 < result.drop_rate < 0.5
-
-    def test_validation(self):
-        plat = platform("desk")
-        from repro.workloads.suite import make_workload
-
-        with pytest.raises(ValueError):
-            ServerSimulator(
-                plat, make_workload("webmail"), arrival_rate_rps=1.0,
-                queue_cap=0,
-            )

@@ -170,34 +170,3 @@ class TestMM1KClosedForms:
         with pytest.raises(ValueError):
             mm1k_mean_wait(0.0, 0.5, 5)
 
-
-class TestDesAgainstMM1K:
-    @pytest.mark.parametrize("rho,capacity", [(0.8, 8), (1.2, 10)])
-    def test_shed_rate_matches_blocking_probability(self, rho, capacity):
-        """Exponential service + finite queue cap on emb2 = M/M/1/K.
-
-        The simulated drop rate must match the closed-form blocking
-        probability within 10% (the overload-PR acceptance bound), and
-        the admitted requests' waiting time must match Little's law.
-        """
-        plat = platform("emb2")
-        mean_cpu = 10.0
-        service = plat.cpu_time_ms(mean_cpu, 0.0, 1.0)
-
-        def sampler(rng: random.Random) -> Request:
-            return Request(
-                demand=ResourceDemand(cpu_ms_ref=rng.expovariate(1.0 / mean_cpu))
-            )
-
-        workload = _cpu_workload(sampler, mean_cpu)
-        result = ServerSimulator(
-            plat, workload, arrival_rate_rps=rho / service * 1000.0,
-            config=SimConfig(warmup_requests=3000, measure_requests=25_000, seed=41),
-            queue_cap=capacity,
-        ).run()
-        expected_block = mm1k_blocking_probability(rho, capacity)
-        assert result.drop_rate == pytest.approx(expected_block, rel=0.10)
-        expected_wait = mm1k_mean_wait(service, rho, capacity)
-        assert result.mean_response_ms - service == pytest.approx(
-            expected_wait, rel=0.10
-        )

@@ -4,21 +4,20 @@
 (Poisson arrivals) are those engines (every stage a ``Resource`` hop
 through closures).  The kernel must reproduce the closed-loop one's
 ``SimResult`` on every platform, benchmark, population, disk model and
-memory slowdown, its trace digest and metrics snapshot when traced, and
-its error from every per-request check; and the open-loop one's
-``SimResult``, overload error and drop warning.
+memory slowdown, and its error from every per-request check; and the
+open-loop one's ``SimResult`` and overload error.  The oracles' results
+also carry a queue cap's drop fields, which the kernel has no cap to
+fill: they must read 0.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
-from repro.flashcache.analysis import DISK_CONFIGURATIONS, disk_configuration
-from repro.obs import MetricsRegistry, SpanKind, Tracer, trace_digest
+from repro.flashcache.analysis import DISK_CONFIGURATIONS
 from repro.platforms.catalog import PLATFORMS, platform
 from repro.simulator.analytic import AnalyticServerModel
-from repro.simulator.server_sim import ServerSimulator, SimConfig
+from repro.simulator.server_sim import ServerSimulator, SimConfig, SimResult
 from repro.workloads.base import Workload
 from repro.workloads.suite import benchmark_names, make_workload
 from tests.simulator import reference_openloop, reference_server_sim
@@ -34,6 +33,8 @@ DISKS = (None,) + tuple(
     lambda name, config=config: config.disk_spec(name).build()
     for config in DISK_CONFIGURATIONS
 )
+#: The fields of the kernel's result.
+FIELDS = [field.name for field in dataclasses.fields(SimResult)]
 
 
 def saturating_population(plat, workload) -> int:
@@ -46,20 +47,15 @@ def saturating_population(plat, workload) -> int:
 
 
 def run(engine, plat, workload, disk=None, **kwargs):
-    """``vars`` of one run's result (the two engines' classes differ)."""
+    """The kernel's fields of one run's result (the engines' classes
+    differ), after checking that an oracle's drop fields read 0."""
     simulator = engine(
         plat, workload, disk_model=disk(workload.name) if disk else None, **kwargs
     )
-    return vars(simulator.run())
-
-
-def traced(engine, plat, workload, disk=None, **kwargs):
-    """Result, trace digest and metrics snapshot of a fully traced run."""
-    tracer = Tracer(sample_rate=1.0, seed=3)
-    metrics = MetricsRegistry()
-    result = run(engine, plat, workload, disk, tracer=tracer, metrics=metrics,
-                 config=CONFIG, **kwargs)
-    return (result, trace_digest([("server", tracer.traces)]), metrics.snapshot()), tracer
+    result = vars(simulator.run())
+    assert result.get("dropped_requests", 0) == 0
+    assert result.get("drop_rate", 0.0) == 0.0
+    return {name: result[name] for name in FIELDS}
 
 
 @pytest.mark.parametrize("bench", benchmark_names())
@@ -78,69 +74,15 @@ def test_kernel_matches_reference(name, bench):
                 ), (population, disk, slowdown)
 
 
-class TestTracedRuns:
-    @pytest.mark.parametrize("bench", benchmark_names())
-    def test_platform_disk(self, bench):
-        workload = make_workload(bench)
-        kernel, _ = traced(ServerSimulator, platform("desk"), workload, population=24)
-        reference, _ = traced(
-            reference_server_sim.ServerSimulator, platform("desk"), workload,
-            population=24,
-        )
-        assert kernel == reference
-
-    def test_flash_cache_components(self):
-        """Traced requests take the flash model's ``service_components``."""
-        spec = disk_configuration("remote-laptop+flash").disk_spec("websearch")
-        disk = lambda name: spec.build()  # noqa: E731
-        workload = make_workload("websearch")
-        kernel, tracer = traced(
-            ServerSimulator, platform("emb1"), workload, disk, population=24
-        )
-        reference, _ = traced(
-            reference_server_sim.ServerSimulator, platform("emb1"), workload,
-            disk, population=24,
-        )
-        assert kernel == reference
-        assert any(
-            span.kind == SpanKind.FLASH
-            for trace in tracer.traces for span in trace.spans
-        )
-
-    def test_stop_between_disk_and_nic(self):
-        """A NIC-bound run stops while traced requests have left the disk
-        but not the NIC: their disk stage is recorded, their NIC stage not."""
-        # ~40 ms on a 1 GbE NIC behind a few microseconds of disk.
-        fields = (0.1, 0.1, 0.001, 0.0, 5e6, False, 1, "net-bound")
-        workload = Workload(make_workload("webmail").profile, draw=lambda rng: fields)
-        kernel, tracer = traced(
-            ServerSimulator, platform("desk"), workload, population=200
-        )
-        reference, _ = traced(
-            reference_server_sim.ServerSimulator, platform("desk"), workload,
-            population=200,
-        )
-        assert kernel == reference
-        assert any(
-            trace.status == "truncated"
-            and any(span.kind == SpanKind.DISK for span in trace.spans)
-            and not any(span.kind == SpanKind.NET for span in trace.spans)
-            for trace in tracer.traces
-        )
-
-
 def open_loop(engine, plat, workload, load, disk=None, **kwargs):
-    """Result or overload error, and warnings, of an open-loop run offered
-    ``load`` times the analytic saturation rate."""
+    """Result or overload error of an open-loop run offered ``load``
+    times the analytic saturation rate."""
     rate = load * AnalyticServerModel(plat, workload).saturation_rps()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            outcome = run(engine, plat, workload, disk, arrival_rate_rps=rate,
-                          config=CONFIG, **kwargs)
-        except RuntimeError as exc:
-            outcome = str(exc)
-    return outcome, [(w.category, str(w.message)) for w in caught]
+    try:
+        return run(engine, plat, workload, disk, arrival_rate_rps=rate,
+                   config=CONFIG, **kwargs)
+    except RuntimeError as exc:
+        return str(exc)
 
 
 def assert_open_loop_matches(plat, workload, load, disk=None, **kwargs):
@@ -160,7 +102,7 @@ class TestOpenLoop:
         """At 1.3 times saturation the queue grows, but the window ends
         long before it holds 2,000 requests."""
         for load in (0.5, 1.3):
-            outcome, _ = assert_open_loop_matches(
+            outcome = assert_open_loop_matches(
                 platform(name), make_workload(bench), load
             )
             assert outcome["population"] == 0
@@ -169,25 +111,10 @@ class TestOpenLoop:
     def test_overload_error(self, name):
         """Twenty times saturation piles 2,000 requests up within the
         window: both engines stop with the same error."""
-        outcome, _ = assert_open_loop_matches(
+        outcome = assert_open_loop_matches(
             platform(name), make_workload("webmail"), 20.0
         )
         assert outcome.startswith("the server cannot sustain the offered load")
-
-    def test_queue_caps(self):
-        """Caps of 1, 4 and 32 below and at twice saturation: the drops,
-        and the warning when they pass half the window's arrivals."""
-        outcomes = [
-            assert_open_loop_matches(
-                platform(name), make_workload(bench), load, queue_cap=cap
-            )
-            for cap in (1, 4, 32)
-            for name in ("srvr1", "emb2")
-            for bench in ("websearch", "ytube")
-            for load in (0.5, 2.0)
-        ]
-        assert any(result["dropped_requests"] for result, _ in outcomes)
-        assert any(caught for _, caught in outcomes)
 
     @pytest.mark.parametrize("bench", benchmark_names())
     def test_disk_models_and_memory_slowdown(self, bench):
@@ -198,34 +125,11 @@ class TestOpenLoop:
                 assert_open_loop_matches(plat, workload, 0.8, disk)
             assert_open_loop_matches(plat, workload, 0.8, memory_slowdown=1.3)
 
-    @pytest.mark.parametrize("load,cap", [(0.8, None), (2.0, 4)])
-    def test_traced_equals_untraced(self, load, cap):
-        plat, workload = platform("desk"), make_workload("websearch")
-        rate = load * AnalyticServerModel(plat, workload).saturation_rps()
-        kwargs = dict(arrival_rate_rps=rate, queue_cap=cap)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            (result, _, snapshot), tracer = traced(
-                ServerSimulator, plat, workload, **kwargs
-            )
-            assert result == run(
-                ServerSimulator, plat, workload, config=CONFIG, **kwargs
-            )
-        assert len(tracer.completed_traces()) >= (
-            CONFIG.warmup_requests + CONFIG.measure_requests
-        )
-        counters = {m["name"]: m["value"] for m in snapshot if m["type"] == "counter"}
-        assert counters["server.requests"] == result["measured_requests"]
-
     def test_population_is_closed_loop_only(self, srvr1):
         with pytest.raises(ValueError, match="no population"):
             ServerSimulator(
                 srvr1, make_workload("webmail"), population=4, arrival_rate_rps=1.0
             )
-
-    def test_queue_cap_needs_open_loop(self, srvr1):
-        with pytest.raises(ValueError, match="queue_cap needs an open loop"):
-            ServerSimulator(srvr1, make_workload("webmail"), queue_cap=4)
 
 
 class _NoClients:

@@ -6,7 +6,6 @@ import math
 import pytest
 
 import repro.simulator.server_sim as server_sim_module
-import repro.simulator.sweep as sweep_module
 from repro.costmodel.catalog import system_names
 from repro.flashcache.analysis import disk_configuration
 from repro.platforms.catalog import platform
@@ -225,22 +224,6 @@ class TestStoppedEvaluations:
                 if response > limit]
         deciding = over[spec.violations_to_fail(len(responses)) - 1]
         assert stopped.measured_requests == deciding < len(responses)
-
-    def test_stopped_memo_entry_gives_client_driver_full_numbers(self, config):
-        plat, workload = platform("srvr2"), make_workload("websearch")
-        QosSweep(plat, workload, config=config).find_peak()
-        memo = sweep_module._SIM_MEMO
-        assert any(result.measured_requests < config.measure_requests
-                   for result in memo.values())
-        report = ClientDriver(plat, workload, config=config).run()
-        assert any(not point.qos_met for point in report.explored)
-        for point in report.explored:
-            full = _full_run(plat, workload, point.clients, config)
-            assert (point.transaction_rate_rps, point.qos_percentile_ms,
-                    point.qos_met) == (full.throughput_rps,
-                                       full.qos_percentile_ms, full.qos_met)
-        assert all(result.measured_requests == config.measure_requests
-                   for result in memo.values())
 
     def test_flash_cached_sweep_runs_every_point_in_full(self, config,
                                                          monkeypatch):
