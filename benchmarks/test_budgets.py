@@ -39,13 +39,20 @@ from repro.obs import export
 from repro.obs.tracer import Tracer
 from repro.perf.kernels import miss_ratio_curve
 from repro.platforms.catalog import platform
-from repro.scenario.builder import ScenarioBuilder
 from repro.scenario.compiler import (
     _build_cluster_simulator,
     compile_scenario,
     run_scenario,
 )
 from repro.scenario.library import ext8_availability, ext11_trace_attribution
+from repro.scenario.spec import (
+    OpenLoopSpec,
+    Scenario,
+    TierSpec,
+    TopologySpec,
+    TrafficSpec,
+    WorkloadSpec,
+)
 from repro.workloads.suite import make_workload
 from tests.cluster.reference_balancer import run_scalar
 from tests.memsim import reference_twolevel
@@ -211,14 +218,15 @@ def test_scenario_compile_overhead():
     once per run and stay in the noise next to the run itself."""
 
     def compiled():
-        scenario = (
-            ScenarioBuilder("budget-compile")
-            .tier("web", platform="srvr1", servers=3)
-            .benchmark("websearch")
-            .open_loop(base_rate_rps=300.0, warmup_ms=500.0, measure_ms=2500.0)
-            .seed(7)
-            .build()
-        )
+        scenario = Scenario(
+            name="budget-compile",
+            seed=7,
+            topology=TopologySpec(
+                tiers=(TierSpec("web", platform="srvr1", servers=3),)),
+            workload=WorkloadSpec(benchmark="websearch"),
+            traffic=TrafficSpec(open_loop=OpenLoopSpec(
+                base_rate_rps=300.0, warmup_ms=500.0, measure_ms=2500.0)),
+        ).check()
         simulator, _, _ = _build_cluster_simulator(
             compile_scenario(scenario).plans[0]
         )

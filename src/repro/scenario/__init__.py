@@ -1,19 +1,18 @@
-"""Declarative warehouse-scale scenarios (schema, builder, compiler).
+"""Declarative warehouse-scale scenarios (schema, loader, compiler).
 
 A :class:`~repro.scenario.spec.Scenario` describes an experiment as
 data -- topology (tiers of platform/design servers, remote-memory
 blades, flash), workload (suite benchmark or inline request DAG),
 traffic program (closed loop, open loop with surges, or a full diurnal
 day across regions), and overlay blocks (faults, fail-slow, overload
-protection, redundancy, tracing).  Build one fluently
-(:class:`~repro.scenario.builder.ScenarioBuilder`), load one from YAML
-or JSON (:mod:`repro.scenario.loader`), then compile and run it
+protection, redundancy, tracing).  Write one as the frozen spec
+dataclasses below (``Scenario(...).check()`` validates it) or load one
+from YAML or JSON (:mod:`repro.scenario.loader`), then compile and run it
 (:func:`~repro.scenario.compiler.run_scenario`); the compiler lowers
 the spec onto the cluster engine, one run per compiled plan.  The
 ``repro-scenario`` CLI wraps the same pipeline.
 """
 
-from repro.scenario.builder import ScenarioBuilder
 from repro.scenario.compiler import (
     CompiledScenario,
     RunPlan,
@@ -58,7 +57,6 @@ from repro.scenario.spec import (
 
 __all__ = [
     "Scenario",
-    "ScenarioBuilder",
     "ScenarioValidationError",
     "ValidationIssue",
     "CompiledScenario",

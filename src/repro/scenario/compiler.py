@@ -172,8 +172,9 @@ def _build_workload(spec: WorkloadSpec):
     """The spec's workload, built once per process.
 
     Workloads and remote-memory models are stateless across runs (one
-    instance can serve a healthy and a faulted run alike), so construction -- sampler and trace tables are
-    expensive next to a short run -- is memoized: benchmarks by
+    instance can serve a healthy and a faulted run alike), so
+    construction -- sampler and trace tables are expensive next to a
+    short run -- is memoized: benchmarks by
     :func:`repro.workloads.suite.make_workload` itself, remote-memory
     models by :func:`repro.memsim.remote_memory.make_remote_memory_model`
     itself, and DAG workloads here, keyed on the frozen spec.
@@ -475,7 +476,9 @@ def _build_cluster_simulator(plan: RunPlan):
         )
         if failslow.detection:
             kwargs["failslow_detection"] = DetectionPolicy()
-    if overlay.redundancy is not None:
+    # A tier without a memory blade has nothing to protect: it runs as
+    # if the overlay had no redundancy block.
+    if overlay.redundancy is not None and tier.remote_memory is not None:
         from repro.faults.recovery import RedundancyConfig
         from repro.memsim.redundancy import RedundancyPolicy
 

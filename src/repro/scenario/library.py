@@ -12,22 +12,36 @@ ensemble driven through a full diurnal day (24 hourly segments, three
 regional populations, an evening flash crowd) at a modeled population
 of millions of users.
 
-The YAML files under ``examples/scenarios/`` are the serialized forms
-of these builders (round-trip asserted in the tests); edit either side
-and the suite will point at the drift.
+Each factory writes its scenario as the frozen specs the loader and
+the compiler use, and ends in :meth:`Scenario.check`, so a bad keyword
+raises one aggregated :class:`ScenarioValidationError`.  The YAML files
+under ``examples/scenarios/`` are the serialized forms of these
+factories (round-trip asserted in the tests); edit either side and the
+suite will point at the drift.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Sequence
 
-from repro.scenario.builder import ScenarioBuilder
 from repro.scenario.spec import (
+    ClosedLoopSpec,
+    DiurnalSpec,
     FaultsSpec,
+    FlashSpec,
+    OpenLoopSpec,
+    OverlaySpec,
     OverloadSpec,
+    RegionSpec,
+    RemoteMemorySpec,
     RetrySpec,
     Scenario,
+    SurgeSpec,
+    TierSpec,
+    TopologySpec,
     TracingSpec,
+    TrafficSpec,
+    WorkloadSpec,
 )
 
 #: EXT-8/EXT-11's degradation stack: timeout at the websearch QoS bound,
@@ -44,47 +58,54 @@ _EXT8_RETRY = RetrySpec(
 _SECTION36 = {
     "srvr1": dict(enclosure_size=1),
     "N1": {},
-    "N2": dict(remote_memory=True, flash=True),
+    "N2": dict(remote_memory=RemoteMemorySpec(), flash=FlashSpec()),
 }
+
+#: Every library scenario serves the websearch benchmark.
+_WEBSEARCH = WorkloadSpec(benchmark="websearch")
 
 
 def _section36_tiers(
-    builder: ScenarioBuilder, *, servers: int, clients_per_server: int,
+    *, servers: int, clients_per_server: int,
     designs: Sequence[str] = tuple(_SECTION36),
-) -> ScenarioBuilder:
+) -> TopologySpec:
     """The section 3.6 design ladder: srvr1, N1, N2 (blade + flash).
 
     ``designs`` picks rungs by name; a name off the ladder becomes a
     plain tier, which validation rejects unless it names a design.
     """
-    for name in designs:
-        builder.tier(name, design=name, servers=servers,
-                     clients_per_server=clients_per_server,
-                     **_SECTION36.get(name, {}))
-    return builder
+    return TopologySpec(tiers=tuple(
+        TierSpec(name=name, design=name, servers=servers,
+                 clients_per_server=clients_per_server,
+                 **_SECTION36.get(name, {}))
+        for name in designs
+    ))
 
 
 def ext8_availability(*, servers: int = 6, clients_per_server: int = 6,
                       warmup: int = 200, measure: int = 1800, seed: int = 1,
                       fault_seed: int = 7) -> Scenario:
     """EXT-8 as a scenario: srvr1/N1/N2, healthy vs fault-injected."""
-    builder = ScenarioBuilder("ext8-availability").describe(
-        "Section 3.6 designs healthy and under accelerated fault "
-        "injection with the full degradation stack (EXT-8)."
-    )
-    _section36_tiers(builder, servers=servers,
-                     clients_per_server=clients_per_server)
-    return (
-        builder
-        .benchmark("websearch")
-        .closed_loop(warmup_requests=warmup, measure_requests=measure)
-        .seed(seed)
-        .overlay("healthy")
-        .overlay("faulted",
-                 faults=FaultsSpec(profile="stress", fault_seed=fault_seed),
-                 retry=_EXT8_RETRY)
-        .build()
-    )
+    return Scenario(
+        name="ext8-availability",
+        description=(
+            "Section 3.6 designs healthy and under accelerated fault "
+            "injection with the full degradation stack (EXT-8)."
+        ),
+        seed=seed,
+        topology=_section36_tiers(servers=servers,
+                                  clients_per_server=clients_per_server),
+        workload=_WEBSEARCH,
+        traffic=TrafficSpec(closed_loop=ClosedLoopSpec(
+            warmup_requests=warmup, measure_requests=measure)),
+        overlays=(
+            OverlaySpec("healthy"),
+            OverlaySpec("faulted",
+                        faults=FaultsSpec(profile="stress",
+                                          fault_seed=fault_seed),
+                        retry=_EXT8_RETRY),
+        ),
+    ).check()
 
 
 def ext10_overload(*, servers: int = 4, seed: int = 3,
@@ -93,28 +114,30 @@ def ext10_overload(*, servers: int = 4, seed: int = 3,
                    surge_end_ms: float = 11_000.0,
                    measure_ms: float = 22_000.0) -> Scenario:
     """EXT-10 as a scenario: a 5x surge, naive vs protected stacks."""
-    builder = ScenarioBuilder("ext10-overload").describe(
-        "Metastable overload: each design offered 60% of analytic "
-        "capacity with a 5x surge, naive retry stack vs the full "
-        "overload-protection stack (EXT-10)."
-    )
-    _section36_tiers(builder, servers=servers, clients_per_server=1)
-    return (
-        builder
-        .benchmark("websearch")
-        .open_loop(utilization=load_fraction, warmup_ms=warmup_ms,
-                   measure_ms=measure_ms)
-        .surge(multiplier=surge_multiplier, start_ms=surge_start_ms,
-               end_ms=surge_end_ms)
-        .seed(seed)
-        .overlay("naive",
-                 retry=RetrySpec(),
-                 overload=OverloadSpec(protected=False, queue_cap=None))
-        .overlay("protected",
-                 retry=RetrySpec(jitter=True),
-                 overload=OverloadSpec(queue_cap="auto"))
-        .build()
-    )
+    return Scenario(
+        name="ext10-overload",
+        description=(
+            "Metastable overload: each design offered 60% of analytic "
+            "capacity with a 5x surge, naive retry stack vs the full "
+            "overload-protection stack (EXT-10)."
+        ),
+        seed=seed,
+        topology=_section36_tiers(servers=servers, clients_per_server=1),
+        workload=_WEBSEARCH,
+        traffic=TrafficSpec(open_loop=OpenLoopSpec(
+            utilization=load_fraction, warmup_ms=warmup_ms,
+            measure_ms=measure_ms,
+            surge=SurgeSpec(multiplier=surge_multiplier,
+                            start_ms=surge_start_ms, end_ms=surge_end_ms),
+        )),
+        overlays=(
+            OverlaySpec("naive", retry=RetrySpec(),
+                        overload=OverloadSpec(protected=False,
+                                              queue_cap=None)),
+            OverlaySpec("protected", retry=RetrySpec(jitter=True),
+                        overload=OverloadSpec(queue_cap="auto")),
+        ),
+    ).check()
 
 
 def ext11_trace_attribution(
@@ -128,27 +151,29 @@ def ext11_trace_attribution(
     ``faults=False`` drops the fault profile and the retry stack,
     leaving healthy traced runs.
     """
-    builder = ScenarioBuilder("ext11-trace-attribution").describe(
-        "Critical-path tail attribution: the EXT-8 faulted runs with "
-        "deterministic per-request tracing (EXT-11)."
-    )
-    _section36_tiers(builder, servers=servers,
-                     clients_per_server=clients_per_server, designs=designs)
     tracing = TracingSpec(sample_rate=sample_rate, trace_seed=trace_seed)
     if faults:
-        builder.overlay("traced-faulted",
-                        faults=FaultsSpec(profile="stress",
-                                          fault_seed=fault_seed),
-                        retry=_EXT8_RETRY, tracing=tracing)
+        overlay = OverlaySpec(
+            "traced-faulted",
+            faults=FaultsSpec(profile="stress", fault_seed=fault_seed),
+            retry=_EXT8_RETRY, tracing=tracing)
     else:
-        builder.overlay("traced", tracing=tracing)
-    return (
-        builder
-        .benchmark("websearch")
-        .closed_loop(warmup_requests=warmup, measure_requests=measure)
-        .seed(seed)
-        .build()
-    )
+        overlay = OverlaySpec("traced", tracing=tracing)
+    return Scenario(
+        name="ext11-trace-attribution",
+        description=(
+            "Critical-path tail attribution: the EXT-8 faulted runs with "
+            "deterministic per-request tracing (EXT-11)."
+        ),
+        seed=seed,
+        topology=_section36_tiers(servers=servers,
+                                  clients_per_server=clients_per_server,
+                                  designs=designs),
+        workload=_WEBSEARCH,
+        traffic=TrafficSpec(closed_loop=ClosedLoopSpec(
+            warmup_requests=warmup, measure_requests=measure)),
+        overlays=(overlay,),
+    ).check()
 
 
 def multirack_diurnal() -> Scenario:
@@ -160,30 +185,32 @@ def multirack_diurnal() -> Scenario:
     peaks are time-zone shifted) with a 3x flash crowd in the busiest
     evening hour, absorbed by the protected serving stack.
     """
-    return (
-        ScenarioBuilder("multirack-diurnal")
-        .describe(
+    return Scenario(
+        name="multirack-diurnal",
+        description=(
             "Four-rack websearch ensemble over a full diurnal day: "
             "three time-zone-shifted regions, an evening flash crowd, "
             "overload protection on -- the warehouse-scale serving "
             "pattern the paper's TCO math provisions for."
-        )
-        .racks(4)
-        .tier("web", design="N1", servers=16, enclosure_size=8)
-        .benchmark("websearch")
-        .open_loop(utilization=0.65, warmup_ms=2000.0)
-        .diurnal(peak_to_trough=3.0, peak_hour=20.0,
-                 sim_ms_per_hour=4000.0,
-                 flash_crowd_hour=21, flash_crowd_multiplier=3.0)
-        .region("us-east", weight=0.5, peak_hour_offset=0.0)
-        .region("eu-west", weight=0.3, peak_hour_offset=-5.0)
-        .region("ap-south", weight=0.2, peak_hour_offset=9.5)
-        .overlay("protected",
-                 retry=RetrySpec(jitter=True),
-                 overload=OverloadSpec(queue_cap="auto"))
-        .seed(11)
-        .build()
-    )
+        ),
+        seed=11,
+        topology=TopologySpec(racks=4, tiers=(
+            TierSpec("web", design="N1", servers=16, enclosure_size=8),)),
+        workload=_WEBSEARCH,
+        traffic=TrafficSpec(open_loop=OpenLoopSpec(
+            utilization=0.65, warmup_ms=2000.0,
+            diurnal=DiurnalSpec(peak_to_trough=3.0, peak_hour=20.0,
+                                sim_ms_per_hour=4000.0, flash_crowd_hour=21,
+                                flash_crowd_multiplier=3.0),
+            regions=(
+                RegionSpec("us-east", weight=0.5, peak_hour_offset=0.0),
+                RegionSpec("eu-west", weight=0.3, peak_hour_offset=-5.0),
+                RegionSpec("ap-south", weight=0.2, peak_hour_offset=9.5),
+            ),
+        )),
+        overlays=(OverlaySpec("protected", retry=RetrySpec(jitter=True),
+                              overload=OverloadSpec(queue_cap="auto")),),
+    ).check()
 
 
 #: name -> scenario factory, called with its defaults (the

@@ -645,6 +645,13 @@ class RedundancySpec:
                 join_path(path, "blades"),
                 f"replica mode with {self.copies} copies needs >= "
                 f"{self.copies} blades, got {self.blades}"))
+        if self.mode == "parity" and _is_int(self.blades) \
+                and _is_int(self.data_shards) \
+                and self.blades <= self.data_shards:
+            issues.append(ValidationIssue(
+                join_path(path, "blades"),
+                f"parity mode with {self.data_shards} data shards needs >= "
+                f"{self.data_shards + 1} blades, got {self.blades}"))
 
 
 @dataclass(frozen=True)
@@ -748,6 +755,9 @@ class Scenario:
                     join_path(tier_path, "flash"),
                     "flash disk configurations need a named benchmark "
                     "workload (the cache model is benchmark-specific)"))
+        # A fail-slow overlay drifts the same server index in every tier.
+        smallest = min((t for t in self.topology.tiers if _is_int(t.servers)),
+                       key=lambda t: t.servers, default=None)
         for j, overlay in enumerate(self.overlays):
             if overlay.redundancy is not None and not any(
                     t.remote_memory is not None
@@ -755,6 +765,14 @@ class Scenario:
                 issues.append(ValidationIssue(
                     f"overlays[{j}].redundancy",
                     "no tier has a remote_memory blade to protect"))
+            failslow = overlay.failslow
+            if (failslow is not None and _is_int(failslow.server)
+                    and smallest is not None
+                    and failslow.server >= smallest.servers):
+                issues.append(ValidationIssue(
+                    f"overlays[{j}].failslow.server",
+                    f"server index {failslow.server} is out of range for "
+                    f"tier {smallest.name!r} ({smallest.servers} servers)"))
             if (overlay.overload is not None
                     and overlay.overload.protected
                     and overlay.overload.queue_cap == "auto"

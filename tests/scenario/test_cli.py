@@ -6,27 +6,39 @@ import pathlib
 import pytest
 
 from repro.scenario import save_scenario
-from repro.scenario.builder import ScenarioBuilder
 from repro.scenario.cli import main
-from repro.scenario.spec import FaultsSpec, TracingSpec
+from repro.scenario.spec import (
+    ClosedLoopSpec,
+    FaultsSpec,
+    OverlaySpec,
+    Scenario,
+    TierSpec,
+    TopologySpec,
+    TracingSpec,
+    TrafficSpec,
+    WorkloadSpec,
+)
 
 REPO = pathlib.Path(__file__).parents[2]
 
 
 def _tiny_scenario(tracing: bool = False):
-    builder = (
-        ScenarioBuilder("tiny")
-        .tier("web", design="N1", servers=2, clients_per_server=2)
-        .benchmark("websearch")
-        .closed_loop(10, 40)
-    )
+    overlay = OverlaySpec()
     if tracing:
-        builder.overlay(
+        overlay = OverlaySpec(
             "traced",
             faults=FaultsSpec(profile="stress", fault_seed=7),
             tracing=TracingSpec(sample_rate=1.0, trace_seed=17),
         )
-    return builder.build()
+    return Scenario(
+        name="tiny",
+        topology=TopologySpec(tiers=(
+            TierSpec("web", design="N1", servers=2, clients_per_server=2),
+        )),
+        workload=WorkloadSpec(benchmark="websearch"),
+        traffic=TrafficSpec(closed_loop=ClosedLoopSpec(10, 40)),
+        overlays=(overlay,),
+    ).check()
 
 
 def test_list(capsys):

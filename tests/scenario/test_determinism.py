@@ -1,9 +1,17 @@
 """Scenario execution is bit-identical across worker counts."""
 
 from repro.scenario import (
+    DiurnalSpec,
+    OpenLoopSpec,
+    OverlaySpec,
     OverloadSpec,
+    RegionSpec,
     RetrySpec,
-    ScenarioBuilder,
+    Scenario,
+    TierSpec,
+    TopologySpec,
+    TrafficSpec,
+    WorkloadSpec,
     compile_scenario,
 )
 from repro.scenario.compiler import derive_seed
@@ -11,20 +19,21 @@ from repro.scenario.compiler import derive_seed
 
 def _small_diurnal():
     """A 2-rack diurnal day with tiny windows (fast but multi-plan)."""
-    return (
-        ScenarioBuilder("determinism-diurnal")
-        .racks(2)
-        .tier("web", design="N1", servers=4)
-        .benchmark("websearch")
-        .open_loop(utilization=0.5, warmup_ms=200.0)
-        .diurnal(sim_ms_per_hour=300.0, flash_crowd_hour=21)
-        .region("us", weight=0.6)
-        .region("eu", weight=0.4, peak_hour_offset=-5.0)
-        .overlay("protected", retry=RetrySpec(jitter=True),
-                 overload=OverloadSpec(queue_cap="auto"))
-        .seed(11)
-        .build()
-    )
+    return Scenario(
+        name="determinism-diurnal",
+        seed=11,
+        topology=TopologySpec(
+            tiers=(TierSpec("web", design="N1", servers=4),), racks=2),
+        workload=WorkloadSpec(benchmark="websearch"),
+        traffic=TrafficSpec(open_loop=OpenLoopSpec(
+            utilization=0.5, warmup_ms=200.0,
+            diurnal=DiurnalSpec(sim_ms_per_hour=300.0, flash_crowd_hour=21),
+            regions=(RegionSpec("us", weight=0.6),
+                     RegionSpec("eu", weight=0.4, peak_hour_offset=-5.0)),
+        )),
+        overlays=(OverlaySpec("protected", retry=RetrySpec(jitter=True),
+                              overload=OverloadSpec(queue_cap="auto")),),
+    ).check()
 
 
 def test_serial_vs_jobs4_digest_identical():

@@ -24,7 +24,18 @@ from repro.flashcache.analysis import disk_configuration
 from repro.memsim.remote_memory import make_remote_memory_model
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.export import trace_digest
-from repro.scenario import compile_scenario
+from repro.scenario import (
+    ClosedLoopSpec,
+    OverlaySpec,
+    RedundancySpec,
+    RemoteMemorySpec,
+    Scenario,
+    TierSpec,
+    TopologySpec,
+    TrafficSpec,
+    WorkloadSpec,
+    compile_scenario,
+)
 from repro.scenario.library import (
     ext8_availability,
     ext10_overload,
@@ -146,3 +157,34 @@ class TestExt11TraceAttribution:
         assert record.digest == result.stream_digest()
         assert trace_digest([(design, record.tracer.traces)]) == \
             trace_digest([(design, tracer.traces)])
+
+
+class TestRedundancyOverMixedTiers:
+    """A redundancy overlay protects the tiers with a memory blade; a
+    tier without one runs as if the overlay had no redundancy block."""
+
+    BLADE = TierSpec("n2", design="N2", servers=2, clients_per_server=2,
+                     remote_memory=RemoteMemorySpec())
+    PLAIN = TierSpec("plain", design="srvr1", servers=2, clients_per_server=2)
+
+    @staticmethod
+    def _runs(tiers, redundancy):
+        scenario = Scenario(
+            name="mixed",
+            topology=TopologySpec(tiers=tiers),
+            workload=WorkloadSpec(benchmark="websearch"),
+            traffic=TrafficSpec(closed_loop=ClosedLoopSpec(WARMUP, MEASURE)),
+            overlays=(OverlaySpec("protected", redundancy=redundancy),),
+        )
+        return {record.run_id: record
+                for record in compile_scenario(scenario).execute().runs}
+
+    def test_only_the_blade_tier_is_protected(self):
+        mixed = self._runs((self.BLADE, self.PLAIN), RedundancySpec())
+        assert mixed["n2/protected"].result.recovery_report is not None
+        assert mixed["plain/protected"].result.recovery_report is None
+        alone = self._runs((self.BLADE,), RedundancySpec())
+        assert mixed["n2/protected"].digest == alone["n2/protected"].digest
+        bare = self._runs((self.BLADE, self.PLAIN), None)
+        assert mixed["plain/protected"].digest == \
+            bare["plain/protected"].digest

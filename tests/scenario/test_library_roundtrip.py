@@ -1,6 +1,6 @@
-"""Builder -> dict/YAML -> load -> compile round trips.
+"""Factory -> dict/YAML -> load -> compile round trips.
 
-Also pins the shipped example specs to the library builders: the YAML
+Also pins the shipped example specs to the library factories: the YAML
 files under ``examples/`` are the serialized forms of
 ``repro.scenario.library``; editing either side without the other fails
 here.
@@ -65,14 +65,14 @@ def test_shipped_spec_matches_library(name):
     assert loaded == LIBRARY[name](), (
         f"{SHIPPED_SPECS[name]} has drifted from "
         f"repro.scenario.library.{name!r}; regenerate it with "
-        "save_scenario() or update the library builder"
+        "save_scenario() or update the library factory"
     )
 
 
 def test_encoding_omits_defaults():
     data = scenario_to_dict(ext8_availability())
     # Tier defaults (platform, dispatch, remote_memory, flash) never
-    # appear: only the fields the builder set are encoded.
+    # appear: only the fields the factory set are encoded.
     tier = data["topology"]["tiers"][0]
     assert tier == {"name": "srvr1", "design": "srvr1", "servers": 6,
                     "clients_per_server": 6, "enclosure_size": 1}
@@ -85,7 +85,7 @@ def test_loaded_scenario_is_frozen():
         scenario.seed = 2
 
 
-def test_compiled_plans_match_between_builder_and_yaml(tmp_path):
+def test_compiled_plans_match_between_factory_and_yaml(tmp_path):
     scenario = multirack_diurnal()
     path = tmp_path / "flagship.yaml"
     save_scenario(scenario, path)

@@ -5,14 +5,15 @@ import pytest
 from repro.scenario import (
     ClosedLoopSpec,
     DiurnalSpec,
+    FailslowSpec,
     FaultsSpec,
     OpenLoopSpec,
     OverlaySpec,
     RedundancySpec,
     RegionSpec,
+    RemoteMemorySpec,
     RequestDagSpec,
     Scenario,
-    ScenarioBuilder,
     ScenarioValidationError,
     StepSpec,
     SurgeSpec,
@@ -190,6 +191,39 @@ class TestCrossValidation:
         issues = _issues(scenario)
         assert any("redundancy" in path for path in issues)
 
+    def test_failslow_server_must_exist_in_every_tier(self):
+        tiers = (TierSpec(name="big", design="N1", servers=8),
+                 TierSpec(name="web", design="N1", servers=2))
+        scenario = _valid_scenario(
+            topology=TopologySpec(tiers=tiers),
+            overlays=(OverlaySpec(name="slow",
+                                  failslow=FailslowSpec(server=5)),))
+        assert _issues(scenario) == {
+            "overlays[0].failslow.server":
+                "server index 5 is out of range for tier 'web' (2 servers)",
+        }
+        in_range = _valid_scenario(
+            topology=TopologySpec(tiers=tiers),
+            overlays=(OverlaySpec(name="slow",
+                                  failslow=FailslowSpec(server=1)),))
+        assert _issues(in_range) == {}
+
+    def test_parity_needs_a_blade_per_shard_plus_one(self):
+        def scenario(blades):
+            tier = TierSpec(name="web", design="N2",
+                            remote_memory=RemoteMemorySpec())
+            redundancy = RedundancySpec(mode="parity", blades=blades)
+            return _valid_scenario(
+                topology=TopologySpec(tiers=(tier,)),
+                overlays=(OverlaySpec(name="protected",
+                                      redundancy=redundancy),))
+
+        assert _issues(scenario(2)) == {
+            "overlays[0].redundancy.blades":
+                "parity mode with 4 data shards needs >= 5 blades, got 2",
+        }
+        assert _issues(scenario(5)) == {}
+
     def test_regions_require_diurnal(self):
         scenario = _valid_scenario(traffic=TrafficSpec(
             open_loop=OpenLoopSpec(
@@ -212,24 +246,11 @@ class TestCrossValidation:
 
 class TestBuilderValidation:
     def test_build_raises_aggregated(self):
-        builder = (
-            ScenarioBuilder("bad")
-            .tier("web", platform="n3")
-            .benchmark("nosuchbench")
+        scenario = Scenario(
+            name="bad",
+            topology=TopologySpec(tiers=(TierSpec("web", platform="n3"),)),
+            workload=WorkloadSpec(benchmark="nosuchbench"),
         )
         with pytest.raises(ScenarioValidationError) as excinfo:
-            builder.build()
+            scenario.check()
         assert len(excinfo.value.issues) >= 2
-
-    def test_build_without_validation(self):
-        scenario = (
-            ScenarioBuilder("bad")
-            .tier("web", platform="n3")
-            .benchmark("nosuchbench")
-            .build(validate=False)
-        )
-        assert scenario.topology.tiers[0].platform == "n3"
-
-    def test_step_before_dag_raises(self):
-        with pytest.raises(ValueError, match="request_dag"):
-            ScenarioBuilder("x").step("lookup", cpu_ms_ref=1.0)

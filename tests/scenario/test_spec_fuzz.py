@@ -3,8 +3,10 @@
 Each library spec is encoded with ``scenario_to_dict``, one drawn
 path's value is replaced by a malformed one, and the result must either
 fail validation -- only :class:`ScenarioValidationError`, every issue
-with a path -- or still lower with ``compile_scenario``.  Magnitudes
-stay small: a valid but huge ``trace_length`` is only slow.
+with a path -- or still lower with ``compile_scenario`` and build the
+``ClusterSimulator`` of every compiled plan (construction only, no
+run), so a value that validates but cannot be built fails here.
+Magnitudes stay small: a valid but huge ``trace_length`` is only slow.
 """
 
 import copy
@@ -21,6 +23,7 @@ from repro.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from repro.scenario.compiler import _build_cluster_simulator
 
 MALFORMED = st.one_of(
     st.sampled_from([
@@ -67,6 +70,7 @@ def test_malformed_value_is_rejected_or_compiles(name):
             assert exc.issues
             assert all(issue.path for issue in exc.issues)
         else:
-            compile_scenario(scenario, quick=True)
+            for plan in compile_scenario(scenario, quick=True).plans:
+                _build_cluster_simulator(plan)
 
     check()
