@@ -475,73 +475,3 @@ def run(
         sections=sections,
         data=data,
     )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI / CI entry: ``python -m repro.experiments.failslow --smoke``.
-
-    Smoke mode runs the seeded mini grid (base tier only, untraced) and
-    asserts the two EXT-12 acceptance properties: the undetected slow
-    node inflates p99 at least 2x in the shortened run, and detection
-    closes at least half of the gap.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro-failslow")
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="shrunk seeded run with pass/fail acceptance checks",
-    )
-    parser.add_argument("--measure", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args(argv)
-
-    if not args.smoke:
-        result = run(
-            measure=args.measure or 1800,
-            jobs=args.jobs if args.jobs > 0 else None,
-        )
-        print(result.render())
-        return 0
-
-    measure = args.measure or 900
-    tier = _setups()[0].name
-    runs = {
-        scenario: run_failslow_config(
-            FailSlowRunConfig(
-                design=tier, scenario=scenario, measure=measure,
-                traced=False,
-            )
-        )["result"]
-        for scenario in ("healthy", "undetected", "detected")
-    }
-    h, u, d = (runs[s].p99_ms for s in ("healthy", "undetected", "detected"))
-    gap = u - h
-    closed = (u - d) / gap if gap > 0 else 0.0
-    fs = runs["detected"].failslow_report
-    print(
-        f"failslow smoke [{tier}, measure={measure}]: healthy p99 "
-        f"{h:.1f} ms, undetected {u:.1f} ms ({u / h:.2f}x), detected "
-        f"{d:.1f} ms; gap closed {closed:.0%}; ejections={fs.ejections} "
-        f"relapses={fs.requarantines} probes={fs.probes}"
-    )
-    failures = []
-    if u < 2.0 * h:
-        failures.append(
-            f"undetected inflation {u / h:.2f}x < 2x acceptance floor"
-        )
-    if closed < 0.5:
-        failures.append(f"detection closed {closed:.0%} < 50% of p99 gap")
-    if fs.ejections < 1:
-        failures.append("detector never ejected the slow node")
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    if not failures:
-        print("OK: detection closed >=50% of the p99 gap")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    import sys
-
-    sys.exit(main())

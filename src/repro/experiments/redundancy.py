@@ -555,108 +555,3 @@ def run(
         sections=sections,
         data=data,
     )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI / CI entry: ``python -m repro.experiments.redundancy --smoke``.
-
-    Smoke mode runs the seeded mini grid untraced and asserts the
-    EXT-13 acceptance properties: the protected healthy run is
-    stream-identical to the unprotected one, 2-replica N2 keeps at
-    least 90% of healthy goodput through a blade failure with zero
-    lost or duplicated pages, and the unprotected arm shows the
-    local-paging p99 cliff.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro-redundancy")
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="shrunk seeded run with pass/fail acceptance checks",
-    )
-    parser.add_argument("--measure", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args(argv)
-
-    if not args.smoke:
-        result = run(
-            measure=args.measure or 1500,
-            jobs=args.jobs if args.jobs > 0 else None,
-        )
-        print(result.render())
-        return 0
-
-    measure = args.measure or 900
-    common = dict(measure=measure, traced=False)
-    runs = {
-        key: run_redundancy_config(
-            RedundancyRunConfig(scenario=scenario, policy=policy, **common)
-        )["result"]
-        for key, scenario, policy in (
-            ("baseline", "baseline", "unprotected"),
-            ("healthy-on", "healthy", "replica"),
-            ("unprotected", "storm", "unprotected"),
-            ("replica", "storm", "replica"),
-            ("parity", "storm", "parity"),
-        )
-    }
-    failures: List[str] = []
-
-    base = runs["baseline"]
-    if runs["healthy-on"].stream_digest() != base.stream_digest():
-        failures.append(
-            "FAIL: healthy 2-replica run is not stream-identical to the "
-            "unprotected baseline (redundancy must be free when clean)"
-        )
-
-    replica = runs["replica"]
-    retention = (
-        replica.goodput_rps / base.goodput_rps if base.goodput_rps else 0.0
-    )
-    if retention < 0.90:
-        failures.append(
-            f"FAIL: 2-replica goodput retention {retention:.1%} < 90% "
-            "through a single blade failure"
-        )
-    for name in ("replica", "parity"):
-        rr = runs[name].recovery_report
-        audit = rr.audit
-        if audit is None or not audit.conserved:
-            failures.append(f"FAIL: {name} page audit not conserved: {audit}")
-        elif audit.lost or audit.duplicated:
-            failures.append(
-                f"FAIL: {name} lost {audit.lost} / duplicated "
-                f"{audit.duplicated} pages under a tolerable fault"
-            )
-        if rr.pages_rebuilt == 0:
-            failures.append(f"FAIL: {name} rebuilt no pages after repair")
-
-    cliff = runs["unprotected"].p99_ms / base.p99_ms if base.p99_ms else 0.0
-    if cliff < 1.2:
-        failures.append(
-            f"FAIL: unprotected p99 cliff {cliff:.2f}x < 1.2x (local "
-            "paging should visibly inflate the tail)"
-        )
-
-    print(
-        f"healthy p99 {base.p99_ms:.1f} ms, goodput "
-        f"{base.goodput_rps:.1f} rps"
-    )
-    print(
-        f"unprotected storm: p99 {runs['unprotected'].p99_ms:.1f} ms "
-        f"({cliff:.2f}x cliff)"
-    )
-    print(
-        f"2-replica storm: retention {retention:.1%}, "
-        f"{replica.recovery_report.pages_rebuilt} pages rebuilt, "
-        f"lost {replica.recovery_report.audit.lost}"
-    )
-    for line in failures:
-        print(line)
-    if not failures:
-        print("redundancy smoke OK")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

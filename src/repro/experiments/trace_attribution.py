@@ -7,9 +7,11 @@ behind degraded peers?  This experiment re-runs the section 3.6
 srvr1/N1/N2 clusters under the same accelerated fault profile and
 degradation stack with per-request distributed tracing enabled
 (:mod:`repro.obs`) -- the ``ext11-trace-attribution`` library
-scenario, which ``repro-trace`` also runs -- then decomposes each
-design's latency percentiles into exclusive per-component time along
-the critical path.
+scenario -- then decomposes each design's latency percentiles into
+exclusive per-component time along the critical path.  Its span log
+and Chrome trace come from running the same scenario through
+``repro-scenario run examples/scenarios/ext11_trace_attribution.yaml
+--output DIR``.
 
 For every design the result carries a p50/p95/p99 attribution table:
 each row charges 100% of the tail set's mean latency to queue, cpu, mem,

@@ -26,7 +26,7 @@ to a ``json.JSONEncoder`` on every use.
 exporters these replaced, as the oracle of that contract.
 
 :func:`validate_chrome_trace` is the minimal schema check the CI
-``trace-smoke`` job runs against the emitted file.
+``scenario-smoke`` job runs against the EXT-11 spec's ``trace.json``.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ a ``--jobs 4`` run is bit-identical to a serial one.
 Every plan lowers onto one :class:`ClusterSimulator` and runs on its
 engine, :mod:`repro.cluster.engine`.
 
-The EXT-8/EXT-10/EXT-11 experiment modules and ``repro-trace`` run
-their library scenarios through this compiler;
+The EXT-8/EXT-10/EXT-11 experiment modules run their library
+scenarios through this compiler;
 ``tests/scenario/test_digest_equality.py`` holds each compiled run
 digest-identical to a direct :class:`ClusterSimulator` construction of
 the same configuration.

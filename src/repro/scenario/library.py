@@ -3,8 +3,7 @@
 Three of these are the configurations of experiment modules -- EXT-8
 (availability under faults), EXT-10 (metastable overload), EXT-11
 (traced tail attribution).  Each factory takes its module's ``run()``
-keywords, and the module (and, for EXT-11, ``repro-trace``) compiles
-and executes the scenario it returns.
+keywords, and the module compiles and executes the scenario it returns.
 ``tests/scenario/test_digest_equality.py`` holds the compiled runs
 digest-identical to direct :class:`ClusterSimulator` constructions.
 The fourth, ``multirack-diurnal``, is the flagship: a four-rack
@@ -22,7 +21,7 @@ suite will point at the drift.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict
 
 from repro.scenario.spec import (
     ClosedLoopSpec,
@@ -65,20 +64,12 @@ _SECTION36 = {
 _WEBSEARCH = WorkloadSpec(benchmark="websearch")
 
 
-def _section36_tiers(
-    *, servers: int, clients_per_server: int,
-    designs: Sequence[str] = tuple(_SECTION36),
-) -> TopologySpec:
-    """The section 3.6 design ladder: srvr1, N1, N2 (blade + flash).
-
-    ``designs`` picks rungs by name; a name off the ladder becomes a
-    plain tier, which validation rejects unless it names a design.
-    """
+def _section36_tiers(*, servers: int, clients_per_server: int) -> TopologySpec:
+    """The section 3.6 design ladder: srvr1, N1, N2 (blade + flash)."""
     return TopologySpec(tiers=tuple(
         TierSpec(name=name, design=name, servers=servers,
-                 clients_per_server=clients_per_server,
-                 **_SECTION36.get(name, {}))
-        for name in designs
+                 clients_per_server=clients_per_server, **options)
+        for name, options in _SECTION36.items()
     ))
 
 
@@ -144,21 +135,8 @@ def ext11_trace_attribution(
     *, servers: int = 6, clients_per_server: int = 6, warmup: int = 200,
     measure: int = 1800, seed: int = 1, fault_seed: int = 7,
     sample_rate: float = 1.0, trace_seed: int = 17,
-    designs: Sequence[str] = tuple(_SECTION36), faults: bool = True,
 ) -> Scenario:
-    """EXT-11 as a scenario: the faulted ladder with tracing enabled.
-
-    ``faults=False`` drops the fault profile and the retry stack,
-    leaving healthy traced runs.
-    """
-    tracing = TracingSpec(sample_rate=sample_rate, trace_seed=trace_seed)
-    if faults:
-        overlay = OverlaySpec(
-            "traced-faulted",
-            faults=FaultsSpec(profile="stress", fault_seed=fault_seed),
-            retry=_EXT8_RETRY, tracing=tracing)
-    else:
-        overlay = OverlaySpec("traced", tracing=tracing)
+    """EXT-11 as a scenario: the faulted ladder with tracing enabled."""
     return Scenario(
         name="ext11-trace-attribution",
         description=(
@@ -167,12 +145,16 @@ def ext11_trace_attribution(
         ),
         seed=seed,
         topology=_section36_tiers(servers=servers,
-                                  clients_per_server=clients_per_server,
-                                  designs=designs),
+                                  clients_per_server=clients_per_server),
         workload=_WEBSEARCH,
         traffic=TrafficSpec(closed_loop=ClosedLoopSpec(
             warmup_requests=warmup, measure_requests=measure)),
-        overlays=(overlay,),
+        overlays=(OverlaySpec(
+            "traced-faulted",
+            faults=FaultsSpec(profile="stress", fault_seed=fault_seed),
+            retry=_EXT8_RETRY,
+            tracing=TracingSpec(sample_rate=sample_rate,
+                                trace_seed=trace_seed)),),
     ).check()
 
 

@@ -758,10 +758,9 @@ class Scenario:
         # A fail-slow overlay drifts the same server index in every tier.
         smallest = min((t for t in self.topology.tiers if _is_int(t.servers)),
                        key=lambda t: t.servers, default=None)
+        blade = any(t.remote_memory is not None for t in self.topology.tiers)
         for j, overlay in enumerate(self.overlays):
-            if overlay.redundancy is not None and not any(
-                    t.remote_memory is not None
-                    for t in self.topology.tiers):
+            if overlay.redundancy is not None and not blade:
                 issues.append(ValidationIssue(
                     f"overlays[{j}].redundancy",
                     "no tier has a remote_memory blade to protect"))
@@ -773,6 +772,11 @@ class Scenario:
                     f"overlays[{j}].failslow.server",
                     f"server index {failslow.server} is out of range for "
                     f"tier {smallest.name!r} ({smallest.servers} servers)"))
+            if (failslow is not None and failslow.resource == "remote-mem"
+                    and not blade):
+                issues.append(ValidationIssue(
+                    f"overlays[{j}].failslow.resource",
+                    "no tier has a remote_memory blade to slow"))
             if (overlay.overload is not None
                     and overlay.overload.protected
                     and overlay.overload.queue_cap == "auto"

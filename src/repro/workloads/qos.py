@@ -96,7 +96,9 @@ class QosTracker:
         return over / len(self._samples)
 
     def satisfied(self) -> bool:
-        """True if the configured percentile meets the limit."""
+        """True if the configured percentile meets the limit; False when
+        no response was recorded (a window that measured nothing did not
+        meet QoS)."""
         if not self._samples:
-            return True
+            return False
         return self.percentile_ms() <= self.spec.limit_ms

@@ -20,6 +20,15 @@ from repro.cluster.overload import (
     TokenBucket,
 )
 from repro.platforms.catalog import platform
+from repro.scenario import (
+    OpenLoopSpec,
+    Scenario,
+    TierSpec,
+    TopologySpec,
+    TrafficSpec,
+    WorkloadSpec,
+    run_scenario,
+)
 from repro.workloads.suite import make_workload
 
 
@@ -265,6 +274,23 @@ class TestClusterOverloadWiring:
         assert report.brownout_requests > 0
         assert result.fault_report is not None
         assert result.fault_report.timeouts < 100
+
+    def test_window_that_completes_nothing_misses_qos(self):
+        # 50x analytic capacity and no admission control: the queues
+        # never drain inside the window, so no response is measured.
+        scenario = Scenario(
+            name="collapsed",
+            topology=TopologySpec(tiers=(
+                TierSpec("web", design="N1", servers=2),)),
+            workload=WorkloadSpec(benchmark="websearch"),
+            traffic=TrafficSpec(open_loop=OpenLoopSpec(
+                utilization=50.0, warmup_ms=100.0, measure_ms=2000.0)),
+        )
+        (record,) = run_scenario(scenario).runs
+        result = record.result
+        assert result.offered_rps > 3000
+        assert result.throughput_rps == 0
+        assert not result.qos_met
 
     def test_unprotected_report_counts_nothing(self):
         result = _surge_cluster(

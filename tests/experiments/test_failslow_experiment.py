@@ -1,4 +1,5 @@
-"""EXT-12 grid: parallel fan-out must be invisible in the results."""
+"""EXT-12 grid: its acceptance gate, and parallel fan-out must be
+invisible in the results."""
 
 from repro.experiments.failslow import (
     DETECTION,
@@ -45,3 +46,22 @@ class TestParallelDeterminism:
         assert report.ejections >= 1
         assert DETECTION.adaptive_timeout is not None
         assert report.last_adaptive_timeout_ms is not None
+
+
+def test_detection_closes_half_the_p99_gap():
+    """EXT-12's acceptance gate at the default cluster size, untraced
+    and shortened to 900 measured completions: the undetected slow node
+    at least doubles srvr1's p99, and detection ejects it and closes at
+    least half of the gap."""
+    runs = {
+        scenario: run_failslow_config(
+            FailSlowRunConfig(design="srvr1", scenario=scenario,
+                              measure=900, traced=False)
+        )["result"]
+        for scenario in ("healthy", "undetected", "detected")
+    }
+    healthy, undetected, detected = (
+        runs[s].p99_ms for s in ("healthy", "undetected", "detected"))
+    assert undetected >= 2.0 * healthy
+    assert (undetected - detected) / (undetected - healthy) >= 0.5
+    assert runs["detected"].failslow_report.ejections >= 1

@@ -1,4 +1,5 @@
-"""EXT-13 grid: parallel fan-out must be invisible in the results."""
+"""EXT-13 grid: its acceptance gate, and parallel fan-out must be
+invisible in the results."""
 
 from repro.experiments.redundancy import (
     RedundancyRunConfig,
@@ -60,3 +61,34 @@ class TestParallelDeterminism:
         assert report.pages_rebuilt > 0
         assert report.audit.conserved
         assert not report.data_loss
+
+
+def test_replicas_ride_through_a_blade_storm():
+    """EXT-13's acceptance gate at the default cluster size, untraced
+    and shortened to 900 measured completions: a healthy protected run
+    is stream-identical to the unprotected one, 2-replica N2 keeps at
+    least 90% of healthy goodput through a blade failure, replica and
+    parity lose and duplicate no page and rebuild after repair, and the
+    unprotected arm shows the local-paging p99 cliff."""
+    runs = {
+        key: run_redundancy_config(
+            RedundancyRunConfig(scenario=scenario, policy=policy,
+                                measure=900, traced=False)
+        )["result"]
+        for key, scenario, policy in (
+            ("baseline", "baseline", "unprotected"),
+            ("healthy-on", "healthy", "replica"),
+            ("unprotected", "storm", "unprotected"),
+            ("replica", "storm", "replica"),
+            ("parity", "storm", "parity"),
+        )
+    }
+    base = runs["baseline"]
+    assert runs["healthy-on"].stream_digest() == base.stream_digest()
+    assert runs["replica"].goodput_rps >= 0.90 * base.goodput_rps
+    for name in ("replica", "parity"):
+        report = runs[name].recovery_report
+        assert report.audit is not None and report.audit.conserved
+        assert (report.audit.lost, report.audit.duplicated) == (0, 0)
+        assert report.pages_rebuilt > 0
+    assert runs["unprotected"].p99_ms >= 1.2 * base.p99_ms

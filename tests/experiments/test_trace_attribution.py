@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import trace_attribution
 from repro.experiments.trace_attribution import PERCENTILES, summarize
-from repro.scenario import ScenarioValidationError, run_scenario
+from repro.scenario import run_scenario
 from repro.scenario.library import ext11_trace_attribution
 
 _SHRUNK = dict(servers=3, clients_per_server=5, warmup=100, measure=600)
@@ -65,26 +65,8 @@ class TestTraceAttributionExperiment:
         assert result.experiment_id == "EXT-11"
 
     def test_serial_rerun_reproduces_the_parallel_digest(self, result):
-        scenario = ext11_trace_attribution(designs=("srvr1",), **_SHRUNK)
-        summary = summarize(run_scenario(scenario).runs[0])
-        assert summary["trace_digest"] == result.data["srvr1"]["trace_digest"]
-
-
-class TestTraceRunConfig:
-    """The ``designs=`` and ``faults=`` keywords ``repro-trace`` passes."""
-
-    def test_unknown_design_rejected(self):
-        with pytest.raises(ScenarioValidationError) as excinfo:
-            ext11_trace_attribution(designs=("srvr9",))
-        assert [issue.path for issue in excinfo.value.issues] == [
-            "topology.tiers[0].design"
-        ]
-
-    def test_healthy_mode_skips_fault_machinery(self):
-        scenario = ext11_trace_attribution(
-            designs=("srvr1",), faults=False, warmup=50, measure=200,
-            servers=2, clients_per_server=4,
-        )
-        (record,) = run_scenario(scenario).runs
-        assert record.result.fault_report is None
-        assert record.tracer.completed_traces()
+        records = run_scenario(ext11_trace_attribution(**_SHRUNK)).runs
+        assert [record.tier for record in records] == ["srvr1", "N1", "N2"]
+        for record in records:
+            assert (summarize(record)["trace_digest"]
+                    == result.data[record.tier]["trace_digest"])

@@ -126,6 +126,15 @@ def test_run_with_digest_and_outputs(tmp_path, capsys):
     assert "digest: " + payload["digest"] in first
 
 
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):
+    spec = tmp_path / "tiny.json"
+    save_scenario(_tiny_scenario(), spec)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", str(spec), "--jobs", "0"])
+    assert excinfo.value.code == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_unknown_scenario_errors():
     with pytest.raises(SystemExit, match="neither a library scenario"):
         main(["run", "no-such-scenario"])

@@ -49,11 +49,14 @@ class TestPathPrecision:
                 TierSpec(name="a", design="N1"),
                 TierSpec(name="b", design="N2"),
                 TierSpec(name="c", platform="n3"),
+                TierSpec(name="d", design="srvr9"),
             )),
         )
         issues = _issues(scenario)
-        assert "topology.tiers[2].platform" in issues
+        assert set(issues) == {"topology.tiers[2].platform",
+                               "topology.tiers[3].design"}
         assert "unknown 'n3'" in issues["topology.tiers[2].platform"]
+        assert "unknown 'srvr9'" in issues["topology.tiers[3].design"]
 
     def test_dag_cycle_and_unknown_dependency(self):
         dag = RequestDagSpec(
@@ -207,6 +210,18 @@ class TestCrossValidation:
             overlays=(OverlaySpec(name="slow",
                                   failslow=FailslowSpec(server=1)),))
         assert _issues(in_range) == {}
+
+    def test_remote_mem_failslow_needs_a_remote_memory_tier(self):
+        slow = (OverlaySpec(name="slow",
+                            failslow=FailslowSpec(resource="remote-mem")),)
+        assert _issues(_valid_scenario(overlays=slow)) == {
+            "overlays[0].failslow.resource":
+                "no tier has a remote_memory blade to slow",
+        }
+        blade = TopologySpec(tiers=(
+            TierSpec(name="web", design="N2",
+                     remote_memory=RemoteMemorySpec()),))
+        assert _issues(_valid_scenario(topology=blade, overlays=slow)) == {}
 
     def test_parity_needs_a_blade_per_shard_plus_one(self):
         def scenario(blades):

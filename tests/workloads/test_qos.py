@@ -43,7 +43,7 @@ class TestQosTracker:
 
     def test_empty_tracker(self):
         tracker = QosTracker(QosSpec(limit_ms=100.0))
-        assert tracker.satisfied()
+        assert not tracker.satisfied()
         assert tracker.violation_rate() == 0.0
         with pytest.raises(ValueError):
             tracker.percentile_ms()

@@ -12,10 +12,8 @@ called:
   rendered), CI's ``table2`` and ``figure5 --method analytic`` (serial,
   so the profiler sees the analytic path), ``table2 figure1 --jobs 2``,
   and ``table1`` twice against one cache directory (a miss, then a hit);
-- ``failslow --smoke`` and ``redundancy --smoke``;
 - ``repro-scenario validate``, ``describe`` and ``run --quick`` on the
   four shipped specs;
-- CI's two ``repro-trace`` commands;
 - every ``examples/*.py``.
 
 Every ``def`` in ``src/repro`` (nested ones included) is listed from its
@@ -54,8 +52,6 @@ SPECS = (
     "examples/scenarios/ext11_trace_attribution.yaml",
     "examples/multirack_diurnal.yaml",
 )
-
-TRACE_SIZE = ["--servers", "2", "--clients", "3", "--warmup", "20", "--measure", "80"]
 
 
 @dataclass
@@ -107,7 +103,6 @@ def _entry_points(tmp: Path) -> List[Tuple[str, Callable[[], object]]]:
 
     experiments = "repro.experiments.runner"
     scenario = "repro.scenario.cli"
-    trace = "repro.obs.cli"
     specs = [str(ROOT / spec) for spec in SPECS]
     cache = str(tmp / "cache")
     points = [
@@ -119,8 +114,6 @@ def _entry_points(tmp: Path) -> List[Tuple[str, Callable[[], object]]]:
          cli(experiments, "table2", "figure1", "--jobs", "2", "--no-cache")),
         ("repro-experiments table1 (cache miss)", cli(experiments, "table1", "--cache-dir", cache)),
         ("repro-experiments table1 (cache hit)", cli(experiments, "table1", "--cache-dir", cache)),
-        ("failslow --smoke", cli("repro.experiments.failslow", "--smoke")),
-        ("redundancy --smoke", cli("repro.experiments.redundancy", "--smoke")),
         ("repro-scenario validate", cli(scenario, "validate", *specs)),
     ]
     for spec in specs:
@@ -130,14 +123,6 @@ def _entry_points(tmp: Path) -> List[Tuple[str, Callable[[], object]]]:
             f"repro-scenario run {name} --quick",
             cli(scenario, "run", spec, "--quick", "--output", str(tmp / name)),
         ))
-    points += [
-        ("repro-trace srvr1 --no-faults --validate",
-         cli(trace, "srvr1", *TRACE_SIZE, "--no-faults", "--chrome", "trace.json",
-             "--jsonl", "spans.jsonl", "--validate")),
-        ("repro-trace --jobs 3",
-         cli(trace, *TRACE_SIZE, "--jobs", "3", "--chrome", "trace-jobs3.json",
-             "--jsonl", "spans-jobs3.jsonl")),
-    ]
     for path in sorted((ROOT / "examples").glob("*.py")):
         points.append((f"examples/{path.name}", example(path)))
     return points
