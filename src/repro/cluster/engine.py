@@ -483,8 +483,9 @@ def run_cohort(csim):
     # boundary so its spans are created in event order.  The blade link
     # is always its own event: an attempt that skips it (blade down, no
     # remote misses) can reach its disk ahead of one still in the link.
-    # A zero-rate tracer still sees every request (``requests_seen``)
-    # but never records a trace.
+    # A zero-rate tracer never records a trace, so the run makes no
+    # ``Tracer.begin`` call: it counts the requests it issues in ``rid``
+    # and adds them to ``requests_seen`` once, at the end.
     traced_run = tracer is not None and tracer.sample_rate > 0.0
     staged_cpu = faults or traced_run
     staged_mem = staged_cpu or remote is not None
@@ -986,13 +987,13 @@ def run_cohort(csim):
         return ties[r]
 
     # With every server always alive, no detector, least-outstanding
-    # dispatch, the platform disk, no blade and no tracer (the open-loop
-    # overload runs), the breaker filter, queue-cap filter and pick fuse
-    # into one pass, and the first attempt of each request is inlined
-    # into the arrival handler.
+    # dispatch, the platform disk, no blade and no sampled trace (the
+    # open-loop overload runs), the breaker filter, queue-cap filter and
+    # pick fuse into one pass, and the first attempt of each request is
+    # inlined into the arrival handler.
     fused = (
         not closed and not health and detector is None and not round_robin
-        and spec is None and remote is None and tracer is None
+        and spec is None and remote is None and not traced_run
     )
 
     def dispatch_request(now: float, rs: list) -> None:
@@ -1082,9 +1083,9 @@ def run_cohort(csim):
         """A new request: sample, trace, count, admit, dispatch."""
         nonlocal rid
         rs = [fast_sample(rng), now, 0, False, False, None, None]
-        if tracer is not None:
+        if traced_run:
             rs[5] = tracer.begin(rid, now)
-            rid += 1
+        rid += 1
         if overload_report is not None:
             i = int(now / bucket)
             offered_b[i] = offered_b.get(i, 0.0) + 1.0
@@ -1435,6 +1436,7 @@ def run_cohort(csim):
                 issue(now)
                 continue
             rs = [fast_sample(rng), now, 0, False, False, None, None]
+            rid += 1
             i = int(now / bucket)
             offered_b[i] = offered_get(i, 0.0) + 1.0
             if measuring:
@@ -1762,6 +1764,8 @@ def run_cohort(csim):
             ctype.value: count
             for ctype, count in injector.failure_counts.items()
         }
+    if tracer is not None and not traced_run:
+        tracer.requests_seen += rid
     if tracer is not None:
         tracer.finalize(now)
     failslow_report: Optional[FailSlowReport] = None

@@ -283,14 +283,27 @@ class BladeGroup:
         written; shares one immutable zero page, so memory stays O(1).
         """
         total = 0
-        for server_id in self._slots:
+        # With every blade live, each replica write stores every copy:
+        # the outcome of ``write_page`` per page, stored in bulk.  A
+        # test holds the two paths to the same blades and counters.
+        bulk = self.policy.mode == "replica" and all(self.live)
+        for server_id, slot in self._slots.items():
             limit = self._pages[server_id]
             count = limit if pages_per_server is None else min(
                 pages_per_server, limit
             )
-            for page in range(count):
-                self.write_page(server_id, page, ZERO_PAGE)
-                total += 1
+            if bulk:
+                zeros = dict.fromkeys(range(count), ZERO_PAGE)
+                for index in self._replica_set(slot):
+                    blade = self.blades[index]
+                    blade.allocation_of(server_id).resident.update(zeros)
+                    blade.transfers_to_blade += count
+                self._written[server_id].update(range(count))
+                self.version += count
+            else:
+                for page in range(count):
+                    self.write_page(server_id, page, ZERO_PAGE)
+            total += count
         return total
 
     # -- page I/O -----------------------------------------------------
@@ -608,20 +621,44 @@ class BladeGroup:
         )
 
     def audit(self) -> RedundancyAudit:
-        """Page-conservation snapshot (see :class:`RedundancyAudit`)."""
+        """Page-conservation snapshot (see :class:`RedundancyAudit`).
+
+        A replica group's pages are classified as :meth:`_page_state`
+        does, but by set operations over each blade's resident pages; a
+        parity group's go through :meth:`_page_state` one at a time.
+        """
         written = intact = degraded = lost = duplicated = 0
-        replica = self.policy.mode == "replica"
+        live = self.live
         for server_id, slot in self._slots.items():
-            # Each blade's resident copies of this server's pages, looked
-            # up once per server rather than once per page.
+            pages = self._written[server_id]
+            written += len(pages)
+            # Each blade's resident pages of this server, looked up once
+            # per server rather than once per page.  A resident value is
+            # page bytes, never None, so holding a key is holding a copy.
             held = []
             for blade in self.blades:
                 allocation = blade.allocation_of(server_id)
-                held.append({} if allocation is None else allocation.resident)
-            if replica:
-                allowed = set(self._replica_set(slot))
-            for page in self._written[server_id]:
-                written += 1
+                held.append(
+                    set() if allocation is None else allocation.resident.keys()
+                )
+            if self.policy.mode == "replica":
+                allowed = self._replica_set(slot)
+                copies = [held[blade] for blade in allowed if live[blade]]
+                full = (
+                    len(pages.intersection(*copies))
+                    if len(copies) == len(allowed) else 0
+                )
+                readable = len(pages.intersection(set().union(*copies)))
+                intact += full
+                degraded += readable - full
+                lost += len(pages) - readable
+                strays = set().union(*(
+                    keys for blade, keys in enumerate(held)
+                    if blade not in allowed
+                ))
+                duplicated += len(pages.intersection(strays))
+                continue
+            for page in pages:
                 state = self._page_state(server_id, slot, page)
                 if state == "intact":
                     intact += 1
@@ -629,19 +666,12 @@ class BladeGroup:
                     degraded += 1
                 else:
                     lost += 1
-                holders = [
-                    blade for blade, resident in enumerate(held)
-                    if resident.get(page) is not None
-                ]
-                if replica:
-                    if len(holders) > len(allowed) or any(
-                        blade not in allowed for blade in holders
-                    ):
-                        duplicated += 1
-                else:
-                    home = self._data_blade(slot, page)
-                    if any(blade != home for blade in holders):
-                        duplicated += 1
+                home = self._data_blade(slot, page)
+                if any(
+                    page in keys for blade, keys in enumerate(held)
+                    if blade != home
+                ):
+                    duplicated += 1
         return RedundancyAudit(
             written=written, intact=intact, degraded=degraded, lost=lost,
             duplicated=duplicated,

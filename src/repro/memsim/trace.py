@@ -20,6 +20,12 @@ Footprints are scaled down from the 2 GB baseline (the paper itself
 scales datasets for simulation time); miss *rates* at a fixed local
 *fraction* are approximately scale-invariant for this trace family, which
 the property tests check.
+
+Page ids are stored at their natural width: a trace's dtype is the
+narrowest unsigned integer that holds ``footprint_pages - 1``, so every
+shipped trace is uint16 (2 bytes a page, a quarter of int64).  Consumers
+index with the ids directly and convert to Python ``int`` before any
+arithmetic that could leave that range.
 """
 
 from __future__ import annotations
@@ -85,48 +91,63 @@ WORKLOAD_TRACES: Dict[str, PageTraceSpec] = {
     ),
 }
 
+#: Zipf draws per ``rng.random`` call in :func:`generate_trace`.
+_ZIPF_BLOCK = 65536
+
 
 def generate_trace(
     spec: PageTraceSpec, length: int, seed: int = 0
 ) -> np.ndarray:
-    """Generate ``length`` page accesses (page ids in ``[0, footprint)``)."""
+    """Generate ``length`` page accesses (page ids in ``[0, footprint)``).
+
+    The ids come back in the narrowest unsigned dtype that holds them,
+    ``np.min_scalar_type(footprint_pages - 1)``: uint8 up to 256 pages,
+    uint16 up to 65,536 (every shipped spec), uint32 above that.
+    Arithmetic on them wraps at that width, so a consumer converts
+    before it adds or subtracts (``int(trace.max()) + 1``, never
+    ``trace.max() + 1``); indexing with them is safe.
+    """
     if length <= 0:
         raise ValueError("trace length must be positive")
     rng = np.random.default_rng(seed)
     n = spec.footprint_pages
-
-    # Zipf reuse component: inverse-CDF sampling over ranks.
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    weights = ranks ** (-spec.zipf_alpha)
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    # Fixed permutation rank -> page id (hot pages spread over the space).
-    permutation = np.random.default_rng(12345).permutation(n)
-
+    dtype = np.min_scalar_type(n - 1)
     seq_accesses = int(length * spec.sequential_fraction)
-    zipf_accesses = length - seq_accesses
+    zipf_pages = _zipf_pages(spec, length - seq_accesses, rng, dtype)
+    if not seq_accesses:
+        return zipf_pages
 
-    zipf_pages = permutation[np.searchsorted(cdf, rng.random(zipf_accesses))]
-
-    # Sequential scans: runs of consecutive pages at random offsets.
-    runs = max(1, -(-seq_accesses // spec.run_length))
-    starts = rng.integers(0, n, size=runs)
-    seq_parts = [
-        (start + np.arange(spec.run_length)) % n for start in starts
-    ]
-    seq_pages = np.concatenate(seq_parts)[:seq_accesses] if seq_accesses else (
-        np.empty(0, dtype=np.int64)
-    )
-
-    # Interleave: shuffle scan runs into the reuse stream at block level.
-    trace = np.empty(length, dtype=np.int64)
+    # Sequential scans: runs of consecutive pages at random offsets,
+    # shuffled into the reuse stream at block level.
+    starts = rng.integers(0, n, size=-(-seq_accesses // spec.run_length))
     mask = np.zeros(length, dtype=bool)
-    if seq_accesses:
-        positions = rng.choice(length, size=seq_accesses, replace=False)
-        mask[positions] = True
-        trace[mask] = seq_pages
+    mask[rng.choice(length, size=seq_accesses, replace=False)] = True
+    trace = np.empty(length, dtype=dtype)
+    trace[mask] = (
+        (starts[:, None] + np.arange(spec.run_length)) % n
+    ).ravel()[:seq_accesses]
     trace[~mask] = zipf_pages
     return trace
+
+
+def _zipf_pages(
+    spec: PageTraceSpec, count: int, rng: np.random.Generator, dtype: np.dtype
+) -> np.ndarray:
+    """The Zipf reuse component: ``count`` ids by inverse-CDF sampling.
+
+    Drawn block by block, so the float64 draws and int64 ranks stay one
+    block long; successive ``random`` calls continue one stream.
+    """
+    n = spec.footprint_pages
+    cdf = np.cumsum(np.arange(1, n + 1, dtype=np.float64) ** -spec.zipf_alpha)
+    cdf /= cdf[-1]
+    # Fixed permutation rank -> page id (hot pages spread over the space).
+    permutation = np.random.default_rng(12345).permutation(n).astype(dtype)
+    pages = np.empty(count, dtype=dtype)
+    for start in range(0, count, _ZIPF_BLOCK):
+        draws = rng.random(min(_ZIPF_BLOCK, count - start))
+        pages[start:start + len(draws)] = permutation[np.searchsorted(cdf, draws)]
+    return pages
 
 
 @lru_cache(maxsize=8)
@@ -134,7 +155,9 @@ def cached_trace(spec: PageTraceSpec, length: int, seed: int = 0) -> np.ndarray:
     """Memoized :func:`generate_trace` (figure4/ablation/sensitivity all
     replay the same ``(spec, length, seed)`` traces across policies,
     fractions, and experiments).  The returned array is shared between
-    callers and therefore marked read-only; copy before mutating.
+    callers and therefore marked read-only; copy before mutating.  It
+    has :func:`generate_trace`'s narrow dtype, so the five shipped
+    traces at 8 passes hold 2 bytes a page, 3.4 MB in all.
     """
     trace = generate_trace(spec, length, seed=seed)
     trace.setflags(write=False)

@@ -119,8 +119,9 @@ class TwoLevelMemorySimulator:
         Replays the oracle's per-access ``RandomPolicy`` exactly:
         a victim slot is drawn with ``getrandbits`` the way
         ``randrange(capacity)`` draws it, from the same seeded stream.
-        Compulsory first touches are counted once, off the whole trace,
-        instead of tracking a seen-set per access.
+        Compulsory first touches are counted once per chunk, off a
+        per-page "touched" mask, instead of tracking a seen-set per
+        access.
         """
         spec, capacity = self.spec, self.local_capacity
         warmup = min(spec.footprint_pages, length // 2)
@@ -128,14 +129,17 @@ class TwoLevelMemorySimulator:
         bits = capacity.bit_length()
         slots: list = []
         index: dict = {}
-        misses = misses_at_window = resident_at_window = 0
+        touched = np.zeros(spec.footprint_pages, dtype=bool)
+        misses = misses_at_window = resident_at_window = warm_pages = 0
         start = 0
         # The first chunk is the warmup pass, so the window opens on a
         # chunk boundary.
         for chunk in trace_chunks(spec, length, self.seed, chunk=max(1, warmup)):
             if start == warmup:
                 misses_at_window, resident_at_window = misses, len(slots)
+                warm_pages = int(np.count_nonzero(touched))
             start += len(chunk)
+            touched[chunk] = True
             for page in chunk.tolist():
                 if page in index:
                     continue
@@ -152,11 +156,6 @@ class TwoLevelMemorySimulator:
                 index[page] = slot
         # A page first touched in the window is touched in the whole
         # trace but not in the warmup prefix.
-        trace = cached_trace(spec, length, seed=self.seed)
-        touched = np.zeros(int(trace.max()) + 1, dtype=bool)
-        touched[trace[:warmup]] = True
-        warm_pages = int(np.count_nonzero(touched))
-        touched[trace[warmup:]] = True
         first_touches = int(np.count_nonzero(touched)) - warm_pages
         window_misses = misses - misses_at_window
         # Every miss fills a free slot or evicts a victim to the blade.

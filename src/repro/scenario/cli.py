@@ -64,6 +64,7 @@ def _write_outputs(result, output_dir: Path) -> list:
                 "per_server_rps": r.per_server_rps,
                 "p99_ms": r.p99_ms,
                 "qos_violation_rate": r.qos_violation_rate,
+                "qos_met": r.qos_met,
                 "digest": r.digest,
             }
             for r in result.runs

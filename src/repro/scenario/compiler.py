@@ -104,6 +104,9 @@ class RunRecord:
     per_server_rps: float
     p99_ms: float
     qos_violation_rate: float
+    #: Whether the window met the workload's QoS; False when it measured
+    #: no response.
+    qos_met: bool
     digest: str
     result: object = field(repr=False, default=None)
     tracer: object = field(repr=False, default=None)
@@ -526,6 +529,7 @@ def _execute_run(plan: RunPlan) -> RunRecord:
         per_server_rps=result.per_server_rps,
         p99_ms=result.p99_ms,
         qos_violation_rate=result.qos_violation_rate,
+        qos_met=result.qos_met,
         digest=result.stream_digest(),
         result=result,
         tracer=tracer,

@@ -431,6 +431,31 @@ class TestDigestEquality:
         assert m_scalar.snapshot() == m_cohort.snapshot()
 
 
+class TestZeroRateTracer:
+    @pytest.mark.parametrize("name", ("closed-bare", "bench-surge"))
+    def test_zero_rate_run_counts_requests_without_begin(
+        self, name, monkeypatch
+    ):
+        """A zero-rate tracer records nothing, so the run never calls
+        ``Tracer.begin``; it still counts every request the scalar
+        oracle shows to the sampler.  ``bench-surge`` takes the fused
+        open-loop path, ``closed-bare`` the closed loop's ``issue``."""
+        config = EQUIVALENT_CONFIGS[name]
+        untraced = _simulator(**config).run()
+        oracle = Tracer(sample_rate=0.0)
+        run_scalar(_simulator(tracer=oracle, **config))
+
+        def begin(*args, **kwargs):
+            raise AssertionError("a zero-rate run called Tracer.begin")
+
+        monkeypatch.setattr(Tracer, "begin", begin)
+        tracer = Tracer(sample_rate=0.0)
+        result = _simulator(tracer=tracer, **config).run()
+        assert result.stream_digest() == untraced.stream_digest()
+        assert tracer.requests_seen == oracle.requests_seen > 0
+        assert tracer.traces == []
+
+
 class TestClampPhaseDelay:
     def test_nonnegative_passthrough(self):
         assert clamp_phase_delay(5.0, 1000.0) == 5.0

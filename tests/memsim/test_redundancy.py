@@ -24,6 +24,32 @@ def _page(rng):
     )
 
 
+def _page_states(group):
+    """(intact, degraded, lost) counted one ``_page_state`` call per
+    written page: the per-page classification ``audit`` must match."""
+    states = [
+        group._page_state(server_id, slot, page)
+        for server_id, slot in group._slots.items()
+        for page in group._written[server_id]
+    ]
+    return tuple(states.count(s) for s in ("intact", "degraded", "lost"))
+
+
+def _blade_state(group):
+    """Everything a write leaves behind, per blade and per server."""
+    return (
+        [
+            (blade.transfers_to_blade, {
+                owner: dict(allocation.resident)
+                for owner, allocation in blade._allocations.items()
+            })
+            for blade in group.blades
+        ],
+        group._written, group.version, group.degraded_writes,
+        group.lost_writes, group.pages_needing_rebuild,
+    )
+
+
 class TestPolicy:
     def test_replica_shape(self):
         policy = RedundancyPolicy.replicated(2)
@@ -200,6 +226,9 @@ class TestConservationProperty:
                 group.rebuild_step(rng.randrange(1, 16))
             audit = group.audit()
             assert audit.conserved, f"audit broke: {audit}"
+            assert (audit.intact, audit.degraded, audit.lost) == (
+                _page_states(group)
+            )
         # Recover everything recoverable and re-audit.
         for blade, live in enumerate(group.live):
             if not live:
@@ -250,6 +279,36 @@ class TestGroupConstruction:
         audit = group.audit()
         assert audit.written == 10
         assert audit.intact == 10
+
+    @pytest.mark.parametrize(
+        "policy,blades,failed",
+        [
+            (RedundancyPolicy.replicated(2), 3, None),
+            (RedundancyPolicy.replicated(3), 4, None),
+            (RedundancyPolicy.replicated(2), 3, 1),
+            (RedundancyPolicy.parity(4), 5, None),
+        ],
+    )
+    def test_populate_stores_what_page_writes_store(
+        self, policy, blades, failed
+    ):
+        """A healthy replica group is populated in bulk; the blades,
+        counters and worklist must read as after one ``write_page`` per
+        page (a group with a blade down, or parity, takes that path)."""
+        groups = [
+            auto_blade_group(policy, blades, ["a", "b", "c"], pages_per_server=9)
+            for _ in range(2)
+        ]
+        for group in groups:
+            group.write_page("b", 4, _page(random.Random(3)))
+            if failed is not None:
+                group.fail_blade(failed)
+        assert groups[0].populate(pages_per_server=7) == 21
+        for server_id in ("a", "b", "c"):
+            for page in range(7):
+                groups[1].write_page(server_id, page, ZERO_PAGE)
+        assert _blade_state(groups[0]) == _blade_state(groups[1])
+        assert groups[0].audit() == groups[1].audit()
 
     def test_attach_twice_rejected(self):
         group = auto_blade_group(

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim.trace import PageTraceSpec, WORKLOAD_TRACES, generate_trace
+from repro.memsim.trace import (
+    PageTraceSpec,
+    WORKLOAD_TRACES,
+    cached_trace,
+    generate_trace,
+)
+from tests.memsim.reference_trace import reference_trace
+
+#: The trace length every experiment replays: eight footprint passes.
+_PASSES = 8
 
 
 def _spec(**kw):
@@ -61,7 +70,8 @@ class TestGenerateTrace:
     def test_sequential_runs_present(self):
         spec = _spec(sequential_fraction=1.0)
         trace = generate_trace(spec, 2048, seed=3)
-        diffs = np.diff(trace)
+        # Widen first: a difference of uint16 ids wraps at 2**16.
+        diffs = np.diff(trace.astype(np.int64))
         consecutive = np.mean((diffs == 1) | (diffs == 1 - spec.footprint_pages))
         assert consecutive > 0.9
 
@@ -92,3 +102,52 @@ class TestGenerateTrace:
         trace = generate_trace(spec, length, seed=seed)
         assert len(trace) == length
         assert (trace >= 0).all() and (trace < footprint).all()
+        assert np.array_equal(trace, reference_trace(spec, length, seed=seed))
+
+
+class TestCompactTrace:
+    """Page ids at their natural width, equal to the full-width oracle."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_TRACES))
+    def test_shipped_traces_equal_the_oracle(self, name):
+        spec = WORKLOAD_TRACES[name]
+        length = _PASSES * spec.footprint_pages
+        assert np.array_equal(
+            generate_trace(spec, length), reference_trace(spec, length)
+        )
+
+    @pytest.mark.parametrize(
+        "length, seed",
+        [(12_345, 7), (65_535, 3), (65_536, 1), (65_537, 2), (200_001, 11)],
+    )
+    def test_lengths_off_the_block_size_equal_the_oracle(self, length, seed):
+        """The Zipf draws come in 65,536-sample blocks; a partial last
+        block, an exact one and one sample over draw the same stream."""
+        for spec in (WORKLOAD_TRACES["ytube"], _spec(sequential_fraction=0.0)):
+            assert np.array_equal(
+                generate_trace(spec, length, seed=seed),
+                reference_trace(spec, length, seed=seed),
+            )
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_TRACES))
+    def test_shipped_cached_traces_hold_two_bytes_a_page(self, name):
+        spec = WORKLOAD_TRACES[name]
+        length = _PASSES * spec.footprint_pages
+        trace = cached_trace(spec, length)
+        assert trace.dtype == np.uint16
+        assert trace.nbytes == 2 * length
+
+    @pytest.mark.parametrize(
+        "footprint, dtype",
+        [(256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+         (65_537, np.uint32)],
+    )
+    def test_dtype_is_the_narrowest_that_holds_the_footprint(
+        self, footprint, dtype
+    ):
+        spec = _spec(footprint_pages=footprint)
+        trace = generate_trace(spec, 4 * footprint, seed=5)
+        assert trace.dtype == dtype
+        # Ids reach the top of the range without wrapping.
+        assert int(trace.max()) == footprint - 1
+        assert np.array_equal(trace, reference_trace(spec, 4 * footprint, seed=5))

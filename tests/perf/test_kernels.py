@@ -78,6 +78,17 @@ class TestPrimitives:
         assert np.array_equal(first, want_first)
         assert np.array_equal(dist, want_dist)
 
+    @pytest.mark.parametrize("workload", ("webmail", "ytube"))
+    def test_compact_trace_gives_the_full_width_distances(self, workload):
+        """The kernels read a generated trace at its own uint16 width;
+        widening it first changes no distance."""
+        trace = cached_trace(WORKLOAD_TRACES[workload], TRACE_LENGTH, seed=0)
+        assert trace.dtype == np.uint16
+        dist, first = stack_distances(trace)
+        wide_dist, wide_first = stack_distances(trace.astype(np.int64))
+        assert np.array_equal(first, wide_first)
+        assert np.array_equal(dist, wide_dist)
+
     def test_distance_answers_lru_hits(self):
         """dist[i] <= C iff the access hits an LRU cache of capacity C."""
         rng = np.random.default_rng(5)

@@ -10,6 +10,7 @@ from repro.scenario.cli import main
 from repro.scenario.spec import (
     ClosedLoopSpec,
     FaultsSpec,
+    OpenLoopSpec,
     OverlaySpec,
     Scenario,
     TierSpec,
@@ -124,6 +125,29 @@ def test_run_with_digest_and_outputs(tmp_path, capsys):
     assert main(["run", str(spec), "--expect-digest", "0" * 64]) == 1
     assert "digest mismatch" in capsys.readouterr().err
     assert "digest: " + payload["digest"] in first
+
+
+def test_result_json_says_whether_each_run_met_qos(tmp_path, capsys):
+    """50x analytic capacity and no admission control: the window
+    measures no response, and ``result.json`` says the run missed QoS
+    rather than leave ``p99_ms`` 0.0 and a 0.0 violation rate to read
+    like a perfect run."""
+    scenario = Scenario(
+        name="collapsed",
+        topology=TopologySpec(tiers=(
+            TierSpec("web", design="N1", servers=2),)),
+        workload=WorkloadSpec(benchmark="websearch"),
+        traffic=TrafficSpec(open_loop=OpenLoopSpec(
+            utilization=50.0, warmup_ms=100.0, measure_ms=2000.0)),
+    ).check()
+    spec = tmp_path / "collapsed.json"
+    save_scenario(scenario, spec)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(spec), "--output", str(out_dir)]) == 0
+    capsys.readouterr()
+    (run,) = json.loads((out_dir / "result.json").read_text())["runs"]
+    assert run["throughput_rps"] == 0
+    assert run["qos_met"] is False
 
 
 def test_jobs_below_one_is_a_usage_error(tmp_path, capsys):
