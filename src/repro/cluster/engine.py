@@ -51,7 +51,14 @@ while reproducing the oracle's behaviour **bit for bit**:
   schedules the surviving events at the same points, in the same order,
   as the oracle's ``schedule``/``schedule_timer`` calls, and the events
   the Lindley collapse removes (disk/NIC stage completions) carry no
-  observable side effects.  A collapsed attempt-complete event, and a
+  observable side effects.  Per-attempt timeouts keep their ``seq`` but
+  wait in a deadline-ordered deque with only its head on the heap; a
+  timeout found stale (its attempt completed or timed out, or its
+  request finished) behind a firing head is dropped instead of popped,
+  which is exact because staleness is permanent and a stale timeout
+  does nothing.  Only a shrinking adaptive timeout, whose deadline would
+  precede the deque's tail, and the hedge timers go on the heap
+  directly.  A collapsed attempt-complete event, and a
   link departure queued behind another transfer, is pushed earlier (at
   entry, not grant), which could only reorder it against an unrelated
   event landing on the *identical* float timestamp in that window;
@@ -98,6 +105,10 @@ bucket counts, which ``record_many`` computes exactly), the rebuild
 throttle's backpressure EWMA folds its event-ordered feed when the
 rebuild pump reads it, and the metrics response histogram is flushed
 once at the end of the run.
+
+When the event loop ends it clears the heap, the timeout deque and every
+server's CPU and memory queue, so the work still in flight is freed by
+reference counting as the run returns, not by a later gen-2 collection.
 """
 
 from __future__ import annotations
@@ -505,6 +516,15 @@ def run_cohort(csim):
     # less tuple element to allocate and compare per event.
     heap: list = []
     seq = 0
+    # Per-attempt timeouts wait in deadline order in ``timeouts``, and
+    # only its head is on the heap, under its own ``(time, key)``, with
+    # a ``b`` of True.  When the head fires, the entries behind it that
+    # are already stale are dropped and the next live one goes to the
+    # heap.  Dropping is exact: ``att[2]``, ``att[3]`` and ``rs[3]`` only
+    # ever turn True, and a stale timeout's handler does nothing.  A
+    # timeout whose deadline would precede the tail (only a shrinking
+    # adaptive timeout's can) goes to the heap with ``b`` None.
+    timeouts = deque()
 
     def push(time: float, kind: int, a, b) -> None:
         nonlocal seq
@@ -950,7 +970,15 @@ def run_cohort(csim):
         if retry is None:
             return
         seq += 16
-        heappush(heap, (now + att_timeout, seq + _K_TIMEOUT, att, None))
+        deadline = now + att_timeout
+        if timeouts and deadline < timeouts[-1][0]:
+            # A shrunk adaptive timeout would break the deque's order.
+            heappush(heap, (deadline, seq + _K_TIMEOUT, att, None))
+        else:
+            event = (deadline, seq + _K_TIMEOUT, att, True)
+            if not timeouts:
+                heappush(heap, event)
+            timeouts.append(event)
         if hedge_after is not None and not hedge and not rs[4]:
             seq += 16
             heappush(heap, (now + hedge_after, seq + _K_HEDGE, att, None))
@@ -1268,6 +1296,7 @@ def run_cohort(csim):
     pop = heappop
     _push = heappush
     heap_l = heap
+    timeouts_l = timeouts
     servers_l = servers
     if overload_report is not None:
         completed_bl = completed_b
@@ -1575,10 +1604,12 @@ def run_cohort(csim):
                         server.cpu_q.append((svc, att))
             if retry is not None:
                 seq += 16
-                _push(
-                    heap_l,
-                    (now + fused_timeout, seq + _K_TIMEOUT, att, None),
-                )
+                # A fused run's timeouts are all the static one, so
+                # their deadlines reach the deque in order.
+                event = (now + fused_timeout, seq + _K_TIMEOUT, att, True)
+                if not timeouts_l:
+                    _push(heap_l, event)
+                timeouts_l.append(event)
                 if hedge_after is not None:
                     seq += 16
                     _push(
@@ -1641,8 +1672,19 @@ def run_cohort(csim):
             enter_disk(now, server, att)
         elif kind == _K_TIMEOUT:
             att = a
-            # att[3] first: nearly every timeout is stale (the attempt
-            # already completed), and that read short-circuits the rest.
+            if b:
+                # The deque's head fired: drop the stale entries behind
+                # it and hand the heap the next live one.
+                timeouts_l.popleft()
+                while timeouts_l:
+                    event = timeouts_l[0]
+                    natt = event[2]
+                    if not (natt[3] or natt[2] or natt[0][3]):
+                        _push(heap_l, event)
+                        break
+                    timeouts_l.popleft()
+            # att[3] first: a timeout that reaches the heap may still
+            # go stale (the attempt completes) before its deadline.
             if not (att[3] or att[2] or att[0][3]):
                 rs = att[0]
                 att[2] = True
@@ -1740,6 +1782,14 @@ def run_cohort(csim):
 
     st.offered += offered_n
     st.good += good_n
+    # Release the work still in flight: a queued attempt points back at
+    # its server, and the heap stays reachable from the clock's closure
+    # cycle, so uncleared they would wait for a gen-2 collection.
+    heap.clear()
+    timeouts.clear()
+    for server in servers:
+        server.cpu_q.clear()
+        server.mem_q.clear()
     if not st.done:
         raise RuntimeError("cluster simulation ended before measurement")
 

@@ -140,7 +140,9 @@ class TwoLevelMemorySimulator:
                 warm_pages = int(np.count_nonzero(touched))
             start += len(chunk)
             touched[chunk] = True
-            for page in chunk.tolist():
+            # A memoryview yields the same Python ints as tolist()
+            # without building a list per chunk.
+            for page in memoryview(chunk):
                 if page in index:
                     continue
                 misses += 1

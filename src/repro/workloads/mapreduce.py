@@ -19,10 +19,12 @@ Performance is measured as job execution time: ``total_work_units``
 from __future__ import annotations
 
 import random
+from math import exp, log
 from typing import Sequence
 
 from repro.workloads._calibrate import calibrated_draw
 from repro.workloads.base import (
+    NV_MAGICCONST,
     DemandDraw,
     MetricKind,
     PopulationPolicy,
@@ -77,21 +79,36 @@ class _TaskModel:
         self._reduce_net_factor = reduce_net_factor
 
     def draw(self, factors: Sequence[float]) -> DemandDraw:
-        """One task's demand draw, each component scaled by ``factors``."""
+        """One task's demand draw, each component scaled by ``factors``.
+
+        ``lognormvariate`` is inlined as in webmail's draw: the same
+        uniforms, in the same order, give bitwise its value (CPython's
+        Kinderman-Monahan loop).
+        """
         write = self._write
         reduce_net_factor = self._reduce_net_factor
         f_cpu, f_mem, f_ios, f_dbytes, f_net = factors
+        nv = NV_MAGICCONST
+        _exp = exp
+        _log = log
 
         def draw(rng: random.Random) -> tuple:
+            r = rng.random
             # Task input sizes are near-uniform HDFS blocks with small jitter.
-            size = 0.85 + 0.3 * rng.random()
-            is_reduce = rng.random() < REDUCE_FRACTION
+            size = 0.85 + 0.3 * r()
+            is_reduce = r() < REDUCE_FRACTION
             net_factor = reduce_net_factor if is_reduce else 1.0
-            cpu = size * rng.lognormvariate(0.0, 0.25)
+            while True:  # lognormvariate(0.0, 0.25)
+                u1 = r()
+                u2 = 1.0 - r()
+                z = nv * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -_log(u2):
+                    break
+            cpu = size * _exp(z * 0.25)
             return (
                 cpu * f_cpu,
                 cpu * f_mem,
-                size * (0.5 + rng.random()) * f_ios,
+                size * (0.5 + r()) * f_ios,
                 size * f_dbytes,
                 size * net_factor * f_net,
                 write,
